@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, DivergenceError
-from .sampler import SamplerConfig, cyclic_lr, make_state, noise_active, sghmc_step, sgld_step
-
-DIVERGENCE_LIMIT = 1e6
+from .sampler import (DIVERGENCE_LIMIT, SamplerConfig, cyclic_lr, make_state, noise_active,
+                      sghmc_step, sgld_step)
 
 
 @dataclass

@@ -3,6 +3,8 @@
 Each snapshot is fine-tuned independently (encoder copy + fresh linear
 head) on a stratified labeled subset, by SGD with Nesterov momentum in
 lookahead form and no augmentation.  The stored snapshot is never mutated.
+Linear evaluation needs no tape: the head gradient on the frozen features
+has a closed form.
 """
 
 from __future__ import annotations
@@ -88,13 +90,33 @@ def _ce_np(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
+def _head_grad(z: np.ndarray, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean softmax cross-entropy of logits = z @ W + b with
+    respect to (W, b), flat in (W, b) order.  It runs the numpy operations
+    that Tape.backward runs through softmax_cross_entropy, bias_add and
+    matmul, in the same order, so its bits equal the tape's."""
+    n = labels.size
+    zmax = logits.max(axis=1, keepdims=True)
+    logp = logits - (np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True)) + zmax)
+    p = np.exp(logp)
+    p[np.arange(n), labels] -= 1.0
+    g = p / n
+    grad = np.concatenate([(z.T @ g).ravel(), g.sum(axis=0)])
+    grad += 0.0  # the tape accumulates into zeros, which turns -0.0 into +0.0
+    return grad
+
+
 def finetune(snapshot: Snapshot, labeled_data: Dataset, cfg: FineTuneConfig,
              seed: int, arch: Architecture,
              num_classes: int | None = None) -> tuple[ParamVector, ClassifierHead, list[float]]:
     """Returns (fine-tuned encoder copy, trained head, per-epoch loss log).
 
-    freeze_encoder trains the head only (linear evaluation); otherwise the
-    encoder copy is updated jointly with the head.
+    freeze_encoder trains the head only (linear evaluation): the encoder's
+    features are computed once and the head gradient comes from
+    _head_grad, without a tape.  Otherwise the encoder copy is updated
+    jointly with the head through a tape.  Both run one Nesterov loop that
+    keeps the parameters and the velocity as flat arrays and writes them
+    back into the returned tensors at the end of every epoch.
     """
     if labeled_data.y is None or labeled_data.n == 0:
         raise DataError("finetune requires non-empty labeled data")
@@ -115,31 +137,33 @@ def finetune(snapshot: Snapshot, labeled_data: Dataset, cfg: FineTuneConfig,
     group = ParamVector(trainable)
 
     x_all, y_all = labeled_data.x, labeled_data.y
-    frozen_z = mlp_forward_np(encoder, x_all, arch.activation) if cfg.freeze_encoder else None
+    if cfg.freeze_encoder:
+        frozen_z = mlp_forward_np(encoder, x_all, arch.activation)
+        w_size, w_shape = head.weight.size, head.weight.shape
 
-    velocity = np.zeros(group.total_dim)
+        def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            z = frozen_z[idx]
+            return _head_grad(z, z @ point[:w_size].reshape(w_shape) + point[w_size:], y_all[idx])
+    else:
+        def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            group.set_flat(point)
+            group.zero_grad()
+            tape = Tape()
+            z = mlp_forward(tape, encoder, Tensor(x_all[idx]), arch.activation)
+            logits = tape.bias_add(tape.matmul(z, head.weight), head.bias)
+            tape.backward(tape.softmax_cross_entropy(logits, y_all[idx]))
+            return group.grad_flat()
+
+    theta = group.flatten()
+    velocity = np.zeros(theta.size)
     mu = cfg.momentum
     log: list[float] = []
-
-    def batch_grad(idx: np.ndarray) -> np.ndarray:
-        group.zero_grad()
-        tape = Tape()
-        if cfg.freeze_encoder:
-            z = Tensor(frozen_z[idx])
-        else:
-            z = mlp_forward(tape, encoder, Tensor(x_all[idx]), arch.activation)
-        logits = tape.bias_add(tape.matmul(z, head.weight), head.bias)
-        loss = tape.softmax_cross_entropy(logits, y_all[idx])
-        tape.backward(loss)
-        return group.grad_flat()
-
     for epoch in range(cfg.epochs):
         for idx in minibatches(labeled_data.n, cfg.batch, seed, epoch):
-            theta = group.flatten()
-            group.set_flat(theta + mu * velocity)      # lookahead point
-            grad = batch_grad(idx)
+            grad = grad_at(theta + mu * velocity, idx)  # at the lookahead point
             velocity = mu * velocity - cfg.lr * grad
-            group.set_flat(theta + velocity)
+            theta = theta + velocity
+        group.set_flat(theta)
         z_eval = frozen_z if cfg.freeze_encoder else mlp_forward_np(encoder, x_all, arch.activation)
         log.append(_ce_np(z_eval @ head.weight.values + head.bias.values, y_all))
 

@@ -28,11 +28,10 @@ from .finetune import FineTuneConfig, finetune, load_member, save_member, subset
 from .metrics import (EvalReport, accuracy, aggregate_seeds, auroc,
                       entropy_histogram, nll, write_histogram, write_table)
 from .model import Architecture, ema_update, init_twin
-from .posterior import PosteriorEnsemble, bma_predict, collect, load_ensemble, predictive_entropy, save_ensemble
-from .sampler import (SamplerConfig, cyclic_lr, make_state, noise_active,
+from .posterior import (PosteriorEnsemble, bma_predict, collect, load_ensemble,
+                        predictive_entropy, recent_mean, save_ensemble)
+from .sampler import (DIVERGENCE_LIMIT, SamplerConfig, cyclic_lr, make_state, noise_active,
                       posterior_grad, sghmc_step, sgld_step, should_yield)
-
-DIVERGENCE_LIMIT = 1e6
 
 
 def build_arch(cfg: cfgmod.RunConfig) -> Architecture:
@@ -176,7 +175,7 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
                     ["snapshot", "epoch", "loss"], log_rows)
 
 
-def _load_members(out_dir: str, seed: int, frac: float, count: int, arch: Architecture):
+def _load_members(out_dir: str, seed: int, frac: float, count: int):
     members = []
     for s in range(count):
         path = member_path(out_dir, seed, frac, s)
@@ -185,6 +184,11 @@ def _load_members(out_dir: str, seed: int, frac: float, count: int, arch: Archit
         encoder, head, _ = load_member(path)
         members.append((encoder, head))
     return members
+
+
+def _member_probs(members, x: np.ndarray, arch: Architecture) -> list[np.ndarray]:
+    """Each member's softmax on x, one encoder forward per member."""
+    return [bma_predict(members[i:i + 1], x, arch) for i in range(len(members))]
 
 
 def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
@@ -199,13 +203,15 @@ def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
         per_mode: dict[tuple, dict[str, list[float]]] = {}
         for seed in cfg.run.seeds:
             ens = load_ensemble(ensemble_path(out_dir, seed))
-            members = _load_members(out_dir, seed, frac, ens.size, arch)
-            sizes = [("single", 1)] + [("bma", k) for k in range(1, ens.size + 1)]
-            for mode, k in sizes:
-                probs = bma_predict(members, test.x, arch, count=k)
-                bucket = per_mode.setdefault((mode, k), {"accuracy": [], "nll": []})
-                bucket["accuracy"].append(accuracy(probs, test.y))
-                bucket["nll"].append(nll(probs, test.y))
+            members = _load_members(out_dir, seed, frac, ens.size)
+            member_probs = _member_probs(members, test.x, arch)
+            for k in range(1, ens.size + 1):
+                probs = recent_mean(member_probs, k)
+                # the single-snapshot model is the k=1 ensemble
+                for mode in ("single", "bma") if k == 1 else ("bma",):
+                    bucket = per_mode.setdefault((mode, k), {"accuracy": [], "nll": []})
+                    bucket["accuracy"].append(accuracy(probs, test.y))
+                    bucket["nll"].append(nll(probs, test.y))
         for (mode, k), vals in sorted(per_mode.items()):
             report = EvalReport(accuracy=aggregate_seeds(vals["accuracy"])[0],
                                 nll=aggregate_seeds(vals["nll"])[0],
@@ -238,10 +244,12 @@ def run_ood(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     per_k: dict[int, dict[str, list]] = {}
     for seed in cfg.run.seeds:
         ens = load_ensemble(ensemble_path(out_dir, seed))
-        members = _load_members(out_dir, seed, frac, ens.size, arch)
+        members = _load_members(out_dir, seed, frac, ens.size)
+        member_test = _member_probs(members, test.x, arch)
+        member_ood = _member_probs(members, ood.x, arch)
         for k in range(1, ens.size + 1):
-            probs_test = bma_predict(members, test.x, arch, count=k)
-            probs_ood = bma_predict(members, ood.x, arch, count=k)
+            probs_test = recent_mean(member_test, k)
+            probs_ood = recent_mean(member_ood, k)
             bucket = per_k.setdefault(k, {"accuracy": [], "nll": [], "auroc": [],
                                           "h_test": [], "h_ood": []})
             bucket["accuracy"].append(accuracy(probs_test, test.y))

@@ -71,6 +71,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def recent_mean(probs: list[np.ndarray], count: int | None = None) -> np.ndarray:
+    """Mean of the `count` most recent per-member probability arrays.
+
+    The arrays are summed oldest-first and the sum is divided by count, so
+    an ensemble-size sweep over arrays computed once per member reproduces
+    bma_predict(members, x, arch, count=k) bit for bit at every k.
+    """
+    if len(probs) < 1:
+        raise ContractError("prediction requires at least one member")
+    if count is not None:
+        if not 1 <= count <= len(probs):
+            raise ContractError(f"count must lie in [1, {len(probs)}], got {count}")
+        probs = probs[-count:]
+    total = probs[0]
+    for p in probs[1:]:
+        total = total + p
+    return total / len(probs)
+
+
 def bma_predict(members, x: np.ndarray, arch: Architecture,
                 count: int | None = None) -> np.ndarray:
     """Average the per-member softmax outputs over posterior samples.
@@ -79,20 +98,18 @@ def bma_predict(members, x: np.ndarray, arch: Architecture,
     head carries .weight (embed_dim, C) and .bias (C,) tensors.  `count`
     selects the most recent members, so count=1 is exactly the final
     snapshot's model (ensemble-size sweeps grow backwards from the end).
+    Only the selected members run their encoder.  A sweep over every
+    ensemble size calls this once per member (a one-member slice returns
+    that member's softmax exactly) and combines the results with
+    recent_mean, which gives the same bits as calling it once per size.
     """
-    if len(members) < 1:
-        raise ContractError("prediction requires at least one member")
-    if count is not None:
-        if not 1 <= count <= len(members):
-            raise ContractError(f"count must lie in [1, {len(members)}], got {count}")
-        members = members[-count:]
+    if count is not None and not 1 <= count <= len(members):
+        raise ContractError(f"count must lie in [1, {len(members)}], got {count}")
+    used = members if count is None else members[-count:]
     x = np.asarray(x, dtype=np.float64)
-    total = None
-    for encoder, head in members:
-        z = mlp_forward_np(encoder, x, arch.activation)
-        probs = softmax(z @ head.weight.values + head.bias.values)
-        total = probs if total is None else total + probs
-    return total / len(members)
+    return recent_mean([softmax(mlp_forward_np(encoder, x, arch.activation)
+                                @ head.weight.values + head.bias.values)
+                        for encoder, head in used])
 
 
 def predictive_entropy(p: np.ndarray) -> np.ndarray:
@@ -142,8 +159,9 @@ def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, dict, P
 
 
 def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarray]:
-    """Returns (header, payload).  Raises VersionError, TruncationError, or
-    ChecksumError on malformed files."""
+    """Returns (header, payload), payload a read-only view of the file's
+    bytes.  Raises VersionError, TruncationError, or ChecksumError on
+    malformed files."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 16:
@@ -171,7 +189,7 @@ def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarr
     stored_crc = int.from_bytes(raw[-4:], "little")
     if zlib.crc32(raw[:-4]) != stored_crc:
         raise ChecksumError(f"{path}: CRC mismatch")
-    payload = np.frombuffer(raw[12 + header_len:-4], dtype="<f8").astype(np.float64)
+    payload = np.frombuffer(raw, dtype="<f8", count=n_elems, offset=12 + header_len)
     if expect_kind is not None and header.get("kind") != expect_kind:
         raise CheckpointError(f"{path}: expected a {expect_kind} file, "
                               f"found {header.get('kind')!r}")

@@ -34,6 +34,7 @@ from .model import TwinModel, byol_loss_symmetrized
 
 KINDS = ("map_sgd", "snap_sgd", "sgld", "sghmc", "csghmc")
 NOISY_KINDS = ("sgld", "sghmc", "csghmc")
+DIVERGENCE_LIMIT = 1e6  # a chain with any |theta| above this has diverged
 
 
 @dataclass

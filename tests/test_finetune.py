@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from mcbyol.autodiff import Tensor
-from mcbyol.data import Dataset, make_clusters
+from mcbyol.autodiff import Tape, Tensor
+from mcbyol.data import Dataset, make_clusters, minibatches
 from mcbyol.errors import ContractError, DataError
-from mcbyol.finetune import (ClassifierHead, FineTuneConfig, finetune, load_member,
-                             predict_logits, save_member, subset_labels)
-from mcbyol.model import Architecture, init_twin, mlp_forward_np
+from mcbyol.finetune import (ClassifierHead, FineTuneConfig, _ce_np, _init_head, finetune,
+                             load_member, predict_logits, save_member, subset_labels)
+from mcbyol.model import Architecture, init_twin, mlp_forward, mlp_forward_np
+from mcbyol.params import ParamVector
 from mcbyol.posterior import PosteriorEnsemble, collect
 
 TINY = Architecture(input_dim=4, encoder_hidden=[6], embed_dim=3,
@@ -141,6 +142,61 @@ def test_unfrozen_finetune_updates_encoder():
     cfg = FineTuneConfig(lr=0.05, momentum=0.9, batch=32, epochs=5, freeze_encoder=False)
     enc, _, _ = finetune(snap, ds, cfg, seed=3, arch=TINY)
     assert np.any(enc.flatten() != snap.encoder_params.flatten())
+
+
+def tape_finetune(snapshot, data, cfg, seed, arch, classes):
+    """Reference fit: every minibatch gradient comes from a tape, and the
+    parameters are read back and written twice per minibatch."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 5])))
+    encoder = snapshot.encoder_params.copy()
+    encoder.set_requires_grad(not cfg.freeze_encoder)
+    head = _init_head(arch.embed_dim, classes, rng)
+    trainable = {} if cfg.freeze_encoder else {f"encoder.{k}": t for k, t in encoder.items()}
+    trainable["head.weight"] = head.weight
+    trainable["head.bias"] = head.bias
+    group = ParamVector(trainable)
+    frozen_z = mlp_forward_np(encoder, data.x, arch.activation) if cfg.freeze_encoder else None
+    velocity = np.zeros(group.total_dim)
+    mu = cfg.momentum
+
+    def batch_grad(idx):
+        group.zero_grad()
+        tape = Tape()
+        if cfg.freeze_encoder:
+            z = Tensor(frozen_z[idx])
+        else:
+            z = mlp_forward(tape, encoder, Tensor(data.x[idx]), arch.activation)
+        logits = tape.bias_add(tape.matmul(z, head.weight), head.bias)
+        tape.backward(tape.softmax_cross_entropy(logits, data.y[idx]))
+        return group.grad_flat()
+
+    log = []
+    for epoch in range(cfg.epochs):
+        for idx in minibatches(data.n, cfg.batch, seed, epoch):
+            theta = group.flatten()
+            group.set_flat(theta + mu * velocity)
+            grad = batch_grad(idx)
+            velocity = mu * velocity - cfg.lr * grad
+            group.set_flat(theta + velocity)
+        z_eval = frozen_z if cfg.freeze_encoder else mlp_forward_np(encoder, data.x, arch.activation)
+        log.append(_ce_np(z_eval @ head.weight.values + head.bias.values, data.y))
+    return encoder, head, log
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("batch", [40, 149])  # final batches of 30 rows and of 1 row
+def test_finetune_is_bit_identical_to_tape_reference(freeze, momentum, batch):
+    snap = snapshot_for(9)
+    ds = toy_labeled(n_per_class=50, classes=3, seed=11)
+    cfg = FineTuneConfig(lr=0.3, momentum=momentum, batch=batch, epochs=4,
+                         freeze_encoder=freeze)
+    enc, head, log = finetune(snap, ds, cfg, seed=5, arch=TINY, num_classes=4)
+    ref_enc, ref_head, ref_log = tape_finetune(snap, ds, cfg, 5, TINY, 4)
+    assert enc.flatten().tobytes() == ref_enc.flatten().tobytes()
+    assert head.weight.values.tobytes() == ref_head.weight.values.tobytes()
+    assert head.bias.values.tobytes() == ref_head.bias.values.tobytes()
+    assert log == ref_log
 
 
 def test_label_out_of_range_rejected():

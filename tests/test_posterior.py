@@ -4,10 +4,10 @@ import pytest
 from mcbyol.autodiff import Tensor
 from mcbyol.errors import ChecksumError, ContractError, TruncationError, VersionError
 from mcbyol.finetune import ClassifierHead
-from mcbyol.model import Architecture, init_twin
+from mcbyol.model import Architecture, init_twin, mlp_forward_np
 from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect,
-                              load_ensemble, predictive_entropy, save_ensemble,
-                              softmax)
+                              load_ensemble, predictive_entropy, recent_mean,
+                              save_ensemble, softmax)
 
 TINY = Architecture(input_dim=3, encoder_hidden=[4], embed_dim=3,
                     proj_hidden=3, proj_dim=2, pred_hidden=3)
@@ -130,6 +130,40 @@ def test_bma_count_bounds_and_empty():
         bma_predict(members, x, TINY, count=3)
     with pytest.raises(ContractError):
         bma_predict([], x, TINY)
+
+
+def streaming_bma(members, x, count):
+    """Reference: run the `count` most recent members oldest-first, keeping
+    a running total of their softmax outputs."""
+    total = None
+    for encoder, head in members[-count:]:
+        z = mlp_forward_np(encoder, x, TINY.activation)
+        probs = softmax(z @ head.weight.values + head.bias.values)
+        total = probs if total is None else total + probs
+    return total / count
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_recent_mean_sweep_equals_bma_predict_at_every_size(rows):
+    ens = make_ensemble(6, seed=rows)
+    members = members_for(ens, seed=rows)
+    x = np.random.default_rng(rows).normal(size=(rows, 3))
+    per_member = [bma_predict(members[i:i + 1], x, TINY) for i in range(len(members))]
+    for k in range(1, len(members) + 1):
+        swept = recent_mean(per_member, k)
+        assert np.array_equal(swept, bma_predict(members, x, TINY, count=k))
+        assert np.array_equal(swept, streaming_bma(members, x, k))
+    assert np.array_equal(recent_mean(per_member), bma_predict(members, x, TINY))
+
+
+def test_recent_mean_count_bounds_and_empty():
+    probs = [np.full((2, 2), 0.5)] * 2
+    with pytest.raises(ContractError):
+        recent_mean(probs, 0)
+    with pytest.raises(ContractError):
+        recent_mean(probs, 3)
+    with pytest.raises(ContractError):
+        recent_mean([])
 
 
 # ---- entropy ----------------------------------------------------------------
