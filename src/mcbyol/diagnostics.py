@@ -4,6 +4,12 @@ A chain run against the quadratic energy 0.5 * theta' L theta should be
 stationary around mean 0 with covariance T * inv(L); run_chain measures
 the empirical moments so tests (and the sample-diag subcommand) can
 compare them with the analytic values.
+
+run_chain steps the chain in blocks: schedule tables per cycle position,
+one noise draw per block (the same Philox stream as one draw per step) and
+one sampler.diverged check per block.  Every step still goes through
+sgld_step/sghmc_step, so the moments are bit-identical to a chain stepped
+and checked one step at a time.
 """
 
 from __future__ import annotations
@@ -13,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, DivergenceError
-from .sampler import (DIVERGENCE_LIMIT, SamplerConfig, cyclic_lr, make_state, noise_active,
-                      sghmc_step, sgld_step)
+from .sampler import (SamplerConfig, cyclic_lr, diverged, make_state, noise_active, sghmc_step,
+                      sgld_step)
+
+_BLOCK = 4096  # steps per noise draw and per divergence check
 
 
 @dataclass
@@ -64,7 +72,13 @@ def run_chain(cfg: SamplerConfig, target: QuadraticTarget,
               theta0: np.ndarray | None = None) -> ChainStats:
     """Run the configured sampler against the exact quadratic gradient and
     return post-burn-in moments.  The energy is supplied whole, so the
-    config must use n_dataset = 1 (no prior/likelihood split here)."""
+    config must use n_dataset = 1 (no prior/likelihood split here).
+
+    Noise is drawn once per block of steps and handed to the step function
+    row by row through its eps argument.  The trajectory is checked once per
+    block with sampler.diverged, which also catches NaN and inf; a failing
+    check raises DivergenceError naming the first offending step.  theta0
+    must have shape (dim,), else DimensionError."""
     if steps <= burn_in:
         raise ContractError("steps must exceed burn_in")
     if steps > cfg.total_steps:
@@ -73,17 +87,31 @@ def run_chain(cfg: SamplerConfig, target: QuadraticTarget,
         raise ContractError("diagnostics chains require n_dataset = 1")
 
     theta = np.zeros(target.dim) if theta0 is None else np.asarray(theta0, dtype=np.float64).copy()
+    if theta.shape != (target.dim,):
+        raise DimensionError(f"theta0 must have shape ({target.dim},)")
     state = make_state(target.dim, seed)
-    samples = np.empty((steps - burn_in, target.dim))
+    precision = target.precision
     step_fn = sgld_step if cfg.kind == "sgld" else sghmc_step
-    for k in range(steps):
-        grad = target.precision @ theta
-        lr = cyclic_lr(cfg, k)
-        theta = step_fn(theta, state, grad, lr, cfg, noise_on=noise_active(cfg, k))
-        if np.abs(theta).max() > DIVERGENCE_LIMIT:
-            raise DivergenceError(step=k)
-        if k >= burn_in:
-            samples[k - burn_in] = theta
+    # the schedule depends on k only through k % cycle_len
+    lr_table = [cyclic_lr(cfg, p) for p in range(min(cfg.cycle_len, steps))]
+    noise_table = [noise_active(cfg, p) for p in range(len(lr_table))]
+    trajectory = np.empty((steps, target.dim))
+    # past a divergence the block runs on to inf/NaN; the check below catches it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, steps, _BLOCK):
+            stop = min(start + _BLOCK, steps)
+            positions = [k % cfg.cycle_len for k in range(start, stop)]
+            noisy = sum(noise_table[p] for p in positions)
+            rows = iter(state.rng.standard_normal((noisy, target.dim)))
+            for k, p in zip(range(start, stop), positions):
+                on = noise_table[p]
+                theta = step_fn(theta, state, precision @ theta, lr_table[p], cfg,
+                                noise_on=on, eps=next(rows) if on else None)
+                trajectory[k] = theta
+            if diverged(trajectory[start:stop]):
+                raise DivergenceError(step=next(k for k in range(start, stop)
+                                                if diverged(trajectory[k])))
+    samples = trajectory[burn_in:]
 
     mean = samples.mean(axis=0)
     variance = samples.var(axis=0, ddof=1)

@@ -30,7 +30,7 @@ from .metrics import (EvalReport, accuracy, aggregate_seeds, auroc,
 from .model import Architecture, ema_update, init_twin
 from .posterior import (PosteriorEnsemble, bma_predict, collect, load_ensemble,
                         predictive_entropy, recent_mean, save_ensemble)
-from .sampler import (DIVERGENCE_LIMIT, SamplerConfig, cyclic_lr, make_state, noise_active,
+from .sampler import (SamplerConfig, cyclic_lr, diverged, make_state, noise_active,
                       posterior_grad, sghmc_step, sgld_step, should_yield)
 
 
@@ -130,8 +130,7 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
         lr = cyclic_lr(scfg, k)
         on = noise_active(scfg, k)
         new_flat = step_fn(model.online_flat(), state, grad_u, lr, scfg, noise_on=on)
-        if (not np.isfinite(loss) or not np.all(np.isfinite(new_flat))
-                or np.abs(new_flat).max() > DIVERGENCE_LIMIT):
+        if not np.isfinite(loss) or diverged(new_flat):
             raise DivergenceError(step=k)
         model.set_online_flat(new_flat)
         ema_update(model)
@@ -198,14 +197,14 @@ def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     _, _, test, _ = make_datasets(cfg)
     digest = cfg.digest()
     kind = cfg.sampler.kind
+    sizes = {seed: load_ensemble(ensemble_path(out_dir, seed)).size for seed in cfg.run.seeds}
     rows: list[tuple] = []
     for frac in cfg.finetune.label_fractions:
         per_mode: dict[tuple, dict[str, list[float]]] = {}
         for seed in cfg.run.seeds:
-            ens = load_ensemble(ensemble_path(out_dir, seed))
-            members = _load_members(out_dir, seed, frac, ens.size)
+            members = _load_members(out_dir, seed, frac, sizes[seed])
             member_probs = _member_probs(members, test.x, arch)
-            for k in range(1, ens.size + 1):
+            for k in range(1, sizes[seed] + 1):
                 probs = recent_mean(member_probs, k)
                 # the single-snapshot model is the k=1 ensemble
                 for mode in ("single", "bma") if k == 1 else ("bma",):

@@ -187,7 +187,7 @@ def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarr
     if len(raw) > expected:
         raise TruncationError(f"{path}: {len(raw) - expected} trailing bytes")
     stored_crc = int.from_bytes(raw[-4:], "little")
-    if zlib.crc32(raw[:-4]) != stored_crc:
+    if zlib.crc32(memoryview(raw)[:-4]) != stored_crc:
         raise ChecksumError(f"{path}: CRC mismatch")
     payload = np.frombuffer(raw, dtype="<f8", count=n_elems, offset=12 + header_len)
     if expect_kind is not None and header.get("kind") != expect_kind:

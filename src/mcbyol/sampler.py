@@ -103,6 +103,12 @@ def noise_active(cfg: SamplerConfig, k: int) -> bool:
     return (k % cfg.cycle_len) >= cfg.noise_start_frac * cfg.cycle_len
 
 
+def diverged(x: np.ndarray) -> bool:
+    """True when any entry of x is NaN, infinite or above DIVERGENCE_LIMIT in
+    magnitude (the comparison is False for NaN, so NaN counts as diverged)."""
+    return not np.all(np.abs(x) <= DIVERGENCE_LIMIT)
+
+
 def should_yield(cfg: SamplerConfig, k: int) -> bool:
     """Snapshot at each cycle end; the non-cyclic kinds use the same fixed
     interval so every baseline collects equally many snapshots."""

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 
-from mcbyol import cli, config
+from mcbyol import cli, config, pipeline
 
 TINY_CONFIG = """
 [data]
@@ -147,6 +147,22 @@ def test_label_fraction_sweep_produces_one_member_set_per_fraction(tmp_path):
     for tag in ("1", "0p5", "0p25", "0p1"):
         members = [n for n in os.listdir(out) if n.startswith(f"member_seed0_f{tag}_")]
         assert len(members) == 4, tag
+
+
+def test_eval_loads_each_ensemble_once(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    for cmd in ("pretrain", "finetune"):
+        assert cli.main([cmd, "--config", cfg_path, "--out", out]) == 0
+    loaded, load_ensemble = [], pipeline.load_ensemble
+
+    def counting_load(path):
+        loaded.append(os.path.basename(path))
+        return load_ensemble(path)
+
+    monkeypatch.setattr(pipeline, "load_ensemble", counting_load)
+    pipeline.run_eval(config.load(cfg_path), out)  # two seeds x two label fractions
+    assert sorted(loaded) == ["ensemble_seed0.ckpt", "ensemble_seed1.ckpt"]
 
 
 def test_frozen_finetune_member_encoder_equals_snapshot(tmp_path):

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from mcbyol import diagnostics
 from mcbyol.diagnostics import QuadraticTarget, quadratic_grad, run_chain
 from mcbyol.errors import ConfigError, ContractError, DimensionError, DivergenceError
-from mcbyol.sampler import SamplerConfig
+from mcbyol.sampler import (DIVERGENCE_LIMIT, SamplerConfig, cyclic_lr, make_state,
+                            noise_active, sghmc_step, sgld_step)
 
 
 def chain_cfg(kind="sgld", lr0=0.01, beta=0.0, temperature=1.0, steps=20_000):
@@ -64,10 +68,84 @@ def test_run_chain_contract_checks():
 def test_divergence_detected_and_names_step():
     target = QuadraticTarget(dim=1)
     cfg = chain_cfg(lr0=5.0, steps=10_000)  # far past the stable step size
-    with pytest.raises(DivergenceError) as err:
-        run_chain(cfg, target, steps=10_000, burn_in=100, seed=0)
-    assert err.value.step >= 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow past the divergence
+        with pytest.raises(DivergenceError) as err:
+            run_chain(cfg, target, steps=10_000, burn_in=100, seed=0)
+    assert err.value.step == 36  # |1 - lr0/2| = 1.5 per step passes 1e6 here
     assert str(err.value.step) in str(err.value)
+
+
+def test_nan_start_diverges_at_step_zero():
+    cfg = chain_cfg(steps=1_000)
+    with pytest.raises(DivergenceError) as err:
+        run_chain(cfg, QuadraticTarget(dim=1), steps=1_000, burn_in=10, seed=0,
+                  theta0=np.array([np.nan]))
+    assert err.value.step == 0
+
+
+@pytest.mark.parametrize("theta0", [np.zeros(2), np.zeros((1, 1)), np.float64(0.5)])
+def test_run_chain_rejects_wrong_theta0_shape(theta0):
+    with pytest.raises(DimensionError):
+        run_chain(chain_cfg(steps=100), QuadraticTarget(dim=1), steps=100, burn_in=10,
+                  seed=0, theta0=theta0)
+
+
+def reference_chain(cfg, target, steps, burn_in, seed, theta0):
+    """The per-step loop run_chain replaced: one schedule lookup, one noise
+    draw and one divergence check per step."""
+    theta = np.asarray(theta0, dtype=np.float64).copy()
+    state = make_state(target.dim, seed)
+    samples = np.empty((steps - burn_in, target.dim))
+    step_fn = sgld_step if cfg.kind == "sgld" else sghmc_step
+    for k in range(steps):
+        grad = target.precision @ theta
+        lr = cyclic_lr(cfg, k)
+        theta = step_fn(theta, state, grad, lr, cfg, noise_on=noise_active(cfg, k))
+        if np.abs(theta).max() > DIVERGENCE_LIMIT:
+            raise DivergenceError(step=k)
+        if k >= burn_in:
+            samples[k - burn_in] = theta
+    mean = samples.mean(axis=0)
+    centered = samples - mean
+    num = (centered[:-1] * centered[1:]).sum(axis=0)
+    den = np.sqrt((centered[:-1] ** 2).sum(axis=0) * (centered[1:] ** 2).sum(axis=0))
+    lag1 = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+    return mean, samples.var(axis=0, ddof=1), lag1
+
+
+@pytest.mark.parametrize("kind,beta,temper_drift", [("sgld", 0.0, False), ("sghmc", 0.0, False),
+                                                    ("sghmc", 0.9, False), ("sgld", 0.0, True)])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("cycle_len,noise_start_frac", [(1, 0.0), (7, 0.5)])
+def test_blocked_chain_is_bit_identical_to_per_step_loop(kind, beta, temper_drift, dim,
+                                                         cycle_len, noise_start_frac):
+    # not a multiple of the block, and the burn-in ends inside the second block
+    steps, burn_in = diagnostics._BLOCK + 1_234, diagnostics._BLOCK - 100
+    cfg = SamplerConfig(kind=kind, lr0=0.05, beta=beta, temperature=0.5,
+                        cycle_len=cycle_len, total_steps=steps, n_dataset=1,
+                        noise_start_frac=noise_start_frac, temper_drift=temper_drift)
+    precision = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])[:dim, :dim]
+    target = QuadraticTarget(dim=dim, precision=precision, temperature=0.5)
+    theta0 = np.linspace(0.7, -0.4, dim)
+    stats = run_chain(cfg, target, steps=steps, burn_in=burn_in, seed=13, theta0=theta0)
+    mean, variance, lag1 = reference_chain(cfg, target, steps, burn_in, 13, theta0)
+    assert stats.sample_count == steps - burn_in
+    assert np.array_equal(stats.mean, mean)
+    assert np.array_equal(stats.variance, variance)
+    assert np.array_equal(stats.lag1_autocorr, lag1)
+
+
+def test_late_divergence_step_matches_per_step_loop():
+    # |1 - lr0/2| = 1.001: the noise grows past the limit in the third block
+    steps = 3 * diagnostics._BLOCK
+    cfg = chain_cfg(lr0=4.002, steps=steps)
+    target = QuadraticTarget(dim=2)
+    with pytest.raises(DivergenceError) as expected:
+        reference_chain(cfg, target, steps, 100, 0, np.zeros(2))
+    with pytest.raises(DivergenceError) as err:
+        run_chain(cfg, target, steps=steps, burn_in=100, seed=0)
+    assert err.value.step == expected.value.step > 2 * diagnostics._BLOCK
 
 
 def test_short_chain_moments_are_sane():
