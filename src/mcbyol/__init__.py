@@ -1,7 +1,7 @@
 """Bayesian twin-network pretraining with SG-MCMC posterior sampling,
 snapshot ensembles, and uncertainty-aware downstream evaluation."""
 
-from .autodiff import Tape, Tensor, forward_op, grad_check
+from .autodiff import Tape, Tensor, grad_check
 from .config import RunConfig
 from .data import AugmentationConfig, Dataset, augment_pair, make_clusters, make_ood, minibatches
 from .diagnostics import ChainStats, QuadraticTarget, quadratic_grad, run_chain

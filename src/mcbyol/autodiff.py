@@ -271,32 +271,6 @@ class Tape:
                 leaf.grad += adjoint.pop(key)
 
 
-OP_KINDS = (
-    "matmul", "add", "bias_add", "elementwise_tanh", "elementwise_relu",
-    "scale", "sum", "dot", "l2_normalize", "mse", "softmax_cross_entropy",
-)
-
-
-def forward_op(tape: Tape, op_kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch a primitive by name; records the result on the tape."""
-    table = {
-        "matmul": tape.matmul,
-        "add": tape.add,
-        "bias_add": tape.bias_add,
-        "elementwise_tanh": tape.tanh,
-        "elementwise_relu": tape.relu,
-        "scale": tape.scale,
-        "sum": tape.sum,
-        "dot": tape.dot,
-        "l2_normalize": tape.l2_normalize,
-        "mse": tape.mse,
-        "softmax_cross_entropy": tape.softmax_cross_entropy,
-    }
-    if op_kind not in table:
-        raise ContractError(f"unknown op kind: {op_kind!r}")
-    return table[op_kind](*inputs, **kwargs)
-
-
 def grad_check(loss_fn: Callable[[np.ndarray], float],
                x0: np.ndarray,
                analytic: np.ndarray,

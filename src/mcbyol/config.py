@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 
+from .atomic import write_atomic
 from .errors import ConfigError
 
 
@@ -213,5 +214,4 @@ def serialize(cfg: RunConfig) -> str:
 
 
 def save(cfg: RunConfig, path) -> None:
-    with open(path, "w") as f:
-        f.write(serialize(cfg))
+    write_atomic(path, serialize(cfg))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ConfigError, DataError
 
 OOD_MODES = ("shifted_means", "scaled_variance", "uniform_box")
@@ -158,16 +159,13 @@ def minibatches(n: int, batch: int, seed: int, epoch: int) -> list[np.ndarray]:
 def save_dataset(ds: Dataset, stem: str) -> None:
     """Writes <stem>.bin (float64 LE rows, labels appended when present)
     and <stem>.txt (dims, seed, generator parameters)."""
-    with open(f"{stem}.bin", "wb") as f:
-        f.write(ds.x.astype("<f8").tobytes())
-        if ds.y is not None:
-            f.write(ds.y.astype("<f8").tobytes())
+    labels = b"" if ds.y is None else ds.y.astype("<f8").tobytes()
+    write_atomic(f"{stem}.bin", ds.x.astype("<f8").tobytes() + labels)
     lines = [f"rows = {ds.n}", f"dim = {ds.input_dim}",
              f"labeled = {int(ds.y is not None)}", f"split_tag = {ds.split_tag}"]
     for key, val in sorted(ds.gen_meta.items()):
         lines.append(f"gen.{key} = {val}")
-    with open(f"{stem}.txt", "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(f"{stem}.txt", "\n".join(lines) + "\n")
 
 
 def _coerce(raw: str):

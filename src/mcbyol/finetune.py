@@ -1,10 +1,13 @@
 """Semi-supervised fine-tuning of posterior snapshots into classifiers.
 
-Each snapshot is fine-tuned independently (encoder copy + fresh linear
-head) on a stratified labeled subset, by SGD with Nesterov momentum in
-lookahead form and no augmentation.  The stored snapshot is never mutated.
-Linear evaluation needs no tape: the head gradient on the frozen features
-has a closed form.
+Every snapshot gets an encoder copy and a fresh linear head, trained on a
+stratified labeled subset by SGD with Nesterov momentum in lookahead form
+and no augmentation; each has its own seed for the head init and the
+minibatch order.  The stored snapshots are never mutated.  One finetune()
+call fits all snapshots of a (seed, label fraction) group.  Linear
+evaluation fits the group as one stacked (S, D, C) problem without a tape:
+the head gradient on the frozen features has a closed form.  Each
+member's bits equal those of a fit on its own.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .data import Dataset, minibatches
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .model import Architecture, mlp_forward, mlp_forward_np
 from .params import ParamVector
-from .posterior import Snapshot, _pv_from_payload, read_container, softmax, write_container
+from .posterior import Snapshot, _pv_from_payload, read_container, write_container
 
 
 @dataclass
@@ -84,91 +87,163 @@ def _init_head(embed_dim: int, classes: int, rng: np.random.Generator) -> Classi
         bias=Tensor(rng.uniform(-bound, bound, size=(classes,)), requires_grad=True))
 
 
-def _ce_np(logits: np.ndarray, labels: np.ndarray) -> float:
-    p = softmax(logits)
-    picked = np.maximum(p[np.arange(labels.size), labels], 1e-12)
-    return float(-np.log(picked).mean())
+def _class_reduce(a: np.ndarray, ufunc) -> np.ndarray:
+    """ufunc.reduce over the last (class) axis, keepdims, with the bits of
+    numpy's own row reduction.  A max is exact in any order, and below 8
+    classes numpy's pairwise sum of non-negative terms is a left-to-right
+    loop; a loop over column slices reproduces both several times faster.
+    From 8 classes on numpy's reduction itself runs."""
+    classes = a.shape[-1]
+    if classes >= 8:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    out = a[..., :1]
+    for c in range(1, classes):
+        out = ufunc(out, a[..., c:c + 1])
+    return out
 
 
-def _head_grad(z: np.ndarray, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of the mean softmax cross-entropy of logits = z @ W + b with
-    respect to (W, b), flat in (W, b) order.  It runs the numpy operations
-    that Tape.backward runs through softmax_cross_entropy, bias_add and
-    matmul, in the same order, so its bits equal the tape's."""
-    n = labels.size
-    zmax = logits.max(axis=1, keepdims=True)
-    logp = logits - (np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True)) + zmax)
-    p = np.exp(logp)
-    p[np.arange(n), labels] -= 1.0
-    g = p / n
-    grad = np.concatenate([(z.T @ g).ravel(), g.sum(axis=0)])
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row max, exp(logits - row max), row sum of that exp), as
+    posterior.softmax and the tape's softmax_cross_entropy compute them."""
+    zmax = _class_reduce(logits, np.maximum)
+    e = np.exp(logits - zmax)
+    return zmax, e, _class_reduce(e, np.add)
+
+
+def _mean_ce(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mean softmax cross-entropy of every (N, C) slice of (S, N, C) logits
+    against the N labels: posterior.softmax, the picked probability floored
+    at 1e-12, and the mean of its log, bit for bit."""
+    _, e, total = _shifted_exp(logits)
+    picked = e[:, np.arange(labels.size), labels] / total[..., 0]
+    return -np.log(np.maximum(picked, 1e-12)).mean(axis=1)
+
+
+def _head_grad(z: np.ndarray, logits: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """Gradients of the mean softmax cross-entropy of logits = z @ W + b
+    with respect to (W, b), for S heads at once: z (S, B, D), logits and
+    one-hot labels (S, B, C).  Returns (S, P), each row flat in (W, b)
+    order.  Per head it does the arithmetic that Tape.backward does through
+    softmax_cross_entropy, bias_add and matmul, in the same order
+    (subtracting the one-hot 1.0 or 0.0 equals the tape's -1.0 at the
+    label), so each row's bits equal the tape's."""
+    zmax, _, total = _shifted_exp(logits)
+    g = (np.exp(logits - (np.log(total) + zmax)) - onehot) / onehot.shape[1]
+    grad = np.concatenate([(z.transpose(0, 2, 1) @ g).reshape(len(g), -1), g.sum(axis=1)],
+                          axis=1)
     grad += 0.0  # the tape accumulates into zeros, which turns -0.0 into +0.0
     return grad
 
 
-def finetune(snapshot: Snapshot, labeled_data: Dataset, cfg: FineTuneConfig,
-             seed: int, arch: Architecture,
-             num_classes: int | None = None) -> tuple[ParamVector, ClassifierHead, list[float]]:
-    """Returns (fine-tuned encoder copy, trained head, per-epoch loss log).
+def _nesterov(theta: np.ndarray, seeds: list[int], n: int, cfg: FineTuneConfig,
+              grad_at, epoch_loss) -> tuple[np.ndarray, list[list[float]]]:
+    """SGD with Nesterov momentum in lookahead form on every row of theta
+    (S, P).  Row s takes its minibatches from minibatches(n, cfg.batch,
+    seeds[s], epoch).  grad_at(point, idx) gives the (S, P) gradients at
+    point on the (S, B) row indices idx; epoch_loss(theta) gives the S
+    losses logged after each epoch.  Returns (theta, per-row loss logs)."""
+    velocity = np.zeros_like(theta)
+    mu = cfg.momentum
+    logs: list[list[float]] = [[] for _ in seeds]
+    for epoch in range(cfg.epochs):
+        for rows in zip(*(minibatches(n, cfg.batch, s, epoch) for s in seeds)):
+            grad = grad_at(theta + mu * velocity, np.array(rows))  # at the lookahead point
+            velocity = mu * velocity - cfg.lr * grad
+            theta = theta + velocity
+        for log, loss in zip(logs, epoch_loss(theta)):
+            log.append(float(loss))
+    return theta, logs
 
-    freeze_encoder trains the head only (linear evaluation): the encoder's
-    features are computed once and the head gradient comes from
-    _head_grad, without a tape.  Otherwise the encoder copy is updated
-    jointly with the head through a tape.  Both run one Nesterov loop that
-    keeps the parameters and the velocity as flat arrays and writes them
-    back into the returned tensors at the end of every epoch.
+
+def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FineTuneConfig,
+             seeds: list[int], arch: Architecture, num_classes: int | None = None
+             ) -> list[tuple[ParamVector, ClassifierHead, list[float]]]:
+    """Fine-tunes each snapshot with its own seed (head init and minibatch
+    order) and returns one (encoder copy, trained head, per-epoch loss log)
+    per snapshot, in order.
+
+    freeze_encoder trains the heads only (linear evaluation) as one stacked
+    problem: every snapshot's features are computed once into (S, N, D),
+    the S heads live as rows of one (S, P) array, and each minibatch
+    position takes every head's gradient in one batched call of _head_grad,
+    without a tape.  Otherwise each encoder copy is updated jointly with
+    its head through a tape, one snapshot after another.  Both run the
+    same Nesterov loop; each member's bits equal those of a fit on its own.
     """
     if labeled_data.y is None or labeled_data.n == 0:
         raise DataError("finetune requires non-empty labeled data")
     classes = int(labeled_data.y.max()) + 1 if num_classes is None else num_classes
     if labeled_data.y.min() < 0 or labeled_data.y.max() >= classes:
         raise DataError("labels out of range")
+    if len(seeds) != len(snapshots):
+        raise ContractError(f"finetune: {len(snapshots)} snapshots but {len(seeds)} seeds")
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 5])))
-    encoder = snapshot.encoder_params.copy()
-    encoder.set_requires_grad(not cfg.freeze_encoder)
-    head = _init_head(arch.embed_dim, classes, rng)
-
-    trainable: dict[str, Tensor] = {}
-    if not cfg.freeze_encoder:
-        trainable.update({f"encoder.{k}": t for k, t in encoder.items()})
-    trainable["head.weight"] = head.weight
-    trainable["head.bias"] = head.bias
-    group = ParamVector(trainable)
-
+    encoders = [snap.encoder_params.copy() for snap in snapshots]
+    heads = [_init_head(arch.embed_dim, classes,
+                        np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 5]))))
+             for seed in seeds]
     x_all, y_all = labeled_data.x, labeled_data.y
     if cfg.freeze_encoder:
-        frozen_z = mlp_forward_np(encoder, x_all, arch.activation)
-        w_size, w_shape = head.weight.size, head.weight.shape
-
-        def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            z = frozen_z[idx]
-            return _head_grad(z, z @ point[:w_size].reshape(w_shape) + point[w_size:], y_all[idx])
+        logs = _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, arch) if seeds else []
     else:
-        def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            group.set_flat(point)
-            group.zero_grad()
-            tape = Tape()
-            z = mlp_forward(tape, encoder, Tensor(x_all[idx]), arch.activation)
-            logits = tape.bias_add(tape.matmul(z, head.weight), head.bias)
-            tape.backward(tape.softmax_cross_entropy(logits, y_all[idx]))
-            return group.grad_flat()
+        logs = [_fit_jointly(encoder, head, x_all, y_all, cfg, seed, arch)
+                for encoder, head, seed in zip(encoders, heads, seeds)]
+    for encoder in encoders:
+        encoder.set_requires_grad(False)
+    return list(zip(encoders, heads, logs))
 
-    theta = group.flatten()
-    velocity = np.zeros(theta.size)
-    mu = cfg.momentum
-    log: list[float] = []
-    for epoch in range(cfg.epochs):
-        for idx in minibatches(labeled_data.n, cfg.batch, seed, epoch):
-            grad = grad_at(theta + mu * velocity, idx)  # at the lookahead point
-            velocity = mu * velocity - cfg.lr * grad
-            theta = theta + velocity
-        group.set_flat(theta)
-        z_eval = frozen_z if cfg.freeze_encoder else mlp_forward_np(encoder, x_all, arch.activation)
-        log.append(_ce_np(z_eval @ head.weight.values + head.bias.values, y_all))
 
-    encoder.set_requires_grad(False)
-    return encoder, head, log
+def _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, arch) -> list[list[float]]:
+    """Linear evaluation of S frozen encoders as one stacked fit."""
+    z = np.stack([mlp_forward_np(encoder, x_all, arch.activation) for encoder in encoders])
+    count, n, dim = z.shape
+    classes = heads[0].class_count
+    w_size = dim * classes
+    z_rows = z.reshape(count * n, dim)
+    first_row = (np.arange(count) * n)[:, None]  # of each member's block in z_rows
+    onehot = np.eye(classes)[y_all]
+
+    def logits_at(point: np.ndarray, feats: np.ndarray) -> np.ndarray:
+        logits = feats @ point[:, :w_size].reshape(count, dim, classes)
+        logits += point[:, None, w_size:]
+        return logits
+
+    def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        feats = np.take(z_rows, idx + first_row, axis=0)  # each member's own rows, (S, B, D)
+        return _head_grad(feats, logits_at(point, feats), np.take(onehot, idx, axis=0))
+
+    theta0 = np.stack([np.concatenate([h.weight.values.ravel(), h.bias.values]) for h in heads])
+    theta, logs = _nesterov(theta0, seeds, n, cfg, grad_at,
+                            lambda th: _mean_ce(logits_at(th, z), y_all))
+    for head, row in zip(heads, theta):
+        head.weight.values = row[:w_size].reshape(dim, classes).copy()
+        head.bias.values = row[w_size:].copy()
+    return logs
+
+
+def _fit_jointly(encoder, head, x_all, y_all, cfg, seed, arch) -> list[float]:
+    """Joint fine-tuning of one encoder copy and its head through a tape;
+    the parameters are written back at the end of every epoch."""
+    encoder.set_requires_grad(True)
+    group = ParamVector({**{f"encoder.{k}": t for k, t in encoder.items()},
+                         "head.weight": head.weight, "head.bias": head.bias})
+
+    def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        group.set_flat(point[0])
+        group.zero_grad()
+        tape = Tape()
+        z = mlp_forward(tape, encoder, Tensor(x_all[idx[0]]), arch.activation)
+        logits = tape.bias_add(tape.matmul(z, head.weight), head.bias)
+        tape.backward(tape.softmax_cross_entropy(logits, y_all[idx[0]]))
+        return group.grad_flat()[None]
+
+    def epoch_loss(theta: np.ndarray) -> np.ndarray:
+        group.set_flat(theta[0])
+        z = mlp_forward_np(encoder, x_all, arch.activation)
+        return _mean_ce((z @ head.weight.values + head.bias.values)[None], y_all)
+
+    _, (log,) = _nesterov(group.flatten()[None], [seed], len(y_all), cfg, grad_at, epoch_loss)
+    return log
 
 
 def predict_logits(encoder: ParamVector, head: ClassifierHead,

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ContractError
 
 PROB_FLOOR = 1e-12  # clamp for log of predicted probability
@@ -128,16 +129,13 @@ def format_value(v) -> str:
 
 def write_table(path, columns: list[str], rows: list[tuple]) -> None:
     """Tab-separated table with a header row; deterministic float formatting."""
-    with open(path, "w") as f:
-        f.write("\t".join(columns) + "\n")
-        for row in rows:
-            f.write("\t".join(format_value(v) for v in row) + "\n")
+    lines = ["\t".join(columns)] + ["\t".join(format_value(v) for v in row) for row in rows]
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_histogram(path, hist: Histogram) -> None:
     """Two-column (bin_left_edge, count) text file; clamp count in a comment."""
-    with open(path, "w") as f:
-        f.write(f"# clamped = {hist.clamped}\n")
-        f.write("bin_left_edge\tcount\n")
-        for left, c in zip(hist.edges[:-1], hist.counts):
-            f.write(f"{format_value(float(left))}\t{int(c)}\n")
+    lines = [f"# clamped = {hist.clamped}", "bin_left_edge\tcount"]
+    lines += [f"{format_value(float(left))}\t{int(c)}"
+              for left, c in zip(hist.edges[:-1], hist.counts)]
+    write_atomic(path, "\n".join(lines) + "\n")

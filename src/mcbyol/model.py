@@ -202,22 +202,6 @@ def byol_loss_symmetrized(tape: Tape, model: TwinModel,
                     byol_loss_one_direction(tape, model, view_b, view_a))
 
 
-def byol_loss_cosine_form(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray) -> float:
-    """Independent numpy evaluation of the same loss as 2 - 2<q_bar, y_bar>,
-    averaged over the batch.  Used to cross-check the squared-distance form."""
-    a, b = _check_views(model, view_a, view_b)
-    act = model.arch.activation
-    q = mlp_forward_np(model.online_predictor,
-                       mlp_forward_np(model.online_projector,
-                                      mlp_forward_np(model.online_encoder, a, act), act), act)
-    y = mlp_forward_np(model.target_projector,
-                       mlp_forward_np(model.target_encoder, b, act), act)
-    q_bar = q / (np.linalg.norm(q, axis=1, keepdims=True) + 1e-12)
-    y_bar = y / (np.linalg.norm(y, axis=1, keepdims=True) + 1e-12)
-    cos = (q_bar * y_bar).sum(axis=1)
-    return float(np.mean(2.0 - 2.0 * cos))
-
-
 def ema_update(model: TwinModel) -> None:
     """target <- tau * target + (1 - tau) * online, on encoder and projector."""
     tau = model.tau

@@ -158,11 +158,12 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
         ftcfg = FineTuneConfig(lr=f.lr, momentum=f.momentum, batch=f.batch,
                                epochs=f.epochs, label_fraction=frac,
                                freeze_encoder=f.freeze_encoder)
+        member_seeds = [(seed * 1009 + s) * 1009 + frac_idx
+                        for s in range(ensemble.size)]
+        fitted = finetune(ensemble.snapshots, subset, ftcfg, member_seeds, arch,
+                          num_classes=cfg.data.classes)
         log_rows: list[tuple] = []
-        for s, snap in enumerate(ensemble.snapshots):
-            member_seed = (seed * 1009 + s) * 1009 + frac_idx
-            encoder, head, losses = finetune(snap, subset, ftcfg, member_seed,
-                                             arch, num_classes=cfg.data.classes)
+        for s, (snap, (encoder, head, losses)) in enumerate(zip(ensemble.snapshots, fitted)):
             meta = {"seed": seed, "label_fraction": frac, "snapshot": s,
                     "step": snap.step, "cycle": snap.cycle,
                     "sampler_kind": ensemble.run_meta.get("sampler_kind", ""),

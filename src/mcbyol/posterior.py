@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import (ChecksumError, CheckpointError, ContractError,
                      TruncationError, VersionError)
 from .model import Architecture, TwinModel, mlp_forward_np
@@ -154,8 +155,7 @@ def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, dict, P
             + header_bytes
             + payload.astype("<f8").tobytes())
     crc = zlib.crc32(body)
-    with open(path, "wb") as f:
-        f.write(body + crc.to_bytes(4, "little"))
+    write_atomic(path, body + crc.to_bytes(4, "little"))
 
 
 def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarray]:

@@ -242,6 +242,27 @@ def test_criterion_08_ood_uncertainty_directional(toy_runs):
         assert time.time() - start < 300.0
 
 
+GOLDEN_SHA256 = {
+    "ensemble_seed0.ckpt": "0c34e8dfb81babca3d992db36e13a87848fe328c9e81c73edc000bde29eb8ecb",
+    "member_seed0_f1_snap3.ckpt": "068ea19573fa8d19cb155866cf537bcd20dadca7106006b97bad706d6b64cc33",
+    "finetune_log_seed0_f0p1.tsv": "ab12c16ae24860aa51265b0491898a62706fd3e04849a5581332c156ba620c47",
+    "eval_results.tsv": "df5daeeb3d50609ea4390decfc2610ad6b1a6d8ee52fd26e2f8e0e7d3951e9de",
+}
+
+
+def test_default_csghmc_run_matches_golden_digests(toy_runs):
+    """A refactor must leave every output byte-identical, so the default
+    csghmc run's ensemble, one member, one fine-tune log and the eval
+    table keep these sha256 digests.  The digests pin this environment
+    (numpy 2.4, single-thread OpenBLAS 0.3.31): another numpy or BLAS build
+    may round differently, and then the digests are re-recorded from an
+    unchanged checkout, not adjusted to a change."""
+    out = toy_runs["csghmc"]["out"]
+    got = {name: hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+           for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
+
+
 def test_criterion_09_metric_oracles():
     with criterion(9, "AUROC equals brute force; NLL/accuracy match naive recomputation"):
         rng = np.random.default_rng(5)

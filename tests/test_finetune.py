@@ -4,11 +4,11 @@ import pytest
 from mcbyol.autodiff import Tape, Tensor
 from mcbyol.data import Dataset, make_clusters, minibatches
 from mcbyol.errors import ContractError, DataError
-from mcbyol.finetune import (ClassifierHead, FineTuneConfig, _ce_np, _init_head, finetune,
+from mcbyol.finetune import (ClassifierHead, FineTuneConfig, _class_reduce, _init_head, finetune,
                              load_member, predict_logits, save_member, subset_labels)
 from mcbyol.model import Architecture, init_twin, mlp_forward, mlp_forward_np
 from mcbyol.params import ParamVector
-from mcbyol.posterior import PosteriorEnsemble, collect
+from mcbyol.posterior import PosteriorEnsemble, collect, softmax
 
 TINY = Architecture(input_dim=4, encoder_hidden=[6], embed_dim=3,
                     proj_hidden=3, proj_dim=2, pred_hidden=3)
@@ -22,6 +22,12 @@ def snapshot_for(seed=0):
 
 def toy_labeled(n_per_class=50, classes=3, seed=0):
     return make_clusters(classes, n_per_class, 4, 4.0, seed=seed, split_tag="train")
+
+
+def fit_one(snap, ds, cfg, seed, arch=TINY, num_classes=None):
+    """finetune() on a one-snapshot group; returns its (encoder, head, log)."""
+    (member,) = finetune([snap], ds, cfg, [seed], arch, num_classes=num_classes)
+    return member
 
 
 # ---- subset selection -------------------------------------------------------
@@ -94,10 +100,10 @@ def test_lr_zero_leaves_parameters_unchanged():
     snap = snapshot_for()
     ds = toy_labeled()
     cfg = FineTuneConfig(lr=0.0, momentum=0.9, batch=16, epochs=3)
-    enc, head, _ = finetune(snap, ds, cfg, seed=0, arch=TINY)
+    enc, head, _ = fit_one(snap, ds, cfg, seed=0)
     assert np.array_equal(enc.flatten(), snap.encoder_params.flatten())
     w0 = head.weight.values.copy()
-    enc2, head2, _ = finetune(snap, ds, cfg, seed=0, arch=TINY)
+    enc2, head2, _ = fit_one(snap, ds, cfg, seed=0)
     assert np.array_equal(head2.weight.values, w0)  # deterministic init, untouched
 
 
@@ -106,7 +112,7 @@ def test_finetune_does_not_mutate_snapshot():
     before = snap.encoder_params.flatten().copy()
     ds = toy_labeled()
     cfg = FineTuneConfig(lr=0.1, momentum=0.9, batch=32, epochs=5)
-    finetune(snap, ds, cfg, seed=0, arch=TINY)
+    fit_one(snap, ds, cfg, seed=0)
     assert np.array_equal(snap.encoder_params.flatten(), before)
 
 
@@ -120,7 +126,7 @@ def test_frozen_encoder_reaches_full_accuracy_on_separable_data():
     y = np.repeat(np.arange(3), 40)
     ds = Dataset(x=x, y=y, split_tag="train")
     cfg = FineTuneConfig(lr=0.2, momentum=0.9, batch=20, epochs=80, freeze_encoder=True)
-    enc, head, log = finetune(snap, ds, cfg, seed=1, arch=TINY)
+    enc, head, log = fit_one(snap, ds, cfg, seed=1)
     logits = predict_logits(enc, head, ds.x, TINY)
     train_acc = float((logits.argmax(axis=1) == ds.y).mean())
     assert train_acc == 1.0
@@ -131,7 +137,7 @@ def test_frozen_convex_loss_is_monotone_at_small_lr():
     snap = snapshot_for(3)
     ds = toy_labeled(n_per_class=30, classes=3, seed=10)
     cfg = FineTuneConfig(lr=1e-3, momentum=0.0, batch=1000, epochs=25, freeze_encoder=True)
-    _, _, log = finetune(snap, ds, cfg, seed=2, arch=TINY)
+    _, _, log = fit_one(snap, ds, cfg, seed=2)
     diffs = np.diff(np.asarray(log))
     assert np.all(diffs <= 1e-12)
 
@@ -140,13 +146,20 @@ def test_unfrozen_finetune_updates_encoder():
     snap = snapshot_for(4)
     ds = toy_labeled()
     cfg = FineTuneConfig(lr=0.05, momentum=0.9, batch=32, epochs=5, freeze_encoder=False)
-    enc, _, _ = finetune(snap, ds, cfg, seed=3, arch=TINY)
+    enc, _, _ = fit_one(snap, ds, cfg, seed=3)
     assert np.any(enc.flatten() != snap.encoder_params.flatten())
 
 
+def _ce_np(logits, labels):
+    p = softmax(logits)
+    picked = np.maximum(p[np.arange(labels.size), labels], 1e-12)
+    return float(-np.log(picked).mean())
+
+
 def tape_finetune(snapshot, data, cfg, seed, arch, classes):
-    """Reference fit: every minibatch gradient comes from a tape, and the
-    parameters are read back and written twice per minibatch."""
+    """Reference fit of one snapshot: every minibatch gradient comes from a
+    tape, and the parameters are read back and written twice per
+    minibatch."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 5])))
     encoder = snapshot.encoder_params.copy()
     encoder.set_requires_grad(not cfg.freeze_encoder)
@@ -183,6 +196,20 @@ def tape_finetune(snapshot, data, cfg, seed, arch, classes):
     return encoder, head, log
 
 
+def assert_same_member(got, ref):
+    (enc, head, log), (ref_enc, ref_head, ref_log) = got, ref
+    assert enc.flatten().tobytes() == ref_enc.flatten().tobytes()
+    assert head.weight.values.tobytes() == ref_head.weight.values.tobytes()
+    assert head.bias.values.tobytes() == ref_head.bias.values.tobytes()
+    assert log == ref_log
+
+
+def relabeled(classes):
+    """150 rows whose labels cycle through every class."""
+    base = toy_labeled(n_per_class=50, classes=3, seed=11)
+    return Dataset(x=base.x, y=np.arange(base.n) % classes, split_tag="train")
+
+
 @pytest.mark.parametrize("freeze", [True, False])
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 @pytest.mark.parametrize("batch", [40, 149])  # final batches of 30 rows and of 1 row
@@ -191,12 +218,59 @@ def test_finetune_is_bit_identical_to_tape_reference(freeze, momentum, batch):
     ds = toy_labeled(n_per_class=50, classes=3, seed=11)
     cfg = FineTuneConfig(lr=0.3, momentum=momentum, batch=batch, epochs=4,
                          freeze_encoder=freeze)
-    enc, head, log = finetune(snap, ds, cfg, seed=5, arch=TINY, num_classes=4)
-    ref_enc, ref_head, ref_log = tape_finetune(snap, ds, cfg, 5, TINY, 4)
-    assert enc.flatten().tobytes() == ref_enc.flatten().tobytes()
-    assert head.weight.values.tobytes() == ref_head.weight.values.tobytes()
-    assert head.bias.values.tobytes() == ref_head.bias.values.tobytes()
-    assert log == ref_log
+    assert_same_member(fit_one(snap, ds, cfg, seed=5, num_classes=4),
+                       tape_finetune(snap, ds, cfg, 5, TINY, 4))
+
+
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize("classes", [4, 9])  # 9 is above numpy's 8-term pairwise-sum block
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("batch", [40, 149])  # final batches of 30 rows and of 1 row
+def test_stacked_linear_eval_is_bit_identical_to_per_member_tape_fits(members, classes,
+                                                                       momentum, batch):
+    snaps = [snapshot_for(20 + m) for m in range(members)]
+    seeds = [7 + 13 * m for m in range(members)]
+    ds = relabeled(classes)
+    cfg = FineTuneConfig(lr=0.3, momentum=momentum, batch=batch, epochs=4, freeze_encoder=True)
+    fitted = finetune(snaps, ds, cfg, seeds, TINY, num_classes=classes)
+    assert len(fitted) == members
+    for got, snap, seed in zip(fitted, snaps, seeds):
+        assert_same_member(got, tape_finetune(snap, ds, cfg, seed, TINY, classes))
+
+
+def test_unfrozen_group_is_bit_identical_to_per_member_tape_fits():
+    snaps = [snapshot_for(30 + m) for m in range(3)]
+    seeds = [3, 1, 2]
+    ds = relabeled(4)
+    cfg = FineTuneConfig(lr=0.3, momentum=0.9, batch=40, epochs=3, freeze_encoder=False)
+    fitted = finetune(snaps, ds, cfg, seeds, TINY, num_classes=4)
+    for got, snap, seed in zip(fitted, snaps, seeds):
+        assert_same_member(got, tape_finetune(snap, ds, cfg, seed, TINY, 4))
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_empty_group_fits_nothing(freeze):
+    cfg = FineTuneConfig(lr=0.1, epochs=2, freeze_encoder=freeze)
+    assert finetune([], toy_labeled(), cfg, [], TINY) == []
+
+
+def test_one_seed_per_snapshot_required():
+    cfg = FineTuneConfig(lr=0.1, epochs=1, freeze_encoder=True)
+    with pytest.raises(ContractError):
+        finetune([snapshot_for(), snapshot_for(1)], toy_labeled(), cfg, [0], TINY)
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+def test_class_reduce_matches_numpy_row_reduction_at_every_class_count(ufunc):
+    rng = np.random.default_rng(12)
+    for classes in range(1, 20):
+        for rows in (1, 7, 80):
+            a = rng.exponential(size=(3, rows, classes))  # exp() terms are non-negative
+            got = _class_reduce(a, ufunc)
+            assert got.shape == (3, rows, 1)
+            for s in range(3):
+                ref = ufunc.reduce(a[s], axis=1, keepdims=True)
+                assert got[s].tobytes() == ref.tobytes()
 
 
 def test_label_out_of_range_rejected():
@@ -205,14 +279,13 @@ def test_label_out_of_range_rejected():
     ds = Dataset(x=x, y=np.array([0, 1, 2, 3]), split_tag="train")
     cfg = FineTuneConfig(lr=0.1, epochs=1)
     with pytest.raises(DataError):
-        finetune(snap, ds, cfg, seed=0, arch=TINY, num_classes=3)
+        fit_one(snap, ds, cfg, seed=0, num_classes=3)
 
 
 # ---- prediction -------------------------------------------------------------
 
 
 def test_zero_head_gives_uniform_softmax():
-    from mcbyol.posterior import softmax
     snap = snapshot_for(5)
     head = ClassifierHead(weight=Tensor(np.zeros((3, 4))), bias=Tensor(np.zeros(4)))
     x = np.random.default_rng(1).normal(size=(5, 4))
