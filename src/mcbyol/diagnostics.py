@@ -5,11 +5,13 @@ stationary around mean 0 with covariance T * inv(L); run_chain measures
 the empirical moments so tests (and the sample-diag subcommand) can
 compare them with the analytic values.
 
-run_chain steps the chain in blocks: schedule tables per cycle position,
-one noise draw per block (the same Philox stream as one draw per step) and
-one sampler.diverged check per block.  Every step still goes through
-sgld_step/sghmc_step, so the moments are bit-identical to a chain stepped
-and checked one step at a time.
+run_chain steps the chain in blocks: lr, noise gate and noise scale
+tables per cycle position, one noise draw per block (the same Philox
+stream as one draw per step), scaled once per block and handed to each
+step as its noise= term, and one sampler.diverged check per block.  Every
+step still goes through sgld_step/sghmc_step, the update pretraining runs,
+so the moments are bit-identical to a chain stepped and checked one step
+at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, DivergenceError
-from .sampler import (SamplerConfig, cyclic_lr, diverged, make_state, noise_active, sghmc_step,
-                      sgld_step)
+from .sampler import (SamplerConfig, cyclic_lr, diverged, divergence_cause, make_state,
+                      noise_active, noise_scale, sghmc_step, sgld_step)
 
 _BLOCK = 4096  # steps per noise draw and per divergence check
 
@@ -56,7 +58,7 @@ def quadratic_grad(target: QuadraticTarget, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (target.dim,):
         raise DimensionError(f"theta must have shape ({target.dim},)")
-    return target.precision @ theta
+    return target.precision.dot(theta)
 
 
 @dataclass
@@ -74,13 +76,17 @@ def run_chain(cfg: SamplerConfig, target: QuadraticTarget,
     return post-burn-in moments.  The energy is supplied whole, so the
     config must use n_dataset = 1 (no prior/likelihood split here).
 
-    Noise is drawn once per block of steps and handed to the step function
-    row by row through its eps argument.  The trajectory is checked once per
-    block with sampler.diverged, which also catches NaN and inf; a failing
-    check raises DivergenceError naming the first offending step.  theta0
-    must have shape (dim,), else DimensionError."""
-    if steps <= burn_in:
-        raise ContractError("steps must exceed burn_in")
+    burn_in must be non-negative and leave at least 2 samples, else
+    ContractError.  Noise is drawn and scaled once per block of steps and
+    handed to the step function row by row through its noise argument.  The
+    trajectory is checked once per block with sampler.diverged, which also
+    catches NaN and inf; a failing check raises DivergenceError naming the
+    first offending step, coordinate and value.  theta0 must have shape
+    (dim,), else DimensionError."""
+    if burn_in < 0:
+        raise ContractError("burn_in must be non-negative")
+    if steps - burn_in < 2:
+        raise ContractError("at least 2 samples must remain after burn_in")
     if steps > cfg.total_steps:
         raise ContractError("steps exceeds cfg.total_steps")
     if cfg.n_dataset != 1:
@@ -95,22 +101,25 @@ def run_chain(cfg: SamplerConfig, target: QuadraticTarget,
     # the schedule depends on k only through k % cycle_len
     lr_table = [cyclic_lr(cfg, p) for p in range(min(cfg.cycle_len, steps))]
     noise_table = [noise_active(cfg, p) for p in range(len(lr_table))]
+    scale_table = [noise_scale(cfg, lr) for lr in lr_table]
     trajectory = np.empty((steps, target.dim))
     # past a divergence the block runs on to inf/NaN; the check below catches it
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, _BLOCK):
             stop = min(start + _BLOCK, steps)
             positions = [k % cfg.cycle_len for k in range(start, stop)]
-            noisy = sum(noise_table[p] for p in positions)
-            rows = iter(state.rng.standard_normal((noisy, target.dim)))
+            scales = np.array([scale_table[p] for p in positions if noise_table[p]])
+            eps = state.rng.standard_normal((scales.size, target.dim))
+            rows = iter(scales[:, None] * eps)
             for k, p in zip(range(start, stop), positions):
                 on = noise_table[p]
-                theta = step_fn(theta, state, precision @ theta, lr_table[p], cfg,
-                                noise_on=on, eps=next(rows) if on else None)
+                theta = step_fn(theta, state, precision.dot(theta), lr_table[p], cfg,
+                                noise_on=on, noise=next(rows) if on else None)
                 trajectory[k] = theta
             if diverged(trajectory[start:stop]):
-                raise DivergenceError(step=next(k for k in range(start, stop)
-                                                if diverged(trajectory[k])))
+                k = next(k for k in range(start, stop) if diverged(trajectory[k]))
+                quantity, value, check = divergence_cause(trajectory[k])
+                raise DivergenceError(k, quantity, value, check)
     samples = trajectory[burn_in:]
 
     mean = samples.mean(axis=0)

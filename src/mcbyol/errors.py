@@ -30,11 +30,20 @@ class NumericError(McbyolError):
 
 
 class DivergenceError(NumericError):
-    """A sampling chain left the stable region."""
+    """A sampling chain left the stable region.
 
-    def __init__(self, step: int, message: str = ""):
-        self.step = step
-        super().__init__(message or f"chain diverged at step {step}")
+    quantity and value name what was checked and the value it had, e.g.
+    "loss" and nan; detail says which check tripped and in what state."""
+
+    def __init__(self, step: int, quantity: str | None = None, value: float | None = None,
+                 detail: str = ""):
+        self.step, self.quantity, self.value = step, quantity, value
+        message = f"chain diverged at step {step}"
+        if quantity is not None:
+            message += f": {quantity} = {value:.6g}"
+        if detail:
+            message += f" ({detail})"
+        super().__init__(message)
 
 
 class CheckpointError(McbyolError):

@@ -30,8 +30,8 @@ from .metrics import (EvalReport, accuracy, aggregate_seeds, auroc,
 from .model import Architecture, ema_update, init_twin
 from .posterior import (PosteriorEnsemble, bma_predict, collect, load_ensemble,
                         predictive_entropy, recent_mean, save_ensemble)
-from .sampler import (SamplerConfig, cyclic_lr, diverged, make_state, noise_active,
-                      posterior_grad, sghmc_step, sgld_step, should_yield)
+from .sampler import (SamplerConfig, cyclic_lr, diverged, divergence_cause, make_state,
+                      noise_active, posterior_grad, sghmc_step, sgld_step, should_yield)
 
 
 def build_arch(cfg: cfgmod.RunConfig) -> Architecture:
@@ -131,7 +131,11 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
         on = noise_active(scfg, k)
         new_flat = step_fn(model.online_flat(), state, grad_u, lr, scfg, noise_on=on)
         if not np.isfinite(loss) or diverged(new_flat):
-            raise DivergenceError(step=k)
+            state_text = f"lr {lr:.6g}, noise {'on' if on else 'off'}"
+            if not np.isfinite(loss):
+                raise DivergenceError(k, "loss", loss, f"non-finite loss; {state_text}")
+            quantity, value, check = divergence_cause(new_flat)
+            raise DivergenceError(k, quantity, value, f"{check}; {state_text}")
         model.set_online_flat(new_flat)
         ema_update(model)
         log_rows.append((k, lr, loss, int(on)))

@@ -4,9 +4,17 @@ and cyclical SGHMC with a cold-posterior temperature.
 Update conventions (per step k, learning rate l = cyclic_lr(cfg, k)):
 
     grad drift     d = (l/2) * n * grad_U        (n = dataset size)
-    SGLD           theta <- theta - d + sqrt(T*l) * eps
-    SGHMC          m <- beta*m - d + sqrt(T*(1-beta)*l) * eps
+    SGLD           theta <- theta + (s * eps - d),       s = sqrt(T*l)
+    SGHMC          m <- (beta*m - d) + s * eps,          s = sqrt(T*(1-beta)*l)
                    theta <- theta + m
+
+sgld_step runs the kind "sgld"; sghmc_step runs every other kind (plain and
+cyclic SGD are sghmc_step without noise) and refuses "sgld".  The drift
+coefficient (l/2) * n is the Euler step of Langevin dynamics on the
+dataset-scaled energy n * U; the noise scale s = noise_scale(cfg, l) is the
+matching fluctuation term, with the friction 1 - beta for the momentum
+kinds.  The parenthesised grouping above is the evaluation order, and it
+fixes every output bit.
 
 grad_U is the minibatch estimate of the scaled negative log posterior:
 the batch-mean twin-network loss gradient plus the Gaussian-prior term
@@ -14,6 +22,12 @@ theta / (prior_std^2 * n) on the encoder slice only.  Temperature
 multiplies the noise variance; the optional temper_drift flag instead
 divides the drift by T and leaves the noise untempered (same stationary
 law, different timescale).
+
+A step takes its noise one of three ways: drawn from state.rng (the
+default), as a standard-normal eps= that the step scales by s, or as an
+already-scaled noise= term, s * eps.  A caller that steps many times at
+known learning rates scales a whole block of draws at once and passes
+noise=; all three give the same bits for the same draw.
 
 Noise is injected only in the tail of each cycle (within-cycle position
 >= noise_start_frac * cycle_len) and only for the stochastic kinds;
@@ -24,6 +38,7 @@ noise streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +124,15 @@ def diverged(x: np.ndarray) -> bool:
     return not np.all(np.abs(x) <= DIVERGENCE_LIMIT)
 
 
+def divergence_cause(theta: np.ndarray) -> tuple[str, float, str]:
+    """For a parameter vector that diverged(): its first offending entry as
+    (quantity, value, check), e.g. ("theta[3]", inf, "non-finite parameter")."""
+    i = int(np.flatnonzero(~(np.abs(theta) <= DIVERGENCE_LIMIT))[0])
+    value = float(theta[i])
+    check = "non-finite parameter" if not math.isfinite(value) else f"|theta| > {DIVERGENCE_LIMIT:g}"
+    return f"theta[{i}]", value, check
+
+
 def should_yield(cfg: SamplerConfig, k: int) -> bool:
     """Snapshot at each cycle end; the non-cyclic kinds use the same fixed
     interval so every baseline collects equally many snapshots."""
@@ -136,37 +160,44 @@ def posterior_grad(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray,
     return grad, float(loss.values)
 
 
-def _drift(cfg: SamplerConfig, grad_u: np.ndarray, lr: float) -> np.ndarray:
-    d = (0.5 * lr * cfg.n_dataset) * grad_u
+def noise_scale(cfg: SamplerConfig, lr: float) -> float:
+    """Standard deviation of the injected noise at learning rate lr:
+    sqrt(T * l) for sgld, sqrt(T * (1 - beta) * l) for the momentum kinds,
+    with T dropped under temper_drift."""
+    one_minus_beta = 1.0 if cfg.kind == "sgld" else 1.0 - cfg.beta
     if cfg.temper_drift:
-        d = d / cfg.temperature
-    return d
-
-
-def _noise_scale(cfg: SamplerConfig, lr: float, one_minus_beta: float) -> float:
-    if cfg.temper_drift:
-        return float(np.sqrt(one_minus_beta * lr))
-    return float(np.sqrt(cfg.temperature * one_minus_beta * lr))
+        return math.sqrt(one_minus_beta * lr)
+    return math.sqrt(cfg.temperature * one_minus_beta * lr)
 
 
 def sgld_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
               lr: float, cfg: SamplerConfig, noise_on: bool = True,
-              eps: np.ndarray | None = None) -> np.ndarray:
+              eps: np.ndarray | None = None, noise: np.ndarray | None = None) -> np.ndarray:
     """One Langevin update; returns the new parameter vector."""
     if lr <= 0:
         raise ContractError("lr must be positive")
-    delta = -_drift(cfg, grad_u, lr)
-    if noise_on:
-        if eps is None:
-            eps = state.rng.standard_normal(params.shape)
-        delta = delta + _noise_scale(cfg, lr, 1.0) * eps
+    if cfg.kind != "sgld":
+        raise ContractError(f"sgld_step needs kind 'sgld', not {cfg.kind!r}")
+    drift = (0.5 * lr * cfg.n_dataset) * grad_u
+    if cfg.temper_drift:
+        drift = drift / cfg.temperature
+    if not noise_on:
+        new = params - drift
+    else:
+        if noise is None:
+            if eps is None:
+                eps = state.rng.standard_normal(params.shape)
+            noise = noise_scale(cfg, lr) * eps
+        elif eps is not None:
+            raise ContractError("pass eps or noise, not both")
+        new = params + (noise - drift)
     state.step += 1
-    return params + delta
+    return new
 
 
 def sghmc_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
                lr: float, cfg: SamplerConfig, noise_on: bool = True,
-               eps: np.ndarray | None = None) -> np.ndarray:
+               eps: np.ndarray | None = None, noise: np.ndarray | None = None) -> np.ndarray:
     """One momentum update; mutates state.momentum, returns new parameters.
 
     With beta = 0 this reproduces sgld_step bit-for-bit under a shared
@@ -174,13 +205,22 @@ def sghmc_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
     """
     if lr <= 0:
         raise ContractError("lr must be positive")
+    if cfg.kind == "sgld":
+        raise ContractError("kind 'sgld' steps with sgld_step")
     if state.momentum.shape != params.shape:
         raise ContractError("momentum buffer shape does not match parameters")
-    m = cfg.beta * state.momentum - _drift(cfg, grad_u, lr)
+    drift = (0.5 * lr * cfg.n_dataset) * grad_u
+    if cfg.temper_drift:
+        drift = drift / cfg.temperature
+    m = cfg.beta * state.momentum - drift
     if noise_on:
-        if eps is None:
-            eps = state.rng.standard_normal(params.shape)
-        m = m + _noise_scale(cfg, lr, 1.0 - cfg.beta) * eps
+        if noise is None:
+            if eps is None:
+                eps = state.rng.standard_normal(params.shape)
+            noise = noise_scale(cfg, lr) * eps
+        elif eps is not None:
+            raise ContractError("pass eps or noise, not both")
+        m = m + noise
     state.momentum = m
     state.step += 1
     return params + m

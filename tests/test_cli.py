@@ -2,8 +2,11 @@ import hashlib
 import os
 
 import numpy as np
+import pytest
 
 from mcbyol import cli, config, pipeline
+from mcbyol.errors import DivergenceError
+from mcbyol.sampler import DIVERGENCE_LIMIT
 
 TINY_CONFIG = """
 [data]
@@ -209,6 +212,57 @@ def test_sample_diag_writes_chain_stats(tmp_path, capsys):
     assert rc == 0
     assert os.path.exists(os.path.join(out, "chain_stats.tsv"))
     assert "variance" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("steps,burn_in", [("1000", "-3"), ("2", "1")])
+def test_sample_diag_rejects_bad_burn_in(tmp_path, steps, burn_in):
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "diag")
+    rc = cli.main(["sample-diag", "--config", cfg_path, "--out", out,
+                   "--steps", steps, "--burn-in", burn_in])
+    assert rc == 1
+    assert not os.path.exists(os.path.join(out, "chain_stats.tsv"))
+
+
+# ---- divergence reports -----------------------------------------------------
+
+
+def pretrain_with_grad(tmp_path, monkeypatch, edit):
+    """run_pretrain with every posterior gradient passed through edit(grad, loss)."""
+    real = pipeline.posterior_grad
+    monkeypatch.setattr(pipeline, "posterior_grad",
+                        lambda *args: edit(*real(*args)))
+    cfg = config.load(write_config(tmp_path))
+    with pytest.raises(DivergenceError) as err:
+        pipeline.run_pretrain(cfg, 0, str(tmp_path / "o"))
+    assert err.value.step == 0
+    assert "lr 0.0005, noise off" in str(err.value)
+    return err.value
+
+
+def test_divergence_reports_non_finite_loss(tmp_path, monkeypatch):
+    err = pretrain_with_grad(tmp_path, monkeypatch, lambda g, loss: (g, float("nan")))
+    assert err.quantity == "loss" and np.isnan(err.value)
+    assert "non-finite loss" in str(err)
+
+
+def test_divergence_reports_non_finite_parameter(tmp_path, monkeypatch):
+    def edit(g, loss):
+        g[5] = np.inf
+        return g, loss
+    err = pretrain_with_grad(tmp_path, monkeypatch, edit)
+    assert (err.quantity, err.value) == ("theta[5]", -np.inf)
+    assert "non-finite parameter" in str(err)
+
+
+def test_divergence_reports_parameter_above_limit(tmp_path, monkeypatch):
+    def edit(g, loss):
+        g[7] = -1e12  # one step moves theta[7] by (lr / 2) * n * 1e12 = 3e10
+        return g, loss
+    err = pretrain_with_grad(tmp_path, monkeypatch, edit)
+    assert err.quantity == "theta[7]"
+    assert DIVERGENCE_LIMIT < err.value < np.inf
+    assert "|theta| > 1e+06" in str(err)
 
 
 # ---- exit codes -------------------------------------------------------------

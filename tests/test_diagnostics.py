@@ -58,6 +58,11 @@ def test_run_chain_contract_checks():
     target = QuadraticTarget(dim=1)
     with pytest.raises(ContractError):
         run_chain(chain_cfg(), target, steps=100, burn_in=100, seed=0)
+    with pytest.raises(ContractError):  # negative burn-in
+        run_chain(chain_cfg(), target, steps=1000, burn_in=-3, seed=0)
+    with pytest.raises(ContractError):  # one sample left: no variance
+        run_chain(chain_cfg(), target, steps=2, burn_in=1, seed=0)
+    assert run_chain(chain_cfg(), target, steps=2, burn_in=0, seed=0).sample_count == 2
     bad = SamplerConfig(kind="sgld", lr0=0.01, beta=0.0, temperature=1.0,
                         cycle_len=1, total_steps=1000, n_dataset=5,
                         noise_start_frac=0.0)
@@ -82,6 +87,24 @@ def test_nan_start_diverges_at_step_zero():
         run_chain(cfg, QuadraticTarget(dim=1), steps=1_000, burn_in=10, seed=0,
                   theta0=np.array([np.nan]))
     assert err.value.step == 0
+
+
+def test_divergence_names_coordinate_and_value():
+    # lr0 * 5 / 2 = 2.5: only the stiff third coordinate is unstable
+    target = QuadraticTarget(dim=3, precision=np.diag([0.5, 1.0, 5.0]))
+    with pytest.raises(DivergenceError) as err:
+        run_chain(chain_cfg(lr0=1.0, steps=1_000), target, steps=1_000, burn_in=10, seed=0)
+    assert err.value.quantity == "theta[2]"
+    assert DIVERGENCE_LIMIT < abs(err.value.value) < np.inf
+    assert "theta[2]" in str(err.value) and "|theta| > 1e+06" in str(err.value)
+
+    # the gradient 5 * -1e308 overflows on the second coordinate only
+    target = QuadraticTarget(dim=3, precision=np.diag([1.0, 5.0, 1.0]))
+    with pytest.raises(DivergenceError) as err:
+        run_chain(chain_cfg(steps=1_000), target, steps=1_000, burn_in=10, seed=0,
+                  theta0=np.array([0.0, -1e308, 0.0]))
+    assert (err.value.step, err.value.quantity, err.value.value) == (0, "theta[1]", np.inf)
+    assert "non-finite parameter" in str(err.value)
 
 
 @pytest.mark.parametrize("theta0", [np.zeros(2), np.zeros((1, 1)), np.float64(0.5)])

@@ -4,7 +4,7 @@ import pytest
 from mcbyol.autodiff import Tape, grad_check
 from mcbyol.errors import ConfigError, ContractError
 from mcbyol.model import Architecture, byol_loss_symmetrized, init_twin
-from mcbyol.sampler import (SamplerConfig, cyclic_lr, make_state, noise_active,
+from mcbyol.sampler import (SamplerConfig, cyclic_lr, make_state, noise_active, noise_scale,
                             posterior_grad, sghmc_step, sgld_step, should_yield)
 
 TINY = Architecture(input_dim=3, encoder_hidden=[4], embed_dim=3,
@@ -261,3 +261,106 @@ def test_temper_drift_variant_scales_drift_not_noise():
     new = sgld_step(np.zeros(2), state, grad, 0.1, cfg, noise_on=True, eps=np.zeros(2))
     # drift = (lr/2) * n * grad / T, noise suppressed via eps=0
     assert np.allclose(new, -(0.05 / 0.5) * grad)
+
+
+# ---- lean step against the earlier update arithmetic ------------------------
+
+
+def ref_drift(cfg, grad_u, lr):
+    d = (0.5 * lr * cfg.n_dataset) * grad_u
+    if cfg.temper_drift:
+        d = d / cfg.temperature
+    return d
+
+
+def ref_noise_scale(cfg, lr, one_minus_beta):
+    if cfg.temper_drift:
+        return float(np.sqrt(one_minus_beta * lr))
+    return float(np.sqrt(cfg.temperature * one_minus_beta * lr))
+
+
+def ref_sgld_step(params, state, grad_u, lr, cfg, noise_on=True, eps=None):
+    """sgld_step as it was before the drift and noise scale were inlined."""
+    delta = -ref_drift(cfg, grad_u, lr)
+    if noise_on:
+        if eps is None:
+            eps = state.rng.standard_normal(params.shape)
+        delta = delta + ref_noise_scale(cfg, lr, 1.0) * eps
+    state.step += 1
+    return params + delta
+
+
+def ref_sghmc_step(params, state, grad_u, lr, cfg, noise_on=True, eps=None):
+    """sghmc_step as it was before the drift and noise scale were inlined."""
+    m = cfg.beta * state.momentum - ref_drift(cfg, grad_u, lr)
+    if noise_on:
+        if eps is None:
+            eps = state.rng.standard_normal(params.shape)
+        m = m + ref_noise_scale(cfg, lr, 1.0 - cfg.beta) * eps
+    state.momentum = m
+    state.step += 1
+    return params + m
+
+
+@pytest.mark.parametrize("kind,beta", [("sgld", 0.0), ("sgld", 0.9), ("sghmc", 0.0), ("sghmc", 0.9)])
+@pytest.mark.parametrize("temper_drift", [False, True])
+@pytest.mark.parametrize("dim", [1, 3, 50])
+@pytest.mark.parametrize("noise_on", [True, False])
+def test_lean_step_is_bit_identical_to_reference(kind, beta, temper_drift, dim, noise_on):
+    steps = 40
+    cfg = cfg_for(kind=kind, beta=beta, temperature=0.37, n_dataset=7, cycle_len=9,
+                  total_steps=steps, temper_drift=temper_drift)
+    step_fn, ref_fn = (sgld_step, ref_sgld_step) if kind == "sgld" else (sghmc_step, ref_sghmc_step)
+    rng = np.random.default_rng(dim)
+    grads = rng.normal(size=(steps, dim))
+    lrs = [cyclic_lr(cfg, k) for k in range(steps)]
+    eps = rng.normal(size=(steps, dim))
+    # pre-scaled the way diagnostics.run_chain scales a block of draws
+    noise = np.array([noise_scale(cfg, lr) for lr in lrs])[:, None] * eps
+    start = rng.normal(size=dim)
+    runs = {}
+    for path in ("ref", "eps", "noise", "draw", "ref_draw"):
+        state = make_state(dim, 5)
+        theta = start.copy()
+        for k in range(steps):
+            fn = ref_fn if path.startswith("ref") else step_fn
+            if path in ("ref", "eps"):
+                kw = {"eps": eps[k]}
+            elif path == "noise":
+                kw = {"noise": noise[k]}
+            else:
+                kw = {}
+            theta = fn(theta, state, grads[k], lrs[k], cfg, noise_on, **kw)
+        assert state.step == steps
+        runs[path] = (theta, state.momentum)
+    for path in ("eps", "noise"):
+        assert np.array_equal(runs[path][0], runs["ref"][0]), path
+        assert np.array_equal(runs[path][1], runs["ref"][1]), path
+    assert np.array_equal(runs["draw"][0], runs["ref_draw"][0])
+    assert np.array_equal(runs["draw"][1], runs["ref_draw"][1])
+
+
+def test_noise_scale_equals_numpy_sqrt():
+    lrs = np.concatenate([np.geomspace(1e-9, 10.0, 97), np.random.default_rng(0).uniform(0, 1, 97)])
+    for kind in ("sgld", "sghmc", "csghmc"):
+        for beta in (0.0, 0.5, 0.9, 0.99):
+            for temperature in (0.01, 0.1, 0.37, 1.0, 3.3):
+                for temper_drift in (False, True):
+                    cfg = cfg_for(kind=kind, beta=beta, temperature=temperature,
+                                  temper_drift=temper_drift)
+                    omb = 1.0 if kind == "sgld" else 1.0 - beta
+                    for lr in lrs.tolist():
+                        assert noise_scale(cfg, lr) == ref_noise_scale(cfg, lr, omb)
+
+
+def test_step_rejects_mismatched_kind_and_double_noise():
+    p = np.zeros(2)
+    with pytest.raises(ContractError):
+        sgld_step(p, make_state(2, 0), p, 0.1, cfg_for(kind="sghmc"))
+    with pytest.raises(ContractError):
+        sghmc_step(p, make_state(2, 0), p, 0.1, cfg_for(kind="sgld"))
+    for kind, step in (("sgld", sgld_step), ("sghmc", sghmc_step)):
+        state = make_state(2, 0)
+        with pytest.raises(ContractError):
+            step(p, state, p, 0.1, cfg_for(kind=kind), eps=np.ones(2), noise=np.ones(2))
+        assert state.step == 0
