@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, DivergenceError
-from .sampler import (SamplerConfig, cyclic_lr, diverged, divergence_cause, make_state,
+from .errors import ConfigError, ContractError, DimensionError
+from .sampler import (SamplerConfig, cyclic_lr, diverged, divergence_error, make_state,
                       noise_active, noise_scale, sghmc_step, sgld_step)
 
 _BLOCK = 4096  # steps per noise draw and per divergence check
@@ -58,7 +58,7 @@ def quadratic_grad(target: QuadraticTarget, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (target.dim,):
         raise DimensionError(f"theta must have shape ({target.dim},)")
-    return target.precision.dot(theta)
+    return target.precision @ theta
 
 
 @dataclass
@@ -118,8 +118,7 @@ def run_chain(cfg: SamplerConfig, target: QuadraticTarget,
                 trajectory[k] = theta
             if diverged(trajectory[start:stop]):
                 k = next(k for k in range(start, stop) if diverged(trajectory[k]))
-                quantity, value, check = divergence_cause(trajectory[k])
-                raise DivergenceError(k, quantity, value, check)
+                raise divergence_error(k, trajectory[k])
     samples = trajectory[burn_in:]
 
     mean = samples.mean(axis=0)

@@ -35,12 +35,14 @@ class DivergenceError(NumericError):
     quantity and value name what was checked and the value it had, e.g.
     "loss" and nan; detail says which check tripped and in what state."""
 
-    def __init__(self, step: int, quantity: str | None = None, value: float | None = None,
-                 detail: str = ""):
+    def __init__(self, step: int, *, quantity: str | None = None,
+                 value: float | None = None, detail: str = ""):
         self.step, self.quantity, self.value = step, quantity, value
         message = f"chain diverged at step {step}"
         if quantity is not None:
-            message += f": {quantity} = {value:.6g}"
+            message += f": {quantity}"
+            if value is not None:
+                message += f" = {value:.6g}"
         if detail:
             message += f" ({detail})"
         super().__init__(message)

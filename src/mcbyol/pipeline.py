@@ -30,7 +30,7 @@ from .metrics import (EvalReport, accuracy, aggregate_seeds, auroc,
 from .model import Architecture, ema_update, init_twin
 from .posterior import (PosteriorEnsemble, bma_predict, collect, load_ensemble,
                         predictive_entropy, recent_mean, save_ensemble)
-from .sampler import (SamplerConfig, cyclic_lr, diverged, divergence_cause, make_state,
+from .sampler import (SamplerConfig, cyclic_lr, diverged, divergence_error, make_state,
                       noise_active, posterior_grad, sghmc_step, sgld_step, should_yield)
 
 
@@ -100,6 +100,10 @@ def member_path(out_dir: str, seed: int, frac: float, snap: int) -> str:
     return os.path.join(out_dir, f"member_seed{seed}_f{_frac_tag(frac)}_snap{snap}.ckpt")
 
 
+def _step_state(lr: float, noise_on: bool) -> str:
+    return f"lr {lr:.6g}, noise {'on' if noise_on else 'off'}"
+
+
 def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEnsemble:
     """One training run of the snapshot-collecting loop for one seed."""
     os.makedirs(out_dir, exist_ok=True)
@@ -130,12 +134,11 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
         lr = cyclic_lr(scfg, k)
         on = noise_active(scfg, k)
         new_flat = step_fn(model.online_flat(), state, grad_u, lr, scfg, noise_on=on)
-        if not np.isfinite(loss) or diverged(new_flat):
-            state_text = f"lr {lr:.6g}, noise {'on' if on else 'off'}"
-            if not np.isfinite(loss):
-                raise DivergenceError(k, "loss", loss, f"non-finite loss; {state_text}")
-            quantity, value, check = divergence_cause(new_flat)
-            raise DivergenceError(k, quantity, value, f"{check}; {state_text}")
+        if not np.isfinite(loss):
+            raise DivergenceError(k, quantity="loss", value=loss,
+                                  detail=f"non-finite loss; {_step_state(lr, on)}")
+        if diverged(new_flat):
+            raise divergence_error(k, new_flat, _step_state(lr, on))
         model.set_online_flat(new_flat)
         ema_update(model)
         log_rows.append((k, lr, loss, int(on)))

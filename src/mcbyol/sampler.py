@@ -23,11 +23,11 @@ multiplies the noise variance; the optional temper_drift flag instead
 divides the drift by T and leaves the noise untempered (same stationary
 law, different timescale).
 
-A step takes its noise one of three ways: drawn from state.rng (the
-default), as a standard-normal eps= that the step scales by s, or as an
-already-scaled noise= term, s * eps.  A caller that steps many times at
-known learning rates scales a whole block of draws at once and passes
-noise=; all three give the same bits for the same draw.
+A step takes its noise one of two ways: drawn from state.rng and scaled
+by s (the default), or as an already-scaled noise= term, s * eps.  A
+caller that steps many times at known learning rates scales a whole block
+of draws at once and passes noise=; both give the same bits for the same
+draw.
 
 Noise is injected only in the tail of each cycle (within-cycle position
 >= noise_start_frac * cycle_len) and only for the stochastic kinds;
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DivergenceError
 from .model import TwinModel, byol_loss_symmetrized
 
 KINDS = ("map_sgd", "snap_sgd", "sgld", "sghmc", "csghmc")
@@ -124,13 +124,15 @@ def diverged(x: np.ndarray) -> bool:
     return not np.all(np.abs(x) <= DIVERGENCE_LIMIT)
 
 
-def divergence_cause(theta: np.ndarray) -> tuple[str, float, str]:
-    """For a parameter vector that diverged(): its first offending entry as
-    (quantity, value, check), e.g. ("theta[3]", inf, "non-finite parameter")."""
+def divergence_error(step: int, theta: np.ndarray, context: str = "") -> DivergenceError:
+    """The DivergenceError for a parameter vector that diverged(): it names
+    the first offending entry, its value and the check it failed, followed
+    by the caller's context (e.g. the lr and noise state)."""
     i = int(np.flatnonzero(~(np.abs(theta) <= DIVERGENCE_LIMIT))[0])
     value = float(theta[i])
     check = "non-finite parameter" if not math.isfinite(value) else f"|theta| > {DIVERGENCE_LIMIT:g}"
-    return f"theta[{i}]", value, check
+    return DivergenceError(step, quantity=f"theta[{i}]", value=value,
+                           detail=f"{check}; {context}" if context else check)
 
 
 def should_yield(cfg: SamplerConfig, k: int) -> bool:
@@ -172,7 +174,7 @@ def noise_scale(cfg: SamplerConfig, lr: float) -> float:
 
 def sgld_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
               lr: float, cfg: SamplerConfig, noise_on: bool = True,
-              eps: np.ndarray | None = None, noise: np.ndarray | None = None) -> np.ndarray:
+              noise: np.ndarray | None = None) -> np.ndarray:
     """One Langevin update; returns the new parameter vector."""
     if lr <= 0:
         raise ContractError("lr must be positive")
@@ -185,11 +187,7 @@ def sgld_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
         new = params - drift
     else:
         if noise is None:
-            if eps is None:
-                eps = state.rng.standard_normal(params.shape)
-            noise = noise_scale(cfg, lr) * eps
-        elif eps is not None:
-            raise ContractError("pass eps or noise, not both")
+            noise = noise_scale(cfg, lr) * state.rng.standard_normal(params.shape)
         new = params + (noise - drift)
     state.step += 1
     return new
@@ -197,7 +195,7 @@ def sgld_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
 
 def sghmc_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
                lr: float, cfg: SamplerConfig, noise_on: bool = True,
-               eps: np.ndarray | None = None, noise: np.ndarray | None = None) -> np.ndarray:
+               noise: np.ndarray | None = None) -> np.ndarray:
     """One momentum update; mutates state.momentum, returns new parameters.
 
     With beta = 0 this reproduces sgld_step bit-for-bit under a shared
@@ -215,11 +213,7 @@ def sghmc_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
     m = cfg.beta * state.momentum - drift
     if noise_on:
         if noise is None:
-            if eps is None:
-                eps = state.rng.standard_normal(params.shape)
-            noise = noise_scale(cfg, lr) * eps
-        elif eps is not None:
-            raise ContractError("pass eps or noise, not both")
+            noise = noise_scale(cfg, lr) * state.rng.standard_normal(params.shape)
         m = m + noise
     state.momentum = m
     state.step += 1

@@ -107,6 +107,14 @@ def test_divergence_names_coordinate_and_value():
     assert "non-finite parameter" in str(err.value)
 
 
+def test_divergence_error_message_omits_missing_parts():
+    assert str(DivergenceError(7)) == "chain diverged at step 7"
+    assert str(DivergenceError(7, quantity="loss")) == "chain diverged at step 7: loss"
+    err = DivergenceError(7, quantity="loss", value=float("nan"), detail="non-finite loss")
+    assert str(err) == "chain diverged at step 7: loss = nan (non-finite loss)"
+    assert (err.step, err.quantity) == (7, "loss")
+
+
 @pytest.mark.parametrize("theta0", [np.zeros(2), np.zeros((1, 1)), np.float64(0.5)])
 def test_run_chain_rejects_wrong_theta0_shape(theta0):
     with pytest.raises(DimensionError):

@@ -198,7 +198,7 @@ def test_sgld_zero_grad_zero_noise_keeps_params():
     cfg = cfg_for(kind="sgld")
     state = make_state(3, 0)
     params = np.array([1.0, -2.0, 0.5])
-    new = sgld_step(params, state, np.zeros(3), 0.1, cfg, noise_on=True, eps=np.zeros(3))
+    new = sgld_step(params, state, np.zeros(3), 0.1, cfg, noise_on=True, noise=np.zeros(3))
     assert np.array_equal(new, params)
 
 
@@ -207,7 +207,7 @@ def test_sghmc_momentum_arithmetic():
     state = make_state(2, 0)
     state.momentum = np.array([1.0, -2.0])
     params = np.zeros(2)
-    new = sghmc_step(params, state, np.zeros(2), 0.1, cfg, noise_on=True, eps=np.zeros(2))
+    new = sghmc_step(params, state, np.zeros(2), 0.1, cfg, noise_on=True, noise=np.zeros(2))
     assert np.array_equal(new, [0.5, -1.0])          # theta += beta * m0
     assert np.array_equal(state.momentum, [0.5, -1.0])
 
@@ -258,8 +258,8 @@ def test_temper_drift_variant_scales_drift_not_noise():
     cfg = cfg_for(kind="sgld", temperature=0.5, temper_drift=True)
     state = make_state(2, 0)
     grad = np.array([1.0, -1.0])
-    new = sgld_step(np.zeros(2), state, grad, 0.1, cfg, noise_on=True, eps=np.zeros(2))
-    # drift = (lr/2) * n * grad / T, noise suppressed via eps=0
+    new = sgld_step(np.zeros(2), state, grad, 0.1, cfg, noise_on=True, noise=np.zeros(2))
+    # drift = (lr/2) * n * grad / T, noise suppressed via noise=0
     assert np.allclose(new, -(0.05 / 0.5) * grad)
 
 
@@ -319,23 +319,17 @@ def test_lean_step_is_bit_identical_to_reference(kind, beta, temper_drift, dim, 
     noise = np.array([noise_scale(cfg, lr) for lr in lrs])[:, None] * eps
     start = rng.normal(size=dim)
     runs = {}
-    for path in ("ref", "eps", "noise", "draw", "ref_draw"):
+    for path in ("ref", "noise", "draw", "ref_draw"):
         state = make_state(dim, 5)
         theta = start.copy()
         for k in range(steps):
             fn = ref_fn if path.startswith("ref") else step_fn
-            if path in ("ref", "eps"):
-                kw = {"eps": eps[k]}
-            elif path == "noise":
-                kw = {"noise": noise[k]}
-            else:
-                kw = {}
+            kw = {"ref": {"eps": eps[k]}, "noise": {"noise": noise[k]}}.get(path, {})
             theta = fn(theta, state, grads[k], lrs[k], cfg, noise_on, **kw)
         assert state.step == steps
         runs[path] = (theta, state.momentum)
-    for path in ("eps", "noise"):
-        assert np.array_equal(runs[path][0], runs["ref"][0]), path
-        assert np.array_equal(runs[path][1], runs["ref"][1]), path
+    assert np.array_equal(runs["noise"][0], runs["ref"][0])
+    assert np.array_equal(runs["noise"][1], runs["ref"][1])
     assert np.array_equal(runs["draw"][0], runs["ref_draw"][0])
     assert np.array_equal(runs["draw"][1], runs["ref_draw"][1])
 
@@ -353,14 +347,9 @@ def test_noise_scale_equals_numpy_sqrt():
                         assert noise_scale(cfg, lr) == ref_noise_scale(cfg, lr, omb)
 
 
-def test_step_rejects_mismatched_kind_and_double_noise():
+def test_step_rejects_mismatched_kind():
     p = np.zeros(2)
     with pytest.raises(ContractError):
         sgld_step(p, make_state(2, 0), p, 0.1, cfg_for(kind="sghmc"))
     with pytest.raises(ContractError):
         sghmc_step(p, make_state(2, 0), p, 0.1, cfg_for(kind="sgld"))
-    for kind, step in (("sgld", sgld_step), ("sghmc", sghmc_step)):
-        state = make_state(2, 0)
-        with pytest.raises(ContractError):
-            step(p, state, p, 0.1, cfg_for(kind=kind), eps=np.ones(2), noise=np.ones(2))
-        assert state.step == 0
