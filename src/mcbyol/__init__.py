@@ -4,7 +4,7 @@ snapshot ensembles, and uncertainty-aware downstream evaluation."""
 from .autodiff import Tape, Tensor, grad_check
 from .config import RunConfig
 from .data import AugmentationConfig, Dataset, augment_pair, make_clusters, make_ood, minibatches
-from .diagnostics import ChainStats, QuadraticTarget, quadratic_grad, run_chain
+from .diagnostics import ChainStats, QuadraticTarget, run_chain
 from .finetune import ClassifierHead, FineTuneConfig, finetune, predict_logits, subset_labels
 from .metrics import EvalReport, accuracy, aggregate_seeds, auroc, entropy_histogram, nll
 from .model import (Architecture, TwinModel, byol_loss_one_direction,

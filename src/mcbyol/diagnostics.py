@@ -12,6 +12,13 @@ step as its noise= term, and one sampler.diverged check per block.  Every
 step still goes through sgld_step/sghmc_step, the update pretraining runs,
 so the moments are bit-identical to a chain stepped and checked one step
 at a time.
+
+A 1-D chain is stepped on Python floats (theta, momentum, gradient, lr and
+noise) rather than shape-(1,) arrays: the arithmetic rounds the same, and
+each step skips numpy's per-operation dispatch, which is most of a 1-D
+step's cost.  The representation is chosen once, before the loop; the one
+loop body serves every dim, and each block's values are written to the
+trajectory array at once.
 """
 
 from __future__ import annotations
@@ -54,13 +61,6 @@ class QuadraticTarget:
         return self.temperature * np.linalg.inv(self.precision)
 
 
-def quadratic_grad(target: QuadraticTarget, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (target.dim,):
-        raise DimensionError(f"theta must have shape ({target.dim},)")
-    return target.precision @ theta
-
-
 @dataclass
 class ChainStats:
     sample_count: int
@@ -95,27 +95,33 @@ def run_chain(cfg: SamplerConfig, target: QuadraticTarget,
     theta = np.zeros(target.dim) if theta0 is None else np.asarray(theta0, dtype=np.float64).copy()
     if theta.shape != (target.dim,):
         raise DimensionError(f"theta0 must have shape ({target.dim},)")
-    state = make_state(target.dim, seed)
-    precision = target.precision
+    dim = target.dim
+    state = make_state(dim, seed)
+    grad = target.precision.dot
+    if dim == 1:
+        theta, state.momentum = float(theta[0]), 0.0
+        grad = float(target.precision[0, 0]).__mul__
     step_fn = sgld_step if cfg.kind == "sgld" else sghmc_step
     # the schedule depends on k only through k % cycle_len
-    lr_table = [cyclic_lr(cfg, p) for p in range(min(cfg.cycle_len, steps))]
+    lr_table = [float(cyclic_lr(cfg, p)) for p in range(min(cfg.cycle_len, steps))]
     noise_table = [noise_active(cfg, p) for p in range(len(lr_table))]
     scale_table = [noise_scale(cfg, lr) for lr in lr_table]
-    trajectory = np.empty((steps, target.dim))
+    trajectory = np.empty((steps, dim))
     # past a divergence the block runs on to inf/NaN; the check below catches it
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, _BLOCK):
             stop = min(start + _BLOCK, steps)
             positions = [k % cfg.cycle_len for k in range(start, stop)]
             scales = np.array([scale_table[p] for p in positions if noise_table[p]])
-            eps = state.rng.standard_normal((scales.size, target.dim))
-            rows = iter(scales[:, None] * eps)
-            for k, p in zip(range(start, stop), positions):
+            noise = scales[:, None] * state.rng.standard_normal((scales.size, dim))
+            rows = iter(noise[:, 0].tolist() if dim == 1 else noise)
+            block = []
+            for p in positions:
                 on = noise_table[p]
-                theta = step_fn(theta, state, precision.dot(theta), lr_table[p], cfg,
+                theta = step_fn(theta, state, grad(theta), lr_table[p], cfg,
                                 noise_on=on, noise=next(rows) if on else None)
-                trajectory[k] = theta
+                block.append(theta)
+            trajectory[start:stop] = np.reshape(block, (-1, dim))
             if diverged(trajectory[start:stop]):
                 k = next(k for k in range(start, stop) if diverged(trajectory[k]))
                 raise divergence_error(k, trajectory[k])
@@ -123,9 +129,9 @@ def run_chain(cfg: SamplerConfig, target: QuadraticTarget,
 
     mean = samples.mean(axis=0)
     variance = samples.var(axis=0, ddof=1)
-    centered = samples - mean
-    num = (centered[:-1] * centered[1:]).sum(axis=0)
-    den = np.sqrt((centered[:-1] ** 2).sum(axis=0) * (centered[1:] ** 2).sum(axis=0))
+    samples -= mean  # centred in place: samples views our own trajectory
+    num = (samples[:-1] * samples[1:]).sum(axis=0)
+    den = np.sqrt((samples[:-1] ** 2).sum(axis=0) * (samples[1:] ** 2).sum(axis=0))
     lag1 = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
     return ChainStats(sample_count=samples.shape[0], mean=mean,
                       variance=variance, lag1_autocorr=lag1)

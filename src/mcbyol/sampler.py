@@ -29,6 +29,11 @@ caller that steps many times at known learning rates scales a whole block
 of draws at once and passes noise=; both give the same bits for the same
 draw.
 
+params, grad_U, noise and state.momentum are float64 arrays of one shape,
+or all Python floats for a 1-D chain: IEEE + - * / round the same on both,
+so a float step gives the bits of the matching shape-(1,) array step
+without numpy's per-call dispatch.
+
 Noise is injected only in the tail of each cycle (within-cycle position
 >= noise_start_frac * cycle_len) and only for the stochastic kinds;
 map_sgd and snap_sgd are always noiseless.  Drawing happens only when the
@@ -88,7 +93,7 @@ class SamplerConfig:
 
 @dataclass
 class SamplerState:
-    momentum: np.ndarray
+    momentum: np.ndarray | float  # the parameters' shape, or a float with float parameters
     step: int = 0
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.Generator(np.random.Philox(0)))
@@ -172,9 +177,9 @@ def noise_scale(cfg: SamplerConfig, lr: float) -> float:
     return math.sqrt(cfg.temperature * one_minus_beta * lr)
 
 
-def sgld_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
+def sgld_step(params: np.ndarray | float, state: SamplerState, grad_u: np.ndarray | float,
               lr: float, cfg: SamplerConfig, noise_on: bool = True,
-              noise: np.ndarray | None = None) -> np.ndarray:
+              noise: np.ndarray | float | None = None) -> np.ndarray | float:
     """One Langevin update; returns the new parameter vector."""
     if lr <= 0:
         raise ContractError("lr must be positive")
@@ -187,15 +192,15 @@ def sgld_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
         new = params - drift
     else:
         if noise is None:
-            noise = noise_scale(cfg, lr) * state.rng.standard_normal(params.shape)
+            noise = noise_scale(cfg, lr) * state.rng.standard_normal(np.shape(params))
         new = params + (noise - drift)
     state.step += 1
     return new
 
 
-def sghmc_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
+def sghmc_step(params: np.ndarray | float, state: SamplerState, grad_u: np.ndarray | float,
                lr: float, cfg: SamplerConfig, noise_on: bool = True,
-               noise: np.ndarray | None = None) -> np.ndarray:
+               noise: np.ndarray | float | None = None) -> np.ndarray | float:
     """One momentum update; mutates state.momentum, returns new parameters.
 
     With beta = 0 this reproduces sgld_step bit-for-bit under a shared
@@ -205,7 +210,7 @@ def sghmc_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
         raise ContractError("lr must be positive")
     if cfg.kind == "sgld":
         raise ContractError("kind 'sgld' steps with sgld_step")
-    if state.momentum.shape != params.shape:
+    if getattr(state.momentum, "shape", ()) != getattr(params, "shape", ()):
         raise ContractError("momentum buffer shape does not match parameters")
     drift = (0.5 * lr * cfg.n_dataset) * grad_u
     if cfg.temper_drift:
@@ -213,7 +218,7 @@ def sghmc_step(params: np.ndarray, state: SamplerState, grad_u: np.ndarray,
     m = cfg.beta * state.momentum - drift
     if noise_on:
         if noise is None:
-            noise = noise_scale(cfg, lr) * state.rng.standard_normal(params.shape)
+            noise = noise_scale(cfg, lr) * state.rng.standard_normal(np.shape(params))
         m = m + noise
     state.momentum = m
     state.step += 1

@@ -29,26 +29,27 @@ print(json.dumps({"step_calls": summary["layers"]["sampler.step"]["calls"],
 """
 
 
-def diag_config(tmp_path):
+def diag_config(tmp_path, kind):
     text = (ROOT / "configs" / "default.cfg").read_text()
-    text = text.replace("kind = csghmc", "kind = sghmc").replace("lr0 = 0.0001", "lr0 = 0.01")
-    path = tmp_path / "diag.cfg"
+    text = text.replace("kind = csghmc", f"kind = {kind}").replace("lr0 = 0.0001", "lr0 = 0.01")
+    path = tmp_path / f"{kind}.cfg"
     path.write_text(text)
     cfg = config.load(str(path))
-    assert (cfg.sampler.kind, cfg.sampler.lr0) == ("sghmc", 0.01)
+    assert (cfg.sampler.kind, cfg.sampler.lr0) == (kind, 0.01)
     return path, cfg
 
 
 def test_traced_sample_diag_counts_every_step_and_keeps_bytes(tmp_path):
-    path, cfg = diag_config(tmp_path)
-    plain, traced = tmp_path / "plain", tmp_path / "traced"
-    pipeline.run_sample_diag(cfg, str(plain), steps=STEPS)
-
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
-    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(path), str(traced), str(STEPS)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr  # an AttributeError here: a patched name is gone
-    counts = json.loads(proc.stdout.splitlines()[-1])
-    assert counts == {"step_calls": STEPS, "noise_steps": STEPS}
-    name = "chain_stats.tsv"
-    assert (traced / name).read_bytes() == (plain / name).read_bytes()
+    # the 1-D chain hands both step functions Python floats; each step must still be counted
+    for kind in ("sgld", "sghmc"):
+        path, cfg = diag_config(tmp_path, kind)
+        plain, traced = tmp_path / f"{kind}_plain", tmp_path / f"{kind}_traced"
+        pipeline.run_sample_diag(cfg, str(plain), steps=STEPS)
+        proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(path), str(traced), str(STEPS)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr  # an AttributeError here: a patched name is gone
+        counts = json.loads(proc.stdout.splitlines()[-1])
+        assert counts == {"step_calls": STEPS, "noise_steps": STEPS}, kind
+        name = "chain_stats.tsv"
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), kind

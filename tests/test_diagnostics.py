@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from mcbyol import diagnostics
-from mcbyol.diagnostics import QuadraticTarget, quadratic_grad, run_chain
+from mcbyol.diagnostics import QuadraticTarget, run_chain
 from mcbyol.errors import ConfigError, ContractError, DimensionError, DivergenceError
 from mcbyol.sampler import (DIVERGENCE_LIMIT, SamplerConfig, cyclic_lr, make_state,
                             noise_active, sghmc_step, sgld_step)
@@ -14,6 +15,14 @@ def chain_cfg(kind="sgld", lr0=0.01, beta=0.0, temperature=1.0, steps=20_000):
     return SamplerConfig(kind=kind, lr0=lr0, beta=beta, temperature=temperature,
                          cycle_len=1, total_steps=steps, n_dataset=1,
                          noise_start_frac=0.0)
+
+
+def quadratic_grad(target, theta):
+    """The exact gradient L theta of the energy 0.5 * theta' L theta."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (target.dim,):
+        raise DimensionError(f"theta must have shape ({target.dim},)")
+    return target.precision @ theta
 
 
 def test_quadratic_grad_identity_precision():
@@ -134,7 +143,8 @@ def reference_chain(cfg, target, steps, burn_in, seed, theta0):
         lr = cyclic_lr(cfg, k)
         theta = step_fn(theta, state, grad, lr, cfg, noise_on=noise_active(cfg, k))
         if np.abs(theta).max() > DIVERGENCE_LIMIT:
-            raise DivergenceError(step=k)
+            i = int(np.argmax(np.abs(theta)))
+            raise DivergenceError(step=k, quantity=f"theta[{i}]", value=float(theta[i]))
         if k >= burn_in:
             samples[k - burn_in] = theta
     mean = samples.mean(axis=0)
@@ -147,9 +157,12 @@ def reference_chain(cfg, target, steps, burn_in, seed, theta0):
 
 @pytest.mark.parametrize("kind,beta,temper_drift", [("sgld", 0.0, False), ("sghmc", 0.0, False),
                                                     ("sghmc", 0.9, False), ("sgld", 0.0, True)])
-@pytest.mark.parametrize("dim", [1, 3])
+# a 1-D chain steps on Python floats: a signed-zero and a large start pin its bits too
+@pytest.mark.parametrize("dim,start", [pytest.param(1, None, id="1"), pytest.param(3, None, id="3"),
+                                       pytest.param(1, -0.0, id="1-theta0=-0.0"),
+                                       pytest.param(1, 1e5, id="1-theta0=1e5")])
 @pytest.mark.parametrize("cycle_len,noise_start_frac", [(1, 0.0), (7, 0.5)])
-def test_blocked_chain_is_bit_identical_to_per_step_loop(kind, beta, temper_drift, dim,
+def test_blocked_chain_is_bit_identical_to_per_step_loop(kind, beta, temper_drift, dim, start,
                                                          cycle_len, noise_start_frac):
     # not a multiple of the block, and the burn-in ends inside the second block
     steps, burn_in = diagnostics._BLOCK + 1_234, diagnostics._BLOCK - 100
@@ -158,7 +171,7 @@ def test_blocked_chain_is_bit_identical_to_per_step_loop(kind, beta, temper_drif
                         noise_start_frac=noise_start_frac, temper_drift=temper_drift)
     precision = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])[:dim, :dim]
     target = QuadraticTarget(dim=dim, precision=precision, temperature=0.5)
-    theta0 = np.linspace(0.7, -0.4, dim)
+    theta0 = np.linspace(0.7, -0.4, dim) if start is None else np.full(dim, start)
     stats = run_chain(cfg, target, steps=steps, burn_in=burn_in, seed=13, theta0=theta0)
     mean, variance, lag1 = reference_chain(cfg, target, steps, burn_in, 13, theta0)
     assert stats.sample_count == steps - burn_in
@@ -177,6 +190,36 @@ def test_late_divergence_step_matches_per_step_loop():
     with pytest.raises(DivergenceError) as err:
         run_chain(cfg, target, steps=steps, burn_in=100, seed=0)
     assert err.value.step == expected.value.step > 2 * diagnostics._BLOCK
+
+
+def test_late_float_divergence_matches_array_stepped_loop():
+    # the dim-1 twin: run_chain steps on floats, the reference on shape-(1,) arrays
+    steps = 3 * diagnostics._BLOCK
+    cfg = chain_cfg(lr0=4.002, steps=steps)
+    target = QuadraticTarget(dim=1)
+    with pytest.raises(DivergenceError) as expected:
+        reference_chain(cfg, target, steps, 100, 0, np.zeros(1))
+    with pytest.raises(DivergenceError) as err:
+        run_chain(cfg, target, steps=steps, burn_in=100, seed=0)
+    assert err.value.step == expected.value.step > 2 * diagnostics._BLOCK
+    assert err.value.quantity == expected.value.quantity == "theta[0]"
+    assert err.value.value == expected.value.value
+    assert DIVERGENCE_LIMIT < abs(err.value.value) < np.inf
+
+
+def test_moments_centre_the_trajectory_in_place():
+    # trajectory (8 B per step and coordinate) plus one full-size temporary;
+    # a separate centred copy would add 8 B more
+    steps, dim = 25_000, 8
+    cfg = chain_cfg(kind="sghmc", beta=0.9, steps=steps)
+    run_chain(cfg, QuadraticTarget(dim=dim), steps=100, burn_in=0, seed=0)  # one-time allocations
+    tracemalloc.start()
+    try:
+        run_chain(cfg, QuadraticTarget(dim=dim), steps=steps, burn_in=1_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * steps * dim
 
 
 def test_short_chain_moments_are_sane():

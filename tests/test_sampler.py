@@ -249,6 +249,31 @@ def test_step_counter_increments():
         assert state.step == expected
 
 
+def test_sghmc_refuses_float_params_with_array_momentum_and_back():
+    cfg = cfg_for(kind="sghmc")
+    state = make_state(1, 0)  # momentum of shape (1,)
+    with pytest.raises(ContractError):
+        sghmc_step(0.5, state, 0.5, 0.1, cfg, noise_on=False)
+    state.momentum = 0.0
+    with pytest.raises(ContractError):
+        sghmc_step(np.array([0.5]), state, np.array([0.5]), 0.1, cfg, noise_on=False)
+
+
+@pytest.mark.parametrize("kind", ["sgld", "sghmc"])
+def test_float_step_draws_its_noise_from_state_rng(kind):
+    cfg = cfg_for(kind=kind, beta=0.5, temperature=0.37)
+    step = sgld_step if kind == "sgld" else sghmc_step
+    s_float, s_array, s_quiet = make_state(1, 7), make_state(1, 7), make_state(1, 7)
+    s_float.momentum, s_quiet.momentum, s_array.momentum = 0.3, 0.3, np.array([0.3])
+    new = step(0.5, s_float, 0.25, 0.1, cfg, noise_on=True)
+    ref = step(np.array([0.5]), s_array, np.array([0.25]), 0.1, cfg, noise_on=True)
+    assert np.ndim(new) == 0 and new == ref[0]
+    assert np.ndim(s_float.momentum) == 0 and np.array_equal(s_float.momentum, s_array.momentum[0])
+    assert new != step(0.5, s_quiet, 0.25, 0.1, cfg, noise_on=False)
+    # one draw consumed from each stream
+    assert s_float.rng.standard_normal() == s_array.rng.standard_normal()
+
+
 def test_shared_seed_states_draw_identical_noise():
     a, b = make_state(5, 123), make_state(5, 123)
     assert np.array_equal(a.rng.standard_normal(5), b.rng.standard_normal(5))
