@@ -1,14 +1,14 @@
 """Bayesian twin-network pretraining with SG-MCMC posterior sampling,
 snapshot ensembles, and uncertainty-aware downstream evaluation."""
 
-from .autodiff import Tape, Tensor, grad_check
+from .autodiff import Tape, Tensor
 from .config import RunConfig
 from .data import AugmentationConfig, Dataset, augment_pair, make_clusters, make_ood, minibatches
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
-from .finetune import ClassifierHead, FineTuneConfig, finetune, predict_logits, subset_labels
+from .finetune import ClassifierHead, FineTuneConfig, finetune, subset_labels
 from .metrics import EvalReport, accuracy, aggregate_seeds, auroc, entropy_histogram, nll
 from .model import (Architecture, TwinModel, byol_loss_one_direction,
-                    byol_loss_symmetrized, embed, ema_update, init_twin)
+                    byol_loss_symmetrized, ema_update, init_twin)
 from .params import ParamVector
 from .posterior import (PosteriorEnsemble, Snapshot, bma_predict, collect,
                         load_ensemble, predictive_entropy, save_ensemble)

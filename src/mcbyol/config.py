@@ -103,6 +103,8 @@ class RunConfig:
             raise ConfigError("run.seeds must be non-negative")
         if self.eval.score not in ("entropy", "max_prob"):
             raise ConfigError(f"unknown eval.score {self.eval.score!r}")
+        if not self.finetune.label_fractions:
+            raise ConfigError("finetune.label_fractions must be non-empty")
         for frac in self.finetune.label_fractions:
             if not 0.0 < frac <= 1.0:
                 raise ConfigError("label_fractions must lie in (0, 1]")

@@ -18,10 +18,10 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 from .data import Dataset, minibatches
-from .errors import ConfigError, ContractError, DataError, DimensionError
+from .errors import ConfigError, ContractError, DataError
 from .model import Architecture, mlp_forward, mlp_forward_np
 from .params import ParamVector
-from .posterior import Snapshot, _pv_from_payload, read_container, write_container
+from .posterior import Snapshot, _pv_from_payload, _shifted_exp, read_container, write_container
 
 
 @dataclass
@@ -36,11 +36,11 @@ class ClassifierHead:
 
 @dataclass
 class FineTuneConfig:
+    """Nesterov SGD settings; freeze_encoder = True fits the heads only (linear eval)."""
     lr: float = 0.05
     momentum: float = 0.9
     batch: int = 80
     epochs: int = 50
-    label_fraction: float = 1.0
     freeze_encoder: bool = False
 
     def __post_init__(self):
@@ -52,8 +52,6 @@ class FineTuneConfig:
             raise ConfigError("batch must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
-        if not 0.0 < self.label_fraction <= 1.0:
-            raise ConfigError("label_fraction must lie in (0, 1]")
 
 
 def subset_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
@@ -85,29 +83,6 @@ def _init_head(embed_dim: int, classes: int, rng: np.random.Generator) -> Classi
     return ClassifierHead(
         weight=Tensor(rng.uniform(-bound, bound, size=(embed_dim, classes)), requires_grad=True),
         bias=Tensor(rng.uniform(-bound, bound, size=(classes,)), requires_grad=True))
-
-
-def _class_reduce(a: np.ndarray, ufunc) -> np.ndarray:
-    """ufunc.reduce over the last (class) axis, keepdims, with the bits of
-    numpy's own row reduction.  A max is exact in any order, and below 8
-    classes numpy's pairwise sum of non-negative terms is a left-to-right
-    loop; a loop over column slices reproduces both several times faster.
-    From 8 classes on numpy's reduction itself runs."""
-    classes = a.shape[-1]
-    if classes >= 8:
-        return ufunc.reduce(a, axis=-1, keepdims=True)
-    out = a[..., :1]
-    for c in range(1, classes):
-        out = ufunc(out, a[..., c:c + 1])
-    return out
-
-
-def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row max, exp(logits - row max), row sum of that exp), as
-    posterior.softmax and the tape's softmax_cross_entropy compute them."""
-    zmax = _class_reduce(logits, np.maximum)
-    e = np.exp(logits - zmax)
-    return zmax, e, _class_reduce(e, np.add)
 
 
 def _mean_ce(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -244,17 +219,6 @@ def _fit_jointly(encoder, head, x_all, y_all, cfg, seed, arch) -> list[float]:
 
     _, (log,) = _nesterov(group.flatten()[None], [seed], len(y_all), cfg, grad_at, epoch_loss)
     return log
-
-
-def predict_logits(encoder: ParamVector, head: ClassifierHead,
-                   x: np.ndarray, arch: Architecture) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != arch.input_dim:
-        raise DimensionError(f"predict_logits: expected (N, {arch.input_dim}) input")
-    z = mlp_forward_np(encoder, x, arch.activation)
-    if z.shape[1] != head.weight.shape[0]:
-        raise DimensionError("head width does not match encoder embedding dim")
-    return z @ head.weight.values + head.bias.values
 
 
 # ---- member persistence -----------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError
 from .params import ParamVector
 
 
@@ -91,17 +91,6 @@ class TwinModel:
     def zero_online_grads(self) -> None:
         for p in self.online_parts():
             p.zero_grad()
-
-    def clone(self) -> "TwinModel":
-        return TwinModel(
-            arch=self.arch,
-            online_encoder=self.online_encoder.copy(),
-            online_projector=self.online_projector.copy(),
-            online_predictor=self.online_predictor.copy(),
-            target_encoder=self.target_encoder.copy(),
-            target_projector=self.target_projector.copy(),
-            tau=self.tau,
-        )
 
 
 def init_mlp(widths: list[int], rng: np.random.Generator, requires_grad: bool) -> ParamVector:
@@ -210,13 +199,3 @@ def ema_update(model: TwinModel) -> None:
         for name, t in target.items():
             t.values = tau * t.values + (1.0 - tau) * online[name].values
 
-
-def embed(model: TwinModel, x: np.ndarray) -> np.ndarray:
-    """Online-encoder representation of x, shape (N, embed_dim); no tape."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.arch.input_dim:
-        raise DimensionError(f"embed: expected (N, {model.arch.input_dim}) input, got {x.shape}")
-    z = mlp_forward_np(model.online_encoder, x, model.arch.activation)
-    if not np.all(np.isfinite(z)):
-        raise NumericError("embedding contains non-finite values")
-    return z

@@ -29,14 +29,8 @@ class ParamVector:
     def __getitem__(self, name: str) -> Tensor:
         return self._segments[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._segments
-
     def items(self):
         return self._segments.items()
-
-    def tensors(self):
-        return self._segments.values()
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {k: t.shape for k, t in self._segments.items()}
@@ -78,9 +72,3 @@ class ParamVector:
 
     def same_layout(self, other: "ParamVector") -> bool:
         return self.shapes() == other.shapes()
-
-    def max_abs_diff(self, other: "ParamVector") -> float:
-        if not self.same_layout(other):
-            raise DimensionError("max_abs_diff: layouts differ")
-        flat_a, flat_b = self.flatten(), other.flatten()
-        return float(np.max(np.abs(flat_a - flat_b))) if flat_a.size else 0.0

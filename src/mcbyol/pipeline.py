@@ -163,8 +163,7 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
     for frac_idx, frac in enumerate(f.label_fractions):
         subset = subset_labels(train, frac, seed=cfg.data.seed + seed)
         ftcfg = FineTuneConfig(lr=f.lr, momentum=f.momentum, batch=f.batch,
-                               epochs=f.epochs, label_fraction=frac,
-                               freeze_encoder=f.freeze_encoder)
+                               epochs=f.epochs, freeze_encoder=f.freeze_encoder)
         member_seeds = [(seed * 1009 + s) * 1009 + frac_idx
                         for s in range(ensemble.size)]
         fitted = finetune(ensemble.snapshots, subset, ftcfg, member_seeds, arch,

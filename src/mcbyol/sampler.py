@@ -93,8 +93,8 @@ class SamplerConfig:
 
 @dataclass
 class SamplerState:
+    """A chain's momentum (unused by sgld) and noise source; callers count steps."""
     momentum: np.ndarray | float  # the parameters' shape, or a float with float parameters
-    step: int = 0
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.Generator(np.random.Philox(0)))
 
@@ -102,7 +102,7 @@ class SamplerState:
 def make_state(dim: int, seed: int) -> SamplerState:
     """Fresh state: zero momentum, counter-based Gaussian noise source."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return SamplerState(momentum=np.zeros(dim), step=0, rng=rng)
+    return SamplerState(momentum=np.zeros(dim), rng=rng)
 
 
 def cyclic_lr(cfg: SamplerConfig, k: int) -> float:
@@ -194,7 +194,6 @@ def sgld_step(params: np.ndarray | float, state: SamplerState, grad_u: np.ndarra
         if noise is None:
             noise = noise_scale(cfg, lr) * state.rng.standard_normal(np.shape(params))
         new = params + (noise - drift)
-    state.step += 1
     return new
 
 
@@ -221,5 +220,4 @@ def sghmc_step(params: np.ndarray | float, state: SamplerState, grad_u: np.ndarr
             noise = noise_scale(cfg, lr) * state.rng.standard_normal(np.shape(params))
         m = m + noise
     state.momentum = m
-    state.step += 1
     return params + m

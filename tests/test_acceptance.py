@@ -4,6 +4,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the criterion lines;
 tolerances are pinned here, not configurable.
 """
 
+import copy
 import hashlib
 import os
 import time
@@ -89,7 +90,7 @@ def test_criterion_01_gradient_correctness():
             analytic = model.online_grad_flat()
 
             def loss_at(flat, model=model, a=a, b=b):
-                probe = model.clone()
+                probe = copy.deepcopy(model)
                 probe.set_online_flat(flat)
                 return float(byol_loss_symmetrized(Tape(), probe, a, b).values)
 

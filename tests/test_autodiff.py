@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from gradcheck import grad_check
 
-from mcbyol.autodiff import Tape, Tensor, grad_check
+from mcbyol.autodiff import Tape, Tensor
 from mcbyol.errors import ContractError, DimensionError, NumericError
 
 

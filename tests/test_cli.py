@@ -274,6 +274,15 @@ def test_exit_code_config_error(tmp_path):
     assert cli.main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval", "ood"])
+def test_empty_label_fractions_is_config_error(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, TINY_CONFIG.replace("label_fractions = 1.0,0.5",
+                                                          "label_fractions ="))
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_missing_config_file(tmp_path):
     rc = cli.main(["pretrain", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")])

@@ -69,6 +69,11 @@ def test_empty_seed_list_rejected():
         config.parse("[run]\nseeds = \n")
 
 
+def test_empty_label_fraction_list_rejected():
+    with pytest.raises(ConfigError, match="label_fractions"):
+        config.parse("[finetune]\nlabel_fractions = \n")
+
+
 def test_label_fraction_bounds_validated():
     with pytest.raises(ConfigError):
         config.parse("[finetune]\nlabel_fractions = 0.5,1.5\n")

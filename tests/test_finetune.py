@@ -4,11 +4,11 @@ import pytest
 from mcbyol.autodiff import Tape, Tensor
 from mcbyol.data import Dataset, make_clusters, minibatches
 from mcbyol.errors import ContractError, DataError
-from mcbyol.finetune import (ClassifierHead, FineTuneConfig, _class_reduce, _init_head, finetune,
-                             load_member, predict_logits, save_member, subset_labels)
+from mcbyol.finetune import (ClassifierHead, FineTuneConfig, _init_head, finetune, load_member,
+                             save_member, subset_labels)
 from mcbyol.model import Architecture, init_twin, mlp_forward, mlp_forward_np
 from mcbyol.params import ParamVector
-from mcbyol.posterior import PosteriorEnsemble, collect, softmax
+from mcbyol.posterior import PosteriorEnsemble, _class_reduce, collect, softmax
 
 TINY = Architecture(input_dim=4, encoder_hidden=[6], embed_dim=3,
                     proj_hidden=3, proj_dim=2, pred_hidden=3)
@@ -18,6 +18,11 @@ def snapshot_for(seed=0):
     ens = PosteriorEnsemble(run_meta={})
     collect(ens, init_twin(TINY, seed), step=0, cycle=0, loss=0.0)
     return ens.snapshots[0]
+
+
+def predict_logits(encoder, head, x, arch):
+    """A fine-tuned member's logits, as BMA computes them per member."""
+    return mlp_forward_np(encoder, x, arch.activation) @ head.weight.values + head.bias.values
 
 
 def toy_labeled(n_per_class=50, classes=3, seed=0):

@@ -1,10 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
+from gradcheck import grad_check
 
-from mcbyol.autodiff import Tape, Tensor, grad_check
+from mcbyol.autodiff import Tape, Tensor
 from mcbyol.errors import ConfigError, DimensionError
 from mcbyol.model import (Architecture, byol_loss_one_direction, byol_loss_symmetrized,
-                          embed, ema_update, init_twin, mlp_forward_np)
+                          ema_update, init_twin, mlp_forward_np)
 
 TINY = Architecture(input_dim=3, encoder_hidden=[4], embed_dim=3,
                     proj_hidden=3, proj_dim=2, pred_hidden=3)
@@ -16,14 +19,15 @@ def tiny_model(seed=0, tau=0.99):
 
 def test_init_target_copies_online():
     m = tiny_model()
-    assert m.online_encoder.max_abs_diff(m.target_encoder) == 0.0
-    assert m.online_projector.max_abs_diff(m.target_projector) == 0.0
+    assert np.array_equal(m.online_encoder.flatten(), m.target_encoder.flatten())
+    assert np.array_equal(m.online_projector.flatten(), m.target_projector.flatten())
 
 
 def test_init_passes_tau_through():
     assert init_twin(TINY, 0, tau=0.7).tau == 0.7
-    assert init_twin(TINY, 0, tau=0.7).online_encoder.max_abs_diff(
-        init_twin(TINY, 0, tau=0.2).online_encoder) == 0.0  # tau does not touch init
+    # tau does not touch init
+    assert np.array_equal(init_twin(TINY, 0, tau=0.7).online_encoder.flatten(),
+                          init_twin(TINY, 0, tau=0.2).online_encoder.flatten())
 
 
 def test_init_same_seed_is_bit_identical():
@@ -38,8 +42,8 @@ def test_init_different_seeds_differ():
 
 def test_target_never_requires_grad():
     m = tiny_model()
-    assert all(not t.requires_grad for t in m.target_encoder.tensors())
-    assert all(not t.requires_grad for t in m.target_projector.tensors())
+    assert all(not t.requires_grad for _, t in m.target_encoder.items())
+    assert all(not t.requires_grad for _, t in m.target_projector.items())
 
 
 def test_inconsistent_widths_rejected():
@@ -166,7 +170,7 @@ def test_loss_gradient_matches_finite_differences():
     analytic = m.online_grad_flat()
 
     def loss_at(flat):
-        probe = m.clone()
+        probe = copy.deepcopy(m)
         probe.set_online_flat(flat)
         return float(byol_loss_symmetrized(Tape(), probe, a, b).values)
 
@@ -181,7 +185,7 @@ def test_stop_gradient_on_target_network():
         t = Tape()
         t.backward(byol_loss_symmetrized(t, m, a, b))
         for pv in (m.target_encoder, m.target_projector):
-            assert all(tt.grad is None for tt in pv.tensors())
+            assert all(tt.grad is None for _, tt in pv.items())
         assert np.any(m.online_grad_flat() != 0.0)
 
 
@@ -233,14 +237,15 @@ def test_predictor_has_no_target_counterpart():
     assert not hasattr(m, "target_predictor")
 
 
-# ---- embed ------------------------------------------------------------------
+# ---- encoder features (what BMA and linear evaluation run) -------------------
 
 
 def test_zero_weight_encoder_embeds_to_zero():
     m = tiny_model()
-    for t in m.online_encoder.tensors():
+    for _, t in m.online_encoder.items():
         t.values[...] = 0.0
-    z = embed(m, np.random.default_rng(0).normal(size=(4, 3)))
+    x = np.random.default_rng(0).normal(size=(4, 3))
+    z = mlp_forward_np(m.online_encoder, x, m.arch.activation)
     assert np.array_equal(z, np.zeros((4, 3)))
 
 
@@ -249,8 +254,8 @@ def test_embed_batch_independence():
     rng = np.random.default_rng(7)
     m = tiny_model(1)
     batch = rng.normal(size=(8, 3))
-    full = embed(m, batch)
-    row = embed(m, batch[2:3])
+    full = mlp_forward_np(m.online_encoder, batch, m.arch.activation)
+    row = mlp_forward_np(m.online_encoder, batch[2:3], m.arch.activation)
     assert np.allclose(full[2], row[0], rtol=0, atol=1e-12)
 
 
@@ -262,14 +267,9 @@ def test_embed_dim_matches_config():
                     embed_dim=int(rng.integers(2, 7)))
         arch = Architecture(**dims)
         m = init_twin(arch, seed)
-        z = embed(m, rng.normal(size=(3, dims["input_dim"])))
+        x = rng.normal(size=(3, dims["input_dim"]))
+        z = mlp_forward_np(m.online_encoder, x, arch.activation)
         assert z.shape == (3, dims["embed_dim"])
-
-
-def test_embed_rejects_bad_width():
-    m = tiny_model()
-    with pytest.raises(DimensionError):
-        embed(m, np.ones((2, 5)))
 
 
 def test_tape_and_numpy_forward_agree():

@@ -75,12 +75,28 @@ def test_bma_single_member_equals_model_softmax():
     assert np.array_equal(bma_predict(members, x, TINY), direct)
 
 
+def numpy_softmax(logits):
+    """posterior.softmax as it was before it shared _shifted_exp with finetune."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def test_softmax_matches_numpy_row_softmax_at_every_class_count():
+    rng = np.random.default_rng(13)
+    for classes in range(1, 20):
+        for rows in (1, 7, 2000):
+            for scale in (1e-3, 1.0, 30.0):
+                logits = scale * rng.normal(size=(rows, classes))
+                assert softmax(logits).tobytes() == numpy_softmax(logits).tobytes(), (classes, rows)
+
+
 def test_bma_averages_probabilities():
     # two synthetic members emitting one-hot opposite predictions
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 3))
     enc = init_twin(TINY, 0).online_encoder.copy()
-    for t in enc.tensors():
+    for _, t in enc.items():
         t.values[...] = 0.0  # embeddings all zero, logits = bias
     big = 1e3
     head_a = ClassifierHead(weight=Tensor(np.zeros((3, 2))), bias=Tensor([big, 0.0]))

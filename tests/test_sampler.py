@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
+from gradcheck import grad_check
 
-from mcbyol.autodiff import Tape, grad_check
+from mcbyol.autodiff import Tape
 from mcbyol.errors import ConfigError, ContractError
 from mcbyol.model import Architecture, byol_loss_symmetrized, init_twin
 from mcbyol.sampler import (SamplerConfig, cyclic_lr, make_state, noise_active, noise_scale,
@@ -178,7 +181,7 @@ def test_likelihood_part_matches_finite_differences():
     grad, _ = posterior_grad(m, a, b, cfg)
 
     def loss_at(flat):
-        probe = m.clone()
+        probe = copy.deepcopy(m)
         probe.set_online_flat(flat)
         return float(byol_loss_symmetrized(Tape(), probe, a, b).values)
 
@@ -238,15 +241,6 @@ def test_noiseless_csghmc_beta_zero_is_gradient_descent():
     # plain GD: theta <- theta * (1 - lr0 * n / 2) each step
     expected = (1.0 - 0.2 * 7 / 2) ** 100
     assert theta[0] == pytest.approx(expected, rel=1e-12)
-
-
-def test_step_counter_increments():
-    cfg = cfg_for(kind="sghmc")
-    state = make_state(2, 0)
-    p = np.zeros(2)
-    for expected in (1, 2, 3):
-        p = sghmc_step(p, state, np.zeros(2), 0.1, cfg, noise_on=False)
-        assert state.step == expected
 
 
 def test_sghmc_refuses_float_params_with_array_momentum_and_back():
@@ -311,7 +305,6 @@ def ref_sgld_step(params, state, grad_u, lr, cfg, noise_on=True, eps=None):
         if eps is None:
             eps = state.rng.standard_normal(params.shape)
         delta = delta + ref_noise_scale(cfg, lr, 1.0) * eps
-    state.step += 1
     return params + delta
 
 
@@ -323,7 +316,6 @@ def ref_sghmc_step(params, state, grad_u, lr, cfg, noise_on=True, eps=None):
             eps = state.rng.standard_normal(params.shape)
         m = m + ref_noise_scale(cfg, lr, 1.0 - cfg.beta) * eps
     state.momentum = m
-    state.step += 1
     return params + m
 
 
@@ -351,7 +343,6 @@ def test_lean_step_is_bit_identical_to_reference(kind, beta, temper_drift, dim, 
             fn = ref_fn if path.startswith("ref") else step_fn
             kw = {"ref": {"eps": eps[k]}, "noise": {"noise": noise[k]}}.get(path, {})
             theta = fn(theta, state, grads[k], lrs[k], cfg, noise_on, **kw)
-        assert state.step == steps
         runs[path] = (theta, state.momentum)
     assert np.array_equal(runs["noise"][0], runs["ref"][0])
     assert np.array_equal(runs["noise"][1], runs["ref"][1])

@@ -1,0 +1,77 @@
+"""The package holds only what its pipeline and CLI run: every function,
+class and method defined under src/mcbyol must be referenced from somewhere
+else in src/mcbyol.  An oracle that only tests use belongs in tests/.
+
+The scan is by name: a definition counts as used when a Name or an
+attribute access with its name appears in src/ outside its own body.
+Imports do not count, so a package-root re-export keeps nothing alive.
+Dunder methods are called by Python itself and are not checked."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mcbyol"
+
+# definitions kept without a caller in src/, each for a stated reason
+ALLOWED = {
+    # bench/ writes its generated configs with it
+    "config.save",
+    # README's way to write a file_prefix dataset
+    "data.save_dataset",
+    # BENCHMARK.json lists autodiff.op.scale.*, which bench/tracing.py measures
+    # by patching every Tape op (Tape.dot and Tape.sum pass the scan only because
+    # numpy's .dot and .sum share their names)
+    "Tape.scale",
+}
+
+
+def _refs(node: ast.AST) -> Counter:
+    out: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+    return out
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, bare name, node) of every module-level function and
+    class and every method, dunders excluded."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, kinds) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def scan(src: Path) -> tuple[set[str], list[str]]:
+    """(every checked definition, those that nothing else in src names)."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py"))}
+    everywhere: Counter = Counter()
+    for tree in trees.values():
+        everywhere += _refs(tree)
+    defs = [(qualified, everywhere[name] - _refs(node)[name])
+            for module, tree in trees.items()
+            for qualified, name, node in _definitions(module, tree)]
+    return {q for q, _ in defs}, [q for q, uses in defs if uses == 0]
+
+
+def test_every_src_definition_has_a_caller_in_src():
+    defined, unreferenced = scan(SRC)
+    dead = [q for q in unreferenced if q not in ALLOWED]
+    assert not dead, f"defined in src/ but referenced only outside it: {dead}"
+    assert ALLOWED <= defined, f"stale allowlist entries: {sorted(ALLOWED - defined)}"
+
+
+def test_scan_flags_a_definition_without_caller(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return unused_twin\n\n"
+        "def dead():\n    return dead()\n\n"
+        "class K:\n    def __init__(self):\n        pass\n\n    def meth(self):\n        pass\n")
+    (tmp_path / "b.py").write_text("from .a import dead\nused()\nK()\n")
+    assert scan(tmp_path) == ({"a.used", "a.dead", "a.K", "K.meth"}, ["a.dead", "K.meth"])
