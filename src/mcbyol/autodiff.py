@@ -1,15 +1,17 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 The op vocabulary is fixed to what the twin-network losses and the linear
-classifier need: matmul, add, bias_add, tanh, relu, scale, sum, dot,
-l2_normalize, mse, softmax_cross_entropy.  A Tape records every operation
-whose output needs a gradient; backward() replays the records in reverse.
-Tapes are rebuilt per forward pass and must not be shared across threads.
+classifier need: matmul, add, bias_add, tanh, relu, scale, sum, dot, mlp,
+l2_normalize, mse, softmax_cross_entropy.  `mlp` is a whole dense network
+as one record, with the same arithmetic as its matmul -> bias_add ->
+tanh|relu composition.  A Tape records every operation whose output needs
+a gradient; backward() replays the records in reverse.  Tapes are rebuilt
+per forward pass and must not be shared across threads.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,6 +59,28 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
+
+
+def mlp_layers(x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray]],
+               activation: str) -> list[np.ndarray]:
+    """Every layer's output of the dense network h <- act(h @ W + b), with
+    the activation on hidden layers only.  Each output is a fresh array
+    that the bias and the activation then update in place."""
+    if activation not in ("tanh", "relu"):
+        raise ContractError(f"mlp: unknown activation {activation!r}")
+    last = len(layers) - 1
+    outs = []
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = h @ w
+        h += b
+        if i < last:
+            if activation == "tanh":
+                np.tanh(h, out=h)
+            else:
+                np.maximum(h, 0.0, out=h)
+        outs.append(h)
+    return outs
 
 
 def _result(values: np.ndarray, requires_grad: bool) -> Tensor:
@@ -137,6 +161,51 @@ class Tape:
             return (g * (x.values > 0.0),)
 
         self._push(out, (x,), backward)
+        return out
+
+    def mlp(self, x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], activation: str) -> Tensor:
+        """Dense network over (W, b) layers, activation on hidden layers only,
+        recorded as one op.  Forward and backward do the arithmetic of the
+        per-layer matmul -> bias_add -> tanh|relu records, so values and
+        gradients are bit-identical to that composition."""
+        if x.values.ndim != 2 or not layers:
+            raise DimensionError(f"mlp: need a 2-D input and a layer, got {x.shape}")
+        width = x.shape[1]
+        for w, b in layers:
+            if w.values.ndim != 2 or b.values.ndim != 1 or w.shape[0] != width \
+                    or b.shape[0] != w.shape[1]:
+                raise DimensionError(
+                    f"mlp: incompatible shapes {x.shape} through {w.shape} + {b.shape}")
+            width = w.shape[1]
+        outs = mlp_layers(x.values, [(w.values, b.values) for w, b in layers], activation)
+        # whether each layer's input carries a gradient, as the per-op records decide it
+        flows = [x.requires_grad]
+        for w, b in layers:
+            flows.append(flows[-1] or w.requires_grad or b.requires_grad)
+        out = _result(outs[-1], flows[-1])
+        tanh = activation == "tanh"
+
+        def backward(g):
+            grads = []
+            for i in range(len(layers) - 1, -1, -1):
+                w, b = layers[i]
+                a = outs[i - 1] if i else x.values
+                grads += [g.sum(axis=0) if b.requires_grad else None,
+                          a.T @ g if w.requires_grad else None]
+                if not flows[i]:
+                    grads += [None] * (2 * i + 1)
+                    break
+                g = g @ w.values.T  # a fresh array, so the derivatives below go in place
+                if not i:
+                    grads.append(g)
+                elif tanh:
+                    g *= 1.0 - a * a
+                else:
+                    g *= a > 0.0
+            grads.reverse()
+            return grads
+
+        self._push(out, (x, *(t for layer in layers for t in layer)), backward)
         return out
 
     def scale(self, x: Tensor, c: float) -> Tensor:

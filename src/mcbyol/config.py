@@ -84,6 +84,14 @@ class RunSection:
     output_dir: str = ""
 
 
+def _reject_repeats(name: str, values: list) -> None:
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ConfigError(f"{name} repeats {v!r}")
+        seen.add(v)
+
+
 @dataclass
 class RunConfig:
     data: DataSection = field(default_factory=DataSection)
@@ -101,6 +109,7 @@ class RunConfig:
             raise ConfigError("run.seeds must be non-empty")
         if any(s < 0 for s in self.run.seeds):
             raise ConfigError("run.seeds must be non-negative")
+        _reject_repeats("run.seeds", self.run.seeds)
         if self.eval.score not in ("entropy", "max_prob"):
             raise ConfigError(f"unknown eval.score {self.eval.score!r}")
         if not self.finetune.label_fractions:
@@ -108,6 +117,8 @@ class RunConfig:
         for frac in self.finetune.label_fractions:
             if not 0.0 < frac <= 1.0:
                 raise ConfigError("label_fractions must lie in (0, 1]")
+        # a repeat would fit the fraction twice into the same member files
+        _reject_repeats("finetune.label_fractions", self.finetune.label_fractions)
 
     def digest(self) -> str:
         return hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()[:12]

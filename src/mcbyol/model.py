@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, mlp_layers
 from .errors import ConfigError, DimensionError
 from .params import ParamVector
 
@@ -120,32 +120,20 @@ def init_twin(arch: Architecture, seed: int, tau: float = 0.99) -> TwinModel:
                      target_encoder, target_projector, tau)
 
 
-def _activation_fn(tape: Tape, name: str):
-    return tape.tanh if name == "tanh" else tape.relu
+def _layers(pv: ParamVector) -> list[tuple[Tensor, Tensor]]:
+    return [(pv[f"layer{i}.w"], pv[f"layer{i}.b"]) for i in range(len(pv.names) // 2)]
 
 
 def mlp_forward(tape: Tape, pv: ParamVector, x: Tensor, activation: str) -> Tensor:
-    """Tape-recorded forward pass; activation on hidden layers only."""
-    act = _activation_fn(tape, activation)
-    n_layers = len(pv.names) // 2
-    h = x
-    for i in range(n_layers):
-        h = tape.bias_add(tape.matmul(h, pv[f"layer{i}.w"]), pv[f"layer{i}.b"])
-        if i < n_layers - 1:
-            h = act(h)
-    return h
+    """Tape-recorded forward pass, one record per network; activation on
+    hidden layers only."""
+    return tape.mlp(x, _layers(pv), activation)
 
 
 def mlp_forward_np(pv: ParamVector, x: np.ndarray, activation: str) -> np.ndarray:
-    """Inference-mode forward pass, no tape."""
-    fn = np.tanh if activation == "tanh" else lambda v: np.maximum(v, 0.0)
-    n_layers = len(pv.names) // 2
-    h = np.asarray(x, dtype=np.float64)
-    for i in range(n_layers):
-        h = h @ pv[f"layer{i}.w"].values + pv[f"layer{i}.b"].values
-        if i < n_layers - 1:
-            h = fn(h)
-    return h
+    """Inference-mode forward pass, no tape; the same arithmetic as mlp_forward."""
+    layers = [(w.values, b.values) for w, b in _layers(pv)]
+    return mlp_layers(np.asarray(x, dtype=np.float64), layers, activation)[-1]
 
 
 def _check_views(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

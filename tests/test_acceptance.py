@@ -264,6 +264,65 @@ def test_default_csghmc_run_matches_golden_digests(toy_runs):
     assert got == GOLDEN_SHA256
 
 
+SMALL_RUN = """
+[data]
+classes = 3
+per_class_pretrain = 40
+per_class_train = 30
+per_class_test = 30
+input_dim = 6
+[model]
+encoder_hidden = 8,8
+embed_dim = 4
+proj_hidden = 5
+proj_dim = 3
+pred_hidden = 5
+activation = {activation}
+[sampler]
+cycle_len = 10
+total_steps = 20
+batch = 32
+[finetune]
+epochs = 4
+label_fractions = 0.5
+freeze_encoder = {freeze}
+[run]
+seeds = 0
+"""
+
+# the outputs of two small runs that the default run does not cover: joint
+# fine-tuning of encoder and head, and a relu network
+SMALL_GOLDEN_SHA256 = {
+    ("tanh", "false"): {
+        "member_seed0_f0p5_snap1.ckpt":
+            "83a053c49dccc24ca46d94c2cb6d59804665d197af566299e9705b76b4f6cdb6",
+        "finetune_log_seed0_f0p5.tsv":
+            "ef3a17d55da9408a3c9bd10d093affc27afc27a5d454618df49a29a5e90d97a4",
+    },
+    ("relu", "true"): {
+        "ensemble_seed0.ckpt":
+            "677e0de093c9f02a94f25211feffc15fab3cdb3fa59d9e2e4962036186abde43",
+    },
+}
+
+
+@pytest.mark.parametrize("activation,freeze", sorted(SMALL_GOLDEN_SHA256))
+def test_small_runs_match_golden_digests(tmp_path, activation, freeze):
+    """Joint fine-tuning and relu networks keep these sha256 digests, under
+    the same terms as GOLDEN_SHA256: they pin numpy 2.4 with single-thread
+    OpenBLAS 0.3.31, and on another build they are re-recorded from an
+    unchanged checkout, not adjusted to a change."""
+    cfg = config.parse(SMALL_RUN.format(activation=activation, freeze=freeze))
+    out = str(tmp_path)
+    pipeline.run_pretrain(cfg, 0, out)
+    if freeze == "false":
+        pipeline.run_finetune(cfg, 0, out)
+    golden = SMALL_GOLDEN_SHA256[(activation, freeze)]
+    got = {name: hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+           for name in golden}
+    assert got == golden
+
+
 def test_criterion_09_metric_oracles():
     with criterion(9, "AUROC equals brute force; NLL/accuracy match naive recomputation"):
         rng = np.random.default_rng(5)

@@ -247,3 +247,135 @@ def test_backward_requires_scalar_loss():
     y = t.tanh(x)
     with pytest.raises(ContractError):
         t.backward(y)
+
+
+# ---- Tape.mlp against its per-op composition --------------------------------
+
+
+def per_op_mlp(tape, x, layers, activation):
+    """The oracle: one matmul -> bias_add -> tanh|relu record per layer."""
+    act = tape.tanh if activation == "tanh" else tape.relu
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = tape.bias_add(tape.matmul(h, w), b)
+        if i < len(layers) - 1:
+            h = act(h)
+    return h
+
+
+def mlp_case(seed, n_layers, activation, x_grad, frozen_first):
+    """Inputs, layers and a target of one random network; for relu, the
+    first hidden layer gets pre-activations of exactly +0.0 (a zero weight
+    column) and -0.0 (a product that underflows, then a -0.0 bias)."""
+    rng = np.random.default_rng(seed)
+    widths = [int(w) for w in rng.integers(3, 7, size=n_layers + 1)]
+    xs = [rng.normal(size=(5, widths[0])) for _ in range(2)]
+    ws = [rng.normal(size=(i, o)) for i, o in zip(widths[:-1], widths[1:])]
+    bs = [rng.normal(size=o) for o in widths[1:]]
+    if activation == "relu" and n_layers > 1:
+        ws[0][:, 0] = 0.0
+        bs[0][0] = 0.0
+        ws[0][:, 1] = 1e-200
+        bs[0][1] = -0.0
+        for x in xs:
+            x[2] = -1e-200
+    target = rng.normal(size=(5, widths[-1]))
+
+    def tensors():
+        x_t = [Tensor(x, requires_grad=x_grad) for x in xs]
+        layers = [(Tensor(w, requires_grad=not (frozen_first and i == 0)),
+                   Tensor(b, requires_grad=not (frozen_first and i == 0)))
+                  for i, (w, b) in enumerate(zip(ws, bs))]
+        return x_t, layers
+
+    return tensors, target
+
+
+def run_mlp(forward, tensors, target, activation):
+    """Two inputs through one network, as the symmetrized loss uses it."""
+    tape = Tape()
+    xs, layers = tensors()
+    outs = [forward(tape, x, layers, activation) for x in xs]
+    loss = tape.add(*(tape.mse(out, Tensor(target)) for out in outs))
+    tape.backward(loss)
+    leaves = [*xs, *(t for layer in layers for t in layer)]
+    return tape, outs, loss, leaves
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("x_grad", [False, True])
+@pytest.mark.parametrize("frozen_first", [False, True])
+def test_mlp_is_bit_identical_to_per_op_composition(n_layers, activation, x_grad, frozen_first):
+    for seed in range(5):
+        tensors, target = mlp_case(seed, n_layers, activation, x_grad, frozen_first)
+        fused = run_mlp(lambda t, x, layers, act: t.mlp(x, layers, act),
+                        tensors, target, activation)
+        oracle = run_mlp(per_op_mlp, tensors, target, activation)
+        for out, ref in zip(fused[1], oracle[1]):
+            assert out.values.tobytes() == ref.values.tobytes()
+            assert out.requires_grad == ref.requires_grad
+        assert fused[2].values.tobytes() == oracle[2].values.tobytes()
+        for leaf, ref in zip(fused[3], oracle[3]):
+            assert (leaf.grad is None) == (ref.grad is None)
+            if ref.grad is not None:
+                assert leaf.grad.tobytes() == ref.grad.tobytes()
+        assert (fused[3][0].grad is not None) == x_grad
+        # one record per network pass, plus the two mse and the add; none
+        # when no input of the single frozen layer needs a gradient
+        needs_grad = x_grad or n_layers > 1 or not frozen_first
+        assert len(fused[0]._records) == (5 if needs_grad else 0)
+
+
+def test_relu_case_has_both_signed_zero_pre_activations():
+    tensors, _ = mlp_case(0, 2, "relu", False, False)
+    xs, layers = tensors()
+    w, b = layers[0]
+    pre = xs[0].values @ w.values + b.values
+    zeros = pre[pre == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_mlp_gradient_matches_finite_differences(activation):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 3))
+    shapes = [(3, 5), (5,), (5, 4), (4,), (4, 2), (2,)]
+    flat0 = np.concatenate([rng.normal(size=s).ravel() for s in shapes])
+    target = rng.normal(size=(4, 2))
+
+    def build(flat, requires_grad):
+        parts, at = [], 0
+        for s in shapes:
+            n = int(np.prod(s))
+            parts.append(Tensor(flat[at:at + n].reshape(s), requires_grad))
+            at += n
+        return list(zip(parts[::2], parts[1::2]))
+
+    def loss_at(flat):
+        t = Tape()
+        return float(t.mse(t.mlp(Tensor(x), build(flat, False), activation),
+                           Tensor(target)).values)
+
+    t = Tape()
+    layers = build(flat0, True)
+    t.backward(t.mse(t.mlp(Tensor(x), layers, activation), Tensor(target)))
+    analytic = np.concatenate([p.grad.ravel() for layer in layers for p in layer])
+    assert grad_check(loss_at, flat0, analytic) < 1e-4
+
+
+def test_mlp_rejects_bad_shapes_and_activation():
+    t = Tape()
+    good = (Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        t.mlp(Tensor(np.ones((4, 3))), [good], "tanh")
+    with pytest.raises(DimensionError):
+        t.mlp(Tensor(np.ones((4, 2))), [good, good], "tanh")
+    with pytest.raises(DimensionError):
+        t.mlp(Tensor(np.ones((4, 2))), [(good[0], Tensor(np.zeros(2)))], "tanh")
+    with pytest.raises(DimensionError):
+        t.mlp(Tensor(np.ones(2)), [good], "tanh")
+    with pytest.raises(DimensionError):
+        t.mlp(Tensor(np.ones((4, 2))), [], "tanh")
+    with pytest.raises(ContractError):
+        t.mlp(Tensor(np.ones((4, 2))), [good], "sigmoid")

@@ -283,6 +283,16 @@ def test_empty_label_fractions_is_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval", "ood"])
+@pytest.mark.parametrize("old,new", [("label_fractions = 1.0,0.5", "label_fractions = 0.5,0.5"),
+                                     ("seeds = 0,1", "seeds = 1,1")])
+def test_repeated_list_value_is_config_error(tmp_path, capsys, command, old, new):
+    cfg_path = write_config(tmp_path, TINY_CONFIG.replace(old, new))
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert "repeats" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_missing_config_file(tmp_path):
     rc = cli.main(["pretrain", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")])

@@ -74,6 +74,16 @@ def test_empty_label_fraction_list_rejected():
         config.parse("[finetune]\nlabel_fractions = \n")
 
 
+@pytest.mark.parametrize("text,repeated", [
+    ("[finetune]\nlabel_fractions = 0.5,0.5\n", "label_fractions repeats 0.5"),
+    ("[finetune]\nlabel_fractions = 1.0,0.25,1\n", "label_fractions repeats 1.0"),
+    ("[run]\nseeds = 0,1,0\n", "seeds repeats 0"),
+])
+def test_repeated_list_value_rejected(text, repeated):
+    with pytest.raises(ConfigError, match=repeated):
+        config.parse(text)
+
+
 def test_label_fraction_bounds_validated():
     with pytest.raises(ConfigError):
         config.parse("[finetune]\nlabel_fractions = 0.5,1.5\n")

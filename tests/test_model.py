@@ -281,3 +281,17 @@ def test_tape_and_numpy_forward_agree():
     via_tape = mlp_forward(t, m.online_encoder, Tensor(x), "tanh").values
     via_np = mlp_forward_np(m.online_encoder, x, "tanh")
     assert np.array_equal(via_tape, via_np)
+    relu_tape = mlp_forward(Tape(), m.online_encoder, Tensor(x), "relu").values
+    assert relu_tape.tobytes() == mlp_forward_np(m.online_encoder, x, "relu").tobytes()
+
+
+def test_symmetrized_loss_records_one_op_per_network():
+    """Per direction: the three online networks, l2_normalize and mse; the
+    target branch records nothing.  Then one add: 11 records in all."""
+    rng = np.random.default_rng(4)
+    m = tiny_model(2)
+    t = Tape()
+    byol_loss_symmetrized(t, m, rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
+    kinds = [fn.__qualname__.split(".")[1] for _, _, fn in t._records]
+    assert kinds == ["mlp"] * 3 + ["l2_normalize", "mse"] + ["mlp"] * 3 \
+        + ["l2_normalize", "mse", "add"]

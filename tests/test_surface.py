@@ -19,10 +19,12 @@ ALLOWED = {
     "config.save",
     # README's way to write a file_prefix dataset
     "data.save_dataset",
-    # BENCHMARK.json lists autodiff.op.scale.*, which bench/tracing.py measures
-    # by patching every Tape op (Tape.dot and Tape.sum pass the scan only because
-    # numpy's .dot and .sum share their names)
+    # BENCHMARK.json lists autodiff.op.scale.* and autodiff.op.relu.*, which
+    # bench/tracing.py measures by patching every Tape op (Tape.dot, Tape.sum and
+    # Tape.tanh pass the scan only because numpy's .dot, .sum and .tanh share
+    # their names)
     "Tape.scale",
+    "Tape.relu",
 }
 
 
