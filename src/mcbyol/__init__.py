@@ -3,7 +3,8 @@ snapshot ensembles, and uncertainty-aware downstream evaluation."""
 
 from .autodiff import Tape, Tensor
 from .config import RunConfig
-from .data import AugmentationConfig, Dataset, augment_pair, make_clusters, make_ood, minibatches
+from .data import (AugmentationConfig, Dataset, augment_pair, make_clusters, make_ood,
+                   minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
 from .finetune import ClassifierHead, FineTuneConfig, finetune, subset_labels
 from .metrics import EvalReport, accuracy, aggregate_seeds, auroc, entropy_histogram, nll

@@ -92,6 +92,11 @@ def _reject_repeats(name: str, values: list) -> None:
         seen.add(v)
 
 
+def frac_tag(frac: float) -> str:
+    """A label fraction as it appears in file names, e.g. 0.25 -> 0p25."""
+    return f"{frac:g}".replace(".", "p")
+
+
 @dataclass
 class RunConfig:
     data: DataSection = field(default_factory=DataSection)
@@ -119,6 +124,13 @@ class RunConfig:
                 raise ConfigError("label_fractions must lie in (0, 1]")
         # a repeat would fit the fraction twice into the same member files
         _reject_repeats("finetune.label_fractions", self.finetune.label_fractions)
+        # and so would two fractions that print alike at 6 significant digits
+        tagged: dict[str, float] = {}
+        for frac in self.finetune.label_fractions:
+            other = tagged.setdefault(frac_tag(frac), frac)
+            if other != frac:
+                raise ConfigError(f"finetune.label_fractions {other!r} and {frac!r} "
+                                  f"share the file tag {frac_tag(frac)!r}")
 
     def digest(self) -> str:
         return hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()[:12]

@@ -4,16 +4,24 @@ Clusters are Gaussian blobs around well-separated means pushed through one
 fixed random tanh mixing layer, so the observed coordinates are a nonlinear
 function of the latent class structure and representation learning has
 something to do.  Every generator is a pure function of its seed.
+
+Minibatch orders: the order of (seed, epoch) is permutation(n) from a
+Philox keyed by SeedSequence([seed, 3, epoch]).generate_state(2, uint64),
+at counter 0.  minibatch_keys derives the keys of many (seed, epoch) pairs
+in one vectorized pass of SeedSequence's hash, and minibatches re-keys
+one reused Philox per order, so no SeedSequence or bit generator is built
+per epoch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 
 OOD_MODES = ("shifted_means", "scaled_variance", "uniform_box")
 
@@ -145,13 +153,100 @@ def augment_pair(x_batch: np.ndarray, cfg: AugmentationConfig,
     return one_view(), one_view()
 
 
-def minibatches(n: int, batch: int, seed: int, epoch: int) -> list[np.ndarray]:
-    """Seeded per-epoch permutation chunked into batches; the final short
-    batch is kept, so each index appears exactly once per epoch."""
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _words(value: int) -> list[int]:
+    """An int entropy value as SeedSequence reads it: little-endian uint32 words."""
+    if value < 0:
+        raise ContractError(f"minibatch seeds and epochs must be non-negative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's word hash: a multiplier that advances on every call."""
+    const = init
+
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    return hash_words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    result ^= result >> np.uint32(16)
+    return result
+
+
+def _seed_sequence_keys(entropy: list[list[int]]) -> np.ndarray:
+    """SeedSequence(row).generate_state(2, np.uint64) for every row of
+    uint32 entropy words, as one uint32 pass over all rows: hash the words
+    into a 4-word pool (zeros past a short row's end), mix every pool word
+    into every other, mix in the words past the fourth, then hash the pool
+    into four output words.  Returns (rows, 2) uint64."""
+    size = max([_POOL, *map(len, entropy)])
+    pool = np.array([row + [0] * (size - len(row)) for row in entropy],
+                    dtype=np.uint32).reshape(len(entropy), size)
+    lengths = np.array([len(row) for row in entropy])
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    mixer = [hashmix(pool[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixer[dst] = _mix(mixer[dst], hashmix(mixer[src]))
+    for src in range(_POOL, size):
+        for dst in range(_POOL):
+            mixed = _mix(mixer[dst], hashmix(pool[:, src]))
+            mixer[dst] = np.where(lengths > src, mixed, mixer[dst])
+    generate = _hasher(_INIT_B, _MULT_B)
+    state = [generate(word).astype(np.uint64) for word in mixer]
+    # consecutive words pair up little-endian into uint64s
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
+
+
+def minibatch_keys(seeds: Sequence[int], epochs: int) -> np.ndarray:
+    """(S, epochs, 2) uint64 Philox keys of the minibatch orders: entry
+    [s, e] equals SeedSequence([seeds[s], 3, e]).generate_state(2, np.uint64)."""
+    seed_words = [_words(int(s)) + [3] for s in seeds]
+    epoch_words = [_words(e) for e in range(epochs)]
+    entropy = [sw + ew for sw in seed_words for ew in epoch_words]
+    return _seed_sequence_keys(entropy).reshape(len(seed_words), epochs, 2)
+
+
+def minibatches(n: int, batch: int, keys: np.ndarray) -> list[np.ndarray]:
+    """One epoch of minibatches for each row of keys (R, 2), as given by
+    minibatch_keys: row r's order is permutation(n) from a Philox with key
+    keys[r] at counter 0, chunked into batches; the final short batch is
+    kept, so each index appears exactly once per row.  Position i of the
+    returned list holds every row's i-th batch as one (R, B) array."""
     if batch < 1:
         raise ConfigError("batch size must be >= 1")
-    perm = _rng(seed, 3, epoch).permutation(n)
-    return [perm[i:i + batch] for i in range(0, n, batch)]
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    state = bits.state  # counter 0 and an exhausted buffer, as every fresh Philox starts
+    orders = np.empty((len(keys), n), dtype=np.int64)
+    for row, key in enumerate(keys.tolist()):
+        state["state"]["key"] = key
+        bits.state = state
+        orders[row] = rng.permutation(n)
+    return [orders[:, i:i + batch] for i in range(0, n, batch)]
 
 
 # ---- persistence: binary payload + text header -----------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .data import Dataset, minibatches
+from .data import Dataset, minibatch_keys, minibatches
 from .errors import ConfigError, ContractError, DataError
 from .model import Architecture, mlp_forward, mlp_forward_np
 from .params import ParamVector
@@ -113,16 +113,19 @@ def _head_grad(z: np.ndarray, logits: np.ndarray, onehot: np.ndarray) -> np.ndar
 def _nesterov(theta: np.ndarray, seeds: list[int], n: int, cfg: FineTuneConfig,
               grad_at, epoch_loss) -> tuple[np.ndarray, list[list[float]]]:
     """SGD with Nesterov momentum in lookahead form on every row of theta
-    (S, P).  Row s takes its minibatches from minibatches(n, cfg.batch,
-    seeds[s], epoch).  grad_at(point, idx) gives the (S, P) gradients at
-    point on the (S, B) row indices idx; epoch_loss(theta) gives the S
-    losses logged after each epoch.  Returns (theta, per-row loss logs)."""
+    (S, P).  Row s takes its minibatch order in each epoch from the key
+    of (seeds[s], epoch); all keys are derived once, and each epoch's
+    orders come from one minibatches call.  grad_at(point, idx) gives the
+    (S, P) gradients at point on the (S, B) row indices idx;
+    epoch_loss(theta) gives the S losses logged after each epoch.  Returns
+    (theta, per-row loss logs)."""
     velocity = np.zeros_like(theta)
     mu = cfg.momentum
     logs: list[list[float]] = [[] for _ in seeds]
+    keys = minibatch_keys(seeds, cfg.epochs)
     for epoch in range(cfg.epochs):
-        for rows in zip(*(minibatches(n, cfg.batch, s, epoch) for s in seeds)):
-            grad = grad_at(theta + mu * velocity, np.array(rows))  # at the lookahead point
+        for idx in minibatches(n, cfg.batch, keys[:, epoch]):
+            grad = grad_at(theta + mu * velocity, idx)  # at the lookahead point
             velocity = mu * velocity - cfg.lr * grad
             theta = theta + velocity
         for log, loss in zip(logs, epoch_loss(theta)):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .data import (AugmentationConfig, Dataset, augment_pair, load_dataset,
-                   make_clusters, make_ood, minibatches)
+                   make_clusters, make_ood, minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
 from .errors import CheckpointError, DivergenceError
 from .finetune import FineTuneConfig, finetune, load_member, save_member, subset_labels
@@ -88,16 +88,12 @@ def make_datasets(cfg: cfgmod.RunConfig) -> tuple[Dataset, Dataset, Dataset, Dat
     return pretrain, train, test, ood
 
 
-def _frac_tag(frac: float) -> str:
-    return f"{frac:g}".replace(".", "p")
-
-
 def ensemble_path(out_dir: str, seed: int) -> str:
     return os.path.join(out_dir, f"ensemble_seed{seed}.ckpt")
 
 
 def member_path(out_dir: str, seed: int, frac: float, snap: int) -> str:
-    return os.path.join(out_dir, f"member_seed{seed}_f{_frac_tag(frac)}_snap{snap}.ckpt")
+    return os.path.join(out_dir, f"member_seed{seed}_f{cfgmod.frac_tag(frac)}_snap{snap}.ckpt")
 
 
 def _step_state(lr: float, noise_on: bool) -> str:
@@ -116,6 +112,7 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
     state = make_state(model.online_dim, int(np.random.SeedSequence([seed, 10]).generate_state(1)[0]))
     aug_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 11])))
     steps_per_epoch = int(np.ceil(pretrain.n / cfg.sampler.batch))
+    epoch_keys = minibatch_keys([seed], -(-scfg.total_steps // steps_per_epoch))
     ensemble = PosteriorEnsemble(run_meta={
         "seed": seed, "config_digest": cfg.digest(), "sampler_kind": scfg.kind,
         "n_dataset": scfg.n_dataset, "steps_per_epoch": steps_per_epoch,
@@ -126,9 +123,9 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
     epoch, queue = 0, []
     for k in range(scfg.total_steps):
         if not queue:
-            queue = list(minibatches(pretrain.n, cfg.sampler.batch, seed, epoch))
+            queue = minibatches(pretrain.n, cfg.sampler.batch, epoch_keys[:, epoch])
             epoch += 1
-        idx = queue.pop(0)
+        (idx,) = queue.pop(0)
         view_a, view_b = augment_pair(pretrain.x[idx], aug, aug_rng)
         grad_u, loss = posterior_grad(model, view_a, view_b, scfg)
         lr = cyclic_lr(scfg, k)
@@ -160,6 +157,7 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
     arch = build_arch(cfg)
     _, train, _, _ = make_datasets(cfg)
     f = cfg.finetune
+    digest = cfg.digest()
     for frac_idx, frac in enumerate(f.label_fractions):
         subset = subset_labels(train, frac, seed=cfg.data.seed + seed)
         ftcfg = FineTuneConfig(lr=f.lr, momentum=f.momentum, batch=f.batch,
@@ -173,11 +171,12 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
             meta = {"seed": seed, "label_fraction": frac, "snapshot": s,
                     "step": snap.step, "cycle": snap.cycle,
                     "sampler_kind": ensemble.run_meta.get("sampler_kind", ""),
-                    "config_digest": cfg.digest(),
+                    "config_digest": digest,
                     "freeze_encoder": f.freeze_encoder}
             save_member(member_path(out_dir, seed, frac, s), encoder, head, meta)
             log_rows.extend((s, e, v) for e, v in enumerate(losses))
-        write_table(os.path.join(out_dir, f"finetune_log_seed{seed}_f{_frac_tag(frac)}.tsv"),
+        tag = cfgmod.frac_tag(frac)
+        write_table(os.path.join(out_dir, f"finetune_log_seed{seed}_f{tag}.tsv"),
                     ["snapshot", "epoch", "loss"], log_rows)
 
 

@@ -1,7 +1,8 @@
 """The traced benchmark run patches program functions by name
-(bench/tracing.py); this checks that every name it patches still exists and
-that a traced sample-diag run counts every sampler step and writes the same
-bytes as an untraced one."""
+(bench/tracing.py); this checks that every name it patches still exists, that
+a traced sample-diag run counts every sampler step, that a traced pretrain and
+finetune run counts every stacked minibatch position, and that both write the
+same bytes as an untraced run."""
 
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 from mcbyol import config, pipeline
+from mcbyol.finetune import subset_labels
 
 ROOT = Path(__file__).resolve().parents[1]
 STEPS = 5_000
@@ -53,3 +55,73 @@ def test_traced_sample_diag_counts_every_step_and_keeps_bytes(tmp_path):
         assert counts == {"step_calls": STEPS, "noise_steps": STEPS}, kind
         name = "chain_stats.tsv"
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), kind
+
+
+TRACED_PIPELINE = """
+import json, sys
+from mcbyol import config, pipeline
+import tracing
+
+tracer = tracing.Tracer("hooks")
+tracing.install(tracer)
+cfg = config.parse(sys.argv[1])
+for seed in cfg.run.seeds:
+    pipeline.run_pretrain(cfg, seed, sys.argv[2])
+    pipeline.run_finetune(cfg, seed, sys.argv[2])
+print(json.dumps(tracer.summary([1.0] * 2 * len(cfg.run.seeds))["counts"]))
+"""
+
+TINY_PIPELINE = """
+[data]
+classes = 3
+per_class_pretrain = 40
+per_class_train = 30
+per_class_test = 10
+input_dim = 6
+
+[model]
+encoder_hidden = 8
+embed_dim = 4
+proj_hidden = 5
+proj_dim = 3
+pred_hidden = 5
+
+[sampler]
+cycle_len = 10
+total_steps = 30
+batch = 32
+
+[finetune]
+batch = 16
+epochs = 3
+label_fractions = 1.0,0.3
+
+[run]
+seeds = 0,4219
+"""
+
+
+def test_traced_finetune_counts_stacked_positions_and_keeps_bytes(tmp_path):
+    # tracing counts len() of what finetune.minibatches returns: one entry per
+    # minibatch position, each stacking every snapshot's batch
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    cfg = config.parse(TINY_PIPELINE)
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    for seed in cfg.run.seeds:
+        pipeline.run_pretrain(cfg, seed, str(plain))
+        pipeline.run_finetune(cfg, seed, str(plain))
+    proc = subprocess.run([sys.executable, "-c", TRACED_PIPELINE, TINY_PIPELINE, str(traced)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    _, train, _, _ = pipeline.make_datasets(cfg)
+    f = cfg.finetune
+    positions = sum(f.epochs * -(-subset_labels(train, frac, cfg.data.seed + seed).n // f.batch)
+                    for seed in cfg.run.seeds for frac in f.label_fractions)
+    assert counts["finetune.minibatches"] == positions
+    members = sorted(p.name for p in plain.glob("member_*.ckpt"))
+    # 3 snapshots per seed, so the count above is a third of the per-member one
+    assert len(members) == 3 * len(cfg.run.seeds) * len(f.label_fractions)
+    assert sorted(p.name for p in traced.glob("member_*.ckpt")) == members
+    for name in members:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name

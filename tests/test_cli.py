@@ -293,6 +293,15 @@ def test_repeated_list_value_is_config_error(tmp_path, capsys, command, old, new
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval", "ood"])
+def test_fractions_sharing_a_file_tag_is_config_error(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, TINY_CONFIG.replace("label_fractions = 1.0,0.5",
+                                                          "label_fractions = 0.1234567,0.1234568"))
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert "share the file tag '0p123457'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_missing_config_file(tmp_path):
     rc = cli.main(["pretrain", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")])

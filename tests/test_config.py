@@ -84,6 +84,16 @@ def test_repeated_list_value_rejected(text, repeated):
         config.parse(text)
 
 
+@pytest.mark.parametrize("fractions,first,second,tag", [
+    ("0.1234567,0.1234568", "0.1234567", "0.1234568", "0p123457"),
+    ("1.0,0.5,0.50000001", "0.5", "0.50000001", "0p5"),
+])
+def test_fractions_sharing_a_file_tag_rejected(fractions, first, second, tag):
+    with pytest.raises(ConfigError, match=f"{first} and {second} share the file tag '{tag}'"):
+        config.parse(f"[finetune]\nlabel_fractions = {fractions}\n")
+    assert config.parse("[finetune]\nlabel_fractions = 0.123457,0.12346\n")
+
+
 def test_label_fraction_bounds_validated():
     with pytest.raises(ConfigError):
         config.parse("[finetune]\nlabel_fractions = 0.5,1.5\n")

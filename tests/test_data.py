@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from minibatch_reference import reference_minibatches
 
-from mcbyol.data import (AugmentationConfig, Dataset, augment_pair, load_dataset,
-                         make_clusters, make_ood, minibatches, save_dataset)
-from mcbyol.errors import ConfigError, DataError
+from mcbyol.data import (AugmentationConfig, Dataset, _seed_sequence_keys, _words, augment_pair,
+                         load_dataset, make_clusters, make_ood, minibatch_keys, minibatches,
+                         save_dataset)
+from mcbyol.errors import ConfigError, ContractError, DataError
 
 
 def test_same_seed_bit_identical():
@@ -120,22 +122,73 @@ def test_views_are_independent_draws():
 
 
 def test_minibatch_sizes_keep_short_final_batch():
-    batches = minibatches(10, 3, seed=0, epoch=0)
+    batches = reference_minibatches(10, 3, seed=0, epoch=0)
     assert [len(b) for b in batches] == [3, 3, 3, 1]
 
 
 def test_epoch_covers_every_index_once():
-    batches = minibatches(57, 8, seed=1, epoch=4)
+    batches = reference_minibatches(57, 8, seed=1, epoch=4)
     joined = np.concatenate(batches)
     assert sorted(joined.tolist()) == list(range(57))
 
 
 def test_minibatch_determinism_and_epoch_variation():
-    a = np.concatenate(minibatches(20, 6, seed=3, epoch=2))
-    b = np.concatenate(minibatches(20, 6, seed=3, epoch=2))
-    c = np.concatenate(minibatches(20, 6, seed=3, epoch=3))
+    a = np.concatenate(reference_minibatches(20, 6, seed=3, epoch=2))
+    b = np.concatenate(reference_minibatches(20, 6, seed=3, epoch=2))
+    c = np.concatenate(reference_minibatches(20, 6, seed=3, epoch=3))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# one-, two- and three-word seeds; 4219 * 1009**2 is the first member seed
+# of run seed 4219 and lies just above 2**32
+WIDE_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**32 + 5, 4219 * 1009 * 1009, 2**64 - 1, 2**64 + 7,
+              2**95 + 2**40 + 9]
+
+
+def test_minibatch_keys_equal_seed_sequence_state():
+    keys = minibatch_keys(WIDE_SEEDS, 6)
+    assert keys.shape == (len(WIDE_SEEDS), 6, 2) and keys.dtype == np.uint64
+    for s, seed in enumerate(WIDE_SEEDS):
+        for epoch in range(6):
+            ref = np.random.SeedSequence([seed, 3, epoch]).generate_state(2, np.uint64)
+            assert keys[s, epoch].tobytes() == ref.tobytes(), (seed, epoch)
+    assert minibatch_keys(WIDE_SEEDS, 0).shape == (len(WIDE_SEEDS), 0, 2)
+    assert minibatch_keys([], 4).shape == (0, 4, 2)
+
+
+@pytest.mark.parametrize("entropy", [[0], [5, 3, 2**32 + 1], [2**64 + 7, 3, 2**64 + 1],
+                                     [1, 2, 3, 4, 5, 6, 7, 8, 9], [2**32 - 1] * 4])
+def test_seed_sequence_keys_accept_any_entropy_width(entropy):
+    words = [w for value in entropy for w in _words(value)]
+    (got,) = _seed_sequence_keys([words])
+    ref = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_minibatch_seed_must_be_non_negative():
+    with pytest.raises(ContractError):
+        minibatch_keys([3, -1], 2)
+
+
+@pytest.mark.parametrize("batch,n", [(b, n) for b in (1, 80) for n in (1, b - 1, b, b + 1, 1000)]
+                         + [(n + 5, n) for n in (1, 79, 80, 81, 1000)])
+def test_minibatch_rows_equal_per_call_reference(batch, n):
+    epochs = 3
+    keys = minibatch_keys(WIDE_SEEDS, epochs)
+    for epoch in range(epochs):
+        positions = minibatches(n, batch, keys[:, epoch])
+        for s, seed in enumerate(WIDE_SEEDS):
+            ref = reference_minibatches(n, batch, seed, epoch)
+            assert len(ref) == len(positions)
+            for got, want in zip(positions, ref):
+                assert got.shape == (len(WIDE_SEEDS), want.size)
+                assert np.array_equal(got[s], want), (seed, epoch)
+
+
+def test_minibatch_batch_must_be_positive():
+    with pytest.raises(ConfigError):
+        minibatches(10, 0, minibatch_keys([4], 1)[:, 0])
 
 
 # ---- persistence ------------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from minibatch_reference import reference_minibatches
 
 from mcbyol.autodiff import Tape, Tensor
-from mcbyol.data import Dataset, make_clusters, minibatches
+from mcbyol.data import Dataset, make_clusters
 from mcbyol.errors import ContractError, DataError
 from mcbyol.finetune import (ClassifierHead, FineTuneConfig, _init_head, finetune, load_member,
                              save_member, subset_labels)
@@ -190,7 +191,7 @@ def tape_finetune(snapshot, data, cfg, seed, arch, classes):
 
     log = []
     for epoch in range(cfg.epochs):
-        for idx in minibatches(data.n, cfg.batch, seed, epoch):
+        for idx in reference_minibatches(data.n, cfg.batch, seed, epoch):
             theta = group.flatten()
             group.set_flat(theta + mu * velocity)
             grad = batch_grad(idx)
