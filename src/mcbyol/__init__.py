@@ -7,7 +7,7 @@ from .data import (AugmentationConfig, Dataset, augment_pair, make_clusters, mak
                    minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
 from .finetune import ClassifierHead, FineTuneConfig, finetune, subset_labels
-from .metrics import EvalReport, accuracy, aggregate_seeds, auroc, entropy_histogram, nll
+from .metrics import accuracy, aggregate_seeds, auroc, entropy_histogram, nll
 from .model import (Architecture, TwinModel, byol_loss_one_direction,
                     byol_loss_symmetrized, ema_update, init_twin)
 from .params import ParamVector

@@ -6,7 +6,7 @@ inputs; safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,27 +98,6 @@ def aggregate_seeds(per_seed_values) -> tuple[float, float]:
     if vals.size == 1:
         return mean, 0.0
     return mean, float(vals.std(ddof=1) / np.sqrt(vals.size))
-
-
-@dataclass
-class EvalReport:
-    """Aggregated metrics for one evaluation cell (method x fraction x size)."""
-    accuracy: float
-    nll: float
-    auroc: float | None = None
-    entropy_histogram: Histogram | None = None
-    per_seed: dict = field(default_factory=dict)  # metric -> list of per-run values
-
-    def __post_init__(self):
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ContractError(f"accuracy out of range: {self.accuracy}")
-        if self.nll < 0.0:
-            raise ContractError(f"nll must be non-negative: {self.nll}")
-        if self.auroc is not None and not 0.0 <= self.auroc <= 1.0:
-            raise ContractError(f"auroc out of range: {self.auroc}")
-
-    def stderr(self, metric: str) -> float:
-        return aggregate_seeds(self.per_seed[metric])[1]
 
 
 def format_value(v) -> str:

@@ -15,6 +15,7 @@ Everything is deterministic given config + seeds.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -25,8 +26,8 @@ from .data import (AugmentationConfig, Dataset, augment_pair, load_dataset,
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
 from .errors import CheckpointError, DivergenceError
 from .finetune import FineTuneConfig, finetune, load_member, save_member, subset_labels
-from .metrics import (EvalReport, accuracy, aggregate_seeds, auroc,
-                      entropy_histogram, nll, write_histogram, write_table)
+from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
+                      write_histogram, write_table)
 from .model import Architecture, ema_update, init_twin
 from .posterior import (PosteriorEnsemble, bma_predict, collect, load_ensemble,
                         predictive_entropy, recent_mean, save_ensemble)
@@ -43,12 +44,11 @@ def build_arch(cfg: cfgmod.RunConfig) -> Architecture:
                         activation=m.activation)
 
 
-def build_sampler_config(cfg: cfgmod.RunConfig) -> SamplerConfig:
+def build_sampler_config(cfg: cfgmod.RunConfig, n_dataset: int) -> SamplerConfig:
     s = cfg.sampler
-    n = cfg.data.classes * cfg.data.per_class_pretrain
     return SamplerConfig(kind=s.kind, lr0=s.lr0, beta=s.beta,
                          temperature=s.temperature, cycle_len=s.cycle_len,
-                         total_steps=s.total_steps, n_dataset=n,
+                         total_steps=s.total_steps, n_dataset=n_dataset,
                          noise_start_frac=s.noise_start_frac,
                          prior_std=s.prior_std, temper_drift=s.temper_drift)
 
@@ -104,9 +104,9 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
     """One training run of the snapshot-collecting loop for one seed."""
     os.makedirs(out_dir, exist_ok=True)
     arch = build_arch(cfg)
-    scfg = build_sampler_config(cfg)
-    aug = build_aug_config(cfg)
     pretrain, _, _, _ = make_datasets(cfg)
+    scfg = build_sampler_config(cfg, pretrain.n)  # the rows loaded, whatever their source
+    aug = build_aug_config(cfg)
 
     model = init_twin(arch, seed, tau=cfg.model.tau)
     state = make_state(model.online_dim, int(np.random.SeedSequence([seed, 10]).generate_state(1)[0]))
@@ -180,20 +180,24 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
                     ["snapshot", "epoch", "loss"], log_rows)
 
 
-def _load_members(out_dir: str, seed: int, frac: float, count: int):
+def _ensemble_sizes(cfg: cfgmod.RunConfig, out_dir: str) -> dict[int, int]:
+    return {seed: load_ensemble(ensemble_path(out_dir, seed)).size for seed in cfg.run.seeds}
+
+
+def _sweep(out_dir: str, seed: int, frac: float, size: int, xs: list[np.ndarray],
+           arch: Architecture):
+    """Yields (k, [BMA of the k most recent members on x for each x in xs])
+    for k = 1..size.  Loads the (seed, fraction) group's members once and
+    runs each member's encoder once per input."""
     members = []
-    for s in range(count):
+    for s in range(size):
         path = member_path(out_dir, seed, frac, s)
         if not os.path.exists(path):
             raise CheckpointError(f"missing member checkpoint: {path}")
-        encoder, head, _ = load_member(path)
-        members.append((encoder, head))
-    return members
-
-
-def _member_probs(members, x: np.ndarray, arch: Architecture) -> list[np.ndarray]:
-    """Each member's softmax on x, one encoder forward per member."""
-    return [bma_predict(members[i:i + 1], x, arch) for i in range(len(members))]
+        members.append(load_member(path)[:2])
+    member_probs = [[bma_predict(members[i:i + 1], x, arch) for i in range(size)] for x in xs]
+    for k in range(1, size + 1):
+        yield k, [recent_mean(probs, k) for probs in member_probs]
 
 
 def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
@@ -201,28 +205,19 @@ def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     sizes (most recent snapshots first), aggregated over seeds."""
     arch = build_arch(cfg)
     _, _, test, _ = make_datasets(cfg)
+    sizes = _ensemble_sizes(cfg, out_dir)
     digest = cfg.digest()
-    kind = cfg.sampler.kind
-    sizes = {seed: load_ensemble(ensemble_path(out_dir, seed)).size for seed in cfg.run.seeds}
     rows: list[tuple] = []
     for frac in cfg.finetune.label_fractions:
-        per_mode: dict[tuple, dict[str, list[float]]] = {}
+        per_k: dict[int, list[tuple[float, float]]] = {}
         for seed in cfg.run.seeds:
-            members = _load_members(out_dir, seed, frac, sizes[seed])
-            member_probs = _member_probs(members, test.x, arch)
-            for k in range(1, sizes[seed] + 1):
-                probs = recent_mean(member_probs, k)
-                # the single-snapshot model is the k=1 ensemble
-                for mode in ("single", "bma") if k == 1 else ("bma",):
-                    bucket = per_mode.setdefault((mode, k), {"accuracy": [], "nll": []})
-                    bucket["accuracy"].append(accuracy(probs, test.y))
-                    bucket["nll"].append(nll(probs, test.y))
-        for (mode, k), vals in sorted(per_mode.items()):
-            report = EvalReport(accuracy=aggregate_seeds(vals["accuracy"])[0],
-                                nll=aggregate_seeds(vals["nll"])[0],
-                                per_seed=vals)
-            rows.append((kind, mode, frac, k, report.accuracy, report.stderr("accuracy"),
-                         report.nll, report.stderr("nll"), digest))
+            for k, (probs,) in _sweep(out_dir, seed, frac, sizes[seed], [test.x], arch):
+                per_k.setdefault(k, []).append((accuracy(probs, test.y), nll(probs, test.y)))
+        # the single-snapshot model is the k=1 ensemble
+        for mode, k in [("bma", k) for k in sorted(per_k)] + [("single", 1)]:
+            acc, nlls = zip(*per_k[k])
+            rows.append((cfg.sampler.kind, mode, frac, k, *aggregate_seeds(acc),
+                         *aggregate_seeds(nlls), digest))
     write_table(os.path.join(out_dir, "eval_results.tsv"),
                 ["method", "mode", "label_fraction", "ensemble_size",
                  "accuracy", "accuracy_stderr", "nll", "nll_stderr", "config_digest"],
@@ -241,45 +236,30 @@ def run_ood(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     swept over ensemble sizes, using the largest label fraction's members."""
     arch = build_arch(cfg)
     _, _, test, ood = make_datasets(cfg)
+    sizes = _ensemble_sizes(cfg, out_dir)
     frac = max(cfg.finetune.label_fractions)
     digest = cfg.digest()
-    kind = cfg.sampler.kind
+    kind, score = cfg.sampler.kind, cfg.eval.score
     ln_c = float(np.log(cfg.data.classes))
 
     per_k: dict[int, dict[str, list]] = {}
     for seed in cfg.run.seeds:
-        ens = load_ensemble(ensemble_path(out_dir, seed))
-        members = _load_members(out_dir, seed, frac, ens.size)
-        member_test = _member_probs(members, test.x, arch)
-        member_ood = _member_probs(members, ood.x, arch)
-        for k in range(1, ens.size + 1):
-            probs_test = recent_mean(member_test, k)
-            probs_ood = recent_mean(member_ood, k)
-            bucket = per_k.setdefault(k, {"accuracy": [], "nll": [], "auroc": [],
-                                          "h_test": [], "h_ood": []})
-            bucket["accuracy"].append(accuracy(probs_test, test.y))
-            bucket["nll"].append(nll(probs_test, test.y))
-            bucket["auroc"].append(auroc(_ood_scores(probs_ood, cfg.eval.score),
-                                         _ood_scores(probs_test, cfg.eval.score)))
-            bucket["h_test"].append(predictive_entropy(probs_test))
-            bucket["h_ood"].append(predictive_entropy(probs_ood))
+        for k, (p_test, p_ood) in _sweep(out_dir, seed, frac, sizes[seed], [test.x, ood.x], arch):
+            cell = per_k.setdefault(k, {"nll": [], "auroc": [], "h_test": [], "h_ood": []})
+            cell["nll"].append(nll(p_test, test.y))
+            cell["auroc"].append(auroc(_ood_scores(p_ood, score), _ood_scores(p_test, score)))
+            cell["h_test"].append(predictive_entropy(p_test))
+            cell["h_ood"].append(predictive_entropy(p_ood))
 
     rows: list[tuple] = []
     for k in sorted(per_k):
-        vals = per_k[k]
-        h_ood_all = np.concatenate(vals.pop("h_ood"))
-        h_test_all = np.concatenate(vals.pop("h_test"))
-        hist = entropy_histogram(h_ood_all, cfg.eval.bins, 0.0, ln_c)
-        report = EvalReport(accuracy=aggregate_seeds(vals["accuracy"])[0],
-                            nll=aggregate_seeds(vals["nll"])[0],
-                            auroc=aggregate_seeds(vals["auroc"])[0],
-                            entropy_histogram=hist, per_seed=vals)
-        rows.append((kind, k, report.nll, report.stderr("nll"),
-                     report.auroc, report.stderr("auroc"),
-                     float(h_ood_all.mean()), float(h_test_all.mean()), digest))
-        write_histogram(os.path.join(out_dir, f"ood_hist_{kind}_k{k}.tsv"), hist)
-        write_histogram(os.path.join(out_dir, f"indist_hist_{kind}_k{k}.tsv"),
-                        entropy_histogram(h_test_all, cfg.eval.bins, 0.0, ln_c))
+        cell = per_k[k]
+        h_ood, h_test = np.concatenate(cell["h_ood"]), np.concatenate(cell["h_test"])
+        rows.append((kind, k, *aggregate_seeds(cell["nll"]), *aggregate_seeds(cell["auroc"]),
+                     float(h_ood.mean()), float(h_test.mean()), digest))
+        for tag, h in (("ood", h_ood), ("indist", h_test)):
+            write_histogram(os.path.join(out_dir, f"{tag}_hist_{kind}_k{k}.tsv"),
+                            entropy_histogram(h, cfg.eval.bins, 0.0, ln_c))
     write_table(os.path.join(out_dir, "ood_results.tsv"),
                 ["method", "ensemble_size", "nll", "nll_stderr", "auroc",
                  "auroc_stderr", "mean_entropy_ood", "mean_entropy_test", "config_digest"],
@@ -295,13 +275,9 @@ def run_sample_diag(cfg: cfgmod.RunConfig, out_dir: str, steps: int = 200_000,
     os.makedirs(out_dir, exist_ok=True)
     if burn_in is None:
         burn_in = max(1, steps // 20)  # default burn-in: 5% of steps
-    s = cfg.sampler
-    diag_cfg = SamplerConfig(kind=s.kind, lr0=s.lr0, beta=s.beta,
-                             temperature=s.temperature, cycle_len=1,
-                             total_steps=steps, n_dataset=1,
-                             noise_start_frac=0.0, prior_std=s.prior_std,
-                             temper_drift=s.temper_drift)
-    target = QuadraticTarget(dim=dim, temperature=s.temperature)
+    diag_cfg = dataclasses.replace(build_sampler_config(cfg, n_dataset=1), cycle_len=1,
+                                   total_steps=steps, noise_start_frac=0.0)
+    target = QuadraticTarget(dim=dim, temperature=diag_cfg.temperature)
     stats = run_chain(diag_cfg, target, steps=steps, burn_in=burn_in,
                       seed=cfg.run.seeds[0] if seed is None else seed)
     analytic = np.diag(target.analytic_covariance())

@@ -9,6 +9,7 @@ import hashlib
 import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,16 @@ import pytest
 from mcbyol import cli, config, pipeline
 from mcbyol.autodiff import Tape, Tensor
 from mcbyol.diagnostics import QuadraticTarget, run_chain
-from mcbyol.finetune import ClassifierHead
+from mcbyol.finetune import ClassifierHead, load_member
 from mcbyol.metrics import accuracy, auroc, nll
 from mcbyol.model import Architecture, byol_loss_symmetrized, init_twin
-from mcbyol.posterior import PosteriorEnsemble, bma_predict, collect
+from mcbyol.posterior import PosteriorEnsemble, bma_predict, collect, predictive_entropy
 from mcbyol.sampler import (SamplerConfig, cyclic_lr, make_state, noise_active,
                             sghmc_step, sgld_step, should_yield)
+
+
+def sha256_of(out, name):
+    return hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
 
 
 @contextmanager
@@ -248,19 +253,21 @@ GOLDEN_SHA256 = {
     "member_seed0_f1_snap3.ckpt": "068ea19573fa8d19cb155866cf537bcd20dadca7106006b97bad706d6b64cc33",
     "finetune_log_seed0_f0p1.tsv": "ab12c16ae24860aa51265b0491898a62706fd3e04849a5581332c156ba620c47",
     "eval_results.tsv": "df5daeeb3d50609ea4390decfc2610ad6b1a6d8ee52fd26e2f8e0e7d3951e9de",
+    "ood_results.tsv": "ba38afd9ab759ab9d21587d8b0866ebc8e951b821e5c63dde4b710870285a79e",
+    "ood_hist_csghmc_k4.tsv": "b68ec438d546c9ff579327ab205ace74689c2a21a235a85ef7461b603f9c20d1",
+    "indist_hist_csghmc_k4.tsv": "a374d2ec838522f2f9c9b9c65e6339a973c75cecce049840a845e2da2e1158c3",
 }
 
 
 def test_default_csghmc_run_matches_golden_digests(toy_runs):
     """A refactor must leave every output byte-identical, so the default
-    csghmc run's ensemble, one member, one fine-tune log and the eval
-    table keep these sha256 digests.  The digests pin this environment
-    (numpy 2.4, single-thread OpenBLAS 0.3.31): another numpy or BLAS build
-    may round differently, and then the digests are re-recorded from an
-    unchanged checkout, not adjusted to a change."""
+    csghmc run's ensemble, one member, one fine-tune log, the eval and ood
+    tables and the k = 4 entropy histograms keep these sha256 digests.  The
+    digests pin this environment (numpy 2.4, single-thread OpenBLAS 0.3.31):
+    another numpy or BLAS build may round differently, and then the digests
+    are re-recorded from an unchanged checkout, not adjusted to a change."""
     out = toy_runs["csghmc"]["out"]
-    got = {name: hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
-           for name in GOLDEN_SHA256}
+    got = {name: sha256_of(out, name) for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
 
 
@@ -318,9 +325,47 @@ def test_small_runs_match_golden_digests(tmp_path, activation, freeze):
     if freeze == "false":
         pipeline.run_finetune(cfg, 0, out)
     golden = SMALL_GOLDEN_SHA256[(activation, freeze)]
-    got = {name: hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
-           for name in golden}
+    got = {name: sha256_of(out, name) for name in golden}
     assert got == golden
+
+
+# two seeds of the small run, each with two snapshots, scoring OOD by
+# 1 - max probability instead of predictive entropy
+MAX_PROB_RUN = (SMALL_RUN.format(activation="tanh", freeze="true")
+                .replace("seeds = 0", "seeds = 0,1") + "[eval]\nscore = max_prob\n")
+MAX_PROB_OOD_SHA256 = "29e2afad51fcff1113e7e113fde74108ee9fad1132c03f91d5ed8df4c6fea5e7"
+
+
+def test_max_prob_ood_auroc_equals_member_recomputation(tmp_path):
+    """The AUROC column of a max_prob run is the seed mean of
+    auroc(1 - max p_ood, 1 - max p_test), with each k's probabilities
+    recomputed from the member files by bma_predict(count=k).  Its table
+    keeps this sha256 digest, under the same terms as GOLDEN_SHA256."""
+    cfg = config.parse(MAX_PROB_RUN)
+    out = str(tmp_path)
+    for seed in cfg.run.seeds:
+        pipeline.run_pretrain(cfg, seed, out)
+        pipeline.run_finetune(cfg, seed, out)
+    rows = pipeline.run_ood(cfg, out)
+    arch = pipeline.build_arch(cfg)
+    _, _, test, ood = pipeline.make_datasets(cfg)
+    frac = max(cfg.finetune.label_fractions)
+    by_score: dict[str, dict[int, list[float]]] = {"max_prob": {}, "entropy": {}}
+    for seed in cfg.run.seeds:
+        members = [load_member(pipeline.member_path(out, seed, frac, s))[:2] for s in range(2)]
+        for k in (1, 2):
+            p_test = bma_predict(members, test.x, arch, count=k)
+            p_ood = bma_predict(members, ood.x, arch, count=k)
+            by_score["max_prob"].setdefault(k, []).append(
+                auroc(1 - p_ood.max(1), 1 - p_test.max(1)))
+            by_score["entropy"].setdefault(k, []).append(
+                auroc(predictive_entropy(p_ood), predictive_entropy(p_test)))
+    assert [r[1] for r in rows] == [1, 2]
+    for r in rows:
+        assert r[4] == pytest.approx(np.mean(by_score["max_prob"][r[1]]), abs=1e-12)
+    # the two scores rank this run differently, so the check above tells them apart
+    assert any(by_score["max_prob"][k] != by_score["entropy"][k] for k in (1, 2))
+    assert sha256_of(out, "ood_results.tsv") == MAX_PROB_OOD_SHA256
 
 
 def test_criterion_09_metric_oracles():
@@ -377,8 +422,5 @@ seeds = 0,1
             out = str(tmp_path / run_dir)
             for cmd in ("pretrain", "finetune", "eval", "ood"):
                 assert cli.main([cmd, "--config", str(cfg_path), "--out", out]) == 0
-            digests.append({
-                name: hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
-                for name in sorted(os.listdir(out))
-            })
+            digests.append({name: sha256_of(out, name) for name in sorted(os.listdir(out))})
         assert digests[0] == digests[1]

@@ -1,14 +1,17 @@
 """The traced benchmark run patches program functions by name
 (bench/tracing.py); this checks that every name it patches still exists, that
-a traced sample-diag run counts every sampler step, that a traced pretrain and
-finetune run counts every stacked minibatch position, and that both write the
-same bytes as an untraced run."""
+a traced sample-diag run counts every sampler step, that a traced pipeline run
+counts every stacked minibatch position of finetune and one encoder forward
+per member and input in eval and ood, and that traced runs write the same
+bytes as untraced ones."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from mcbyol import config, pipeline
 from mcbyol.finetune import subset_labels
@@ -68,7 +71,9 @@ cfg = config.parse(sys.argv[1])
 for seed in cfg.run.seeds:
     pipeline.run_pretrain(cfg, seed, sys.argv[2])
     pipeline.run_finetune(cfg, seed, sys.argv[2])
-print(json.dumps(tracer.summary([1.0] * 2 * len(cfg.run.seeds))["counts"]))
+pipeline.run_eval(cfg, sys.argv[2])
+pipeline.run_ood(cfg, sys.argv[2])
+print(json.dumps(tracer.summary([1.0] * (2 * len(cfg.run.seeds) + 2))["counts"]))
 """
 
 TINY_PIPELINE = """
@@ -101,19 +106,28 @@ seeds = 0,4219
 """
 
 
-def test_traced_finetune_counts_stacked_positions_and_keeps_bytes(tmp_path):
-    # tracing counts len() of what finetune.minibatches returns: one entry per
-    # minibatch position, each stacking every snapshot's batch
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """The tiny pipeline run untraced in-process and traced in a child, with
+    the child's trace counts."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
     cfg = config.parse(TINY_PIPELINE)
-    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    plain, traced = tmp_path_factory.mktemp("plain"), tmp_path_factory.mktemp("traced")
     for seed in cfg.run.seeds:
         pipeline.run_pretrain(cfg, seed, str(plain))
         pipeline.run_finetune(cfg, seed, str(plain))
+    pipeline.run_eval(cfg, str(plain))
+    pipeline.run_ood(cfg, str(plain))
     proc = subprocess.run([sys.executable, "-c", TRACED_PIPELINE, TINY_PIPELINE, str(traced)],
                           capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert proc.returncode == 0, proc.stderr  # an AttributeError here: a patched name is gone
+    return cfg, plain, traced, json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_finetune_counts_stacked_positions_and_keeps_bytes(tiny_runs):
+    # tracing counts len() of what finetune.minibatches returns: one entry per
+    # minibatch position, each stacking every snapshot's batch
+    cfg, plain, traced, counts = tiny_runs
     _, train, _, _ = pipeline.make_datasets(cfg)
     f = cfg.finetune
     positions = sum(f.epochs * -(-subset_labels(train, frac, cfg.data.seed + seed).n // f.batch)
@@ -124,4 +138,16 @@ def test_traced_finetune_counts_stacked_positions_and_keeps_bytes(tmp_path):
     assert len(members) == 3 * len(cfg.run.seeds) * len(f.label_fractions)
     assert sorted(p.name for p in traced.glob("member_*.ckpt")) == members
     for name in members:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_traced_eval_and_ood_forward_each_member_once_per_input_and_keep_bytes(tiny_runs):
+    # eval runs every member on the test set; ood runs the largest label
+    # fraction's members on the test and the OOD set
+    cfg, plain, traced, counts = tiny_runs
+    per_fraction = 3 * len(cfg.run.seeds)
+    forwards = per_fraction * len(cfg.finetune.label_fractions) + 2 * per_fraction
+    assert counts["posterior.encoder_forwards"] == forwards
+    assert counts["posterior.distinct_pairs"] == forwards
+    for name in ("eval_results.tsv", "ood_results.tsv"):
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name

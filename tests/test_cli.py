@@ -1,5 +1,6 @@
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def write_config(tmp_path, text=TINY_CONFIG):
 
 
 def digest_of(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def run_all(cfg_path, out_dir):
@@ -77,7 +78,7 @@ def test_pretrain_log_format(tmp_path):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "out")
     assert cli.main(["pretrain", "--config", cfg_path, "--out", out]) == 0
-    lines = open(os.path.join(out, "pretrain_log_seed0.tsv")).read().splitlines()
+    lines = Path(out, "pretrain_log_seed0.tsv").read_text().splitlines()
     assert lines[0] == "step\tlr\tloss\tnoise_active"
     assert len(lines) == 41  # header + one row per step
     first = lines[1].split("\t")
@@ -89,7 +90,7 @@ def test_eval_table_names_config_digest(tmp_path):
     out = str(tmp_path / "out")
     run_all(cfg_path, out)
     cfg = config.load(cfg_path)
-    rows = open(os.path.join(out, "eval_results.tsv")).read().splitlines()
+    rows = Path(out, "eval_results.tsv").read_text().splitlines()
     header = rows[0].split("\t")
     assert "config_digest" in header
     idx = header.index("config_digest")
@@ -101,7 +102,7 @@ def test_eval_single_mode_equals_bma_prefix_one(tmp_path):
     out = str(tmp_path / "out")
     run_all(cfg_path, out)
     rows = [line.split("\t") for line in
-            open(os.path.join(out, "eval_results.tsv")).read().splitlines()[1:]]
+            Path(out, "eval_results.tsv").read_text().splitlines()[1:]]
     by_key = {(r[1], r[2], r[3]): (r[4], r[6]) for r in rows}
     for frac in ("1", "0.5"):
         assert by_key[("single", frac, "1")] == by_key[("bma", frac, "1")]
@@ -136,7 +137,7 @@ def test_map_sgd_two_cycles_yields_two_snapshots_and_loss_trends_down(tmp_path):
     ens = load_ensemble(os.path.join(out, "ensemble_seed0.ckpt"))
     assert ens.size == 2
     losses = [float(line.split("\t")[2]) for line in
-              open(os.path.join(out, "pretrain_log_seed0.tsv")).read().splitlines()[1:]]
+              Path(out, "pretrain_log_seed0.tsv").read_text().splitlines()[1:]]
     assert np.mean(losses[-20:]) < np.mean(losses[:20])
 
 
@@ -202,6 +203,25 @@ def test_datasets_loadable_from_files(tmp_path):
         assert (orig.y is None) == (back.y is None)
         if orig.y is not None:
             assert np.array_equal(orig.y, back.y)
+
+
+def test_file_dataset_pretrain_scales_by_loaded_rows(tmp_path):
+    # the posterior gradient's n is the pretrain file's row count, whatever
+    # classes * per_class_pretrain says
+    from mcbyol.data import save_dataset
+    cfg_path = write_config(tmp_path)
+    cfg = config.load(cfg_path)
+    prefix = str(tmp_path / "ds")
+    for tag, ds in zip(("pretrain", "train", "test", "ood"), pipeline.make_datasets(cfg)):
+        save_dataset(ds, f"{prefix}_{tag}")
+    cfg.data.file_prefix = prefix
+    cfg.data.per_class_pretrain = 4  # 12 rows by the config, 120 in the file
+    from_file = pipeline.run_pretrain(cfg, 0, str(tmp_path / "file"))
+    assert from_file.run_meta["n_dataset"] == 120
+    generated = pipeline.run_pretrain(config.load(cfg_path), 0, str(tmp_path / "generated"))
+    assert generated.run_meta["n_dataset"] == 120
+    for a, b in zip(generated.snapshots, from_file.snapshots, strict=True):
+        assert np.array_equal(a.encoder_params.flatten(), b.encoder_params.flatten())
 
 
 def test_sample_diag_writes_chain_stats(tmp_path, capsys):

@@ -194,19 +194,6 @@ def test_bma_nll_never_exceeds_mean_member_nll():
         assert nll(bma, labels) <= mean_member_nll + 1e-9
 
 
-def test_eval_report_validates_ranges():
-    from mcbyol.metrics import EvalReport
-    report = EvalReport(accuracy=0.9, nll=0.2, auroc=0.8,
-                        per_seed={"accuracy": [0.88, 0.92]})
-    assert report.stderr("accuracy") == pytest.approx(0.02, abs=1e-12)
-    with pytest.raises(ContractError):
-        EvalReport(accuracy=1.5, nll=0.2)
-    with pytest.raises(ContractError):
-        EvalReport(accuracy=0.5, nll=-0.1)
-    with pytest.raises(ContractError):
-        EvalReport(accuracy=0.5, nll=0.1, auroc=1.2)
-
-
 # ---- emission ---------------------------------------------------------------
 
 
