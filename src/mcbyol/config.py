@@ -1,7 +1,7 @@
 """Run configuration: flat sectioned key-value text files.
 
 Format: `[section]` headers, `key = value` lines, `#` comments.  Unknown
-sections or keys are errors so hyperparameter typos fail fast.  Values
+sections or keys and repeated keys are errors so typos fail fast.  Values
 round-trip exactly through serialize/parse, and the digest of the
 canonical serialization identifies every output a run produces.
 """
@@ -34,6 +34,14 @@ class DataSection:
     # instead of the generator above
     file_prefix: str = ""
 
+    def __post_init__(self):
+        if self.noise_std < 0:
+            raise ConfigError("data.noise_std must be non-negative")
+        if not 0.0 <= self.mask_prob < 1.0:
+            raise ConfigError("data.mask_prob must lie in [0, 1)")
+        if not 0.0 < self.scale_min <= self.scale_max:
+            raise ConfigError("data scale range must satisfy 0 < scale_min <= scale_max")
+
 
 @dataclass
 class ModelSection:
@@ -57,7 +65,6 @@ class SamplerSection:
     noise_start_frac: float = 0.8
     prior_std: float = 1.0
     batch: int = 256
-    temper_drift: bool = False
 
 
 @dataclass
@@ -70,6 +77,16 @@ class FinetuneSection:
     # desk-scale default is linear evaluation: joint fine-tuning at this
     # scale drowns the representation signal in SGD noise
     freeze_encoder: bool = True
+
+    def __post_init__(self):
+        if self.lr < 0:
+            raise ConfigError("finetune.lr must be non-negative")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("finetune.momentum must lie in [0, 1)")
+        if self.batch < 1:
+            raise ConfigError("finetune.batch must be >= 1")
+        if self.epochs < 0:
+            raise ConfigError("finetune.epochs must be non-negative")
 
 
 @dataclass
@@ -117,6 +134,8 @@ class RunConfig:
         _reject_repeats("run.seeds", self.run.seeds)
         if self.eval.score not in ("entropy", "max_prob"):
             raise ConfigError(f"unknown eval.score {self.eval.score!r}")
+        if self.eval.bins < 1:
+            raise ConfigError("eval.bins must be >= 1")
         if not self.finetune.label_fractions:
             raise ConfigError("finetune.label_fractions must be non-empty")
         for frac in self.finetune.label_fractions:
@@ -178,6 +197,7 @@ def _field_types(section_cls) -> dict[str, type]:
 
 def parse(text: str) -> RunConfig:
     values: dict[str, dict] = {name: {} for name in SECTIONS}
+    first_line: dict[tuple[str, str], int] = {}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -197,6 +217,9 @@ def parse(text: str) -> RunConfig:
         types = _field_types(SECTIONS[section])
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        first = first_line.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ConfigError(f"line {lineno}: {section}.{key} is already set on line {first}")
         expected = types[key]
         where = f"line {lineno} ({section}.{key})"
         if isinstance(expected, tuple):

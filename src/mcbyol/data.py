@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import write_atomic
+from .config import DataSection
 from .errors import ConfigError, ContractError, DataError
 
 OOD_MODES = ("shifted_means", "scaled_variance", "uniform_box")
@@ -49,22 +50,6 @@ class Dataset:
     @property
     def input_dim(self) -> int:
         return self.x.shape[1]
-
-
-@dataclass
-class AugmentationConfig:
-    noise_std: float = 0.1
-    mask_prob: float = 0.1
-    scale_min: float = 0.8
-    scale_max: float = 1.2
-
-    def __post_init__(self):
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
-        if not 0.0 <= self.mask_prob < 1.0:
-            raise ConfigError("mask_prob must lie in [0, 1)")
-        if not 0.0 < self.scale_min <= self.scale_max:
-            raise ConfigError("scale range must satisfy 0 < min <= max")
 
 
 def _rng(*entropy: int) -> np.random.Generator:
@@ -132,11 +117,11 @@ def make_ood(reference: Dataset, mode: str, seed: int,
     return Dataset(x=x, y=None, split_tag="ood", gen_meta=ood_meta)
 
 
-def augment_pair(x_batch: np.ndarray, cfg: AugmentationConfig,
+def augment_pair(x_batch: np.ndarray, cfg: DataSection,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Two independent draws from the augmentation family applied to the
     same rows: per-row multiplicative jitter, additive Gaussian noise, then
-    independent coordinate masking."""
+    independent coordinate masking, as set by the [data] section."""
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise DataError("augment_pair: need a non-empty 2-D batch")
@@ -281,8 +266,15 @@ def load_dataset(stem: str) -> Dataset:
                 continue
             key, _, val = line.partition("=")
             header[key.strip()] = val.strip()
-    rows, dim = int(header["rows"]), int(header["dim"])
-    labeled = bool(int(header["labeled"]))
+
+    def count(key: str) -> int:
+        if key not in header:
+            raise DataError(f"{stem}.txt: no {key!r} line")
+        if not header[key].isdecimal():
+            raise DataError(f"{stem}.txt: {key} = {header[key]!r} is not a non-negative integer")
+        return int(header[key])
+
+    rows, dim, labeled = count("rows"), count("dim"), bool(count("labeled"))
     with open(f"{stem}.bin", "rb") as f:
         raw = np.frombuffer(f.read(), dtype="<f8")
     expected = rows * dim + (rows if labeled else 0)

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor
+from .config import FinetuneSection
 from .data import Dataset, minibatch_keys, minibatches
-from .errors import ConfigError, ContractError, DataError
+from .errors import ContractError, DataError
 from .model import Architecture, mlp_forward, mlp_forward_np
 from .params import ParamVector
 from .posterior import Snapshot, _pv_from_payload, _shifted_exp, read_container, write_container
@@ -32,26 +33,6 @@ class ClassifierHead:
     @property
     def class_count(self) -> int:
         return self.weight.shape[1]
-
-
-@dataclass
-class FineTuneConfig:
-    """Nesterov SGD settings; freeze_encoder = True fits the heads only (linear eval)."""
-    lr: float = 0.05
-    momentum: float = 0.9
-    batch: int = 80
-    epochs: int = 50
-    freeze_encoder: bool = False
-
-    def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError("lr must be non-negative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.batch < 1:
-            raise ConfigError("batch must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
 
 
 def subset_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
@@ -110,7 +91,7 @@ def _head_grad(z: np.ndarray, logits: np.ndarray, onehot: np.ndarray) -> np.ndar
     return grad
 
 
-def _nesterov(theta: np.ndarray, seeds: list[int], n: int, cfg: FineTuneConfig,
+def _nesterov(theta: np.ndarray, seeds: list[int], n: int, cfg: FinetuneSection,
               grad_at, epoch_loss) -> tuple[np.ndarray, list[list[float]]]:
     """SGD with Nesterov momentum in lookahead form on every row of theta
     (S, P).  Row s takes its minibatch order in each epoch from the key
@@ -133,7 +114,7 @@ def _nesterov(theta: np.ndarray, seeds: list[int], n: int, cfg: FineTuneConfig,
     return theta, logs
 
 
-def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FineTuneConfig,
+def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FinetuneSection,
              seeds: list[int], arch: Architecture, num_classes: int | None = None
              ) -> list[tuple[ParamVector, ClassifierHead, list[float]]]:
     """Fine-tunes each snapshot with its own seed (head init and minibatch

@@ -21,11 +21,11 @@ import os
 import numpy as np
 
 from . import config as cfgmod
-from .data import (AugmentationConfig, Dataset, augment_pair, load_dataset,
-                   make_clusters, make_ood, minibatch_keys, minibatches)
+from .data import (Dataset, augment_pair, load_dataset, make_clusters, make_ood,
+                   minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
 from .errors import CheckpointError, DivergenceError
-from .finetune import FineTuneConfig, finetune, load_member, save_member, subset_labels
+from .finetune import finetune, load_member, save_member, subset_labels
 from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
                       write_histogram, write_table)
 from .model import Architecture, ema_update, init_twin
@@ -50,13 +50,7 @@ def build_sampler_config(cfg: cfgmod.RunConfig, n_dataset: int) -> SamplerConfig
                          temperature=s.temperature, cycle_len=s.cycle_len,
                          total_steps=s.total_steps, n_dataset=n_dataset,
                          noise_start_frac=s.noise_start_frac,
-                         prior_std=s.prior_std, temper_drift=s.temper_drift)
-
-
-def build_aug_config(cfg: cfgmod.RunConfig) -> AugmentationConfig:
-    d = cfg.data
-    return AugmentationConfig(noise_std=d.noise_std, mask_prob=d.mask_prob,
-                              scale_min=d.scale_min, scale_max=d.scale_max)
+                         prior_std=s.prior_std)
 
 
 def make_datasets(cfg: cfgmod.RunConfig) -> tuple[Dataset, Dataset, Dataset, Dataset]:
@@ -106,7 +100,6 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
     arch = build_arch(cfg)
     pretrain, _, _, _ = make_datasets(cfg)
     scfg = build_sampler_config(cfg, pretrain.n)  # the rows loaded, whatever their source
-    aug = build_aug_config(cfg)
 
     model = init_twin(arch, seed, tau=cfg.model.tau)
     state = make_state(model.online_dim, int(np.random.SeedSequence([seed, 10]).generate_state(1)[0]))
@@ -126,7 +119,7 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
             queue = minibatches(pretrain.n, cfg.sampler.batch, epoch_keys[:, epoch])
             epoch += 1
         (idx,) = queue.pop(0)
-        view_a, view_b = augment_pair(pretrain.x[idx], aug, aug_rng)
+        view_a, view_b = augment_pair(pretrain.x[idx], cfg.data, aug_rng)
         grad_u, loss = posterior_grad(model, view_a, view_b, scfg)
         lr = cyclic_lr(scfg, k)
         on = noise_active(scfg, k)
@@ -160,11 +153,9 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
     digest = cfg.digest()
     for frac_idx, frac in enumerate(f.label_fractions):
         subset = subset_labels(train, frac, seed=cfg.data.seed + seed)
-        ftcfg = FineTuneConfig(lr=f.lr, momentum=f.momentum, batch=f.batch,
-                               epochs=f.epochs, freeze_encoder=f.freeze_encoder)
         member_seeds = [(seed * 1009 + s) * 1009 + frac_idx
                         for s in range(ensemble.size)]
-        fitted = finetune(ensemble.snapshots, subset, ftcfg, member_seeds, arch,
+        fitted = finetune(ensemble.snapshots, subset, f, member_seeds, arch,
                           num_classes=cfg.data.classes)
         log_rows: list[tuple] = []
         for s, (snap, (encoder, head, losses)) in enumerate(zip(ensemble.snapshots, fitted)):

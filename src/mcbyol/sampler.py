@@ -19,9 +19,8 @@ fixes every output bit.
 grad_U is the minibatch estimate of the scaled negative log posterior:
 the batch-mean twin-network loss gradient plus the Gaussian-prior term
 theta / (prior_std^2 * n) on the encoder slice only.  Temperature
-multiplies the noise variance; the optional temper_drift flag instead
-divides the drift by T and leaves the noise untempered (same stationary
-law, different timescale).
+multiplies the noise variance only; tempering the drift instead (drift / T,
+untempered noise) is exactly this update at lr0 / T.
 
 A step takes its noise one of two ways: drawn from state.rng and scaled
 by s (the default), or as an already-scaled noise= term, s * eps.  A
@@ -68,7 +67,6 @@ class SamplerConfig:
     n_dataset: int = 1
     noise_start_frac: float = 0.8
     prior_std: float = 1.0
-    temper_drift: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -169,11 +167,8 @@ def posterior_grad(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray,
 
 def noise_scale(cfg: SamplerConfig, lr: float) -> float:
     """Standard deviation of the injected noise at learning rate lr:
-    sqrt(T * l) for sgld, sqrt(T * (1 - beta) * l) for the momentum kinds,
-    with T dropped under temper_drift."""
+    sqrt(T * l) for sgld, sqrt(T * (1 - beta) * l) for the momentum kinds."""
     one_minus_beta = 1.0 if cfg.kind == "sgld" else 1.0 - cfg.beta
-    if cfg.temper_drift:
-        return math.sqrt(one_minus_beta * lr)
     return math.sqrt(cfg.temperature * one_minus_beta * lr)
 
 
@@ -186,8 +181,6 @@ def sgld_step(params: np.ndarray | float, state: SamplerState, grad_u: np.ndarra
     if cfg.kind != "sgld":
         raise ContractError(f"sgld_step needs kind 'sgld', not {cfg.kind!r}")
     drift = (0.5 * lr * cfg.n_dataset) * grad_u
-    if cfg.temper_drift:
-        drift = drift / cfg.temperature
     if not noise_on:
         new = params - drift
     else:
@@ -212,8 +205,6 @@ def sghmc_step(params: np.ndarray | float, state: SamplerState, grad_u: np.ndarr
     if getattr(state.momentum, "shape", ()) != getattr(params, "shape", ()):
         raise ContractError("momentum buffer shape does not match parameters")
     drift = (0.5 * lr * cfg.n_dataset) * grad_u
-    if cfg.temper_drift:
-        drift = drift / cfg.temperature
     m = cfg.beta * state.momentum - drift
     if noise_on:
         if noise is None:

@@ -249,11 +249,11 @@ def test_criterion_08_ood_uncertainty_directional(toy_runs):
 
 
 GOLDEN_SHA256 = {
-    "ensemble_seed0.ckpt": "0c34e8dfb81babca3d992db36e13a87848fe328c9e81c73edc000bde29eb8ecb",
-    "member_seed0_f1_snap3.ckpt": "068ea19573fa8d19cb155866cf537bcd20dadca7106006b97bad706d6b64cc33",
+    "ensemble_seed0.ckpt": "1d03379763c8eeab74df90ecaa148950431bc262c430c528e23fb4baaab0ead4",
+    "member_seed0_f1_snap3.ckpt": "a080dbaf79291606cd1ab48fdc1d828db563afb7084e8f77dfb4165c5134860f",
     "finetune_log_seed0_f0p1.tsv": "ab12c16ae24860aa51265b0491898a62706fd3e04849a5581332c156ba620c47",
-    "eval_results.tsv": "df5daeeb3d50609ea4390decfc2610ad6b1a6d8ee52fd26e2f8e0e7d3951e9de",
-    "ood_results.tsv": "ba38afd9ab759ab9d21587d8b0866ebc8e951b821e5c63dde4b710870285a79e",
+    "eval_results.tsv": "ffb72107fb8798c6bd373096e46bb971849a3f16629d4b266e9f9eccd22b9cfb",
+    "ood_results.tsv": "7332aecf1b5efc1ac039f17317a56f24ea81c583b3e936e3435a1f1df8477c66",
     "ood_hist_csghmc_k4.tsv": "b68ec438d546c9ff579327ab205ace74689c2a21a235a85ef7461b603f9c20d1",
     "indist_hist_csghmc_k4.tsv": "a374d2ec838522f2f9c9b9c65e6339a973c75cecce049840a845e2da2e1158c3",
 }
@@ -302,13 +302,13 @@ seeds = 0
 SMALL_GOLDEN_SHA256 = {
     ("tanh", "false"): {
         "member_seed0_f0p5_snap1.ckpt":
-            "83a053c49dccc24ca46d94c2cb6d59804665d197af566299e9705b76b4f6cdb6",
+            "59a43ff2fe58de9aea015cebd166cf9ea4617901aabca97a9e5579c4b8717f54",
         "finetune_log_seed0_f0p5.tsv":
             "ef3a17d55da9408a3c9bd10d093affc27afc27a5d454618df49a29a5e90d97a4",
     },
     ("relu", "true"): {
         "ensemble_seed0.ckpt":
-            "677e0de093c9f02a94f25211feffc15fab3cdb3fa59d9e2e4962036186abde43",
+            "60e220b48c5d3474686c5a4465ea700af84dc90b3d2e37442db0a7975a3ed682",
     },
 }
 
@@ -333,7 +333,7 @@ def test_small_runs_match_golden_digests(tmp_path, activation, freeze):
 # 1 - max probability instead of predictive entropy
 MAX_PROB_RUN = (SMALL_RUN.format(activation="tanh", freeze="true")
                 .replace("seeds = 0", "seeds = 0,1") + "[eval]\nscore = max_prob\n")
-MAX_PROB_OOD_SHA256 = "29e2afad51fcff1113e7e113fde74108ee9fad1132c03f91d5ed8df4c6fea5e7"
+MAX_PROB_OOD_SHA256 = "ff4d0186d0875feffb668e865de9cd20cd31ede98072b4fa904cbcb7e54c811b"
 
 
 def test_max_prob_ood_auroc_equals_member_recomputation(tmp_path):

@@ -322,6 +322,40 @@ def test_fractions_sharing_a_file_tag_is_config_error(tmp_path, capsys, command)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval", "ood"])
+@pytest.mark.parametrize("old,new,message", [
+    ("epochs = 5", "epochs = 5\nlr = -1", "finetune.lr must be non-negative"),
+    ("separation = 4.0", "separation = 4.0\nmask_prob = 1.0", "data.mask_prob must lie in"),
+    ("[run]", "[eval]\nbins = 0\n[run]", "eval.bins must be >= 1"),
+    ("epochs = 5", "epochs = 5\nepochs = 6", "finetune.epochs is already set on line"),
+])
+def test_bad_value_fails_at_load_for_every_stage(tmp_path, capsys, command, old, new, message):
+    cfg_path = write_config(tmp_path, TINY_CONFIG.replace(old, new))
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("rows = 120", "rows = x1000", "ds_pretrain.txt: rows = 'x1000' is not a non-negative integer"),
+    ("dim = 6\n", "", "ds_pretrain.txt: no 'dim' line"),
+])
+def test_malformed_dataset_header_is_data_error(tmp_path, capsys, old, new, message):
+    from mcbyol.data import save_dataset
+    cfg_path = write_config(tmp_path)
+    prefix = tmp_path / "ds"
+    for tag, ds in zip(("pretrain", "train", "test", "ood"),
+                       pipeline.make_datasets(config.load(cfg_path))):
+        save_dataset(ds, f"{prefix}_{tag}")
+    header = tmp_path / "ds_pretrain.txt"
+    assert old in header.read_text()
+    header.write_text(header.read_text().replace(old, new))
+    cfg_path = write_config(tmp_path, TINY_CONFIG.replace("[model]",
+                                                          f"file_prefix = {prefix}\n[model]"))
+    assert cli.main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_missing_config_file(tmp_path):
     rc = cli.main(["pretrain", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")])

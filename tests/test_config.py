@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from mcbyol import config
 from mcbyol.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_defaults_roundtrip():
@@ -18,14 +22,12 @@ separation = 2.5
 [sampler]
 kind = sgld
 lr0 = 0.003
-temper_drift = true
 [run]
 seeds = 5,6,7
 """
     cfg = config.parse(text)
     assert cfg.data.classes == 6
     assert cfg.sampler.kind == "sgld"
-    assert cfg.sampler.temper_drift is True
     assert cfg.run.seeds == [5, 6, 7]
     assert config.parse(config.serialize(cfg)) == cfg
 
@@ -56,7 +58,38 @@ def test_bad_value_types_rejected():
     with pytest.raises(ConfigError):
         config.parse("[data]\nclasses = four\n")
     with pytest.raises(ConfigError):
-        config.parse("[sampler]\ntemper_drift = maybe\n")
+        config.parse("[finetune]\nfreeze_encoder = maybe\n")
+
+
+def test_repeated_key_rejected_with_both_lines():
+    text = "[sampler]\nlr0 = 0.1\n[data]\n[sampler]\nlr0 = 0.2\nlr0 = 0.3\n"
+    with pytest.raises(ConfigError, match=r"line 5: sampler.lr0 is already set on line 2"):
+        config.parse(text)
+    # the same key name in two sections is two keys
+    cfg = config.parse("[sampler]\nbatch = 1\n[finetune]\nbatch = 2\n")
+    assert (cfg.sampler.batch, cfg.finetune.batch) == (1, 2)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[data]\nnoise_std = -0.1\n", "data.noise_std"),
+    ("[data]\nmask_prob = 1.0\n", "data.mask_prob"),
+    ("[data]\nscale_min = 0.0\n", "scale_min"),
+    ("[data]\nscale_min = 1.3\n", "scale_min <= scale_max"),
+    ("[finetune]\nlr = -1\n", "finetune.lr"),
+    ("[finetune]\nmomentum = 1.0\n", "finetune.momentum"),
+    ("[finetune]\nbatch = 0\n", "finetune.batch"),
+    ("[finetune]\nepochs = -1\n", "finetune.epochs"),
+    ("[eval]\nbins = 0\n", "eval.bins"),
+])
+def test_out_of_range_values_fail_at_load(text, message):
+    with pytest.raises(ConfigError, match=message):
+        config.parse(text)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_configs_are_canonical(path):
+    # every key, in order, with its value as serialize writes it
+    assert path.read_text() == config.serialize(config.load(path))
 
 
 def test_comments_and_blank_lines_ignored():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from minibatch_reference import reference_minibatches
 
-from mcbyol.data import (AugmentationConfig, Dataset, _seed_sequence_keys, _words, augment_pair,
-                         load_dataset, make_clusters, make_ood, minibatch_keys, minibatches,
-                         save_dataset)
+from mcbyol.config import DataSection
+from mcbyol.data import (Dataset, _seed_sequence_keys, _words, augment_pair, load_dataset,
+                         make_clusters, make_ood, minibatch_keys, minibatches, save_dataset)
 from mcbyol.errors import ConfigError, ContractError, DataError
 
 
@@ -82,7 +82,7 @@ def test_ood_rejects_unknown_mode():
 
 
 def test_identity_augmentation_returns_input():
-    cfg = AugmentationConfig(noise_std=0.0, mask_prob=0.0, scale_min=1.0, scale_max=1.0)
+    cfg = DataSection(noise_std=0.0, mask_prob=0.0, scale_min=1.0, scale_max=1.0)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(10, 4))
     va, vb = augment_pair(x, cfg, rng)
@@ -91,15 +91,15 @@ def test_identity_augmentation_returns_input():
 
 def test_mask_prob_one_rejected():
     with pytest.raises(ConfigError):
-        AugmentationConfig(mask_prob=1.0)
+        DataSection(mask_prob=1.0)
     with pytest.raises(ConfigError):
-        AugmentationConfig(noise_std=-0.1)
+        DataSection(noise_std=-0.1)
     with pytest.raises(ConfigError):
-        AugmentationConfig(scale_min=0.0)
+        DataSection(scale_min=0.0)
 
 
 def test_default_augmentation_perturbs_but_correlates():
-    cfg = AugmentationConfig()
+    cfg = DataSection()
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1000, 6))
     va, vb = augment_pair(x, cfg, rng)
@@ -111,7 +111,7 @@ def test_default_augmentation_perturbs_but_correlates():
 
 
 def test_views_are_independent_draws():
-    cfg = AugmentationConfig(noise_std=0.5, mask_prob=0.0, scale_min=1.0, scale_max=1.0)
+    cfg = DataSection(noise_std=0.5, mask_prob=0.0, scale_min=1.0, scale_max=1.0)
     rng = np.random.default_rng(2)
     x = np.zeros((100, 4))
     va, vb = augment_pair(x, cfg, rng)

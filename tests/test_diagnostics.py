@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -131,13 +133,14 @@ def test_run_chain_rejects_wrong_theta0_shape(theta0):
                   seed=0, theta0=theta0)
 
 
-def reference_chain(cfg, target, steps, burn_in, seed, theta0):
+def reference_chain(cfg, target, steps, burn_in, seed, theta0, step_fn=None):
     """The per-step loop run_chain replaced: one schedule lookup, one noise
     draw and one divergence check per step."""
     theta = np.asarray(theta0, dtype=np.float64).copy()
     state = make_state(target.dim, seed)
     samples = np.empty((steps - burn_in, target.dim))
-    step_fn = sgld_step if cfg.kind == "sgld" else sghmc_step
+    if step_fn is None:
+        step_fn = sgld_step if cfg.kind == "sgld" else sghmc_step
     for k in range(steps):
         grad = target.precision @ theta
         lr = cyclic_lr(cfg, k)
@@ -155,26 +158,58 @@ def reference_chain(cfg, target, steps, burn_in, seed, theta0):
     return mean, samples.var(axis=0, ddof=1), lag1
 
 
-@pytest.mark.parametrize("kind,beta,temper_drift", [("sgld", 0.0, False), ("sghmc", 0.0, False),
-                                                    ("sghmc", 0.9, False), ("sgld", 0.0, True)])
+@pytest.mark.parametrize("kind,beta", [("sgld", 0.0), ("sghmc", 0.0), ("sghmc", 0.9)])
 # a 1-D chain steps on Python floats: a signed-zero and a large start pin its bits too
 @pytest.mark.parametrize("dim,start", [pytest.param(1, None, id="1"), pytest.param(3, None, id="3"),
                                        pytest.param(1, -0.0, id="1-theta0=-0.0"),
                                        pytest.param(1, 1e5, id="1-theta0=1e5")])
 @pytest.mark.parametrize("cycle_len,noise_start_frac", [(1, 0.0), (7, 0.5)])
-def test_blocked_chain_is_bit_identical_to_per_step_loop(kind, beta, temper_drift, dim, start,
+def test_blocked_chain_is_bit_identical_to_per_step_loop(kind, beta, dim, start,
                                                          cycle_len, noise_start_frac):
     # not a multiple of the block, and the burn-in ends inside the second block
     steps, burn_in = diagnostics._BLOCK + 1_234, diagnostics._BLOCK - 100
     cfg = SamplerConfig(kind=kind, lr0=0.05, beta=beta, temperature=0.5,
                         cycle_len=cycle_len, total_steps=steps, n_dataset=1,
-                        noise_start_frac=noise_start_frac, temper_drift=temper_drift)
+                        noise_start_frac=noise_start_frac)
     precision = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])[:dim, :dim]
     target = QuadraticTarget(dim=dim, precision=precision, temperature=0.5)
     theta0 = np.linspace(0.7, -0.4, dim) if start is None else np.full(dim, start)
     stats = run_chain(cfg, target, steps=steps, burn_in=burn_in, seed=13, theta0=theta0)
     mean, variance, lag1 = reference_chain(cfg, target, steps, burn_in, 13, theta0)
     assert stats.sample_count == steps - burn_in
+    assert np.array_equal(stats.mean, mean)
+    assert np.array_equal(stats.variance, variance)
+    assert np.array_equal(stats.lag1_autocorr, lag1)
+
+
+def tempered_drift_step(theta, state, grad_u, lr, cfg, noise_on):
+    """The update of the former tempered-drift option: the drift divided
+    by T and the noise left untempered, in that option's evaluation order."""
+    drift = (0.5 * lr * cfg.n_dataset) * grad_u / cfg.temperature
+    if noise_on:
+        one_minus_beta = 1.0 if cfg.kind == "sgld" else 1.0 - cfg.beta
+        noise = math.sqrt(one_minus_beta * lr) * state.rng.standard_normal(theta.shape)
+    if cfg.kind == "sgld":
+        return theta + (noise - drift) if noise_on else theta - drift
+    m = cfg.beta * state.momentum - drift
+    state.momentum = m + noise if noise_on else m
+    return theta + state.momentum
+
+
+@pytest.mark.parametrize("kind,beta", [("sgld", 0.0), ("sghmc", 0.9), ("csghmc", 0.9)])
+def test_tempered_drift_is_the_plain_chain_at_lr0_over_t(kind, beta):
+    # at T = 0.5 dividing by T is exact, so every step agrees bit for bit,
+    # through the cyclic schedule and the noiseless head of each cycle
+    steps, burn_in, temperature = diagnostics._BLOCK + 1_234, 500, 0.5
+    tempered = SamplerConfig(kind=kind, lr0=0.05, beta=beta, temperature=temperature,
+                             cycle_len=7, total_steps=steps, n_dataset=1, noise_start_frac=0.5)
+    plain = dataclasses.replace(tempered, lr0=tempered.lr0 / temperature)
+    precision = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
+    target = QuadraticTarget(dim=3, precision=precision, temperature=temperature)
+    theta0 = np.linspace(0.7, -0.4, 3)
+    stats = run_chain(plain, target, steps=steps, burn_in=burn_in, seed=13, theta0=theta0)
+    mean, variance, lag1 = reference_chain(tempered, target, steps, burn_in, 13, theta0,
+                                           step_fn=tempered_drift_step)
     assert np.array_equal(stats.mean, mean)
     assert np.array_equal(stats.variance, variance)
     assert np.array_equal(stats.lag1_autocorr, lag1)
@@ -261,12 +296,3 @@ def test_multidim_chain_moments_within_tolerance():
     stats = run_chain(cfg, target, steps=200_000, burn_in=10_000, seed=21)
     assert np.all(np.abs(stats.mean) < 0.05)
     assert np.all(np.abs(stats.variance - 1.0) < 0.10)
-
-
-def test_temper_drift_variant_has_same_stationary_variance():
-    cfg = SamplerConfig(kind="sgld", lr0=0.01, beta=0.0, temperature=0.5,
-                        cycle_len=1, total_steps=60_000, n_dataset=1,
-                        noise_start_frac=0.0, temper_drift=True)
-    target = QuadraticTarget(dim=1, temperature=0.5)
-    stats = run_chain(cfg, target, steps=60_000, burn_in=5_000, seed=5)
-    assert stats.variance[0] == pytest.approx(0.5, rel=0.15)

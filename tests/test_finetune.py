@@ -3,10 +3,11 @@ import pytest
 from minibatch_reference import reference_minibatches
 
 from mcbyol.autodiff import Tape, Tensor
+from mcbyol.config import FinetuneSection
 from mcbyol.data import Dataset, make_clusters
 from mcbyol.errors import ContractError, DataError
-from mcbyol.finetune import (ClassifierHead, FineTuneConfig, _init_head, finetune, load_member,
-                             save_member, subset_labels)
+from mcbyol.finetune import (ClassifierHead, _init_head, finetune, load_member, save_member,
+                             subset_labels)
 from mcbyol.model import Architecture, init_twin, mlp_forward, mlp_forward_np
 from mcbyol.params import ParamVector
 from mcbyol.posterior import PosteriorEnsemble, _class_reduce, collect, softmax
@@ -105,7 +106,7 @@ def test_subset_requires_labels():
 def test_lr_zero_leaves_parameters_unchanged():
     snap = snapshot_for()
     ds = toy_labeled()
-    cfg = FineTuneConfig(lr=0.0, momentum=0.9, batch=16, epochs=3)
+    cfg = FinetuneSection(lr=0.0, momentum=0.9, batch=16, epochs=3, freeze_encoder=False)
     enc, head, _ = fit_one(snap, ds, cfg, seed=0)
     assert np.array_equal(enc.flatten(), snap.encoder_params.flatten())
     w0 = head.weight.values.copy()
@@ -117,7 +118,7 @@ def test_finetune_does_not_mutate_snapshot():
     snap = snapshot_for(1)
     before = snap.encoder_params.flatten().copy()
     ds = toy_labeled()
-    cfg = FineTuneConfig(lr=0.1, momentum=0.9, batch=32, epochs=5)
+    cfg = FinetuneSection(lr=0.1, momentum=0.9, batch=32, epochs=5, freeze_encoder=False)
     fit_one(snap, ds, cfg, seed=0)
     assert np.array_equal(snap.encoder_params.flatten(), before)
 
@@ -131,7 +132,7 @@ def test_frozen_encoder_reaches_full_accuracy_on_separable_data():
     x = np.concatenate([centers[c] + 0.01 * rng.normal(size=(40, 4)) for c in range(3)])
     y = np.repeat(np.arange(3), 40)
     ds = Dataset(x=x, y=y, split_tag="train")
-    cfg = FineTuneConfig(lr=0.2, momentum=0.9, batch=20, epochs=80, freeze_encoder=True)
+    cfg = FinetuneSection(lr=0.2, momentum=0.9, batch=20, epochs=80, freeze_encoder=True)
     enc, head, log = fit_one(snap, ds, cfg, seed=1)
     logits = predict_logits(enc, head, ds.x, TINY)
     train_acc = float((logits.argmax(axis=1) == ds.y).mean())
@@ -142,7 +143,7 @@ def test_frozen_encoder_reaches_full_accuracy_on_separable_data():
 def test_frozen_convex_loss_is_monotone_at_small_lr():
     snap = snapshot_for(3)
     ds = toy_labeled(n_per_class=30, classes=3, seed=10)
-    cfg = FineTuneConfig(lr=1e-3, momentum=0.0, batch=1000, epochs=25, freeze_encoder=True)
+    cfg = FinetuneSection(lr=1e-3, momentum=0.0, batch=1000, epochs=25, freeze_encoder=True)
     _, _, log = fit_one(snap, ds, cfg, seed=2)
     diffs = np.diff(np.asarray(log))
     assert np.all(diffs <= 1e-12)
@@ -151,7 +152,7 @@ def test_frozen_convex_loss_is_monotone_at_small_lr():
 def test_unfrozen_finetune_updates_encoder():
     snap = snapshot_for(4)
     ds = toy_labeled()
-    cfg = FineTuneConfig(lr=0.05, momentum=0.9, batch=32, epochs=5, freeze_encoder=False)
+    cfg = FinetuneSection(lr=0.05, momentum=0.9, batch=32, epochs=5, freeze_encoder=False)
     enc, _, _ = fit_one(snap, ds, cfg, seed=3)
     assert np.any(enc.flatten() != snap.encoder_params.flatten())
 
@@ -222,7 +223,7 @@ def relabeled(classes):
 def test_finetune_is_bit_identical_to_tape_reference(freeze, momentum, batch):
     snap = snapshot_for(9)
     ds = toy_labeled(n_per_class=50, classes=3, seed=11)
-    cfg = FineTuneConfig(lr=0.3, momentum=momentum, batch=batch, epochs=4,
+    cfg = FinetuneSection(lr=0.3, momentum=momentum, batch=batch, epochs=4,
                          freeze_encoder=freeze)
     assert_same_member(fit_one(snap, ds, cfg, seed=5, num_classes=4),
                        tape_finetune(snap, ds, cfg, 5, TINY, 4))
@@ -237,7 +238,7 @@ def test_stacked_linear_eval_is_bit_identical_to_per_member_tape_fits(members, c
     snaps = [snapshot_for(20 + m) for m in range(members)]
     seeds = [7 + 13 * m for m in range(members)]
     ds = relabeled(classes)
-    cfg = FineTuneConfig(lr=0.3, momentum=momentum, batch=batch, epochs=4, freeze_encoder=True)
+    cfg = FinetuneSection(lr=0.3, momentum=momentum, batch=batch, epochs=4, freeze_encoder=True)
     fitted = finetune(snaps, ds, cfg, seeds, TINY, num_classes=classes)
     assert len(fitted) == members
     for got, snap, seed in zip(fitted, snaps, seeds):
@@ -248,7 +249,7 @@ def test_unfrozen_group_is_bit_identical_to_per_member_tape_fits():
     snaps = [snapshot_for(30 + m) for m in range(3)]
     seeds = [3, 1, 2]
     ds = relabeled(4)
-    cfg = FineTuneConfig(lr=0.3, momentum=0.9, batch=40, epochs=3, freeze_encoder=False)
+    cfg = FinetuneSection(lr=0.3, momentum=0.9, batch=40, epochs=3, freeze_encoder=False)
     fitted = finetune(snaps, ds, cfg, seeds, TINY, num_classes=4)
     for got, snap, seed in zip(fitted, snaps, seeds):
         assert_same_member(got, tape_finetune(snap, ds, cfg, seed, TINY, 4))
@@ -256,12 +257,12 @@ def test_unfrozen_group_is_bit_identical_to_per_member_tape_fits():
 
 @pytest.mark.parametrize("freeze", [True, False])
 def test_empty_group_fits_nothing(freeze):
-    cfg = FineTuneConfig(lr=0.1, epochs=2, freeze_encoder=freeze)
+    cfg = FinetuneSection(lr=0.1, epochs=2, freeze_encoder=freeze)
     assert finetune([], toy_labeled(), cfg, [], TINY) == []
 
 
 def test_one_seed_per_snapshot_required():
-    cfg = FineTuneConfig(lr=0.1, epochs=1, freeze_encoder=True)
+    cfg = FinetuneSection(lr=0.1, epochs=1, freeze_encoder=True)
     with pytest.raises(ContractError):
         finetune([snapshot_for(), snapshot_for(1)], toy_labeled(), cfg, [0], TINY)
 
@@ -283,7 +284,7 @@ def test_label_out_of_range_rejected():
     snap = snapshot_for()
     x = np.zeros((4, 4))
     ds = Dataset(x=x, y=np.array([0, 1, 2, 3]), split_tag="train")
-    cfg = FineTuneConfig(lr=0.1, epochs=1)
+    cfg = FinetuneSection(lr=0.1, epochs=1, freeze_encoder=False)
     with pytest.raises(DataError):
         fit_one(snap, ds, cfg, seed=0, num_classes=3)
 

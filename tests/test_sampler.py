@@ -273,28 +273,14 @@ def test_shared_seed_states_draw_identical_noise():
     assert np.array_equal(a.rng.standard_normal(5), b.rng.standard_normal(5))
 
 
-def test_temper_drift_variant_scales_drift_not_noise():
-    cfg = cfg_for(kind="sgld", temperature=0.5, temper_drift=True)
-    state = make_state(2, 0)
-    grad = np.array([1.0, -1.0])
-    new = sgld_step(np.zeros(2), state, grad, 0.1, cfg, noise_on=True, noise=np.zeros(2))
-    # drift = (lr/2) * n * grad / T, noise suppressed via noise=0
-    assert np.allclose(new, -(0.05 / 0.5) * grad)
-
-
 # ---- lean step against the earlier update arithmetic ------------------------
 
 
 def ref_drift(cfg, grad_u, lr):
-    d = (0.5 * lr * cfg.n_dataset) * grad_u
-    if cfg.temper_drift:
-        d = d / cfg.temperature
-    return d
+    return (0.5 * lr * cfg.n_dataset) * grad_u
 
 
 def ref_noise_scale(cfg, lr, one_minus_beta):
-    if cfg.temper_drift:
-        return float(np.sqrt(one_minus_beta * lr))
     return float(np.sqrt(cfg.temperature * one_minus_beta * lr))
 
 
@@ -320,13 +306,12 @@ def ref_sghmc_step(params, state, grad_u, lr, cfg, noise_on=True, eps=None):
 
 
 @pytest.mark.parametrize("kind,beta", [("sgld", 0.0), ("sgld", 0.9), ("sghmc", 0.0), ("sghmc", 0.9)])
-@pytest.mark.parametrize("temper_drift", [False, True])
 @pytest.mark.parametrize("dim", [1, 3, 50])
 @pytest.mark.parametrize("noise_on", [True, False])
-def test_lean_step_is_bit_identical_to_reference(kind, beta, temper_drift, dim, noise_on):
+def test_lean_step_is_bit_identical_to_reference(kind, beta, dim, noise_on):
     steps = 40
     cfg = cfg_for(kind=kind, beta=beta, temperature=0.37, n_dataset=7, cycle_len=9,
-                  total_steps=steps, temper_drift=temper_drift)
+                  total_steps=steps)
     step_fn, ref_fn = (sgld_step, ref_sgld_step) if kind == "sgld" else (sghmc_step, ref_sghmc_step)
     rng = np.random.default_rng(dim)
     grads = rng.normal(size=(steps, dim))
@@ -355,12 +340,10 @@ def test_noise_scale_equals_numpy_sqrt():
     for kind in ("sgld", "sghmc", "csghmc"):
         for beta in (0.0, 0.5, 0.9, 0.99):
             for temperature in (0.01, 0.1, 0.37, 1.0, 3.3):
-                for temper_drift in (False, True):
-                    cfg = cfg_for(kind=kind, beta=beta, temperature=temperature,
-                                  temper_drift=temper_drift)
-                    omb = 1.0 if kind == "sgld" else 1.0 - beta
-                    for lr in lrs.tolist():
-                        assert noise_scale(cfg, lr) == ref_noise_scale(cfg, lr, omb)
+                cfg = cfg_for(kind=kind, beta=beta, temperature=temperature)
+                omb = 1.0 if kind == "sgld" else 1.0 - beta
+                for lr in lrs.tolist():
+                    assert noise_scale(cfg, lr) == ref_noise_scale(cfg, lr, omb)
 
 
 def test_step_rejects_mismatched_kind():
