@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .atomic import write_atomic
 from .errors import ConfigError
@@ -35,6 +36,8 @@ class DataSection:
     file_prefix: str = ""
 
     def __post_init__(self):
+        if self.input_dim < 1:
+            raise ConfigError("data.input_dim must be >= 1")
         if self.noise_std < 0:
             raise ConfigError("data.noise_std must be non-negative")
         if not 0.0 <= self.mask_prob < 1.0:
@@ -53,6 +56,33 @@ class ModelSection:
     activation: str = "tanh"
     tau: float = 0.99
 
+    def __post_init__(self):
+        if any(w < 1 for w in self.encoder_hidden):
+            raise ConfigError("model.encoder_hidden widths must be >= 1")
+        for key in ("embed_dim", "proj_hidden", "proj_dim", "pred_hidden"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"model.{key} must be >= 1")
+        if self.activation not in ("tanh", "relu"):
+            raise ConfigError(f"unknown model.activation {self.activation!r}")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ConfigError("model.tau must lie in [0, 1]")
+
+
+class SamplerKind(NamedTuple):
+    """What a [sampler] kind does at each step."""
+    cyclic: bool    # cosine lr restarting every cycle_len steps; else constant lr0
+    noisy: bool     # injects Gaussian noise; a cyclic kind only from noise_start_frac on
+    momentum: bool  # steps with sghmc_step; else with sgld_step
+
+
+SAMPLER_KINDS = {
+    "map_sgd": SamplerKind(cyclic=False, noisy=False, momentum=True),
+    "snap_sgd": SamplerKind(cyclic=True, noisy=False, momentum=True),
+    "sgld": SamplerKind(cyclic=False, noisy=True, momentum=False),
+    "sghmc": SamplerKind(cyclic=False, noisy=True, momentum=True),
+    "csghmc": SamplerKind(cyclic=True, noisy=True, momentum=True),
+}
+
 
 @dataclass
 class SamplerSection:
@@ -65,6 +95,26 @@ class SamplerSection:
     noise_start_frac: float = 0.8
     prior_std: float = 1.0
     batch: int = 256
+
+    def __post_init__(self):
+        if self.kind not in SAMPLER_KINDS:
+            raise ConfigError(f"unknown sampler.kind {self.kind!r}")
+        if self.lr0 <= 0:
+            raise ConfigError("sampler.lr0 must be positive")
+        if not 0.0 <= self.beta < 1.0:
+            raise ConfigError("sampler.beta must lie in [0, 1)")
+        if self.temperature <= 0:
+            raise ConfigError("sampler.temperature must be positive")
+        if self.cycle_len < 1:
+            raise ConfigError("sampler.cycle_len must be >= 1")
+        if self.total_steps < 1:
+            raise ConfigError("sampler.total_steps must be >= 1")
+        if not 0.0 <= self.noise_start_frac <= 1.0:
+            raise ConfigError("sampler.noise_start_frac must lie in [0, 1]")
+        if self.prior_std <= 0:
+            raise ConfigError("sampler.prior_std must be positive")
+        if self.batch < 1:
+            raise ConfigError("sampler.batch must be >= 1")
 
 
 @dataclass

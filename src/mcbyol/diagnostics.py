@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SAMPLER_KINDS, SamplerSection
 from .errors import ConfigError, ContractError, DimensionError
-from .sampler import (SamplerConfig, cyclic_lr, diverged, divergence_error, make_state,
-                      noise_active, noise_scale, sghmc_step, sgld_step)
+from .sampler import (cyclic_lr, diverged, divergence_error, make_state, noise_active,
+                      noise_scale, sghmc_step, sgld_step)
 
 _BLOCK = 4096  # steps per noise draw and per divergence check
 
@@ -69,12 +70,12 @@ class ChainStats:
     lag1_autocorr: np.ndarray
 
 
-def run_chain(cfg: SamplerConfig, target: QuadraticTarget,
+def run_chain(cfg: SamplerSection, target: QuadraticTarget,
               steps: int, burn_in: int, seed: int,
               theta0: np.ndarray | None = None) -> ChainStats:
     """Run the configured sampler against the exact quadratic gradient and
-    return post-burn-in moments.  The energy is supplied whole, so the
-    config must use n_dataset = 1 (no prior/likelihood split here).
+    return post-burn-in moments.  The energy is supplied whole, so every
+    step runs at n_dataset = 1 (no prior/likelihood split here).
 
     burn_in must be non-negative and leave at least 2 samples, else
     ContractError.  Noise is drawn and scaled once per block of steps and
@@ -89,8 +90,6 @@ def run_chain(cfg: SamplerConfig, target: QuadraticTarget,
         raise ContractError("at least 2 samples must remain after burn_in")
     if steps > cfg.total_steps:
         raise ContractError("steps exceeds cfg.total_steps")
-    if cfg.n_dataset != 1:
-        raise ContractError("diagnostics chains require n_dataset = 1")
 
     theta = np.zeros(target.dim) if theta0 is None else np.asarray(theta0, dtype=np.float64).copy()
     if theta.shape != (target.dim,):
@@ -101,7 +100,7 @@ def run_chain(cfg: SamplerConfig, target: QuadraticTarget,
     if dim == 1:
         theta, state.momentum = float(theta[0]), 0.0
         grad = float(target.precision[0, 0]).__mul__
-    step_fn = sgld_step if cfg.kind == "sgld" else sghmc_step
+    step_fn = sghmc_step if SAMPLER_KINDS[cfg.kind].momentum else sgld_step
     # the schedule depends on k only through k % cycle_len
     lr_table = [float(cyclic_lr(cfg, p)) for p in range(min(cfg.cycle_len, steps))]
     noise_table = [noise_active(cfg, p) for p in range(len(lr_table))]
@@ -118,7 +117,7 @@ def run_chain(cfg: SamplerConfig, target: QuadraticTarget,
             block = []
             for p in positions:
                 on = noise_table[p]
-                theta = step_fn(theta, state, grad(theta), lr_table[p], cfg,
+                theta = step_fn(theta, state, grad(theta), lr_table[p], cfg, 1,
                                 noise_on=on, noise=next(rows) if on else None)
                 block.append(theta)
             trajectory[start:stop] = np.reshape(block, (-1, dim))

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .config import FinetuneSection
+from .config import FinetuneSection, ModelSection
 from .data import Dataset, minibatch_keys, minibatches
 from .errors import ContractError, DataError
-from .model import Architecture, mlp_forward, mlp_forward_np
+from .model import mlp_forward, mlp_forward_np
 from .params import ParamVector
 from .posterior import Snapshot, _pv_from_payload, _shifted_exp, read_container, write_container
 
@@ -115,7 +115,7 @@ def _nesterov(theta: np.ndarray, seeds: list[int], n: int, cfg: FinetuneSection,
 
 
 def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FinetuneSection,
-             seeds: list[int], arch: Architecture, num_classes: int | None = None
+             seeds: list[int], model: ModelSection, num_classes: int | None = None
              ) -> list[tuple[ParamVector, ClassifierHead, list[float]]]:
     """Fine-tunes each snapshot with its own seed (head init and minibatch
     order) and returns one (encoder copy, trained head, per-epoch loss log)
@@ -138,23 +138,23 @@ def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FinetuneSect
         raise ContractError(f"finetune: {len(snapshots)} snapshots but {len(seeds)} seeds")
 
     encoders = [snap.encoder_params.copy() for snap in snapshots]
-    heads = [_init_head(arch.embed_dim, classes,
+    heads = [_init_head(model.embed_dim, classes,
                         np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 5]))))
              for seed in seeds]
-    x_all, y_all = labeled_data.x, labeled_data.y
+    x_all, y_all, act = labeled_data.x, labeled_data.y, model.activation
     if cfg.freeze_encoder:
-        logs = _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, arch) if seeds else []
+        logs = _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, act) if seeds else []
     else:
-        logs = [_fit_jointly(encoder, head, x_all, y_all, cfg, seed, arch)
+        logs = [_fit_jointly(encoder, head, x_all, y_all, cfg, seed, act)
                 for encoder, head, seed in zip(encoders, heads, seeds)]
     for encoder in encoders:
         encoder.set_requires_grad(False)
     return list(zip(encoders, heads, logs))
 
 
-def _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, arch) -> list[list[float]]:
+def _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, activation) -> list[list[float]]:
     """Linear evaluation of S frozen encoders as one stacked fit."""
-    z = np.stack([mlp_forward_np(encoder, x_all, arch.activation) for encoder in encoders])
+    z = np.stack([mlp_forward_np(encoder, x_all, activation) for encoder in encoders])
     count, n, dim = z.shape
     classes = heads[0].class_count
     w_size = dim * classes
@@ -180,7 +180,7 @@ def _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, arch) -> list[list[flo
     return logs
 
 
-def _fit_jointly(encoder, head, x_all, y_all, cfg, seed, arch) -> list[float]:
+def _fit_jointly(encoder, head, x_all, y_all, cfg, seed, activation) -> list[float]:
     """Joint fine-tuning of one encoder copy and its head through a tape;
     the parameters are written back at the end of every epoch."""
     encoder.set_requires_grad(True)
@@ -191,14 +191,14 @@ def _fit_jointly(encoder, head, x_all, y_all, cfg, seed, arch) -> list[float]:
         group.set_flat(point[0])
         group.zero_grad()
         tape = Tape()
-        z = mlp_forward(tape, encoder, Tensor(x_all[idx[0]]), arch.activation)
+        z = mlp_forward(tape, encoder, Tensor(x_all[idx[0]]), activation)
         logits = tape.bias_add(tape.matmul(z, head.weight), head.bias)
         tape.backward(tape.softmax_cross_entropy(logits, y_all[idx[0]]))
         return group.grad_flat()[None]
 
     def epoch_loss(theta: np.ndarray) -> np.ndarray:
         group.set_flat(theta[0])
-        z = mlp_forward_np(encoder, x_all, arch.activation)
+        z = mlp_forward_np(encoder, x_all, activation)
         return _mean_ce((z @ head.weight.values + head.bias.values)[None], y_all)
 
     _, (log,) = _nesterov(group.flatten()[None], [seed], len(y_all), cfg, grad_at, epoch_loss)

@@ -7,57 +7,24 @@ moving average and never receives gradients.  All networks are dense MLPs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, mlp_layers
-from .errors import ConfigError, DimensionError
+from .config import ModelSection
+from .errors import DimensionError
 from .params import ParamVector
 
 
 @dataclass
-class Architecture:
-    input_dim: int
-    encoder_hidden: list[int] = field(default_factory=lambda: [64, 64])
-    embed_dim: int = 16
-    proj_hidden: int = 32
-    proj_dim: int = 8
-    pred_hidden: int = 32
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        widths = [self.input_dim, *self.encoder_hidden, self.embed_dim,
-                  self.proj_hidden, self.proj_dim, self.pred_hidden]
-        if any(w < 1 for w in widths):
-            raise ConfigError(f"layer widths must be positive, got {widths}")
-        if self.activation not in ("tanh", "relu"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
-
-    def encoder_widths(self) -> list[int]:
-        return [self.input_dim, *self.encoder_hidden, self.embed_dim]
-
-    def projector_widths(self) -> list[int]:
-        return [self.embed_dim, self.proj_hidden, self.proj_dim]
-
-    def predictor_widths(self) -> list[int]:
-        # predictor maps projection space onto itself
-        return [self.proj_dim, self.pred_hidden, self.proj_dim]
-
-
-@dataclass
 class TwinModel:
-    arch: Architecture
+    cfg: ModelSection  # the section it was built from: activation and EMA tau
     online_encoder: ParamVector
     online_projector: ParamVector
     online_predictor: ParamVector
     target_encoder: ParamVector
     target_projector: ParamVector
-    tau: float = 0.99
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError(f"tau must lie in [0, 1], got {self.tau}")
 
     # flat-vector view over all online parameters; order is fixed:
     # encoder, projector, predictor (the prior applies to the leading
@@ -72,6 +39,10 @@ class TwinModel:
     @property
     def encoder_dim(self) -> int:
         return self.online_encoder.total_dim
+
+    @property
+    def input_dim(self) -> int:
+        return self.online_encoder["layer0.w"].shape[0]
 
     def online_flat(self) -> np.ndarray:
         return np.concatenate([p.flatten() for p in self.online_parts()])
@@ -105,19 +76,19 @@ def init_mlp(widths: list[int], rng: np.random.Generator, requires_grad: bool) -
     return ParamVector(segments)
 
 
-def init_twin(arch: Architecture, seed: int, tau: float = 0.99) -> TwinModel:
+def init_twin(cfg: ModelSection, input_dim: int, seed: int) -> TwinModel:
     """Online weights seeded; target starts as an exact copy of the online
     encoder and projector (the predictor has no target counterpart)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    encoder = init_mlp(arch.encoder_widths(), rng, requires_grad=True)
-    projector = init_mlp(arch.projector_widths(), rng, requires_grad=True)
-    predictor = init_mlp(arch.predictor_widths(), rng, requires_grad=True)
+    encoder = init_mlp([input_dim, *cfg.encoder_hidden, cfg.embed_dim], rng, requires_grad=True)
+    projector = init_mlp([cfg.embed_dim, cfg.proj_hidden, cfg.proj_dim], rng, requires_grad=True)
+    # the predictor maps projection space onto itself
+    predictor = init_mlp([cfg.proj_dim, cfg.pred_hidden, cfg.proj_dim], rng, requires_grad=True)
     target_encoder = encoder.copy()
     target_encoder.set_requires_grad(False)
     target_projector = projector.copy()
     target_projector.set_requires_grad(False)
-    return TwinModel(arch, encoder, projector, predictor,
-                     target_encoder, target_projector, tau)
+    return TwinModel(cfg, encoder, projector, predictor, target_encoder, target_projector)
 
 
 def _layers(pv: ParamVector) -> list[tuple[Tensor, Tensor]]:
@@ -143,8 +114,8 @@ def _check_views(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray) -> tu
         raise DimensionError("views must be 2-D batches")
     if a.shape != b.shape:
         raise DimensionError(f"view batch shapes differ: {a.shape} vs {b.shape}")
-    if a.shape[1] != model.arch.input_dim:
-        raise DimensionError(f"views have width {a.shape[1]}, model expects {model.arch.input_dim}")
+    if a.shape[1] != model.input_dim:
+        raise DimensionError(f"views have width {a.shape[1]}, model expects {model.input_dim}")
     if a.shape[0] < 1:
         raise DimensionError("views must contain at least one row")
     return a, b
@@ -156,7 +127,7 @@ def byol_loss_one_direction(tape: Tape, model: TwinModel,
     normalized online prediction of view_a and y_bar the normalized target
     projection of view_b.  The target branch carries no gradient."""
     a, b = _check_views(model, view_a, view_b)
-    act = model.arch.activation
+    act = model.cfg.activation
 
     xa = Tensor(a)
     z = mlp_forward(tape, model.online_encoder, xa, act)
@@ -181,7 +152,7 @@ def byol_loss_symmetrized(tape: Tape, model: TwinModel,
 
 def ema_update(model: TwinModel) -> None:
     """target <- tau * target + (1 - tau) * online, on encoder and projector."""
-    tau = model.tau
+    tau = model.cfg.tau
     for target, online in ((model.target_encoder, model.online_encoder),
                            (model.target_projector, model.online_projector)):
         for name, t in target.items():

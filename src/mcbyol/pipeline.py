@@ -24,33 +24,15 @@ from . import config as cfgmod
 from .data import (Dataset, augment_pair, load_dataset, make_clusters, make_ood,
                    minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
-from .errors import CheckpointError, DivergenceError
+from .errors import CheckpointError, DataError, DivergenceError
 from .finetune import finetune, load_member, save_member, subset_labels
 from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
                       write_histogram, write_table)
-from .model import Architecture, ema_update, init_twin
+from .model import ema_update, init_twin
 from .posterior import (PosteriorEnsemble, bma_predict, collect, load_ensemble,
                         predictive_entropy, recent_mean, save_ensemble)
-from .sampler import (SamplerConfig, cyclic_lr, diverged, divergence_error, make_state,
-                      noise_active, posterior_grad, sghmc_step, sgld_step, should_yield)
-
-
-def build_arch(cfg: cfgmod.RunConfig) -> Architecture:
-    m = cfg.model
-    return Architecture(input_dim=cfg.data.input_dim,
-                        encoder_hidden=list(m.encoder_hidden),
-                        embed_dim=m.embed_dim, proj_hidden=m.proj_hidden,
-                        proj_dim=m.proj_dim, pred_hidden=m.pred_hidden,
-                        activation=m.activation)
-
-
-def build_sampler_config(cfg: cfgmod.RunConfig, n_dataset: int) -> SamplerConfig:
-    s = cfg.sampler
-    return SamplerConfig(kind=s.kind, lr0=s.lr0, beta=s.beta,
-                         temperature=s.temperature, cycle_len=s.cycle_len,
-                         total_steps=s.total_steps, n_dataset=n_dataset,
-                         noise_start_frac=s.noise_start_frac,
-                         prior_std=s.prior_std)
+from .sampler import (cyclic_lr, diverged, divergence_error, make_state, noise_active,
+                      posterior_grad, sghmc_step, sgld_step, should_yield)
 
 
 def make_datasets(cfg: cfgmod.RunConfig) -> tuple[Dataset, Dataset, Dataset, Dataset]:
@@ -96,34 +78,36 @@ def _step_state(lr: float, noise_on: bool) -> str:
 
 def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEnsemble:
     """One training run of the snapshot-collecting loop for one seed."""
-    os.makedirs(out_dir, exist_ok=True)
-    arch = build_arch(cfg)
     pretrain, _, _, _ = make_datasets(cfg)
-    scfg = build_sampler_config(cfg, pretrain.n)  # the rows loaded, whatever their source
+    n = pretrain.n  # the rows loaded, whatever their source
+    if n < 1:
+        raise DataError("the pretrain split has no rows")
+    os.makedirs(out_dir, exist_ok=True)
+    s = cfg.sampler
 
-    model = init_twin(arch, seed, tau=cfg.model.tau)
+    model = init_twin(cfg.model, cfg.data.input_dim, seed)
     state = make_state(model.online_dim, int(np.random.SeedSequence([seed, 10]).generate_state(1)[0]))
     aug_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 11])))
-    steps_per_epoch = int(np.ceil(pretrain.n / cfg.sampler.batch))
-    epoch_keys = minibatch_keys([seed], -(-scfg.total_steps // steps_per_epoch))
+    steps_per_epoch = int(np.ceil(n / s.batch))
+    epoch_keys = minibatch_keys([seed], -(-s.total_steps // steps_per_epoch))
     ensemble = PosteriorEnsemble(run_meta={
-        "seed": seed, "config_digest": cfg.digest(), "sampler_kind": scfg.kind,
-        "n_dataset": scfg.n_dataset, "steps_per_epoch": steps_per_epoch,
+        "seed": seed, "config_digest": cfg.digest(), "sampler_kind": s.kind,
+        "n_dataset": n, "steps_per_epoch": steps_per_epoch,
     })
 
-    step_fn = sgld_step if scfg.kind == "sgld" else sghmc_step
+    step_fn = sghmc_step if cfgmod.SAMPLER_KINDS[s.kind].momentum else sgld_step
     log_rows: list[tuple] = []
     epoch, queue = 0, []
-    for k in range(scfg.total_steps):
+    for k in range(s.total_steps):
         if not queue:
-            queue = minibatches(pretrain.n, cfg.sampler.batch, epoch_keys[:, epoch])
+            queue = minibatches(n, s.batch, epoch_keys[:, epoch])
             epoch += 1
         (idx,) = queue.pop(0)
         view_a, view_b = augment_pair(pretrain.x[idx], cfg.data, aug_rng)
-        grad_u, loss = posterior_grad(model, view_a, view_b, scfg)
-        lr = cyclic_lr(scfg, k)
-        on = noise_active(scfg, k)
-        new_flat = step_fn(model.online_flat(), state, grad_u, lr, scfg, noise_on=on)
+        grad_u, loss = posterior_grad(model, view_a, view_b, s, n)
+        lr = cyclic_lr(s, k)
+        on = noise_active(s, k)
+        new_flat = step_fn(model.online_flat(), state, grad_u, lr, s, n, noise_on=on)
         if not np.isfinite(loss):
             raise DivergenceError(k, quantity="loss", value=loss,
                                   detail=f"non-finite loss; {_step_state(lr, on)}")
@@ -132,8 +116,8 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
         model.set_online_flat(new_flat)
         ema_update(model)
         log_rows.append((k, lr, loss, int(on)))
-        if should_yield(scfg, k):
-            collect(ensemble, model, step=k, cycle=k // scfg.cycle_len, loss=loss)
+        if should_yield(s, k):
+            collect(ensemble, model, step=k, cycle=k // s.cycle_len, loss=loss)
 
     save_ensemble(ensemble, ensemble_path(out_dir, seed))
     write_table(os.path.join(out_dir, f"pretrain_log_seed{seed}.tsv"),
@@ -147,7 +131,6 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
     if not os.path.exists(path):
         raise CheckpointError(f"missing ensemble checkpoint: {path}")
     ensemble = load_ensemble(path)
-    arch = build_arch(cfg)
     _, train, _, _ = make_datasets(cfg)
     f = cfg.finetune
     digest = cfg.digest()
@@ -155,7 +138,7 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
         subset = subset_labels(train, frac, seed=cfg.data.seed + seed)
         member_seeds = [(seed * 1009 + s) * 1009 + frac_idx
                         for s in range(ensemble.size)]
-        fitted = finetune(ensemble.snapshots, subset, f, member_seeds, arch,
+        fitted = finetune(ensemble.snapshots, subset, f, member_seeds, cfg.model,
                           num_classes=cfg.data.classes)
         log_rows: list[tuple] = []
         for s, (snap, (encoder, head, losses)) in enumerate(zip(ensemble.snapshots, fitted)):
@@ -176,7 +159,7 @@ def _ensemble_sizes(cfg: cfgmod.RunConfig, out_dir: str) -> dict[int, int]:
 
 
 def _sweep(out_dir: str, seed: int, frac: float, size: int, xs: list[np.ndarray],
-           arch: Architecture):
+           model: cfgmod.ModelSection):
     """Yields (k, [BMA of the k most recent members on x for each x in xs])
     for k = 1..size.  Loads the (seed, fraction) group's members once and
     runs each member's encoder once per input."""
@@ -186,7 +169,7 @@ def _sweep(out_dir: str, seed: int, frac: float, size: int, xs: list[np.ndarray]
         if not os.path.exists(path):
             raise CheckpointError(f"missing member checkpoint: {path}")
         members.append(load_member(path)[:2])
-    member_probs = [[bma_predict(members[i:i + 1], x, arch) for i in range(size)] for x in xs]
+    member_probs = [[bma_predict(members[i:i + 1], x, model) for i in range(size)] for x in xs]
     for k in range(1, size + 1):
         yield k, [recent_mean(probs, k) for probs in member_probs]
 
@@ -194,7 +177,6 @@ def _sweep(out_dir: str, seed: int, frac: float, size: int, xs: list[np.ndarray]
 def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     """ACC/NLL for the single-snapshot model and for all ensemble prefix
     sizes (most recent snapshots first), aggregated over seeds."""
-    arch = build_arch(cfg)
     _, _, test, _ = make_datasets(cfg)
     sizes = _ensemble_sizes(cfg, out_dir)
     digest = cfg.digest()
@@ -202,7 +184,7 @@ def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     for frac in cfg.finetune.label_fractions:
         per_k: dict[int, list[tuple[float, float]]] = {}
         for seed in cfg.run.seeds:
-            for k, (probs,) in _sweep(out_dir, seed, frac, sizes[seed], [test.x], arch):
+            for k, (probs,) in _sweep(out_dir, seed, frac, sizes[seed], [test.x], cfg.model):
                 per_k.setdefault(k, []).append((accuracy(probs, test.y), nll(probs, test.y)))
         # the single-snapshot model is the k=1 ensemble
         for mode, k in [("bma", k) for k in sorted(per_k)] + [("single", 1)]:
@@ -225,7 +207,6 @@ def _ood_scores(probs: np.ndarray, score: str) -> np.ndarray:
 def run_ood(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     """Entropy histograms plus an NLL/AUROC table (OOD scored positive),
     swept over ensemble sizes, using the largest label fraction's members."""
-    arch = build_arch(cfg)
     _, _, test, ood = make_datasets(cfg)
     sizes = _ensemble_sizes(cfg, out_dir)
     frac = max(cfg.finetune.label_fractions)
@@ -235,7 +216,8 @@ def run_ood(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
 
     per_k: dict[int, dict[str, list]] = {}
     for seed in cfg.run.seeds:
-        for k, (p_test, p_ood) in _sweep(out_dir, seed, frac, sizes[seed], [test.x, ood.x], arch):
+        sweep = _sweep(out_dir, seed, frac, sizes[seed], [test.x, ood.x], cfg.model)
+        for k, (p_test, p_ood) in sweep:
             cell = per_k.setdefault(k, {"nll": [], "auroc": [], "h_test": [], "h_ood": []})
             cell["nll"].append(nll(p_test, test.y))
             cell["auroc"].append(auroc(_ood_scores(p_ood, score), _ood_scores(p_test, score)))
@@ -263,11 +245,10 @@ def run_sample_diag(cfg: cfgmod.RunConfig, out_dir: str, steps: int = 200_000,
                     seed: int | None = None) -> ChainStats:
     """Run the configured sampler against the unit quadratic and emit the
     chain moments next to their analytic values."""
-    os.makedirs(out_dir, exist_ok=True)
     if burn_in is None:
         burn_in = max(1, steps // 20)  # default burn-in: 5% of steps
-    diag_cfg = dataclasses.replace(build_sampler_config(cfg, n_dataset=1), cycle_len=1,
-                                   total_steps=steps, noise_start_frac=0.0)
+    diag_cfg = dataclasses.replace(cfg.sampler, cycle_len=1, total_steps=steps,
+                                   noise_start_frac=0.0)
     target = QuadraticTarget(dim=dim, temperature=diag_cfg.temperature)
     stats = run_chain(diag_cfg, target, steps=steps, burn_in=burn_in,
                       seed=cfg.run.seeds[0] if seed is None else seed)
@@ -275,6 +256,7 @@ def run_sample_diag(cfg: cfgmod.RunConfig, out_dir: str, steps: int = 200_000,
     rows = [(i, float(stats.mean[i]), float(stats.variance[i]), float(analytic[i]),
              float(stats.lag1_autocorr[i]), cfg.digest())
             for i in range(dim)]
+    os.makedirs(out_dir, exist_ok=True)
     write_table(os.path.join(out_dir, "chain_stats.tsv"),
                 ["coordinate", "mean", "variance", "analytic_variance",
                  "lag1_autocorr", "config_digest"], rows)

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import write_atomic
+from .config import ModelSection
 from .errors import (ChecksumError, CheckpointError, ContractError,
                      TruncationError, VersionError)
-from .model import Architecture, TwinModel, mlp_forward_np
+from .model import TwinModel, mlp_forward_np
 from .params import ParamVector
 from .autodiff import Tensor
 
@@ -100,7 +101,7 @@ def recent_mean(probs: list[np.ndarray], count: int | None = None) -> np.ndarray
 
     The arrays are summed oldest-first and the sum is divided by count, so
     an ensemble-size sweep over arrays computed once per member reproduces
-    bma_predict(members, x, arch, count=k) bit for bit at every k.
+    bma_predict(members, x, model, count=k) bit for bit at every k.
     """
     if len(probs) < 1:
         raise ContractError("prediction requires at least one member")
@@ -114,7 +115,7 @@ def recent_mean(probs: list[np.ndarray], count: int | None = None) -> np.ndarray
     return total / len(probs)
 
 
-def bma_predict(members, x: np.ndarray, arch: Architecture,
+def bma_predict(members, x: np.ndarray, model: ModelSection,
                 count: int | None = None) -> np.ndarray:
     """Average the per-member softmax outputs over posterior samples.
 
@@ -131,7 +132,7 @@ def bma_predict(members, x: np.ndarray, arch: Architecture,
         raise ContractError(f"count must lie in [1, {len(members)}], got {count}")
     used = members if count is None else members[-count:]
     x = np.asarray(x, dtype=np.float64)
-    return recent_mean([softmax(mlp_forward_np(encoder, x, arch.activation)
+    return recent_mean([softmax(mlp_forward_np(encoder, x, model.activation)
                                 @ head.weight.values + head.bias.values)
                         for encoder, head in used])
 

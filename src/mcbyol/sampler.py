@@ -3,13 +3,25 @@ and cyclical SGHMC with a cold-posterior temperature.
 
 Update conventions (per step k, learning rate l = cyclic_lr(cfg, k)):
 
-    grad drift     d = (l/2) * n * grad_U        (n = dataset size)
+    grad drift     d = (l/2) * n * grad_U        (n = n_dataset)
     SGLD           theta <- theta + (s * eps - d),       s = sqrt(T*l)
     SGHMC          m <- (beta*m - d) + s * eps,          s = sqrt(T*(1-beta)*l)
                    theta <- theta + m
 
-sgld_step runs the kind "sgld"; sghmc_step runs every other kind (plain and
-cyclic SGD are sghmc_step without noise) and refuses "sgld".  The drift
+What each [sampler] kind does is one row of config.SAMPLER_KINDS:
+
+    kind       cyclic  noisy  momentum
+    map_sgd    no      no     yes
+    snap_sgd   yes     no     yes
+    sgld       no      yes    no
+    sghmc      no      yes    yes
+    csghmc     yes     yes    yes
+
+A cyclic kind follows cyclic_lr's cosine schedule, which restarts every
+cycle_len steps; the others run at a constant lr0.  A momentum kind steps
+with sghmc_step (plain and cyclic SGD are sghmc_step without noise), the
+others with sgld_step, and each step function refuses the other's kinds.
+Every kind snapshots at the same fixed interval (should_yield).  The drift
 coefficient (l/2) * n is the Euler step of Langevin dynamics on the
 dataset-scaled energy n * U; the noise scale s = noise_scale(cfg, l) is the
 matching fluctuation term, with the friction 1 - beta for the momentum
@@ -33,11 +45,11 @@ or all Python floats for a 1-D chain: IEEE + - * / round the same on both,
 so a float step gives the bits of the matching shape-(1,) array step
 without numpy's per-call dispatch.
 
-Noise is injected only in the tail of each cycle (within-cycle position
->= noise_start_frac * cycle_len) and only for the stochastic kinds;
-map_sgd and snap_sgd are always noiseless.  Drawing happens only when the
-noise is active, so two samplers with the same seed consume identical
-noise streams.
+A noisy kind injects noise on every step, except that a cyclic one does
+so only in the tail of each cycle (within-cycle position >=
+noise_start_frac * cycle_len); map_sgd and snap_sgd are always
+noiseless.  Drawing happens only when the noise is active, so two
+samplers with the same seed consume identical noise streams.
 """
 
 from __future__ import annotations
@@ -48,45 +60,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape
-from .errors import ConfigError, ContractError, DivergenceError
+from .config import SAMPLER_KINDS, SamplerSection
+from .errors import ContractError, DivergenceError
 from .model import TwinModel, byol_loss_symmetrized
 
-KINDS = ("map_sgd", "snap_sgd", "sgld", "sghmc", "csghmc")
-NOISY_KINDS = ("sgld", "sghmc", "csghmc")
 DIVERGENCE_LIMIT = 1e6  # a chain with any |theta| above this has diverged
-
-
-@dataclass
-class SamplerConfig:
-    kind: str = "csghmc"
-    lr0: float = 0.2
-    beta: float = 0.9
-    temperature: float = 0.1
-    cycle_len: int = 50
-    total_steps: int = 200
-    n_dataset: int = 1
-    noise_start_frac: float = 0.8
-    prior_std: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown sampler kind {self.kind!r}")
-        if self.lr0 <= 0:
-            raise ConfigError("lr0 must be positive")
-        if not 0.0 <= self.beta < 1.0:
-            raise ConfigError("beta must lie in [0, 1)")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if self.cycle_len < 1:
-            raise ConfigError("cycle_len must be >= 1")
-        if self.total_steps < 1:
-            raise ConfigError("total_steps must be >= 1")
-        if self.n_dataset < 1:
-            raise ConfigError("n_dataset must be >= 1")
-        if not 0.0 <= self.noise_start_frac <= 1.0:
-            raise ConfigError("noise_start_frac must lie in [0, 1]")
-        if self.prior_std <= 0:
-            raise ConfigError("prior_std must be positive")
+# the momentum kinds as a set built from the table: the step guards run on
+# every step, where a set lookup is about 20 ns cheaper than a row lookup
+_MOMENTUM_KINDS = frozenset(kind for kind, row in SAMPLER_KINDS.items() if row.momentum)
 
 
 @dataclass
@@ -103,21 +84,24 @@ def make_state(dim: int, seed: int) -> SamplerState:
     return SamplerState(momentum=np.zeros(dim), rng=rng)
 
 
-def cyclic_lr(cfg: SamplerConfig, k: int) -> float:
-    """Cosine cyclic schedule; constant lr0 for plain MAP SGD."""
+def cyclic_lr(cfg: SamplerSection, k: int) -> float:
+    """Cosine cyclic schedule; constant lr0 for the non-cyclic kinds."""
     if not 0 <= k < cfg.total_steps:
         raise ContractError(f"step {k} outside [0, {cfg.total_steps})")
-    if cfg.kind == "map_sgd":
+    if not SAMPLER_KINDS[cfg.kind].cyclic:
         return cfg.lr0
     pos = k % cfg.cycle_len
     return (cfg.lr0 / 2.0) * (np.cos(np.pi * pos / cfg.cycle_len) + 1.0)
 
 
-def noise_active(cfg: SamplerConfig, k: int) -> bool:
-    """True when this step injects Gaussian noise: stochastic kind and the
-    within-cycle position has reached the sampling stage of the cycle."""
-    if cfg.kind not in NOISY_KINDS:
+def noise_active(cfg: SamplerSection, k: int) -> bool:
+    """True when this step injects Gaussian noise: a noisy kind, and for a
+    cyclic one the within-cycle position has reached the sampling stage."""
+    kind = SAMPLER_KINDS[cfg.kind]
+    if not kind.noisy:
         return False
+    if not kind.cyclic:
+        return True
     return (k % cfg.cycle_len) >= cfg.noise_start_frac * cfg.cycle_len
 
 
@@ -138,7 +122,7 @@ def divergence_error(step: int, theta: np.ndarray, context: str = "") -> Diverge
                            detail=f"{check}; {context}" if context else check)
 
 
-def should_yield(cfg: SamplerConfig, k: int) -> bool:
+def should_yield(cfg: SamplerSection, k: int) -> bool:
     """Snapshot at each cycle end; the non-cyclic kinds use the same fixed
     interval so every baseline collects equally many snapshots."""
     if k < 0:
@@ -147,7 +131,7 @@ def should_yield(cfg: SamplerConfig, k: int) -> bool:
 
 
 def posterior_grad(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray,
-                   cfg: SamplerConfig) -> tuple[np.ndarray, float]:
+                   cfg: SamplerSection, n_dataset: int) -> tuple[np.ndarray, float]:
     """Gradient of the minibatch posterior estimate on the online parameters.
 
     Returns (grad_U, loss) where grad_U = d/dtheta [batch-mean symmetrized
@@ -161,26 +145,26 @@ def posterior_grad(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray,
     grad = model.online_grad_flat()
     d_enc = model.encoder_dim
     enc_flat = model.online_encoder.flatten()
-    grad[:d_enc] += enc_flat / (cfg.prior_std ** 2 * cfg.n_dataset)
+    grad[:d_enc] += enc_flat / (cfg.prior_std ** 2 * n_dataset)
     return grad, float(loss.values)
 
 
-def noise_scale(cfg: SamplerConfig, lr: float) -> float:
+def noise_scale(cfg: SamplerSection, lr: float) -> float:
     """Standard deviation of the injected noise at learning rate lr:
     sqrt(T * l) for sgld, sqrt(T * (1 - beta) * l) for the momentum kinds."""
-    one_minus_beta = 1.0 if cfg.kind == "sgld" else 1.0 - cfg.beta
+    one_minus_beta = 1.0 - cfg.beta if SAMPLER_KINDS[cfg.kind].momentum else 1.0
     return math.sqrt(cfg.temperature * one_minus_beta * lr)
 
 
 def sgld_step(params: np.ndarray | float, state: SamplerState, grad_u: np.ndarray | float,
-              lr: float, cfg: SamplerConfig, noise_on: bool = True,
+              lr: float, cfg: SamplerSection, n_dataset: int, noise_on: bool = True,
               noise: np.ndarray | float | None = None) -> np.ndarray | float:
     """One Langevin update; returns the new parameter vector."""
     if lr <= 0:
         raise ContractError("lr must be positive")
-    if cfg.kind != "sgld":
-        raise ContractError(f"sgld_step needs kind 'sgld', not {cfg.kind!r}")
-    drift = (0.5 * lr * cfg.n_dataset) * grad_u
+    if cfg.kind in _MOMENTUM_KINDS:
+        raise ContractError(f"kind {cfg.kind!r} steps with sghmc_step")
+    drift = (0.5 * lr * n_dataset) * grad_u
     if not noise_on:
         new = params - drift
     else:
@@ -191,7 +175,7 @@ def sgld_step(params: np.ndarray | float, state: SamplerState, grad_u: np.ndarra
 
 
 def sghmc_step(params: np.ndarray | float, state: SamplerState, grad_u: np.ndarray | float,
-               lr: float, cfg: SamplerConfig, noise_on: bool = True,
+               lr: float, cfg: SamplerSection, n_dataset: int, noise_on: bool = True,
                noise: np.ndarray | float | None = None) -> np.ndarray | float:
     """One momentum update; mutates state.momentum, returns new parameters.
 
@@ -200,11 +184,11 @@ def sghmc_step(params: np.ndarray | float, state: SamplerState, grad_u: np.ndarr
     """
     if lr <= 0:
         raise ContractError("lr must be positive")
-    if cfg.kind == "sgld":
-        raise ContractError("kind 'sgld' steps with sgld_step")
+    if cfg.kind not in _MOMENTUM_KINDS:
+        raise ContractError(f"kind {cfg.kind!r} steps with sgld_step")
     if getattr(state.momentum, "shape", ()) != getattr(params, "shape", ()):
         raise ContractError("momentum buffer shape does not match parameters")
-    drift = (0.5 * lr * cfg.n_dataset) * grad_u
+    drift = (0.5 * lr * n_dataset) * grad_u
     m = cfg.beta * state.momentum - drift
     if noise_on:
         if noise is None:

@@ -16,13 +16,14 @@ import pytest
 
 from mcbyol import cli, config, pipeline
 from mcbyol.autodiff import Tape, Tensor
+from mcbyol.config import ModelSection, SamplerSection
 from mcbyol.diagnostics import QuadraticTarget, run_chain
 from mcbyol.finetune import ClassifierHead, load_member
 from mcbyol.metrics import accuracy, auroc, nll
-from mcbyol.model import Architecture, byol_loss_symmetrized, init_twin
+from mcbyol.model import byol_loss_symmetrized, init_twin
 from mcbyol.posterior import PosteriorEnsemble, bma_predict, collect, predictive_entropy
-from mcbyol.sampler import (SamplerConfig, cyclic_lr, make_state, noise_active,
-                            sghmc_step, sgld_step, should_yield)
+from mcbyol.sampler import (cyclic_lr, make_state, noise_active, sghmc_step, sgld_step,
+                            should_yield)
 
 
 def sha256_of(out, name):
@@ -79,16 +80,16 @@ def test_criterion_01_gradient_correctness():
         h = 1e-5
         worst_vec = 0.0
         for seed in range(100):
-            dims = dict(input_dim=int(rng.integers(2, 5)),
-                        encoder_hidden=[int(rng.integers(2, 5))],
+            input_dim = int(rng.integers(2, 5))
+            dims = dict(encoder_hidden=[int(rng.integers(2, 5))],
                         embed_dim=int(rng.integers(2, 4)),
                         proj_hidden=int(rng.integers(2, 4)),
                         proj_dim=2,
                         pred_hidden=int(rng.integers(2, 4)))
-            arch = Architecture(**dims)
-            model = init_twin(arch, seed)
-            a = rng.normal(size=(3, dims["input_dim"]))
-            b = rng.normal(size=(3, dims["input_dim"]))
+            arch = ModelSection(**dims)
+            model = init_twin(arch, input_dim, seed)
+            a = rng.normal(size=(3, input_dim))
+            b = rng.normal(size=(3, input_dim))
             model.zero_online_grads()
             tape = Tape()
             tape.backward(byol_loss_symmetrized(tape, model, a, b))
@@ -149,9 +150,9 @@ def test_criterion_03_sampler_stationary_variance():
         start = time.time()
         for kind, beta, tol in (("sgld", 0.0, 0.10), ("sghmc", 0.0, 0.10), ("sghmc", 0.9, 0.15)):
             for temp in (1.0, 0.1):
-                cfg = SamplerConfig(kind=kind, lr0=0.01, beta=beta, temperature=temp,
-                                    cycle_len=1, total_steps=200_000, n_dataset=1,
-                                    noise_start_frac=0.0)
+                cfg = SamplerSection(kind=kind, lr0=0.01, beta=beta, temperature=temp,
+                                     cycle_len=1, total_steps=200_000,
+                                     noise_start_frac=0.0)
                 target = QuadraticTarget(dim=1, temperature=temp)
                 stats = run_chain(cfg, target, steps=200_000, burn_in=10_000, seed=42)
                 rel = abs(stats.variance[0] - temp) / temp
@@ -162,26 +163,26 @@ def test_criterion_03_sampler_stationary_variance():
 
 def test_criterion_04_reduction_exactness():
     with criterion(4, "SGHMC at beta=0 reproduces the SGLD trajectory bitwise"):
-        cfg_l = SamplerConfig(kind="sgld", lr0=0.01, beta=0.0, temperature=1.0,
-                              cycle_len=1, total_steps=10_000, n_dataset=1,
-                              noise_start_frac=0.0)
-        cfg_h = SamplerConfig(kind="sghmc", lr0=0.01, beta=0.0, temperature=1.0,
-                              cycle_len=1, total_steps=10_000, n_dataset=1,
-                              noise_start_frac=0.0)
+        cfg_l = SamplerSection(kind="sgld", lr0=0.01, beta=0.0, temperature=1.0,
+                               cycle_len=1, total_steps=10_000,
+                               noise_start_frac=0.0)
+        cfg_h = SamplerSection(kind="sghmc", lr0=0.01, beta=0.0, temperature=1.0,
+                               cycle_len=1, total_steps=10_000,
+                               noise_start_frac=0.0)
         s_l, s_h = make_state(2, 314), make_state(2, 314)
         p_l = p_h = np.array([0.7, -0.3])
         for k in range(10_000):
             g_l, g_h = p_l.copy(), p_h.copy()  # unit quadratic gradient
-            p_l = sgld_step(p_l, s_l, g_l, 0.01, cfg_l, noise_on=True)
-            p_h = sghmc_step(p_h, s_h, g_h, 0.01, cfg_h, noise_on=True)
+            p_l = sgld_step(p_l, s_l, g_l, 0.01, cfg_l, 1, noise_on=True)
+            p_h = sghmc_step(p_h, s_h, g_h, 0.01, cfg_h, 1, noise_on=True)
             assert np.array_equal(p_l, p_h), f"trajectories diverged at step {k}"
 
 
 def test_criterion_05_algorithm_mechanics():
     with criterion(5, "cyclic schedule anchors, late-cycle noise gate, 4 snapshots"):
-        cfg = SamplerConfig(kind="csghmc", lr0=0.2, beta=0.9, temperature=0.1,
-                            cycle_len=50, total_steps=200, n_dataset=1,
-                            noise_start_frac=0.8)
+        cfg = SamplerSection(kind="csghmc", lr0=0.2, beta=0.9, temperature=0.1,
+                             cycle_len=50, total_steps=200,
+                             noise_start_frac=0.8)
         assert cyclic_lr(cfg, 0) == pytest.approx(0.2, abs=1e-15)
         assert cyclic_lr(cfg, 25) == pytest.approx(0.1, abs=1e-12)
         for k in range(150):
@@ -194,13 +195,13 @@ def test_criterion_05_algorithm_mechanics():
 
 def test_criterion_06_marginalization_contract():
     with criterion(6, "BMA prefix-1 exactness, row sums, and the Jensen bound"):
-        arch = Architecture(input_dim=4, encoder_hidden=[5], embed_dim=3,
+        arch = ModelSection(encoder_hidden=[5], embed_dim=3,
                             proj_hidden=3, proj_dim=2, pred_hidden=3)
         rng = np.random.default_rng(12)
         ens = PosteriorEnsemble(run_meta={})
         members = []
         for i in range(4):
-            m = init_twin(arch, i)
+            m = init_twin(arch, 4, i)
             collect(ens, m, step=i, cycle=i, loss=0.0)
             head = ClassifierHead(weight=Tensor(rng.normal(size=(3, 5))),
                                   bias=Tensor(rng.normal(size=(5,))))
@@ -347,7 +348,7 @@ def test_max_prob_ood_auroc_equals_member_recomputation(tmp_path):
         pipeline.run_pretrain(cfg, seed, out)
         pipeline.run_finetune(cfg, seed, out)
     rows = pipeline.run_ood(cfg, out)
-    arch = pipeline.build_arch(cfg)
+    arch = cfg.model
     _, _, test, ood = pipeline.make_datasets(cfg)
     frac = max(cfg.finetune.label_fractions)
     by_score: dict[str, dict[int, list[float]]] = {"max_prob": {}, "entropy": {}}

@@ -241,7 +241,7 @@ def test_sample_diag_rejects_bad_burn_in(tmp_path, steps, burn_in):
     rc = cli.main(["sample-diag", "--config", cfg_path, "--out", out,
                    "--steps", steps, "--burn-in", burn_in])
     assert rc == 1
-    assert not os.path.exists(os.path.join(out, "chain_stats.tsv"))
+    assert not os.path.exists(out)
 
 
 # ---- divergence reports -----------------------------------------------------
@@ -328,6 +328,14 @@ def test_fractions_sharing_a_file_tag_is_config_error(tmp_path, capsys, command)
     ("separation = 4.0", "separation = 4.0\nmask_prob = 1.0", "data.mask_prob must lie in"),
     ("[run]", "[eval]\nbins = 0\n[run]", "eval.bins must be >= 1"),
     ("epochs = 5", "epochs = 5\nepochs = 6", "finetune.epochs is already set on line"),
+    ("lr0 = 0.0005", "lr0 = -1", "sampler.lr0 must be positive"),
+    ("batch = 32", "batch = 0", "sampler.batch must be >= 1"),
+    ("kind = csghmc", "kind = adam", "unknown sampler.kind 'adam'"),
+    ("pred_hidden = 6", "pred_hidden = 6\nactivation = sigmoid",
+     "unknown model.activation 'sigmoid'"),
+    ("pred_hidden = 6", "pred_hidden = 6\ntau = 1.5", "model.tau must lie in [0, 1]"),
+    ("embed_dim = 5", "embed_dim = 0", "model.embed_dim must be >= 1"),
+    ("input_dim = 6", "input_dim = 0", "data.input_dim must be >= 1"),
 ])
 def test_bad_value_fails_at_load_for_every_stage(tmp_path, capsys, command, old, new, message):
     cfg_path = write_config(tmp_path, TINY_CONFIG.replace(old, new))
@@ -354,6 +362,14 @@ def test_malformed_dataset_header_is_data_error(tmp_path, capsys, old, new, mess
                                                           f"file_prefix = {prefix}\n[model]"))
     assert cli.main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_empty_pretrain_split_is_data_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, TINY_CONFIG.replace("per_class_pretrain = 40",
+                                                          "per_class_pretrain = 0"))
+    assert cli.main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "the pretrain split has no rows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_missing_config_file(tmp_path):

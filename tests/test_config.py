@@ -80,6 +80,13 @@ def test_repeated_key_rejected_with_both_lines():
     ("[finetune]\nbatch = 0\n", "finetune.batch"),
     ("[finetune]\nepochs = -1\n", "finetune.epochs"),
     ("[eval]\nbins = 0\n", "eval.bins"),
+    ("[sampler]\nlr0 = -1\n", "sampler.lr0"),
+    ("[sampler]\nbatch = 0\n", "sampler.batch"),
+    ("[sampler]\nkind = adam\n", "sampler.kind"),
+    ("[model]\nactivation = sigmoid\n", "model.activation"),
+    ("[model]\ntau = 1.5\n", "model.tau"),
+    ("[model]\nembed_dim = 0\n", "model.embed_dim"),
+    ("[data]\ninput_dim = 0\n", "data.input_dim"),
 ])
 def test_out_of_range_values_fail_at_load(text, message):
     with pytest.raises(ConfigError, match=message):

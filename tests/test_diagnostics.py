@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from mcbyol import diagnostics
+from mcbyol.config import SamplerSection
 from mcbyol.diagnostics import QuadraticTarget, run_chain
 from mcbyol.errors import ConfigError, ContractError, DimensionError, DivergenceError
-from mcbyol.sampler import (DIVERGENCE_LIMIT, SamplerConfig, cyclic_lr, make_state,
-                            noise_active, sghmc_step, sgld_step)
+from mcbyol.sampler import (DIVERGENCE_LIMIT, cyclic_lr, make_state, noise_active, sghmc_step,
+                            sgld_step)
 
 
 def chain_cfg(kind="sgld", lr0=0.01, beta=0.0, temperature=1.0, steps=20_000):
-    return SamplerConfig(kind=kind, lr0=lr0, beta=beta, temperature=temperature,
-                         cycle_len=1, total_steps=steps, n_dataset=1,
-                         noise_start_frac=0.0)
+    return SamplerSection(kind=kind, lr0=lr0, beta=beta, temperature=temperature,
+                          cycle_len=1, total_steps=steps, noise_start_frac=0.0)
 
 
 def quadratic_grad(target, theta):
@@ -74,11 +74,6 @@ def test_run_chain_contract_checks():
     with pytest.raises(ContractError):  # one sample left: no variance
         run_chain(chain_cfg(), target, steps=2, burn_in=1, seed=0)
     assert run_chain(chain_cfg(), target, steps=2, burn_in=0, seed=0).sample_count == 2
-    bad = SamplerConfig(kind="sgld", lr0=0.01, beta=0.0, temperature=1.0,
-                        cycle_len=1, total_steps=1000, n_dataset=5,
-                        noise_start_frac=0.0)
-    with pytest.raises(ContractError):
-        run_chain(bad, target, steps=100, burn_in=10, seed=0)
 
 
 def test_divergence_detected_and_names_step():
@@ -144,7 +139,7 @@ def reference_chain(cfg, target, steps, burn_in, seed, theta0, step_fn=None):
     for k in range(steps):
         grad = target.precision @ theta
         lr = cyclic_lr(cfg, k)
-        theta = step_fn(theta, state, grad, lr, cfg, noise_on=noise_active(cfg, k))
+        theta = step_fn(theta, state, grad, lr, cfg, 1, noise_on=noise_active(cfg, k))
         if np.abs(theta).max() > DIVERGENCE_LIMIT:
             i = int(np.argmax(np.abs(theta)))
             raise DivergenceError(step=k, quantity=f"theta[{i}]", value=float(theta[i]))
@@ -158,7 +153,8 @@ def reference_chain(cfg, target, steps, burn_in, seed, theta0, step_fn=None):
     return mean, samples.var(axis=0, ddof=1), lag1
 
 
-@pytest.mark.parametrize("kind,beta", [("sgld", 0.0), ("sghmc", 0.0), ("sghmc", 0.9)])
+@pytest.mark.parametrize("kind,beta", [("sgld", 0.0), ("sghmc", 0.0), ("sghmc", 0.9),
+                                       ("csghmc", 0.9)])
 # a 1-D chain steps on Python floats: a signed-zero and a large start pin its bits too
 @pytest.mark.parametrize("dim,start", [pytest.param(1, None, id="1"), pytest.param(3, None, id="3"),
                                        pytest.param(1, -0.0, id="1-theta0=-0.0"),
@@ -168,9 +164,9 @@ def test_blocked_chain_is_bit_identical_to_per_step_loop(kind, beta, dim, start,
                                                          cycle_len, noise_start_frac):
     # not a multiple of the block, and the burn-in ends inside the second block
     steps, burn_in = diagnostics._BLOCK + 1_234, diagnostics._BLOCK - 100
-    cfg = SamplerConfig(kind=kind, lr0=0.05, beta=beta, temperature=0.5,
-                        cycle_len=cycle_len, total_steps=steps, n_dataset=1,
-                        noise_start_frac=noise_start_frac)
+    cfg = SamplerSection(kind=kind, lr0=0.05, beta=beta, temperature=0.5,
+                         cycle_len=cycle_len, total_steps=steps,
+                         noise_start_frac=noise_start_frac)
     precision = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])[:dim, :dim]
     target = QuadraticTarget(dim=dim, precision=precision, temperature=0.5)
     theta0 = np.linspace(0.7, -0.4, dim) if start is None else np.full(dim, start)
@@ -182,10 +178,10 @@ def test_blocked_chain_is_bit_identical_to_per_step_loop(kind, beta, dim, start,
     assert np.array_equal(stats.lag1_autocorr, lag1)
 
 
-def tempered_drift_step(theta, state, grad_u, lr, cfg, noise_on):
+def tempered_drift_step(theta, state, grad_u, lr, cfg, n_dataset, noise_on):
     """The update of the former tempered-drift option: the drift divided
     by T and the noise left untempered, in that option's evaluation order."""
-    drift = (0.5 * lr * cfg.n_dataset) * grad_u / cfg.temperature
+    drift = (0.5 * lr * n_dataset) * grad_u / cfg.temperature
     if noise_on:
         one_minus_beta = 1.0 if cfg.kind == "sgld" else 1.0 - cfg.beta
         noise = math.sqrt(one_minus_beta * lr) * state.rng.standard_normal(theta.shape)
@@ -201,8 +197,8 @@ def test_tempered_drift_is_the_plain_chain_at_lr0_over_t(kind, beta):
     # at T = 0.5 dividing by T is exact, so every step agrees bit for bit,
     # through the cyclic schedule and the noiseless head of each cycle
     steps, burn_in, temperature = diagnostics._BLOCK + 1_234, 500, 0.5
-    tempered = SamplerConfig(kind=kind, lr0=0.05, beta=beta, temperature=temperature,
-                             cycle_len=7, total_steps=steps, n_dataset=1, noise_start_frac=0.5)
+    tempered = SamplerSection(kind=kind, lr0=0.05, beta=beta, temperature=temperature,
+                              cycle_len=7, total_steps=steps, noise_start_frac=0.5)
     plain = dataclasses.replace(tempered, lr0=tempered.lr0 / temperature)
     precision = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
     target = QuadraticTarget(dim=3, precision=precision, temperature=temperature)

@@ -3,22 +3,21 @@ import pytest
 from minibatch_reference import reference_minibatches
 
 from mcbyol.autodiff import Tape, Tensor
-from mcbyol.config import FinetuneSection
+from mcbyol.config import FinetuneSection, ModelSection
 from mcbyol.data import Dataset, make_clusters
 from mcbyol.errors import ContractError, DataError
 from mcbyol.finetune import (ClassifierHead, _init_head, finetune, load_member, save_member,
                              subset_labels)
-from mcbyol.model import Architecture, init_twin, mlp_forward, mlp_forward_np
+from mcbyol.model import init_twin, mlp_forward, mlp_forward_np
 from mcbyol.params import ParamVector
 from mcbyol.posterior import PosteriorEnsemble, _class_reduce, collect, softmax
 
-TINY = Architecture(input_dim=4, encoder_hidden=[6], embed_dim=3,
-                    proj_hidden=3, proj_dim=2, pred_hidden=3)
+TINY = ModelSection(encoder_hidden=[6], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
 
 
 def snapshot_for(seed=0):
     ens = PosteriorEnsemble(run_meta={})
-    collect(ens, init_twin(TINY, seed), step=0, cycle=0, loss=0.0)
+    collect(ens, init_twin(TINY, 4, seed), step=0, cycle=0, loss=0.0)
     return ens.snapshots[0]
 
 

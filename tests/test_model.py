@@ -1,20 +1,21 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 from gradcheck import grad_check
 
 from mcbyol.autodiff import Tape, Tensor
+from mcbyol.config import ModelSection
 from mcbyol.errors import ConfigError, DimensionError
-from mcbyol.model import (Architecture, byol_loss_one_direction, byol_loss_symmetrized,
-                          ema_update, init_twin, mlp_forward_np)
+from mcbyol.model import (byol_loss_one_direction, byol_loss_symmetrized, ema_update,
+                          init_twin, mlp_forward_np)
 
-TINY = Architecture(input_dim=3, encoder_hidden=[4], embed_dim=3,
-                    proj_hidden=3, proj_dim=2, pred_hidden=3)
+TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
 
 
 def tiny_model(seed=0, tau=0.99):
-    return init_twin(TINY, seed, tau=tau)
+    return init_twin(dataclasses.replace(TINY, tau=tau), 3, seed)
 
 
 def test_init_target_copies_online():
@@ -24,10 +25,10 @@ def test_init_target_copies_online():
 
 
 def test_init_passes_tau_through():
-    assert init_twin(TINY, 0, tau=0.7).tau == 0.7
+    assert tiny_model(0, tau=0.7).cfg.tau == 0.7
     # tau does not touch init
-    assert np.array_equal(init_twin(TINY, 0, tau=0.7).online_encoder.flatten(),
-                          init_twin(TINY, 0, tau=0.2).online_encoder.flatten())
+    assert np.array_equal(tiny_model(0, tau=0.7).online_encoder.flatten(),
+                          tiny_model(0, tau=0.2).online_encoder.flatten())
 
 
 def test_init_same_seed_is_bit_identical():
@@ -48,9 +49,9 @@ def test_target_never_requires_grad():
 
 def test_inconsistent_widths_rejected():
     with pytest.raises(ConfigError):
-        Architecture(input_dim=3, encoder_hidden=[0], embed_dim=3)
+        ModelSection(encoder_hidden=[0], embed_dim=3)
     with pytest.raises(ConfigError):
-        Architecture(input_dim=3, activation="sigmoid")
+        ModelSection(activation="sigmoid")
 
 
 def test_flatten_roundtrip_is_bit_exact():
@@ -93,7 +94,7 @@ def test_antipodal_directions_give_loss_four():
 def byol_loss_cosine_form(model, view_a, view_b):
     """Independent numpy evaluation of the one-direction loss as
     2 - 2<q_bar, y_bar>, averaged over the batch."""
-    act = model.arch.activation
+    act = model.cfg.activation
     q = mlp_forward_np(model.online_predictor,
                        mlp_forward_np(model.online_projector,
                                       mlp_forward_np(model.online_encoder, view_a, act), act), act)
@@ -245,7 +246,7 @@ def test_zero_weight_encoder_embeds_to_zero():
     for _, t in m.online_encoder.items():
         t.values[...] = 0.0
     x = np.random.default_rng(0).normal(size=(4, 3))
-    z = mlp_forward_np(m.online_encoder, x, m.arch.activation)
+    z = mlp_forward_np(m.online_encoder, x, m.cfg.activation)
     assert np.array_equal(z, np.zeros((4, 3)))
 
 
@@ -254,20 +255,20 @@ def test_embed_batch_independence():
     rng = np.random.default_rng(7)
     m = tiny_model(1)
     batch = rng.normal(size=(8, 3))
-    full = mlp_forward_np(m.online_encoder, batch, m.arch.activation)
-    row = mlp_forward_np(m.online_encoder, batch[2:3], m.arch.activation)
+    full = mlp_forward_np(m.online_encoder, batch, m.cfg.activation)
+    row = mlp_forward_np(m.online_encoder, batch[2:3], m.cfg.activation)
     assert np.allclose(full[2], row[0], rtol=0, atol=1e-12)
 
 
 def test_embed_dim_matches_config():
     rng = np.random.default_rng(8)
     for seed in range(5):
-        dims = dict(input_dim=int(rng.integers(2, 6)),
-                    encoder_hidden=[int(rng.integers(3, 9))],
+        input_dim = int(rng.integers(2, 6))
+        dims = dict(encoder_hidden=[int(rng.integers(3, 9))],
                     embed_dim=int(rng.integers(2, 7)))
-        arch = Architecture(**dims)
-        m = init_twin(arch, seed)
-        x = rng.normal(size=(3, dims["input_dim"]))
+        arch = ModelSection(**dims)
+        m = init_twin(arch, input_dim, seed)
+        x = rng.normal(size=(3, input_dim))
         z = mlp_forward_np(m.online_encoder, x, arch.activation)
         assert z.shape == (3, dims["embed_dim"])
 

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from mcbyol.autodiff import Tensor
+from mcbyol.config import ModelSection
 from mcbyol.errors import ChecksumError, ContractError, TruncationError, VersionError
 from mcbyol.finetune import ClassifierHead
-from mcbyol.model import Architecture, init_twin, mlp_forward_np
+from mcbyol.model import init_twin, mlp_forward_np
 from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect,
                               load_ensemble, predictive_entropy, recent_mean,
                               save_ensemble, softmax)
 
-TINY = Architecture(input_dim=3, encoder_hidden=[4], embed_dim=3,
-                    proj_hidden=3, proj_dim=2, pred_hidden=3)
+TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
 
 
 def make_ensemble(n_snaps=4, seed=0):
@@ -18,7 +18,7 @@ def make_ensemble(n_snaps=4, seed=0):
                                       "sampler_kind": "csghmc"})
     rng = np.random.default_rng(seed)
     for i in range(n_snaps):
-        m = init_twin(TINY, seed * 100 + i)
+        m = init_twin(TINY, 3, seed * 100 + i)
         collect(ens, m, step=50 * (i + 1) - 1, cycle=i, loss=float(rng.uniform(0, 1)))
     return ens
 
@@ -38,7 +38,7 @@ def members_for(ens, seed=0, classes=4):
 
 def test_collect_deep_copies_parameters():
     ens = PosteriorEnsemble(run_meta={})
-    m = init_twin(TINY, 0)
+    m = init_twin(TINY, 3, 0)
     collect(ens, m, step=49, cycle=0, loss=0.5)
     before = ens.snapshots[0].encoder_params.flatten().copy()
     m.set_online_flat(m.online_flat() + 1.0)
@@ -48,16 +48,16 @@ def test_collect_deep_copies_parameters():
 def test_collect_counts():
     assert make_ensemble(4).size == 4
     ens = PosteriorEnsemble(run_meta={})
-    collect(ens, init_twin(TINY, 0), 0, 0, 0.1)
+    collect(ens, init_twin(TINY, 3, 0), 0, 0, 0.1)
     assert ens.size == 1
 
 
 def test_collect_rejects_mismatched_layout():
     ens = make_ensemble(1)
-    other_arch = Architecture(input_dim=3, encoder_hidden=[5], embed_dim=3,
-                              proj_hidden=3, proj_dim=2, pred_hidden=3)
+    other_arch = ModelSection(encoder_hidden=[5], embed_dim=3, proj_hidden=3, proj_dim=2,
+                              pred_hidden=3)
     with pytest.raises(ContractError):
-        collect(ens, init_twin(other_arch, 0), 0, 0, 0.1)
+        collect(ens, init_twin(other_arch, 3, 0), 0, 0, 0.1)
 
 
 # ---- prediction -------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_bma_averages_probabilities():
     # two synthetic members emitting one-hot opposite predictions
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 3))
-    enc = init_twin(TINY, 0).online_encoder.copy()
+    enc = init_twin(TINY, 3, 0).online_encoder.copy()
     for _, t in enc.items():
         t.values[...] = 0.0  # embeddings all zero, logits = bias
     big = 1e3

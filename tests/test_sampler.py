@@ -5,21 +5,24 @@ import pytest
 from gradcheck import grad_check
 
 from mcbyol.autodiff import Tape
+from mcbyol.config import ModelSection, SamplerSection
 from mcbyol.errors import ConfigError, ContractError
-from mcbyol.model import Architecture, byol_loss_symmetrized, init_twin
-from mcbyol.sampler import (SamplerConfig, cyclic_lr, make_state, noise_active, noise_scale,
+from mcbyol.model import byol_loss_symmetrized, init_twin
+from mcbyol.sampler import (cyclic_lr, make_state, noise_active, noise_scale,
                             posterior_grad, sghmc_step, sgld_step, should_yield)
 
-TINY = Architecture(input_dim=3, encoder_hidden=[4], embed_dim=3,
-                    proj_hidden=3, proj_dim=2, pred_hidden=3)
+TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
+
+
+def tiny_twin(seed):
+    return init_twin(TINY, 3, seed)
 
 
 def cfg_for(**kw):
     base = dict(kind="csghmc", lr0=0.2, beta=0.9, temperature=0.1,
-                cycle_len=50, total_steps=200, n_dataset=1,
-                noise_start_frac=0.8, prior_std=1.0)
+                cycle_len=50, total_steps=200, noise_start_frac=0.8, prior_std=1.0)
     base.update(kw)
-    return SamplerConfig(**base)
+    return SamplerSection(**base)
 
 
 # ---- schedule ---------------------------------------------------------------
@@ -71,6 +74,27 @@ def test_lr_out_of_range_rejected():
 def test_cycle_len_one_gives_constant_schedule():
     cfg = cfg_for(cycle_len=1)
     assert all(cyclic_lr(cfg, k) == pytest.approx(0.2, abs=1e-15) for k in range(20))
+
+
+# ---- what each kind does ----------------------------------------------------
+
+COSINE = [(0.2 / 2) * (np.cos(np.pi * p / 7) + 1.0) for p in range(7)] * 2
+TAIL = ([False] * 4 + [True] * 3) * 2  # positions >= 0.5 * 7 of each cycle
+
+
+@pytest.mark.parametrize("kind,lrs,noise", [
+    ("map_sgd", [0.2] * 14, [False] * 14),
+    ("snap_sgd", COSINE, [False] * 14),
+    ("sgld", [0.2] * 14, [True] * 14),
+    ("sghmc", [0.2] * 14, [True] * 14),
+    ("csghmc", COSINE, TAIL),
+])
+def test_each_kind_has_its_own_lr_and_noise_schedule(kind, lrs, noise):
+    # two cycles: only the cyclic kinds restart the cosine and gate the noise
+    cfg = cfg_for(kind=kind, cycle_len=7, total_steps=14, noise_start_frac=0.5)
+    assert [cyclic_lr(cfg, k) for k in range(14)] == lrs
+    assert [noise_active(cfg, k) for k in range(14)] == noise
+    assert [k for k in range(14) if should_yield(cfg, k)] == [6, 13]
 
 
 # ---- noise gating and yields ------------------------------------------------
@@ -135,14 +159,14 @@ def test_config_invariants_enforced():
 
 
 def test_prior_gradient_on_encoder_slice():
-    m = init_twin(TINY, 0)
+    m = tiny_twin(0)
     rng = np.random.default_rng(0)
     a = rng.normal(size=(4, 3))
     n = 10
-    cfg = cfg_for(n_dataset=n, prior_std=1.0)
+    cfg = cfg_for(prior_std=1.0)
     # zero the likelihood part by comparing two prior scales
-    g1, _ = posterior_grad(m, a, a.copy(), cfg)
-    g2, _ = posterior_grad(m, a, a.copy(), cfg_for(n_dataset=n, prior_std=1e9))
+    g1, _ = posterior_grad(m, a, a.copy(), cfg, n)
+    g2, _ = posterior_grad(m, a, a.copy(), cfg_for(prior_std=1e9), n)
     d_enc = m.encoder_dim
     prior_term = g1 - g2
     assert np.allclose(prior_term[:d_enc], m.online_encoder.flatten() / n, atol=1e-9)
@@ -150,11 +174,11 @@ def test_prior_gradient_on_encoder_slice():
 
 
 def test_prior_vanishes_for_large_dataset():
-    m = init_twin(TINY, 1)
+    m = tiny_twin(1)
     rng = np.random.default_rng(1)
     a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-    g_small, _ = posterior_grad(m, a, b, cfg_for(n_dataset=10))
-    g_large, _ = posterior_grad(m, a, b, cfg_for(n_dataset=10_000_000))
+    g_small, _ = posterior_grad(m, a, b, cfg_for(), 10)
+    g_large, _ = posterior_grad(m, a, b, cfg_for(), 10_000_000)
     d_enc = m.encoder_dim
     # likelihood part identical; prior shrinks ~ 1/n
     assert np.allclose(g_small[d_enc:], g_large[d_enc:])
@@ -163,22 +187,21 @@ def test_prior_vanishes_for_large_dataset():
 
 
 def test_prior_locality_only_encoder_changes():
-    m = init_twin(TINY, 2)
+    m = tiny_twin(2)
     rng = np.random.default_rng(2)
     a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    g_prior, _ = posterior_grad(m, a, b, cfg_for(n_dataset=5, prior_std=0.3))
-    g_flat, _ = posterior_grad(m, a, b, cfg_for(n_dataset=5, prior_std=1e12))
+    g_prior, _ = posterior_grad(m, a, b, cfg_for(prior_std=0.3), 5)
+    g_flat, _ = posterior_grad(m, a, b, cfg_for(prior_std=1e12), 5)
     d_enc = m.encoder_dim
     assert np.any(g_prior[:d_enc] != g_flat[:d_enc])
     assert np.array_equal(g_prior[d_enc:], g_flat[d_enc:])
 
 
 def test_likelihood_part_matches_finite_differences():
-    m = init_twin(TINY, 3)
+    m = tiny_twin(3)
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    cfg = cfg_for(n_dataset=1_000_000_000)  # prior term negligible
-    grad, _ = posterior_grad(m, a, b, cfg)
+    grad, _ = posterior_grad(m, a, b, cfg_for(), 1_000_000_000)  # prior term negligible
 
     def loss_at(flat):
         probe = copy.deepcopy(m)
@@ -189,9 +212,9 @@ def test_likelihood_part_matches_finite_differences():
 
 
 def test_empty_batch_rejected():
-    m = init_twin(TINY, 0)
+    m = tiny_twin(0)
     with pytest.raises(ContractError):
-        posterior_grad(m, np.zeros((0, 3)), np.zeros((0, 3)), cfg_for())
+        posterior_grad(m, np.zeros((0, 3)), np.zeros((0, 3)), cfg_for(), 1)
 
 
 # ---- step updates -----------------------------------------------------------
@@ -201,7 +224,7 @@ def test_sgld_zero_grad_zero_noise_keeps_params():
     cfg = cfg_for(kind="sgld")
     state = make_state(3, 0)
     params = np.array([1.0, -2.0, 0.5])
-    new = sgld_step(params, state, np.zeros(3), 0.1, cfg, noise_on=True, noise=np.zeros(3))
+    new = sgld_step(params, state, np.zeros(3), 0.1, cfg, 1, noise_on=True, noise=np.zeros(3))
     assert np.array_equal(new, params)
 
 
@@ -210,7 +233,7 @@ def test_sghmc_momentum_arithmetic():
     state = make_state(2, 0)
     state.momentum = np.array([1.0, -2.0])
     params = np.zeros(2)
-    new = sghmc_step(params, state, np.zeros(2), 0.1, cfg, noise_on=True, noise=np.zeros(2))
+    new = sghmc_step(params, state, np.zeros(2), 0.1, cfg, 1, noise_on=True, noise=np.zeros(2))
     assert np.array_equal(new, [0.5, -1.0])          # theta += beta * m0
     assert np.array_equal(state.momentum, [0.5, -1.0])
 
@@ -223,20 +246,19 @@ def test_sghmc_beta_zero_equals_sgld_bitwise():
     p_l = p_h = np.zeros(4)
     for g in grads:
         lr = 0.05
-        p_l = sgld_step(p_l, s_l, g, lr, cfg_l, noise_on=True)
-        p_h = sghmc_step(p_h, s_h, g, lr, cfg_h, noise_on=True)
+        p_l = sgld_step(p_l, s_l, g, lr, cfg_l, 1, noise_on=True)
+        p_h = sghmc_step(p_h, s_h, g, lr, cfg_h, 1, noise_on=True)
         assert np.array_equal(p_l, p_h)
 
 
 def test_noiseless_csghmc_beta_zero_is_gradient_descent():
-    cfg = cfg_for(kind="csghmc", beta=0.0, cycle_len=1, noise_start_frac=1.0,
-                  n_dataset=7, total_steps=100)
+    cfg = cfg_for(kind="csghmc", beta=0.0, cycle_len=1, noise_start_frac=1.0, total_steps=100)
     state = make_state(1, 0)
     theta = np.array([1.0])
     for k in range(100):
         grad = theta.copy()  # U = theta^2 / 2
         assert not noise_active(cfg, k)
-        theta = sghmc_step(theta, state, grad, cyclic_lr(cfg, k), cfg,
+        theta = sghmc_step(theta, state, grad, cyclic_lr(cfg, k), cfg, 7,
                            noise_on=noise_active(cfg, k))
     # plain GD: theta <- theta * (1 - lr0 * n / 2) each step
     expected = (1.0 - 0.2 * 7 / 2) ** 100
@@ -247,10 +269,10 @@ def test_sghmc_refuses_float_params_with_array_momentum_and_back():
     cfg = cfg_for(kind="sghmc")
     state = make_state(1, 0)  # momentum of shape (1,)
     with pytest.raises(ContractError):
-        sghmc_step(0.5, state, 0.5, 0.1, cfg, noise_on=False)
+        sghmc_step(0.5, state, 0.5, 0.1, cfg, 1, noise_on=False)
     state.momentum = 0.0
     with pytest.raises(ContractError):
-        sghmc_step(np.array([0.5]), state, np.array([0.5]), 0.1, cfg, noise_on=False)
+        sghmc_step(np.array([0.5]), state, np.array([0.5]), 0.1, cfg, 1, noise_on=False)
 
 
 @pytest.mark.parametrize("kind", ["sgld", "sghmc"])
@@ -259,11 +281,11 @@ def test_float_step_draws_its_noise_from_state_rng(kind):
     step = sgld_step if kind == "sgld" else sghmc_step
     s_float, s_array, s_quiet = make_state(1, 7), make_state(1, 7), make_state(1, 7)
     s_float.momentum, s_quiet.momentum, s_array.momentum = 0.3, 0.3, np.array([0.3])
-    new = step(0.5, s_float, 0.25, 0.1, cfg, noise_on=True)
-    ref = step(np.array([0.5]), s_array, np.array([0.25]), 0.1, cfg, noise_on=True)
+    new = step(0.5, s_float, 0.25, 0.1, cfg, 1, noise_on=True)
+    ref = step(np.array([0.5]), s_array, np.array([0.25]), 0.1, cfg, 1, noise_on=True)
     assert np.ndim(new) == 0 and new == ref[0]
     assert np.ndim(s_float.momentum) == 0 and np.array_equal(s_float.momentum, s_array.momentum[0])
-    assert new != step(0.5, s_quiet, 0.25, 0.1, cfg, noise_on=False)
+    assert new != step(0.5, s_quiet, 0.25, 0.1, cfg, 1, noise_on=False)
     # one draw consumed from each stream
     assert s_float.rng.standard_normal() == s_array.rng.standard_normal()
 
@@ -276,17 +298,17 @@ def test_shared_seed_states_draw_identical_noise():
 # ---- lean step against the earlier update arithmetic ------------------------
 
 
-def ref_drift(cfg, grad_u, lr):
-    return (0.5 * lr * cfg.n_dataset) * grad_u
+def ref_drift(grad_u, lr, n_dataset):
+    return (0.5 * lr * n_dataset) * grad_u
 
 
 def ref_noise_scale(cfg, lr, one_minus_beta):
     return float(np.sqrt(cfg.temperature * one_minus_beta * lr))
 
 
-def ref_sgld_step(params, state, grad_u, lr, cfg, noise_on=True, eps=None):
+def ref_sgld_step(params, state, grad_u, lr, cfg, n_dataset, noise_on=True, eps=None):
     """sgld_step as it was before the drift and noise scale were inlined."""
-    delta = -ref_drift(cfg, grad_u, lr)
+    delta = -ref_drift(grad_u, lr, n_dataset)
     if noise_on:
         if eps is None:
             eps = state.rng.standard_normal(params.shape)
@@ -294,9 +316,9 @@ def ref_sgld_step(params, state, grad_u, lr, cfg, noise_on=True, eps=None):
     return params + delta
 
 
-def ref_sghmc_step(params, state, grad_u, lr, cfg, noise_on=True, eps=None):
+def ref_sghmc_step(params, state, grad_u, lr, cfg, n_dataset, noise_on=True, eps=None):
     """sghmc_step as it was before the drift and noise scale were inlined."""
-    m = cfg.beta * state.momentum - ref_drift(cfg, grad_u, lr)
+    m = cfg.beta * state.momentum - ref_drift(grad_u, lr, n_dataset)
     if noise_on:
         if eps is None:
             eps = state.rng.standard_normal(params.shape)
@@ -310,12 +332,13 @@ def ref_sghmc_step(params, state, grad_u, lr, cfg, noise_on=True, eps=None):
 @pytest.mark.parametrize("noise_on", [True, False])
 def test_lean_step_is_bit_identical_to_reference(kind, beta, dim, noise_on):
     steps = 40
-    cfg = cfg_for(kind=kind, beta=beta, temperature=0.37, n_dataset=7, cycle_len=9,
-                  total_steps=steps)
+    cfg = cfg_for(kind=kind, beta=beta, temperature=0.37, cycle_len=9, total_steps=steps)
     step_fn, ref_fn = (sgld_step, ref_sgld_step) if kind == "sgld" else (sghmc_step, ref_sghmc_step)
     rng = np.random.default_rng(dim)
     grads = rng.normal(size=(steps, dim))
-    lrs = [cyclic_lr(cfg, k) for k in range(steps)]
+    # sgld and sghmc run at a constant lr; the cosine schedule varies it per step
+    cosine = cfg_for(kind="csghmc", cycle_len=9, total_steps=steps)
+    lrs = [cyclic_lr(cosine, k) for k in range(steps)]
     eps = rng.normal(size=(steps, dim))
     # pre-scaled the way diagnostics.run_chain scales a block of draws
     noise = np.array([noise_scale(cfg, lr) for lr in lrs])[:, None] * eps
@@ -327,7 +350,7 @@ def test_lean_step_is_bit_identical_to_reference(kind, beta, dim, noise_on):
         for k in range(steps):
             fn = ref_fn if path.startswith("ref") else step_fn
             kw = {"ref": {"eps": eps[k]}, "noise": {"noise": noise[k]}}.get(path, {})
-            theta = fn(theta, state, grads[k], lrs[k], cfg, noise_on, **kw)
+            theta = fn(theta, state, grads[k], lrs[k], cfg, 7, noise_on=noise_on, **kw)
         runs[path] = (theta, state.momentum)
     assert np.array_equal(runs["noise"][0], runs["ref"][0])
     assert np.array_equal(runs["noise"][1], runs["ref"][1])
@@ -349,6 +372,6 @@ def test_noise_scale_equals_numpy_sqrt():
 def test_step_rejects_mismatched_kind():
     p = np.zeros(2)
     with pytest.raises(ContractError):
-        sgld_step(p, make_state(2, 0), p, 0.1, cfg_for(kind="sghmc"))
+        sgld_step(p, make_state(2, 0), p, 0.1, cfg_for(kind="sghmc"), 1)
     with pytest.raises(ContractError):
-        sghmc_step(p, make_state(2, 0), p, 0.1, cfg_for(kind="sgld"))
+        sghmc_step(p, make_state(2, 0), p, 0.1, cfg_for(kind="sgld"), 1)

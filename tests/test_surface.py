@@ -5,11 +5,17 @@ else in src/mcbyol.  An oracle that only tests use belongs in tests/.
 The scan is by name: a definition counts as used when a Name or an
 attribute access with its name appears in src/ outside its own body.
 Imports do not count, so a package-root re-export keeps nothing alive.
-Dunder methods are called by Python itself and are not checked."""
+Dunder methods are called by Python itself and are not checked.
+
+Each setting has one home, its config section: no dataclass outside
+config.py re-declares two or more keys of one section."""
 
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
+
+from mcbyol import config
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mcbyol"
 
@@ -77,3 +83,46 @@ def test_scan_flags_a_definition_without_caller(tmp_path):
         "class K:\n    def __init__(self):\n        pass\n\n    def meth(self):\n        pass\n")
     (tmp_path / "b.py").write_text("from .a import dead\nused()\nK()\n")
     assert scan(tmp_path) == ({"a.used", "a.dead", "a.K", "K.meth"}, ["a.dead", "K.meth"])
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def section_mirrors(src: Path) -> list[str]:
+    """Every dataclass outside config.py that declares two or more field
+    names of one config section, as 'module.Class: section keys'."""
+    sections = {name: {f.name for f in dataclasses.fields(cls)}
+                for name, cls in config.SECTIONS.items()}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))):
+                continue
+            fields = {item.target.id for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+            for section, keys in sections.items():
+                shared = sorted(fields & keys)
+                if len(shared) >= 2:
+                    found.append(f"{path.stem}.{node.name}: {section} {', '.join(shared)}")
+    return found
+
+
+def test_no_dataclass_mirrors_a_config_section():
+    mirrors = section_mirrors(SRC)
+    assert not mirrors, f"read these settings from their config section instead: {mirrors}"
+
+
+def test_mirror_scan_flags_two_shared_keys(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n"
+        "@dataclass\nclass Mirror:\n    lr0: float\n    beta: float\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass Frozen:\n    embed_dim: int\n    tau: float\n\n"
+        "@dataclass\nclass One:\n    temperature: float\n    input_dim: int\n\n"
+        "class Plain:\n    lr0: float\n    beta: float\n")
+    (tmp_path / "config.py").write_text("@dataclass\nclass S:\n    lr0: float\n    beta: float\n")
+    assert section_mirrors(tmp_path) == ["a.Mirror: sampler beta, lr0",
+                                         "a.Frozen: model embed_dim, tau"]
