@@ -70,6 +70,9 @@ def _dispatch(args) -> None:
     elif args.command == "ood":
         pipeline.run_ood(cfg, out_dir)
     elif args.command == "sample-diag":
+        for flag, value in (("--steps", args.steps), ("--dim", args.dim)):
+            if value < 1:
+                raise ConfigError(f"{flag} must be >= 1, got {value}")
         stats = pipeline.run_sample_diag(cfg, out_dir, steps=args.steps,
                                          burn_in=args.burn_in, dim=args.dim)
         for i in range(stats.mean.size):

@@ -36,8 +36,14 @@ class DataSection:
     file_prefix: str = ""
 
     def __post_init__(self):
+        if self.classes < 2:
+            raise ConfigError("data.classes must be >= 2")
         if self.input_dim < 1:
             raise ConfigError("data.input_dim must be >= 1")
+        if self.separation <= 0:
+            raise ConfigError("data.separation must be positive")
+        if self.ood_mode not in OOD_MODES:
+            raise ConfigError(f"unknown data.ood_mode {self.ood_mode!r}; choose from {OOD_MODES}")
         if self.noise_std < 0:
             raise ConfigError("data.noise_std must be non-negative")
         if not 0.0 <= self.mask_prob < 1.0:
@@ -82,6 +88,9 @@ SAMPLER_KINDS = {
     "sghmc": SamplerKind(cyclic=False, noisy=True, momentum=True),
     "csghmc": SamplerKind(cyclic=True, noisy=True, momentum=True),
 }
+
+# how data.make_ood draws the out-of-distribution split
+OOD_MODES = ("shifted_means", "scaled_variance", "uniform_box")
 
 
 @dataclass

@@ -3,7 +3,9 @@
 Clusters are Gaussian blobs around well-separated means pushed through one
 fixed random tanh mixing layer, so the observed coordinates are a nonlinear
 function of the latent class structure and representation learning has
-something to do.  Every generator is a pure function of its seed.
+something to do.  The generators read classes, input_dim, separation,
+seed and ood_mode from the [data] section and are pure functions of it.
+A Dataset is only its rows x and labels y (None when unlabeled).
 
 Minibatch orders: the order of (seed, epoch) is permutation(n) from a
 Philox keyed by SeedSequence([seed, 3, epoch]).generate_state(2, uint64),
@@ -16,7 +18,7 @@ per epoch.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +26,11 @@ from .atomic import write_atomic
 from .config import DataSection
 from .errors import ConfigError, ContractError, DataError
 
-OOD_MODES = ("shifted_means", "scaled_variance", "uniform_box")
-
 
 @dataclass
 class Dataset:
     x: np.ndarray
     y: np.ndarray | None
-    split_tag: str
-    gen_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -56,65 +54,50 @@ def _rng(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(entropy))))
 
 
-def _cluster_params(classes: int, input_dim: int, separation: float, seed: int):
+def _cluster_params(d: DataSection):
     """Class means on a separation-scaled sphere plus the fixed mixing layer.
-    Derived from its own seed stream so OOD generators can replay it."""
-    rng = _rng(seed, 0)
-    dirs = rng.standard_normal((classes, input_dim))
-    means = separation * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    mix = rng.standard_normal((input_dim, input_dim)) / np.sqrt(input_dim)
+    Derived from their own seed stream so the OOD generator can replay them."""
+    rng = _rng(d.seed, 0)
+    dirs = rng.standard_normal((d.classes, d.input_dim))
+    means = d.separation * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    mix = rng.standard_normal((d.input_dim, d.input_dim)) / np.sqrt(d.input_dim)
     return means, mix
 
 
-def make_clusters(classes: int, per_class: int, input_dim: int,
-                  separation: float, seed: int, split_tag: str = "pretrain") -> Dataset:
-    if classes < 2:
-        raise ConfigError("need at least 2 classes")
+def make_clusters(d: DataSection, per_class: int) -> Dataset:
+    """per_class rows of each of d.classes clusters, in class order."""
     if per_class < 1:
         raise ConfigError("per_class must be >= 1")
-    if separation <= 0:
-        raise ConfigError("separation must be positive")
-    means, mix = _cluster_params(classes, input_dim, separation, seed)
-    rng = _rng(seed, 1)
-    labels = np.repeat(np.arange(classes), per_class)
-    raw = means[labels] + rng.standard_normal((labels.size, input_dim))
-    x = np.tanh(raw @ mix)
-    meta = {"kind": "clusters", "classes": classes, "per_class": per_class,
-            "input_dim": input_dim, "separation": separation, "seed": seed}
-    return Dataset(x=x, y=labels, split_tag=split_tag, gen_meta=meta)
+    means, mix = _cluster_params(d)
+    rng = _rng(d.seed, 1)
+    labels = np.repeat(np.arange(d.classes), per_class)
+    raw = means[labels] + rng.standard_normal((labels.size, d.input_dim))
+    return Dataset(x=np.tanh(raw @ mix), y=labels)
 
 
-def make_ood(reference: Dataset, mode: str, seed: int,
-             count: int | None = None) -> Dataset:
-    """Unlabeled out-of-distribution analogue of a clusters dataset."""
-    if reference.gen_meta.get("kind") != "clusters":
-        raise ConfigError("make_ood requires a clusters-generated reference")
-    if mode not in OOD_MODES:
-        raise ConfigError(f"unknown OOD mode {mode!r}; choose from {OOD_MODES}")
-    meta = reference.gen_meta
-    classes, input_dim = meta["classes"], meta["input_dim"]
-    separation = meta["separation"]
-    means, mix = _cluster_params(classes, input_dim, separation, meta["seed"])
-    n = reference.n if count is None else int(count)
-    rng = _rng(seed, 2)
+def make_ood(d: DataSection, reference: Dataset) -> Dataset:
+    """Unlabeled out-of-distribution analogue of the clusters d generates,
+    one row per row of reference, drawn as d.ood_mode says from seed
+    d.seed + 1."""
+    means, mix = _cluster_params(d)
+    n, classes, input_dim = reference.n, d.classes, d.input_dim
+    rng = _rng(d.seed + 1, 2)
     assign = np.arange(n) % classes
 
-    if mode == "shifted_means":
+    if d.ood_mode == "shifted_means":
         # radius 4x separation: at least 3x separation from every reference mean
         dirs = rng.standard_normal((classes, input_dim))
-        ood_means = 4.0 * separation * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        ood_means = 4.0 * d.separation * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
         raw = ood_means[assign] + rng.standard_normal((n, input_dim))
         x = np.tanh(raw @ mix)
-    elif mode == "scaled_variance":
+    elif d.ood_mode == "scaled_variance":
         raw = means[assign] + 5.0 * rng.standard_normal((n, input_dim))
         x = np.tanh(raw @ mix)
     else:  # uniform_box over the reference's observed bounding box, doubled
         lo, hi = reference.x.min(axis=0), reference.x.max(axis=0)
         center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         x = rng.uniform(center - 2.0 * half, center + 2.0 * half, size=(n, input_dim))
-
-    ood_meta = {"kind": "ood", "mode": mode, "seed": seed, "reference": dict(meta)}
-    return Dataset(x=x, y=None, split_tag="ood", gen_meta=ood_meta)
+    return Dataset(x=x, y=None)
 
 
 def augment_pair(x_batch: np.ndarray, cfg: DataSection,
@@ -238,26 +221,16 @@ def minibatches(n: int, batch: int, keys: np.ndarray) -> list[np.ndarray]:
 
 def save_dataset(ds: Dataset, stem: str) -> None:
     """Writes <stem>.bin (float64 LE rows, labels appended when present)
-    and <stem>.txt (dims, seed, generator parameters)."""
+    and <stem>.txt (rows, dim and labeled lines)."""
     labels = b"" if ds.y is None else ds.y.astype("<f8").tobytes()
     write_atomic(f"{stem}.bin", ds.x.astype("<f8").tobytes() + labels)
-    lines = [f"rows = {ds.n}", f"dim = {ds.input_dim}",
-             f"labeled = {int(ds.y is not None)}", f"split_tag = {ds.split_tag}"]
-    for key, val in sorted(ds.gen_meta.items()):
-        lines.append(f"gen.{key} = {val}")
-    write_atomic(f"{stem}.txt", "\n".join(lines) + "\n")
-
-
-def _coerce(raw: str):
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
+    write_atomic(f"{stem}.txt", f"rows = {ds.n}\ndim = {ds.input_dim}\n"
+                                f"labeled = {int(ds.y is not None)}\n")
 
 
 def load_dataset(stem: str) -> Dataset:
+    """Reads what save_dataset writes; header lines other than rows, dim
+    and labeled are ignored."""
     header: dict[str, str] = {}
     with open(f"{stem}.txt") as f:
         for line in f:
@@ -282,6 +255,4 @@ def load_dataset(stem: str) -> Dataset:
         raise DataError(f"{stem}.bin: expected {expected} values, found {raw.size}")
     x = raw[:rows * dim].reshape(rows, dim).copy()
     y = raw[rows * dim:].astype(np.int64) if labeled else None
-    # header values come back typed so generators (e.g. make_ood) can replay
-    meta = {k[4:]: _coerce(v) for k, v in header.items() if k.startswith("gen.")}
-    return Dataset(x=x, y=y, split_tag=header.get("split_tag", "train"), gen_meta=meta)
+    return Dataset(x=x, y=y)

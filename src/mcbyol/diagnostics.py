@@ -1,9 +1,10 @@
 """Closed-form Gaussian harness for validating the samplers.
 
 A chain run against the quadratic energy 0.5 * theta' L theta should be
-stationary around mean 0 with covariance T * inv(L); run_chain measures
-the empirical moments so tests (and the sample-diag subcommand) can
-compare them with the analytic values.
+stationary around mean 0 with covariance T * inv(L), T being the
+[sampler] temperature; run_chain runs the section's total_steps steps and
+measures the empirical moments so tests (and the sample-diag subcommand)
+can compare them with the analytic values.
 
 run_chain steps the chain in blocks: lr, noise gate and noise scale
 tables per cycle position, one noise draw per block (the same Philox
@@ -39,7 +40,6 @@ _BLOCK = 4096  # steps per noise draw and per divergence check
 class QuadraticTarget:
     dim: int
     precision: np.ndarray | None = None  # defaults to identity
-    temperature: float = 1.0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -55,11 +55,9 @@ class QuadraticTarget:
             np.linalg.cholesky(self.precision)
         except np.linalg.LinAlgError as exc:
             raise ConfigError("precision matrix must be positive definite") from exc
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
 
-    def analytic_covariance(self) -> np.ndarray:
-        return self.temperature * np.linalg.inv(self.precision)
+    def analytic_covariance(self, temperature: float) -> np.ndarray:
+        return temperature * np.linalg.inv(self.precision)
 
 
 @dataclass
@@ -70,12 +68,12 @@ class ChainStats:
     lag1_autocorr: np.ndarray
 
 
-def run_chain(cfg: SamplerSection, target: QuadraticTarget,
-              steps: int, burn_in: int, seed: int,
+def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int, seed: int,
               theta0: np.ndarray | None = None) -> ChainStats:
-    """Run the configured sampler against the exact quadratic gradient and
-    return post-burn-in moments.  The energy is supplied whole, so every
-    step runs at n_dataset = 1 (no prior/likelihood split here).
+    """Run the configured sampler for cfg.total_steps steps against the
+    exact quadratic gradient and return post-burn-in moments.  The energy
+    is supplied whole, so every step runs at n_dataset = 1 (no
+    prior/likelihood split here).
 
     burn_in must be non-negative and leave at least 2 samples, else
     ContractError.  Noise is drawn and scaled once per block of steps and
@@ -84,12 +82,11 @@ def run_chain(cfg: SamplerSection, target: QuadraticTarget,
     catches NaN and inf; a failing check raises DivergenceError naming the
     first offending step, coordinate and value.  theta0 must have shape
     (dim,), else DimensionError."""
+    steps = cfg.total_steps
     if burn_in < 0:
         raise ContractError("burn_in must be non-negative")
     if steps - burn_in < 2:
         raise ContractError("at least 2 samples must remain after burn_in")
-    if steps > cfg.total_steps:
-        raise ContractError("steps exceeds cfg.total_steps")
 
     theta = np.zeros(target.dim) if theta0 is None else np.asarray(theta0, dtype=np.float64).copy()
     if theta.shape != (target.dim,):

@@ -43,8 +43,7 @@ def subset_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     if not 0.0 < fraction <= 1.0:
         raise ContractError("fraction must lie in (0, 1]")
     if fraction == 1.0:
-        return Dataset(x=dataset.x.copy(), y=dataset.y.copy(),
-                       split_tag=dataset.split_tag, gen_meta=dict(dataset.gen_meta))
+        return Dataset(x=dataset.x.copy(), y=dataset.y.copy())
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 4])))
     keep: list[np.ndarray] = []
     for cls in np.unique(dataset.y):
@@ -54,9 +53,7 @@ def subset_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     chosen = np.sort(np.concatenate(keep))
     if chosen.size == 0:
         raise ContractError("fraction selects zero samples")
-    return Dataset(x=dataset.x[chosen].copy(), y=dataset.y[chosen].copy(),
-                   split_tag=dataset.split_tag,
-                   gen_meta={**dataset.gen_meta, "label_fraction": fraction})
+    return Dataset(x=dataset.x[chosen].copy(), y=dataset.y[chosen].copy())
 
 
 def _init_head(embed_dim: int, classes: int, rng: np.random.Generator) -> ClassifierHead:
@@ -115,11 +112,11 @@ def _nesterov(theta: np.ndarray, seeds: list[int], n: int, cfg: FinetuneSection,
 
 
 def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FinetuneSection,
-             seeds: list[int], model: ModelSection, num_classes: int | None = None
+             seeds: list[int], model: ModelSection, num_classes: int
              ) -> list[tuple[ParamVector, ClassifierHead, list[float]]]:
     """Fine-tunes each snapshot with its own seed (head init and minibatch
     order) and returns one (encoder copy, trained head, per-epoch loss log)
-    per snapshot, in order.
+    per snapshot, in order.  Labels must lie in [0, num_classes).
 
     freeze_encoder trains the heads only (linear evaluation) as one stacked
     problem: every snapshot's features are computed once into (S, N, D),
@@ -131,14 +128,13 @@ def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FinetuneSect
     """
     if labeled_data.y is None or labeled_data.n == 0:
         raise DataError("finetune requires non-empty labeled data")
-    classes = int(labeled_data.y.max()) + 1 if num_classes is None else num_classes
-    if labeled_data.y.min() < 0 or labeled_data.y.max() >= classes:
+    if labeled_data.y.min() < 0 or labeled_data.y.max() >= num_classes:
         raise DataError("labels out of range")
     if len(seeds) != len(snapshots):
         raise ContractError(f"finetune: {len(snapshots)} snapshots but {len(seeds)} seeds")
 
     encoders = [snap.encoder_params.copy() for snap in snapshots]
-    heads = [_init_head(model.embed_dim, classes,
+    heads = [_init_head(model.embed_dim, num_classes,
                         np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 5]))))
              for seed in seeds]
     x_all, y_all, act = labeled_data.x, labeled_data.y, model.activation

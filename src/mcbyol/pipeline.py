@@ -30,7 +30,7 @@ from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
                       write_histogram, write_table)
 from .model import ema_update, init_twin
 from .posterior import (PosteriorEnsemble, bma_predict, collect, load_ensemble,
-                        predictive_entropy, recent_mean, save_ensemble)
+                        predictive_entropy, read_container, recent_mean, save_ensemble)
 from .sampler import (cyclic_lr, diverged, divergence_error, make_state, noise_active,
                       posterior_grad, sghmc_step, sgld_step, should_yield)
 
@@ -38,30 +38,32 @@ from .sampler import (cyclic_lr, diverged, divergence_error, make_state, noise_a
 def make_datasets(cfg: cfgmod.RunConfig) -> tuple[Dataset, Dataset, Dataset, Dataset]:
     """(pretrain, train, test, ood).  All in-distribution splits are slices
     of one generated cluster sample, so they share means and mixing layer.
-    With data.file_prefix set, the four splits load from dataset files."""
+    With data.file_prefix set, the four splits load from dataset files,
+    which must all have the pretrain file's width."""
     d = cfg.data
     if d.file_prefix:
-        return tuple(load_dataset(f"{d.file_prefix}_{tag}")
-                     for tag in ("pretrain", "train", "test", "ood"))
+        tags = ("pretrain", "train", "test", "ood")
+        splits = tuple(load_dataset(f"{d.file_prefix}_{tag}") for tag in tags)
+        for tag, ds in zip(tags, splits):
+            if ds.input_dim != splits[0].input_dim:
+                raise DataError(f"{d.file_prefix}_{tag}.bin: rows have width {ds.input_dim}, "
+                                f"{d.file_prefix}_pretrain.bin's have {splits[0].input_dim}")
+        return splits
     per_class_total = d.per_class_pretrain + d.per_class_train + d.per_class_test
-    full = make_clusters(d.classes, per_class_total, d.input_dim,
-                         d.separation, d.seed)
+    full = make_clusters(d, per_class_total)
 
-    def take(offset: int, count: int, tag: str, labeled: bool) -> Dataset:
+    def take(offset: int, count: int, labeled: bool) -> Dataset:
         rows = []
         for c in range(d.classes):
             start = c * per_class_total + offset
             rows.append(np.arange(start, start + count))
         idx = np.concatenate(rows)
-        return Dataset(x=full.x[idx].copy(),
-                       y=full.y[idx].copy() if labeled else None,
-                       split_tag=tag, gen_meta=dict(full.gen_meta))
+        return Dataset(x=full.x[idx].copy(), y=full.y[idx].copy() if labeled else None)
 
-    pretrain = take(0, d.per_class_pretrain, "pretrain", labeled=False)
-    train = take(d.per_class_pretrain, d.per_class_train, "train", labeled=True)
-    test = take(d.per_class_pretrain + d.per_class_train, d.per_class_test, "test", labeled=True)
-    ood = make_ood(test, d.ood_mode, seed=d.seed + 1, count=test.n)
-    return pretrain, train, test, ood
+    pretrain = take(0, d.per_class_pretrain, labeled=False)
+    train = take(d.per_class_pretrain, d.per_class_train, labeled=True)
+    test = take(d.per_class_pretrain + d.per_class_train, d.per_class_test, labeled=True)
+    return pretrain, train, test, make_ood(d, test)
 
 
 def ensemble_path(out_dir: str, seed: int) -> str:
@@ -85,7 +87,7 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
     os.makedirs(out_dir, exist_ok=True)
     s = cfg.sampler
 
-    model = init_twin(cfg.model, cfg.data.input_dim, seed)
+    model = init_twin(cfg.model, pretrain.input_dim, seed)
     state = make_state(model.online_dim, int(np.random.SeedSequence([seed, 10]).generate_state(1)[0]))
     aug_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 11])))
     steps_per_epoch = int(np.ceil(n / s.batch))
@@ -155,7 +157,10 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
 
 
 def _ensemble_sizes(cfg: cfgmod.RunConfig, out_dir: str) -> dict[int, int]:
-    return {seed: load_ensemble(ensemble_path(out_dir, seed)).size for seed in cfg.run.seeds}
+    """Each seed's snapshot count, one per block of its ensemble file."""
+    headers = {seed: read_container(ensemble_path(out_dir, seed), expect_kind="ensemble")[0]
+               for seed in cfg.run.seeds}
+    return {seed: len(header["blocks"]) for seed, header in headers.items()}
 
 
 def _sweep(out_dir: str, seed: int, frac: float, size: int, xs: list[np.ndarray],
@@ -241,18 +246,17 @@ def run_ood(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
 
 
 def run_sample_diag(cfg: cfgmod.RunConfig, out_dir: str, steps: int = 200_000,
-                    burn_in: int | None = None, dim: int = 1,
-                    seed: int | None = None) -> ChainStats:
-    """Run the configured sampler against the unit quadratic and emit the
-    chain moments next to their analytic values."""
+                    burn_in: int | None = None, dim: int = 1) -> ChainStats:
+    """Run the configured sampler for steps steps from the first run seed
+    against the unit quadratic and emit the chain moments next to their
+    analytic values, the [sampler] temperature."""
     if burn_in is None:
         burn_in = max(1, steps // 20)  # default burn-in: 5% of steps
     diag_cfg = dataclasses.replace(cfg.sampler, cycle_len=1, total_steps=steps,
                                    noise_start_frac=0.0)
-    target = QuadraticTarget(dim=dim, temperature=diag_cfg.temperature)
-    stats = run_chain(diag_cfg, target, steps=steps, burn_in=burn_in,
-                      seed=cfg.run.seeds[0] if seed is None else seed)
-    analytic = np.diag(target.analytic_covariance())
+    target = QuadraticTarget(dim=dim)
+    stats = run_chain(diag_cfg, target, burn_in=burn_in, seed=cfg.run.seeds[0])
+    analytic = np.diag(target.analytic_covariance(cfg.sampler.temperature))
     rows = [(i, float(stats.mean[i]), float(stats.variance[i]), float(analytic[i]),
              float(stats.lag1_autocorr[i]), cfg.digest())
             for i in range(dim)]

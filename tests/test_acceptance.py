@@ -153,8 +153,7 @@ def test_criterion_03_sampler_stationary_variance():
                 cfg = SamplerSection(kind=kind, lr0=0.01, beta=beta, temperature=temp,
                                      cycle_len=1, total_steps=200_000,
                                      noise_start_frac=0.0)
-                target = QuadraticTarget(dim=1, temperature=temp)
-                stats = run_chain(cfg, target, steps=200_000, burn_in=10_000, seed=42)
+                stats = run_chain(cfg, QuadraticTarget(dim=1), burn_in=10_000, seed=42)
                 rel = abs(stats.variance[0] - temp) / temp
                 assert rel < tol, f"{kind} beta={beta} T={temp}: variance {stats.variance[0]}"
                 assert abs(stats.mean[0]) < 0.05

@@ -19,8 +19,9 @@ WRITERS = {
         d / "h.tsv", entropy_histogram(np.full(4, 0.2 * v), bins=3, lo=0.0, hi=1.0)),
     "config.save": lambda d, v: config.save(config.RunConfig(run=config.RunSection(seeds=[v])),
                                             d / "run.cfg"),
-    "save_dataset": lambda d, v: save_dataset(make_clusters(2, 4 + v, 3, 2.0, seed=v),
-                                              str(d / "ds")),
+    "save_dataset": lambda d, v: save_dataset(
+        make_clusters(config.DataSection(classes=2, input_dim=3, separation=2.0, seed=v), 4 + v),
+        str(d / "ds")),
 }
 
 

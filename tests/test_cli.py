@@ -158,13 +158,13 @@ def test_eval_loads_each_ensemble_once(tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     for cmd in ("pretrain", "finetune"):
         assert cli.main([cmd, "--config", cfg_path, "--out", out]) == 0
-    loaded, load_ensemble = [], pipeline.load_ensemble
+    loaded, read_container = [], pipeline.read_container
 
-    def counting_load(path):
+    def counting_load(path, **kwargs):
         loaded.append(os.path.basename(path))
-        return load_ensemble(path)
+        return read_container(path, **kwargs)
 
-    monkeypatch.setattr(pipeline, "load_ensemble", counting_load)
+    monkeypatch.setattr(pipeline, "read_container", counting_load)
     pipeline.run_eval(config.load(cfg_path), out)  # two seeds x two label fractions
     assert sorted(loaded) == ["ensemble_seed0.ckpt", "ensemble_seed1.ckpt"]
 
@@ -224,6 +224,43 @@ def test_file_dataset_pretrain_scales_by_loaded_rows(tmp_path):
         assert np.array_equal(a.encoder_params.flatten(), b.encoder_params.flatten())
 
 
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+
+
+def save_splits(cfg_path, prefix):
+    """The four generated splits of cfg_path as <prefix>_<split> dataset files."""
+    from mcbyol.data import save_dataset
+    for tag, ds in zip(("pretrain", "train", "test", "ood"),
+                       pipeline.make_datasets(config.load(cfg_path))):
+        save_dataset(ds, f"{prefix}_{tag}")
+
+
+def test_model_input_width_comes_from_the_dataset_files(tmp_path):
+    # TINY_CONFIG's rows are 6 wide; default.cfg says input_dim = 10
+    from mcbyol.posterior import load_ensemble
+    prefix = tmp_path / "ds"
+    save_splits(write_config(tmp_path), prefix)
+    cfg_path = write_config(tmp_path, DEFAULT_CFG.read_text().replace(
+        "file_prefix = ", f"file_prefix = {prefix}"))
+    out = tmp_path / "out"
+    assert cli.main(["pretrain", "--config", cfg_path, "--out", str(out), "--seed", "0"]) == 0
+    (snap, *_) = load_ensemble(str(out / "ensemble_seed0.ckpt")).snapshots
+    assert snap.encoder_params["layer0.w"].shape[0] == 6
+
+
+def test_split_of_another_width_is_data_error(tmp_path, capsys):
+    from mcbyol.data import Dataset, save_dataset
+    prefix = tmp_path / "ds"
+    save_splits(write_config(tmp_path), prefix)
+    save_dataset(Dataset(x=np.zeros((5, 4)), y=np.zeros(5, dtype=np.int64)), f"{prefix}_test")
+    cfg_path = write_config(tmp_path, TINY_CONFIG.replace("[model]",
+                                                          f"file_prefix = {prefix}\n[model]"))
+    assert cli.main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "ds_test.bin: rows have width 4, " in err and "ds_pretrain.bin's have 6" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sample_diag_writes_chain_stats(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "diag")
@@ -242,6 +279,27 @@ def test_sample_diag_rejects_bad_burn_in(tmp_path, steps, burn_in):
                    "--steps", steps, "--burn-in", burn_in])
     assert rc == 1
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--dim"])
+def test_sample_diag_rejects_non_positive_flag(tmp_path, capsys, flag):
+    out = tmp_path / "diag"
+    assert cli.main(["sample-diag", "--config", write_config(tmp_path), "--out", str(out),
+                     flag, "0"]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag} must be >= 1" in err and "total_steps" not in err
+    assert not out.exists()
+
+
+def test_sample_diag_analytic_variance_is_the_sampler_temperature(tmp_path):
+    cfg_path = write_config(tmp_path, TINY_CONFIG.replace("lr0 = 0.0005",
+                                                          "lr0 = 0.0005\ntemperature = 0.1"))
+    out = tmp_path / "diag"
+    assert cli.main(["sample-diag", "--config", cfg_path, "--out", str(out),
+                     "--steps", "200", "--dim", "3"]) == 0
+    header, *rows = (out / "chain_stats.tsv").read_text().splitlines()
+    column = header.split("\t").index("analytic_variance")
+    assert [float(row.split("\t")[column]) for row in rows] == [0.1, 0.1, 0.1]
 
 
 # ---- divergence reports -----------------------------------------------------
@@ -349,12 +407,8 @@ def test_bad_value_fails_at_load_for_every_stage(tmp_path, capsys, command, old,
     ("dim = 6\n", "", "ds_pretrain.txt: no 'dim' line"),
 ])
 def test_malformed_dataset_header_is_data_error(tmp_path, capsys, old, new, message):
-    from mcbyol.data import save_dataset
-    cfg_path = write_config(tmp_path)
     prefix = tmp_path / "ds"
-    for tag, ds in zip(("pretrain", "train", "test", "ood"),
-                       pipeline.make_datasets(config.load(cfg_path))):
-        save_dataset(ds, f"{prefix}_{tag}")
+    save_splits(write_config(tmp_path), prefix)
     header = tmp_path / "ds_pretrain.txt"
     assert old in header.read_text()
     header.write_text(header.read_text().replace(old, new))

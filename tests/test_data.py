@@ -1,28 +1,38 @@
+import dataclasses
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from minibatch_reference import reference_minibatches
 
+from mcbyol import config, pipeline
 from mcbyol.config import DataSection
 from mcbyol.data import (Dataset, _seed_sequence_keys, _words, augment_pair, load_dataset,
                          make_clusters, make_ood, minibatch_keys, minibatches, save_dataset)
 from mcbyol.errors import ConfigError, ContractError, DataError
 
 
+def clusters(classes, per_class, input_dim, separation, seed):
+    return make_clusters(DataSection(classes=classes, input_dim=input_dim,
+                                     separation=separation, seed=seed), per_class)
+
+
 def test_same_seed_bit_identical():
-    a = make_clusters(3, 20, 8, 3.0, seed=42)
-    b = make_clusters(3, 20, 8, 3.0, seed=42)
+    a = clusters(3, 20, 8, 3.0, seed=42)
+    b = clusters(3, 20, 8, 3.0, seed=42)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.y, b.y)
 
 
 def test_row_count_and_label_balance():
-    ds = make_clusters(2, 100, 6, 3.0, seed=0)
+    ds = clusters(2, 100, 6, 3.0, seed=0)
     assert ds.x.shape == (200, 6)
     assert np.bincount(ds.y).tolist() == [100, 100]
 
 
 def test_large_separation_is_nearest_mean_separable():
-    ds = make_clusters(4, 100, 10, 50.0, seed=1)
+    ds = clusters(4, 100, 10, 50.0, seed=1)
     mus = np.stack([ds.x[ds.y == c].mean(axis=0) for c in range(4)])
     d2 = ((ds.x[:, None, :] - mus[None]) ** 2).sum(axis=2)
     acc = float((d2.argmin(axis=1) == ds.y).mean())
@@ -31,23 +41,24 @@ def test_large_separation_is_nearest_mean_separable():
 
 def test_generator_validation():
     with pytest.raises(ConfigError):
-        make_clusters(1, 10, 4, 3.0, seed=0)
+        DataSection(classes=1, input_dim=4, separation=3.0, seed=0)
     with pytest.raises(ConfigError):
-        make_clusters(2, 0, 4, 3.0, seed=0)
+        clusters(2, 0, 4, 3.0, seed=0)
     with pytest.raises(ConfigError):
-        make_clusters(2, 10, 4, 0.0, seed=0)
+        DataSection(classes=2, input_dim=4, separation=0.0, seed=0)
 
 
 # ---- OOD --------------------------------------------------------------------
 
 
 def test_ood_shifted_means_distance():
-    ref = make_clusters(4, 50, 8, 3.0, seed=2)
+    d = DataSection(classes=4, input_dim=8, separation=3.0, seed=2, ood_mode="shifted_means")
+    ref = make_clusters(d, 50)
     from mcbyol.data import _cluster_params, _rng
-    means, _ = _cluster_params(4, 8, 3.0, 2)
-    ood = make_ood(ref, "shifted_means", seed=7)
-    # regenerate the OOD means the same way the generator does
-    rng = _rng(7, 2)
+    means, _ = _cluster_params(d)
+    ood = make_ood(d, ref)
+    # regenerate the OOD means the same way the generator does, from seed d.seed + 1
+    rng = _rng(3, 2)
     dirs = rng.standard_normal((4, 8))
     ood_means = 4.0 * 3.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     dists = np.linalg.norm(ood_means[:, None, :] - means[None], axis=2)
@@ -57,8 +68,9 @@ def test_ood_shifted_means_distance():
 
 
 def test_ood_uniform_box_inside_expanded_box():
-    ref = make_clusters(3, 40, 5, 3.0, seed=3)
-    ood = make_ood(ref, "uniform_box", seed=8)
+    d = DataSection(classes=3, input_dim=5, separation=3.0, seed=3, ood_mode="uniform_box")
+    ref = make_clusters(d, 40)
+    ood = make_ood(d, ref)
     lo, hi = ref.x.min(axis=0), ref.x.max(axis=0)
     center, half = (lo + hi) / 2, (hi - lo) / 2
     assert np.all(ood.x >= center - 2 * half) and np.all(ood.x <= center + 2 * half)
@@ -66,16 +78,41 @@ def test_ood_uniform_box_inside_expanded_box():
 
 
 def test_ood_same_seed_identical():
-    ref = make_clusters(3, 30, 5, 3.0, seed=4)
-    a = make_ood(ref, "scaled_variance", seed=9)
-    b = make_ood(ref, "scaled_variance", seed=9)
+    d = DataSection(classes=3, input_dim=5, separation=3.0, seed=4, ood_mode="scaled_variance")
+    ref = make_clusters(d, 30)
+    a = make_ood(d, ref)
+    b = make_ood(d, ref)
     assert np.array_equal(a.x, b.x)
 
 
 def test_ood_rejects_unknown_mode():
-    ref = make_clusters(3, 10, 5, 3.0, seed=5)
     with pytest.raises(ConfigError):
-        make_ood(ref, "mystery", seed=0)
+        DataSection(classes=3, input_dim=5, separation=3.0, seed=5, ood_mode="mystery")
+
+
+# the default [data] section's pretrain, train and test splits, then its OOD
+# split under each mode: sha256 of x (<f8) followed by y (<i8) when labeled
+IN_DIST_SHA256 = ["e0d46279d8ba2637a81cda759b37314e46c9ce30a19f25677eabe1a55d30a39d",
+                  "39ea2adc2f55b22aaae0d6259e2faa6913509eddaa7b5ccd056ef40be29d882d",
+                  "39cd40abcf1cb27cd919e5dca03f737809837b4005a311398ca72b51b5e49a05"]
+OOD_SHA256 = {
+    "shifted_means": "d6fa5165a08a7b479f319e036a35364c915e2d0a6c384a01c961e6309bca8edb",
+    "scaled_variance": "873fcb4073a6413436aa884c5b7980495bf54961f9ae3a39f1990dd980ba7da1",
+    "uniform_box": "36a02c3acffaad1e195ee29b8ac93f3afd32f43893e427c6a6953163cf71902c",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(OOD_SHA256))
+def test_default_splits_are_pinned_for_every_ood_mode(mode):
+    cfg = config.RunConfig()
+    cfg.data = dataclasses.replace(cfg.data, ood_mode=mode)
+    digests = []
+    for ds in pipeline.make_datasets(cfg):
+        h = hashlib.sha256(ds.x.astype("<f8").tobytes())
+        if ds.y is not None:
+            h.update(ds.y.astype("<i8").tobytes())
+        digests.append(h.hexdigest())
+    assert digests == IN_DIST_SHA256 + [OOD_SHA256[mode]]
 
 
 # ---- augmentation -----------------------------------------------------------
@@ -195,17 +232,16 @@ def test_minibatch_batch_must_be_positive():
 
 
 def test_dataset_two_file_roundtrip(tmp_path):
-    ds = make_clusters(3, 25, 6, 2.5, seed=11)
+    ds = clusters(3, 25, 6, 2.5, seed=11)
     stem = str(tmp_path / "toy")
     save_dataset(ds, stem)
     loaded = load_dataset(stem)
     assert np.array_equal(loaded.x, ds.x)
     assert np.array_equal(loaded.y, ds.y)
-    assert loaded.split_tag == ds.split_tag
 
 
 def test_dataset_payload_size_mismatch_detected(tmp_path):
-    ds = make_clusters(2, 10, 4, 2.0, seed=12)
+    ds = clusters(2, 10, 4, 2.0, seed=12)
     stem = str(tmp_path / "bad")
     save_dataset(ds, stem)
     with open(f"{stem}.bin", "ab") as f:
@@ -216,6 +252,20 @@ def test_dataset_payload_size_mismatch_detected(tmp_path):
 
 def test_dataset_rejects_nonfinite():
     with pytest.raises(DataError):
-        Dataset(x=np.array([[np.inf, 0.0]]), y=None, split_tag="test")
+        Dataset(x=np.array([[np.inf, 0.0]]), y=None)
     with pytest.raises(DataError):
-        Dataset(x=np.zeros((3, 2)), y=np.zeros(2, dtype=np.int64), split_tag="test")
+        Dataset(x=np.zeros((3, 2)), y=np.zeros(2, dtype=np.int64))
+
+
+def test_dataset_header_with_generator_lines_still_loads(tmp_path):
+    # the earlier header format also carried split_tag and gen.* lines
+    ds = clusters(2, 5, 3, 2.0, seed=13)
+    stem = str(tmp_path / "old")
+    save_dataset(ds, stem)
+    Path(f"{stem}.txt").write_text(
+        "rows = 10\ndim = 3\nlabeled = 1\nsplit_tag = pretrain\ngen.classes = 2\n"
+        "gen.input_dim = 3\ngen.kind = clusters\ngen.per_class = 5\ngen.seed = 13\n"
+        "gen.separation = 2.0\n")
+    loaded = load_dataset(stem)
+    assert np.array_equal(loaded.x, ds.x)
+    assert np.array_equal(loaded.y, ds.y)

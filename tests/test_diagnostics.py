@@ -62,18 +62,18 @@ def test_target_validation():
     with pytest.raises(ConfigError):
         QuadraticTarget(dim=2, precision=-np.eye(2))
     with pytest.raises(ConfigError):
-        QuadraticTarget(dim=1, temperature=0.0)
+        SamplerSection(temperature=0.0)
 
 
 def test_run_chain_contract_checks():
     target = QuadraticTarget(dim=1)
     with pytest.raises(ContractError):
-        run_chain(chain_cfg(), target, steps=100, burn_in=100, seed=0)
+        run_chain(chain_cfg(steps=100), target, burn_in=100, seed=0)
     with pytest.raises(ContractError):  # negative burn-in
-        run_chain(chain_cfg(), target, steps=1000, burn_in=-3, seed=0)
+        run_chain(chain_cfg(steps=1000), target, burn_in=-3, seed=0)
     with pytest.raises(ContractError):  # one sample left: no variance
-        run_chain(chain_cfg(), target, steps=2, burn_in=1, seed=0)
-    assert run_chain(chain_cfg(), target, steps=2, burn_in=0, seed=0).sample_count == 2
+        run_chain(chain_cfg(steps=2), target, burn_in=1, seed=0)
+    assert run_chain(chain_cfg(steps=2), target, burn_in=0, seed=0).sample_count == 2
 
 
 def test_divergence_detected_and_names_step():
@@ -82,7 +82,7 @@ def test_divergence_detected_and_names_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no overflow past the divergence
         with pytest.raises(DivergenceError) as err:
-            run_chain(cfg, target, steps=10_000, burn_in=100, seed=0)
+            run_chain(cfg, target, burn_in=100, seed=0)
     assert err.value.step == 36  # |1 - lr0/2| = 1.5 per step passes 1e6 here
     assert str(err.value.step) in str(err.value)
 
@@ -90,8 +90,7 @@ def test_divergence_detected_and_names_step():
 def test_nan_start_diverges_at_step_zero():
     cfg = chain_cfg(steps=1_000)
     with pytest.raises(DivergenceError) as err:
-        run_chain(cfg, QuadraticTarget(dim=1), steps=1_000, burn_in=10, seed=0,
-                  theta0=np.array([np.nan]))
+        run_chain(cfg, QuadraticTarget(dim=1), burn_in=10, seed=0, theta0=np.array([np.nan]))
     assert err.value.step == 0
 
 
@@ -99,7 +98,7 @@ def test_divergence_names_coordinate_and_value():
     # lr0 * 5 / 2 = 2.5: only the stiff third coordinate is unstable
     target = QuadraticTarget(dim=3, precision=np.diag([0.5, 1.0, 5.0]))
     with pytest.raises(DivergenceError) as err:
-        run_chain(chain_cfg(lr0=1.0, steps=1_000), target, steps=1_000, burn_in=10, seed=0)
+        run_chain(chain_cfg(lr0=1.0, steps=1_000), target, burn_in=10, seed=0)
     assert err.value.quantity == "theta[2]"
     assert DIVERGENCE_LIMIT < abs(err.value.value) < np.inf
     assert "theta[2]" in str(err.value) and "|theta| > 1e+06" in str(err.value)
@@ -107,7 +106,7 @@ def test_divergence_names_coordinate_and_value():
     # the gradient 5 * -1e308 overflows on the second coordinate only
     target = QuadraticTarget(dim=3, precision=np.diag([1.0, 5.0, 1.0]))
     with pytest.raises(DivergenceError) as err:
-        run_chain(chain_cfg(steps=1_000), target, steps=1_000, burn_in=10, seed=0,
+        run_chain(chain_cfg(steps=1_000), target, burn_in=10, seed=0,
                   theta0=np.array([0.0, -1e308, 0.0]))
     assert (err.value.step, err.value.quantity, err.value.value) == (0, "theta[1]", np.inf)
     assert "non-finite parameter" in str(err.value)
@@ -124,8 +123,8 @@ def test_divergence_error_message_omits_missing_parts():
 @pytest.mark.parametrize("theta0", [np.zeros(2), np.zeros((1, 1)), np.float64(0.5)])
 def test_run_chain_rejects_wrong_theta0_shape(theta0):
     with pytest.raises(DimensionError):
-        run_chain(chain_cfg(steps=100), QuadraticTarget(dim=1), steps=100, burn_in=10,
-                  seed=0, theta0=theta0)
+        run_chain(chain_cfg(steps=100), QuadraticTarget(dim=1), burn_in=10, seed=0,
+                  theta0=theta0)
 
 
 def reference_chain(cfg, target, steps, burn_in, seed, theta0, step_fn=None):
@@ -168,9 +167,9 @@ def test_blocked_chain_is_bit_identical_to_per_step_loop(kind, beta, dim, start,
                          cycle_len=cycle_len, total_steps=steps,
                          noise_start_frac=noise_start_frac)
     precision = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])[:dim, :dim]
-    target = QuadraticTarget(dim=dim, precision=precision, temperature=0.5)
+    target = QuadraticTarget(dim=dim, precision=precision)
     theta0 = np.linspace(0.7, -0.4, dim) if start is None else np.full(dim, start)
-    stats = run_chain(cfg, target, steps=steps, burn_in=burn_in, seed=13, theta0=theta0)
+    stats = run_chain(cfg, target, burn_in=burn_in, seed=13, theta0=theta0)
     mean, variance, lag1 = reference_chain(cfg, target, steps, burn_in, 13, theta0)
     assert stats.sample_count == steps - burn_in
     assert np.array_equal(stats.mean, mean)
@@ -201,9 +200,9 @@ def test_tempered_drift_is_the_plain_chain_at_lr0_over_t(kind, beta):
                               cycle_len=7, total_steps=steps, noise_start_frac=0.5)
     plain = dataclasses.replace(tempered, lr0=tempered.lr0 / temperature)
     precision = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
-    target = QuadraticTarget(dim=3, precision=precision, temperature=temperature)
+    target = QuadraticTarget(dim=3, precision=precision)
     theta0 = np.linspace(0.7, -0.4, 3)
-    stats = run_chain(plain, target, steps=steps, burn_in=burn_in, seed=13, theta0=theta0)
+    stats = run_chain(plain, target, burn_in=burn_in, seed=13, theta0=theta0)
     mean, variance, lag1 = reference_chain(tempered, target, steps, burn_in, 13, theta0,
                                            step_fn=tempered_drift_step)
     assert np.array_equal(stats.mean, mean)
@@ -219,7 +218,7 @@ def test_late_divergence_step_matches_per_step_loop():
     with pytest.raises(DivergenceError) as expected:
         reference_chain(cfg, target, steps, 100, 0, np.zeros(2))
     with pytest.raises(DivergenceError) as err:
-        run_chain(cfg, target, steps=steps, burn_in=100, seed=0)
+        run_chain(cfg, target, burn_in=100, seed=0)
     assert err.value.step == expected.value.step > 2 * diagnostics._BLOCK
 
 
@@ -231,7 +230,7 @@ def test_late_float_divergence_matches_array_stepped_loop():
     with pytest.raises(DivergenceError) as expected:
         reference_chain(cfg, target, steps, 100, 0, np.zeros(1))
     with pytest.raises(DivergenceError) as err:
-        run_chain(cfg, target, steps=steps, burn_in=100, seed=0)
+        run_chain(cfg, target, burn_in=100, seed=0)
     assert err.value.step == expected.value.step > 2 * diagnostics._BLOCK
     assert err.value.quantity == expected.value.quantity == "theta[0]"
     assert err.value.value == expected.value.value
@@ -242,11 +241,13 @@ def test_moments_centre_the_trajectory_in_place():
     # trajectory (8 B per step and coordinate) plus one full-size temporary;
     # a separate centred copy would add 8 B more
     steps, dim = 25_000, 8
-    cfg = chain_cfg(kind="sghmc", beta=0.9, steps=steps)
-    run_chain(cfg, QuadraticTarget(dim=dim), steps=100, burn_in=0, seed=0)  # one-time allocations
+    # one-time allocations
+    run_chain(chain_cfg(kind="sghmc", beta=0.9, steps=100), QuadraticTarget(dim=dim),
+              burn_in=0, seed=0)
     tracemalloc.start()
     try:
-        run_chain(cfg, QuadraticTarget(dim=dim), steps=steps, burn_in=1_000, seed=0)
+        run_chain(chain_cfg(kind="sghmc", beta=0.9, steps=steps), QuadraticTarget(dim=dim),
+                  burn_in=1_000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -254,9 +255,8 @@ def test_moments_centre_the_trajectory_in_place():
 
 
 def test_short_chain_moments_are_sane():
-    target = QuadraticTarget(dim=2, temperature=1.0)
-    stats = run_chain(chain_cfg(steps=30_000), target, steps=30_000,
-                      burn_in=2_000, seed=7)
+    target = QuadraticTarget(dim=2)
+    stats = run_chain(chain_cfg(steps=30_000), target, burn_in=2_000, seed=7)
     assert stats.sample_count == 28_000
     assert np.all(np.abs(stats.mean) < 0.15)
     assert np.all(np.abs(stats.variance - 1.0) < 0.2)
@@ -264,21 +264,16 @@ def test_short_chain_moments_are_sane():
 
 
 def test_cold_posterior_contracts_variance():
-    target_warm = QuadraticTarget(dim=1, temperature=1.0)
-    target_cold = QuadraticTarget(dim=1, temperature=0.1)
-    warm = run_chain(chain_cfg(temperature=1.0, steps=30_000), target_warm,
-                     steps=30_000, burn_in=2_000, seed=11)
-    cold = run_chain(chain_cfg(temperature=0.1, steps=30_000), target_cold,
-                     steps=30_000, burn_in=2_000, seed=11)
+    target = QuadraticTarget(dim=1)
+    warm = run_chain(chain_cfg(temperature=1.0, steps=30_000), target, burn_in=2_000, seed=11)
+    cold = run_chain(chain_cfg(temperature=0.1, steps=30_000), target, burn_in=2_000, seed=11)
     assert cold.variance[0] < warm.variance[0]
 
 
 def test_sgld_and_sghmc_beta_zero_trajectories_match():
     target = QuadraticTarget(dim=3)
-    a = run_chain(chain_cfg(kind="sgld", steps=5_000), target,
-                  steps=5_000, burn_in=0, seed=3)
-    b = run_chain(chain_cfg(kind="sghmc", beta=0.0, steps=5_000), target,
-                  steps=5_000, burn_in=0, seed=3)
+    a = run_chain(chain_cfg(kind="sgld", steps=5_000), target, burn_in=0, seed=3)
+    b = run_chain(chain_cfg(kind="sghmc", beta=0.0, steps=5_000), target, burn_in=0, seed=3)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.variance, b.variance)
     assert np.array_equal(a.lag1_autocorr, b.lag1_autocorr)
@@ -287,8 +282,8 @@ def test_sgld_and_sghmc_beta_zero_trajectories_match():
 def test_multidim_chain_moments_within_tolerance():
     # spec-level stationary check away from d=1: mean within 0.05, variance
     # within 10% of T per coordinate
-    target = QuadraticTarget(dim=3, temperature=1.0)
+    target = QuadraticTarget(dim=3)
     cfg = chain_cfg(kind="sghmc", beta=0.9, steps=200_000)
-    stats = run_chain(cfg, target, steps=200_000, burn_in=10_000, seed=21)
+    stats = run_chain(cfg, target, burn_in=10_000, seed=21)
     assert np.all(np.abs(stats.mean) < 0.05)
     assert np.all(np.abs(stats.variance - 1.0) < 0.10)

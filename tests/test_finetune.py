@@ -3,7 +3,7 @@ import pytest
 from minibatch_reference import reference_minibatches
 
 from mcbyol.autodiff import Tape, Tensor
-from mcbyol.config import FinetuneSection, ModelSection
+from mcbyol.config import DataSection, FinetuneSection, ModelSection
 from mcbyol.data import Dataset, make_clusters
 from mcbyol.errors import ContractError, DataError
 from mcbyol.finetune import (ClassifierHead, _init_head, finetune, load_member, save_member,
@@ -27,10 +27,11 @@ def predict_logits(encoder, head, x, arch):
 
 
 def toy_labeled(n_per_class=50, classes=3, seed=0):
-    return make_clusters(classes, n_per_class, 4, 4.0, seed=seed, split_tag="train")
+    return make_clusters(DataSection(classes=classes, input_dim=4, separation=4.0, seed=seed),
+                         n_per_class)
 
 
-def fit_one(snap, ds, cfg, seed, arch=TINY, num_classes=None):
+def fit_one(snap, ds, cfg, seed, arch=TINY, num_classes=3):
     """finetune() on a one-snapshot group; returns its (encoder, head, log)."""
     (member,) = finetune([snap], ds, cfg, [seed], arch, num_classes=num_classes)
     return member
@@ -54,7 +55,7 @@ def test_quarter_fraction_takes_25_per_class():
 def test_small_class_keeps_at_least_one():
     x = np.random.default_rng(0).normal(size=(105, 4))
     y = np.array([0] * 100 + [1] * 5)
-    ds = Dataset(x=x, y=y, split_tag="train")
+    ds = Dataset(x=x, y=y)
     sub = subset_labels(ds, 0.1, seed=2)
     counts = np.bincount(sub.y)
     assert counts[0] == 10 and counts[1] == 1
@@ -94,7 +95,7 @@ def test_subset_fraction_bounds():
 
 
 def test_subset_requires_labels():
-    ds = Dataset(x=np.zeros((4, 4)), y=None, split_tag="pretrain")
+    ds = Dataset(x=np.zeros((4, 4)), y=None)
     with pytest.raises(DataError):
         subset_labels(ds, 0.5, seed=0)
 
@@ -130,7 +131,7 @@ def test_frozen_encoder_reaches_full_accuracy_on_separable_data():
     centers = rng.normal(size=(3, 4)) * 2.0
     x = np.concatenate([centers[c] + 0.01 * rng.normal(size=(40, 4)) for c in range(3)])
     y = np.repeat(np.arange(3), 40)
-    ds = Dataset(x=x, y=y, split_tag="train")
+    ds = Dataset(x=x, y=y)
     cfg = FinetuneSection(lr=0.2, momentum=0.9, batch=20, epochs=80, freeze_encoder=True)
     enc, head, log = fit_one(snap, ds, cfg, seed=1)
     logits = predict_logits(enc, head, ds.x, TINY)
@@ -213,7 +214,7 @@ def assert_same_member(got, ref):
 def relabeled(classes):
     """150 rows whose labels cycle through every class."""
     base = toy_labeled(n_per_class=50, classes=3, seed=11)
-    return Dataset(x=base.x, y=np.arange(base.n) % classes, split_tag="train")
+    return Dataset(x=base.x, y=np.arange(base.n) % classes)
 
 
 @pytest.mark.parametrize("freeze", [True, False])
@@ -257,13 +258,14 @@ def test_unfrozen_group_is_bit_identical_to_per_member_tape_fits():
 @pytest.mark.parametrize("freeze", [True, False])
 def test_empty_group_fits_nothing(freeze):
     cfg = FinetuneSection(lr=0.1, epochs=2, freeze_encoder=freeze)
-    assert finetune([], toy_labeled(), cfg, [], TINY) == []
+    assert finetune([], toy_labeled(), cfg, [], TINY, num_classes=3) == []
 
 
 def test_one_seed_per_snapshot_required():
     cfg = FinetuneSection(lr=0.1, epochs=1, freeze_encoder=True)
     with pytest.raises(ContractError):
-        finetune([snapshot_for(), snapshot_for(1)], toy_labeled(), cfg, [0], TINY)
+        finetune([snapshot_for(), snapshot_for(1)], toy_labeled(), cfg, [0], TINY,
+                 num_classes=3)
 
 
 @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
@@ -282,7 +284,7 @@ def test_class_reduce_matches_numpy_row_reduction_at_every_class_count(ufunc):
 def test_label_out_of_range_rejected():
     snap = snapshot_for()
     x = np.zeros((4, 4))
-    ds = Dataset(x=x, y=np.array([0, 1, 2, 3]), split_tag="train")
+    ds = Dataset(x=x, y=np.array([0, 1, 2, 3]))
     cfg = FinetuneSection(lr=0.1, epochs=1, freeze_encoder=False)
     with pytest.raises(DataError):
         fit_one(snap, ds, cfg, seed=0, num_classes=3)

@@ -8,7 +8,7 @@ Imports do not count, so a package-root re-export keeps nothing alive.
 Dunder methods are called by Python itself and are not checked.
 
 Each setting has one home, its config section: no dataclass outside
-config.py re-declares two or more keys of one section."""
+config.py re-declares a key of a section."""
 
 import ast
 import dataclasses
@@ -31,6 +31,12 @@ ALLOWED = {
     # their names)
     "Tape.scale",
     "Tape.relu",
+}
+
+# mirror-scan hits kept, each for a stated reason
+MIRRORS_ALLOWED = {
+    # the chain's momentum buffer, not finetune.momentum
+    "sampler.SamplerState: finetune momentum",
 }
 
 
@@ -91,8 +97,8 @@ def _is_dataclass(decorator: ast.expr) -> bool:
 
 
 def section_mirrors(src: Path) -> list[str]:
-    """Every dataclass outside config.py that declares two or more field
-    names of one config section, as 'module.Class: section keys'."""
+    """Every dataclass outside config.py that declares a field name of a
+    config section, as 'module.Class: section keys'."""
     sections = {name: {f.name for f in dataclasses.fields(cls)}
                 for name, cls in config.SECTIONS.items()}
     found = []
@@ -106,17 +112,19 @@ def section_mirrors(src: Path) -> list[str]:
                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
             for section, keys in sections.items():
                 shared = sorted(fields & keys)
-                if len(shared) >= 2:
+                if shared:
                     found.append(f"{path.stem}.{node.name}: {section} {', '.join(shared)}")
     return found
 
 
 def test_no_dataclass_mirrors_a_config_section():
     mirrors = section_mirrors(SRC)
-    assert not mirrors, f"read these settings from their config section instead: {mirrors}"
+    found = [m for m in mirrors if m not in MIRRORS_ALLOWED]
+    assert not found, f"read these settings from their config section instead: {found}"
+    assert MIRRORS_ALLOWED <= set(mirrors), f"stale allowlist entries: {sorted(MIRRORS_ALLOWED)}"
 
 
-def test_mirror_scan_flags_two_shared_keys(tmp_path):
+def test_mirror_scan_flags_one_shared_key(tmp_path):
     (tmp_path / "a.py").write_text(
         "import dataclasses\nfrom dataclasses import dataclass\n\n"
         "@dataclass\nclass Mirror:\n    lr0: float\n    beta: float\n\n"
@@ -125,4 +133,6 @@ def test_mirror_scan_flags_two_shared_keys(tmp_path):
         "class Plain:\n    lr0: float\n    beta: float\n")
     (tmp_path / "config.py").write_text("@dataclass\nclass S:\n    lr0: float\n    beta: float\n")
     assert section_mirrors(tmp_path) == ["a.Mirror: sampler beta, lr0",
-                                         "a.Frozen: model embed_dim, tau"]
+                                         "a.Frozen: model embed_dim, tau",
+                                         "a.One: data input_dim",
+                                         "a.One: sampler temperature"]
