@@ -230,7 +230,7 @@ def save_dataset(ds: Dataset, stem: str) -> None:
 
 def load_dataset(stem: str) -> Dataset:
     """Reads what save_dataset writes; header lines other than rows, dim
-    and labeled are ignored."""
+    and labeled are ignored.  Every label must be a whole number >= 0."""
     header: dict[str, str] = {}
     with open(f"{stem}.txt") as f:
         for line in f:
@@ -254,5 +254,13 @@ def load_dataset(stem: str) -> Dataset:
     if raw.size != expected:
         raise DataError(f"{stem}.bin: expected {expected} values, found {raw.size}")
     x = raw[:rows * dim].reshape(rows, dim).copy()
-    y = raw[rows * dim:].astype(np.int64) if labeled else None
-    return Dataset(x=x, y=y)
+    if not labeled:
+        return Dataset(x=x, y=None)
+    labels = raw[rows * dim:]
+    whole = (np.isfinite(labels) & (labels >= 0) & (labels < 2.0**63)
+             & (labels == np.floor(labels)))
+    if not whole.all():
+        row = int(np.argmin(whole))
+        raise DataError(f"{stem}.bin: the label of row {row}, {float(labels[row])!r}, "
+                        "is not a whole number >= 0")
+    return Dataset(x=x, y=labels.astype(np.int64))

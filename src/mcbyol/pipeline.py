@@ -21,11 +21,12 @@ import os
 import numpy as np
 
 from . import config as cfgmod
+from .autodiff import Tensor
 from .data import (Dataset, augment_pair, load_dataset, make_clusters, make_ood,
                    minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
 from .errors import CheckpointError, DataError, DivergenceError
-from .finetune import finetune, load_member, save_member, subset_labels
+from .finetune import ClassifierHead, finetune, load_member, save_member, subset_labels
 from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
                       write_histogram, write_table)
 from .model import ema_update, init_twin
@@ -39,7 +40,8 @@ def make_datasets(cfg: cfgmod.RunConfig) -> tuple[Dataset, Dataset, Dataset, Dat
     """(pretrain, train, test, ood).  All in-distribution splits are slices
     of one generated cluster sample, so they share means and mixing layer.
     With data.file_prefix set, the four splits load from dataset files,
-    which must all have the pretrain file's width."""
+    which must all have the pretrain file's width; train and test must be
+    labeled."""
     d = cfg.data
     if d.file_prefix:
         tags = ("pretrain", "train", "test", "ood")
@@ -48,6 +50,9 @@ def make_datasets(cfg: cfgmod.RunConfig) -> tuple[Dataset, Dataset, Dataset, Dat
             if ds.input_dim != splits[0].input_dim:
                 raise DataError(f"{d.file_prefix}_{tag}.bin: rows have width {ds.input_dim}, "
                                 f"{d.file_prefix}_pretrain.bin's have {splits[0].input_dim}")
+            if tag in ("train", "test") and ds.y is None:
+                raise DataError(f"{d.file_prefix}_{tag}.txt: labeled = 0, "
+                                f"but the {tag} split needs labels")
         return splits
     per_class_total = d.per_class_pretrain + d.per_class_train + d.per_class_test
     full = make_clusters(d, per_class_total)
@@ -163,37 +168,64 @@ def _ensemble_sizes(cfg: cfgmod.RunConfig, out_dir: str) -> dict[int, int]:
     return {seed: len(header["blocks"]) for seed, header in headers.items()}
 
 
-def _sweep(out_dir: str, seed: int, frac: float, size: int, xs: list[np.ndarray],
+def _sweep(out_dir: str, seed: int, fracs: list[float], size: int, xs: list[np.ndarray],
            model: cfgmod.ModelSection):
-    """Yields (k, [BMA of the k most recent members on x for each x in xs])
-    for k = 1..size.  Loads the (seed, fraction) group's members once and
-    runs each member's encoder once per input."""
-    members = []
+    """Yields (frac, k, [BMA of the k most recent members on x for each x in
+    xs]) for each fraction in fracs and k = 1..size, fraction by fraction.
+    Loads every member once.  Members of one snapshot whose encoders are
+    byte-equal (all of them under linear evaluation) form a group, whose
+    heads are stacked as weight (G, D, C) and bias (G, 1, C): one
+    bma_predict call per group and input runs the encoder once and gives
+    each member's softmax, bit for bit as a call of its own.  The forwards
+    run back to back after the loads, so that each reuses the memory the
+    one before freed instead of faulting in fresh pages."""
+    groups = []  # (encoder, indices into fracs, stacked heads), snapshot by snapshot
     for s in range(size):
-        path = member_path(out_dir, seed, frac, s)
-        if not os.path.exists(path):
-            raise CheckpointError(f"missing member checkpoint: {path}")
-        members.append(load_member(path)[:2])
-    member_probs = [[bma_predict(members[i:i + 1], x, model) for i in range(size)] for x in xs]
-    for k in range(1, size + 1):
-        yield k, [recent_mean(probs, k) for probs in member_probs]
+        members = []
+        for frac in fracs:
+            path = member_path(out_dir, seed, frac, s)
+            if not os.path.exists(path):
+                raise CheckpointError(f"missing member checkpoint: {path}")
+            members.append(load_member(path)[:2])
+        by_encoder: dict[bytes, list[int]] = {}
+        for i, (encoder, _) in enumerate(members):
+            by_encoder.setdefault(encoder.flatten().tobytes(), []).append(i)
+        for idx in by_encoder.values():
+            heads = [members[i][1] for i in idx]
+            groups.append((members[idx[0]][0], idx, ClassifierHead(
+                weight=Tensor(np.stack([h.weight.values for h in heads])),
+                bias=Tensor(np.stack([h.bias.values[None, :] for h in heads])))))
+    probs = [[[] for _ in xs] for _ in fracs]  # [fraction][input][snapshot]
+    for j, x in enumerate(xs):
+        for encoder, idx, head in groups:
+            out = bma_predict([(encoder, head)], x, model)
+            for g, i in enumerate(idx):
+                probs[i][j].append(out[g])
+    for frac, frac_probs in zip(fracs, probs):
+        for k in range(1, size + 1):
+            yield frac, k, [recent_mean(member_probs, k) for member_probs in frac_probs]
 
 
 def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     """ACC/NLL for the single-snapshot model and for all ensemble prefix
-    sizes (most recent snapshots first), aggregated over seeds."""
+    sizes (most recent snapshots first), aggregated over seeds.  One sweep
+    per seed covers every label fraction, and each (fraction, k) cell
+    collects its values in seed order."""
     _, _, test, _ = make_datasets(cfg)
     sizes = _ensemble_sizes(cfg, out_dir)
     digest = cfg.digest()
+    fracs = cfg.finetune.label_fractions
+    per_cell: dict[tuple[float, int], list[tuple[float, float]]] = {}
+    for seed in cfg.run.seeds:
+        for frac, k, (probs,) in _sweep(out_dir, seed, fracs, sizes[seed], [test.x], cfg.model):
+            per_cell.setdefault((frac, k), []).append((accuracy(probs, test.y),
+                                                       nll(probs, test.y)))
     rows: list[tuple] = []
-    for frac in cfg.finetune.label_fractions:
-        per_k: dict[int, list[tuple[float, float]]] = {}
-        for seed in cfg.run.seeds:
-            for k, (probs,) in _sweep(out_dir, seed, frac, sizes[seed], [test.x], cfg.model):
-                per_k.setdefault(k, []).append((accuracy(probs, test.y), nll(probs, test.y)))
+    for frac in fracs:
+        ks = sorted(k for f, k in per_cell if f == frac)
         # the single-snapshot model is the k=1 ensemble
-        for mode, k in [("bma", k) for k in sorted(per_k)] + [("single", 1)]:
-            acc, nlls = zip(*per_k[k])
+        for mode, k in [("bma", k) for k in ks] + [("single", 1)]:
+            acc, nlls = zip(*per_cell[frac, k])
             rows.append((cfg.sampler.kind, mode, frac, k, *aggregate_seeds(acc),
                          *aggregate_seeds(nlls), digest))
     write_table(os.path.join(out_dir, "eval_results.tsv"),
@@ -203,10 +235,10 @@ def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     return rows
 
 
-def _ood_scores(probs: np.ndarray, score: str) -> np.ndarray:
+def _ood_scores(probs: np.ndarray, entropy: np.ndarray, score: str) -> np.ndarray:
     if score == "max_prob":
         return 1.0 - probs.max(axis=1)  # low confidence reads as OOD
-    return predictive_entropy(probs)
+    return entropy
 
 
 def run_ood(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
@@ -221,13 +253,15 @@ def run_ood(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
 
     per_k: dict[int, dict[str, list]] = {}
     for seed in cfg.run.seeds:
-        sweep = _sweep(out_dir, seed, frac, sizes[seed], [test.x, ood.x], cfg.model)
-        for k, (p_test, p_ood) in sweep:
+        sweep = _sweep(out_dir, seed, [frac], sizes[seed], [test.x, ood.x], cfg.model)
+        for _, k, (p_test, p_ood) in sweep:
+            h_test, h_ood = predictive_entropy(p_test), predictive_entropy(p_ood)
             cell = per_k.setdefault(k, {"nll": [], "auroc": [], "h_test": [], "h_ood": []})
             cell["nll"].append(nll(p_test, test.y))
-            cell["auroc"].append(auroc(_ood_scores(p_ood, score), _ood_scores(p_test, score)))
-            cell["h_test"].append(predictive_entropy(p_test))
-            cell["h_ood"].append(predictive_entropy(p_ood))
+            cell["auroc"].append(auroc(_ood_scores(p_ood, h_ood, score),
+                                       _ood_scores(p_test, h_test, score)))
+            cell["h_test"].append(h_test)
+            cell["h_ood"].append(h_ood)
 
     rows: list[tuple] = []
     for k in sorted(per_k):

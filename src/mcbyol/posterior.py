@@ -14,6 +14,7 @@ surfaces as a checksum, truncation, or version error, never silently.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -127,6 +128,11 @@ def bma_predict(members, x: np.ndarray, model: ModelSection,
     ensemble size calls this once per member (a one-member slice returns
     that member's softmax exactly) and combines the results with
     recent_mean, which gives the same bits as calling it once per size.
+
+    A head may also be a stack of G heads over one encoder: weight
+    (G, embed_dim, C) and bias (G, 1, C).  Broadcasting then runs the
+    encoder once and returns a (G, N, C) array whose slice g has the bits
+    of head g's own one-member call.
     """
     if count is not None and not 1 <= count <= len(members):
         raise ContractError(f"count must lie in [1, {len(members)}], got {count}")
@@ -202,7 +208,7 @@ def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarr
         header = json.loads(raw[12:12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ChecksumError(f"{path}: header corrupt ({exc})") from exc
-    n_elems = sum(int(np.prod(seg[2])) if seg[2] else 1
+    n_elems = sum(math.prod(seg[2])
                   for block in header.get("blocks", []) for seg in block["segments"])
     expected = 12 + header_len + 8 * n_elems + 4
     if len(raw) < expected:
@@ -223,7 +229,7 @@ def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarr
 def _pv_from_payload(segments: list, payload: np.ndarray) -> ParamVector:
     tensors = {}
     for name, offset, shape in segments:
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         vals = payload[offset:offset + size].reshape([int(s) for s in shape])
         tensors[name] = Tensor(vals.copy())
     return ParamVector(tensors)

@@ -14,14 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcbyol import cli, config, pipeline
+from mcbyol import cli, config, pipeline, posterior
 from mcbyol.autodiff import Tape, Tensor
 from mcbyol.config import ModelSection, SamplerSection
 from mcbyol.diagnostics import QuadraticTarget, run_chain
 from mcbyol.finetune import ClassifierHead, load_member
 from mcbyol.metrics import accuracy, auroc, nll
 from mcbyol.model import byol_loss_symmetrized, init_twin
-from mcbyol.posterior import PosteriorEnsemble, bma_predict, collect, predictive_entropy
+from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect, predictive_entropy,
+                              recent_mean)
 from mcbyol.sampler import (cyclic_lr, make_state, noise_active, sghmc_step, sgld_step,
                             should_yield)
 
@@ -298,13 +299,18 @@ seeds = 0
 """
 
 # the outputs of two small runs that the default run does not cover: joint
-# fine-tuning of encoder and head, and a relu network
+# fine-tuning of encoder and head with its eval and ood tables, and a relu
+# network
 SMALL_GOLDEN_SHA256 = {
     ("tanh", "false"): {
         "member_seed0_f0p5_snap1.ckpt":
             "59a43ff2fe58de9aea015cebd166cf9ea4617901aabca97a9e5579c4b8717f54",
         "finetune_log_seed0_f0p5.tsv":
             "ef3a17d55da9408a3c9bd10d093affc27afc27a5d454618df49a29a5e90d97a4",
+        "eval_results.tsv":
+            "7d24d06fb30b6ece726cdb538053826a9d6df689f5766d4642e4ecdabe17c0b9",
+        "ood_results.tsv":
+            "8cc8a033ea8f117b7a81332909b9208c10429dcb13305e73fcb721355d27db91",
     },
     ("relu", "true"): {
         "ensemble_seed0.ckpt":
@@ -324,6 +330,8 @@ def test_small_runs_match_golden_digests(tmp_path, activation, freeze):
     pipeline.run_pretrain(cfg, 0, out)
     if freeze == "false":
         pipeline.run_finetune(cfg, 0, out)
+        pipeline.run_eval(cfg, out)
+        pipeline.run_ood(cfg, out)
     golden = SMALL_GOLDEN_SHA256[(activation, freeze)]
     got = {name: sha256_of(out, name) for name in golden}
     assert got == golden
@@ -366,6 +374,60 @@ def test_max_prob_ood_auroc_equals_member_recomputation(tmp_path):
     # the two scores rank this run differently, so the check above tells them apart
     assert any(by_score["max_prob"][k] != by_score["entropy"][k] for k in (1, 2))
     assert sha256_of(out, "ood_results.tsv") == MAX_PROB_OOD_SHA256
+
+
+def per_member_sweep(out_dir, seed, fracs, size, xs, model):
+    """Reference for pipeline._sweep: each (seed, fraction) group on its own,
+    one bma_predict call per member and input, combined by recent_mean."""
+    for frac in fracs:
+        members = [load_member(pipeline.member_path(out_dir, seed, frac, s))[:2]
+                   for s in range(size)]
+        member_probs = [[bma_predict(members[i:i + 1], x, model) for i in range(size)]
+                        for x in xs]
+        for k in range(1, size + 1):
+            yield frac, k, [recent_mean(probs, k) for probs in member_probs]
+
+
+# two seeds, two snapshots per seed, two label fractions
+SWEEP_RUN = (SMALL_RUN.replace("label_fractions = 0.5", "label_fractions = 1.0,0.5")
+             .replace("seeds = 0", "seeds = 0,1"))
+
+
+@pytest.mark.parametrize("freeze", ["true", "false"])
+def test_eval_and_ood_equal_the_per_member_sweep(tmp_path, monkeypatch, freeze):
+    """Members of one snapshot that share its encoder share one forward: a
+    frozen run forwards each snapshot once per input, an unfrozen one each
+    member, and both write the tables of the per-member sweep byte for byte."""
+    cfg = config.parse(SWEEP_RUN.format(activation="tanh", freeze=freeze))
+    out = str(tmp_path)
+    for seed in cfg.run.seeds:
+        pipeline.run_pretrain(cfg, seed, out)
+        pipeline.run_finetune(cfg, seed, out)
+    forwards = []
+    forward = posterior.mlp_forward_np
+
+    def counted(*args):
+        forwards.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(posterior, "mlp_forward_np", counted)
+    pipeline.run_eval(cfg, out)
+    eval_forwards = len(forwards)
+    pipeline.run_ood(cfg, out)
+    ood_forwards = len(forwards) - eval_forwards
+    names = ("eval_results.tsv", "ood_results.tsv")
+    got = {name: Path(out, name).read_bytes() for name in names}
+
+    snapshots = len(list(tmp_path.glob("member_seed*_f1_snap*.ckpt")))  # over both seeds
+    assert snapshots == 2 * len(cfg.run.seeds)
+    members = snapshots * len(cfg.finetune.label_fractions)
+    assert eval_forwards == (snapshots if freeze == "true" else members)
+    assert ood_forwards == 2 * snapshots  # one fraction, two inputs
+
+    monkeypatch.setattr(pipeline, "_sweep", per_member_sweep)
+    pipeline.run_eval(cfg, out)
+    pipeline.run_ood(cfg, out)
+    assert got == {name: Path(out, name).read_bytes() for name in names}
 
 
 def test_criterion_09_metric_oracles():

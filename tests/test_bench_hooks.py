@@ -2,7 +2,7 @@
 (bench/tracing.py); this checks that every name it patches still exists, that
 a traced sample-diag run counts every sampler step, that a traced pipeline run
 counts every stacked minibatch position of finetune and one encoder forward
-per member and input in eval and ood, and that traced runs write the same
+per snapshot and input in eval and ood, and that traced runs write the same
 bytes as untraced ones."""
 
 import json
@@ -141,12 +141,14 @@ def test_traced_finetune_counts_stacked_positions_and_keeps_bytes(tiny_runs):
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
 
 
-def test_traced_eval_and_ood_forward_each_member_once_per_input_and_keep_bytes(tiny_runs):
-    # eval runs every member on the test set; ood runs the largest label
-    # fraction's members on the test and the OOD set
+def test_traced_eval_and_ood_forward_each_snapshot_once_per_input_and_keep_bytes(tiny_runs):
+    # under linear evaluation every label fraction's member of a snapshot has
+    # that snapshot's encoder: eval runs it once on the test set, and ood
+    # once on the test and once on the OOD set
     cfg, plain, traced, counts = tiny_runs
-    per_fraction = 3 * len(cfg.run.seeds)
-    forwards = per_fraction * len(cfg.finetune.label_fractions) + 2 * per_fraction
+    assert cfg.finetune.freeze_encoder
+    snapshots = 3 * len(cfg.run.seeds)
+    forwards = snapshots + 2 * snapshots
     assert counts["posterior.encoder_forwards"] == forwards
     assert counts["posterior.distinct_pairs"] == forwards
     for name in ("eval_results.tsv", "ood_results.tsv"):

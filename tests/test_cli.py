@@ -261,6 +261,38 @@ def test_split_of_another_width_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("tag,defect", [("test", "unlabeled"), ("train", "unlabeled"),
+                                        ("train", "fractional label")])
+def test_unusable_labels_stop_every_stage_with_data_error(tmp_path, capsys, tag, defect):
+    # the pretrain and ood splits may be unlabeled; train and test may not
+    from mcbyol.data import Dataset, load_dataset, save_dataset
+    prefix = tmp_path / "ds"
+    save_splits(write_config(tmp_path), prefix)
+    for unlabeled in ("pretrain", "ood"):
+        save_dataset(Dataset(x=load_dataset(f"{prefix}_{unlabeled}").x, y=None),
+                     f"{prefix}_{unlabeled}")
+    cfg_path = write_config(tmp_path, TINY_CONFIG.replace(
+        "[model]", f"file_prefix = {prefix}\n[model]").replace("seeds = 0,1", "seeds = 0"))
+    out = tmp_path / "out"
+    run_all(cfg_path, str(out))
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+
+    split = load_dataset(f"{prefix}_{tag}")
+    if defect == "unlabeled":
+        save_dataset(Dataset(x=split.x, y=None), f"{prefix}_{tag}")
+        message = f"ds_{tag}.txt: labeled = 0, but the {tag} split needs labels"
+    else:
+        raw = np.fromfile(f"{prefix}_{tag}.bin", dtype="<f8")
+        raw[split.x.size + 3] = 1.5
+        Path(f"{prefix}_{tag}.bin").write_bytes(raw.tobytes())
+        message = f"ds_{tag}.bin: the label of row 3, 1.5, is not a whole number >= 0"
+    for cmd in ("pretrain", "finetune", "eval", "ood"):
+        assert cli.main([cmd, "--config", cfg_path, "--out", str(out)]) == 2, cmd
+        assert message in capsys.readouterr().err, cmd
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
 def test_sample_diag_writes_chain_stats(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "diag")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,28 @@ def test_dataset_rejects_nonfinite():
         Dataset(x=np.array([[np.inf, 0.0]]), y=None)
     with pytest.raises(DataError):
         Dataset(x=np.zeros((3, 2)), y=np.zeros(2, dtype=np.int64))
+
+
+def write_labeled(stem, labels):
+    """A one-column labeled dataset file pair with the given raw label values."""
+    labels = np.asarray(labels, dtype="<f8")
+    Path(f"{stem}.bin").write_bytes(np.zeros(labels.size).tobytes() + labels.tobytes())
+    Path(f"{stem}.txt").write_text(f"rows = {labels.size}\ndim = 1\nlabeled = 1\n")
+
+
+def test_dataset_labels_load_as_int64(tmp_path):
+    stem = str(tmp_path / "ok")
+    write_labeled(stem, [0.0, 2.0, -0.0, 1.0])
+    loaded = load_dataset(stem)
+    assert loaded.y.dtype == np.int64 and loaded.y.tolist() == [0, 2, 0, 1]
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5, -1.0, np.nan, np.inf, 2.0**63])
+def test_dataset_label_that_is_not_a_whole_number_is_data_error(tmp_path, bad):
+    stem = str(tmp_path / "bad")
+    write_labeled(stem, [0.0, bad, -0.5])
+    with pytest.raises(DataError, match=rf"bad\.bin: the label of row 1, {re.escape(repr(bad))}, "):
+        load_dataset(stem)
 
 
 def test_dataset_header_with_generator_lines_still_loads(tmp_path):

@@ -172,6 +172,26 @@ def test_recent_mean_sweep_equals_bma_predict_at_every_size(rows):
     assert np.array_equal(recent_mean(per_member), bma_predict(members, x, TINY))
 
 
+@pytest.mark.parametrize("heads", [1, 3])
+def test_stacked_heads_give_each_heads_own_bma_bytes(heads):
+    # one encoder with G heads stacked as weight (G, D, C) and bias (G, 1, C)
+    # gives a (G, N, C) array whose slice g is head g's own one-member BMA
+    ens = make_ensemble(1, seed=heads)
+    encoder = ens.snapshots[0].encoder_params
+    rng = np.random.default_rng(heads)
+    for classes in (3, 10):
+        own = [random_head(rng, classes=classes) for _ in range(heads)]
+        stacked = ClassifierHead(
+            weight=Tensor(np.stack([h.weight.values for h in own])),
+            bias=Tensor(np.stack([h.bias.values[None, :] for h in own])))
+        for rows in (1, 7, 2000):
+            x = rng.normal(size=(rows, 3))
+            out = bma_predict([(encoder, stacked)], x, TINY)
+            assert out.shape == (heads, rows, classes)
+            for g, head in enumerate(own):
+                assert out[g].tobytes() == bma_predict([(encoder, head)], x, TINY).tobytes()
+
+
 def test_recent_mean_count_bounds_and_empty():
     probs = [np.full((2, 2), 0.5)] * 2
     with pytest.raises(ContractError):
