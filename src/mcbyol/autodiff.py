@@ -6,7 +6,7 @@ l2_normalize, mse, softmax_cross_entropy.  `mlp` is a whole dense network
 as one record, with the same arithmetic as its matmul -> bias_add ->
 tanh|relu composition.  A Tape records every operation whose output needs
 a gradient; backward() replays the records in reverse.  Tapes are rebuilt
-per forward pass and must not be shared across threads.
+per forward pass and must not be shared across threads or processes.
 """
 
 from __future__ import annotations

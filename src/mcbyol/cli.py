@@ -3,7 +3,7 @@
 Subcommands: pretrain, finetune, eval, ood, sample-diag.  Each takes
 --config <path>, --out <dir> and an optional --seed override.  Exit codes:
 0 success, 1 config error, 2 data error, 3 numeric/divergence error,
-4 I/O error.
+4 I/O error, 5 the gradient helper process of pretrain failed or died.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import sys
 from . import config as cfgmod
 from . import pipeline
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
-                     NumericError)
+                     HelperError, NumericError)
 
-EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_IO = 1, 2, 3, 4
+EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_IO, EXIT_HELPER = 1, 2, 3, 4, 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,6 +97,9 @@ def main(argv=None) -> int:
     except (CheckpointError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except HelperError as exc:
+        print(f"helper error: {exc}", file=sys.stderr)
+        return EXIT_HELPER
     return 0
 
 

@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all modules.
 
 The CLI maps these onto exit codes: config -> 1, data -> 2,
-numeric/divergence -> 3, checkpoint/file -> 4.
+numeric/divergence -> 3, checkpoint/file -> 4, gradient helper -> 5.
 """
 
 
@@ -61,4 +61,16 @@ class TruncationError(CheckpointError):
 
 
 class ChecksumError(CheckpointError):
-    """Stored CRC does not match file contents."""
+    """Stored CRC does not match file contents, or the header that locates
+    the CRC is corrupt."""
+
+
+class HelperError(McbyolError):
+    """The gradient helper process failed or died.
+
+    detail says how; step is the pretrain step whose gradient it was
+    computing, once the caller that knows it has filled it in."""
+
+    def __init__(self, detail: str, step: int | None = None):
+        self.detail, self.step = detail, step
+        super().__init__(detail if step is None else f"{detail} at step {step}")

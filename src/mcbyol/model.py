@@ -145,7 +145,9 @@ def byol_loss_one_direction(tape: Tape, model: TwinModel,
 
 def byol_loss_symmetrized(tape: Tape, model: TwinModel,
                           view_a: np.ndarray, view_b: np.ndarray) -> Tensor:
-    """Sum of the two view assignments: L(a, b) + L(b, a)."""
+    """Sum of the two view assignments, L(a, b) + L(b, a), on one tape.
+    sampler.posterior_grad takes each direction from a tape of its own,
+    with the same gradient bits."""
     return tape.add(byol_loss_one_direction(tape, model, view_a, view_b),
                     byol_loss_one_direction(tape, model, view_b, view_a))
 

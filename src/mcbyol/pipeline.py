@@ -10,7 +10,10 @@ run (and re-run) independently:
     eval_results.tsv / ood_results.tsv / *_hist_*.tsv
 
 Baseline methods are config variants of the sampler kind, not code forks.
-Everything is deterministic given config + seeds.
+Everything is deterministic given config + seeds, and the same at any CPU
+count: with two or more CPUs, pretraining computes one direction of the
+twin loss in a forked helper process (helper.py), with the bits of
+computing both here.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from .autodiff import Tensor
 from .data import (Dataset, augment_pair, load_dataset, make_clusters, make_ood,
                    minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
-from .errors import CheckpointError, DataError, DivergenceError
+from .errors import CheckpointError, DataError, DivergenceError, HelperError
 from .finetune import ClassifierHead, finetune, load_member, save_member, subset_labels
+from .helper import direction_helper
 from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
                       write_histogram, write_table)
 from .model import ema_update, init_twin
@@ -84,7 +88,9 @@ def _step_state(lr: float, noise_on: bool) -> str:
 
 
 def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEnsemble:
-    """One training run of the snapshot-collecting loop for one seed."""
+    """One training run of the snapshot-collecting loop for one seed.  With
+    two or more CPUs it forks one helper process for the run (helper.py)
+    and reaps it before writing any file."""
     pretrain, _, _, _ = make_datasets(cfg)
     n = pretrain.n  # the rows loaded, whatever their source
     if n < 1:
@@ -105,26 +111,30 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
     step_fn = sghmc_step if cfgmod.SAMPLER_KINDS[s.kind].momentum else sgld_step
     log_rows: list[tuple] = []
     epoch, queue = 0, []
-    for k in range(s.total_steps):
-        if not queue:
-            queue = minibatches(n, s.batch, epoch_keys[:, epoch])
-            epoch += 1
-        (idx,) = queue.pop(0)
-        view_a, view_b = augment_pair(pretrain.x[idx], cfg.data, aug_rng)
-        grad_u, loss = posterior_grad(model, view_a, view_b, s, n)
-        lr = cyclic_lr(s, k)
-        on = noise_active(s, k)
-        new_flat = step_fn(model.online_flat(), state, grad_u, lr, s, n, noise_on=on)
-        if not np.isfinite(loss):
-            raise DivergenceError(k, quantity="loss", value=loss,
-                                  detail=f"non-finite loss; {_step_state(lr, on)}")
-        if diverged(new_flat):
-            raise divergence_error(k, new_flat, _step_state(lr, on))
-        model.set_online_flat(new_flat)
-        ema_update(model)
-        log_rows.append((k, lr, loss, int(on)))
-        if should_yield(s, k):
-            collect(ensemble, model, step=k, cycle=k // s.cycle_len, loss=loss)
+    with direction_helper(model, min(s.batch, n)) as helper:
+        for k in range(s.total_steps):
+            if not queue:
+                queue = minibatches(n, s.batch, epoch_keys[:, epoch])
+                epoch += 1
+            (idx,) = queue.pop(0)
+            view_a, view_b = augment_pair(pretrain.x[idx], cfg.data, aug_rng)
+            try:
+                grad_u, loss = posterior_grad(model, view_a, view_b, s, n, helper)
+            except HelperError as exc:
+                raise HelperError(exc.detail, step=k) from exc
+            lr = cyclic_lr(s, k)
+            on = noise_active(s, k)
+            new_flat = step_fn(model.online_flat(), state, grad_u, lr, s, n, noise_on=on)
+            if not np.isfinite(loss):
+                raise DivergenceError(k, quantity="loss", value=loss,
+                                      detail=f"non-finite loss; {_step_state(lr, on)}")
+            if diverged(new_flat):
+                raise divergence_error(k, new_flat, _step_state(lr, on))
+            model.set_online_flat(new_flat)
+            ema_update(model)
+            log_rows.append((k, lr, loss, int(on)))
+            if should_yield(s, k):
+                collect(ensemble, model, step=k, cycle=k // s.cycle_len, loss=loss)
 
     save_ensemble(ensemble, ensemble_path(out_dir, seed))
     write_table(os.path.join(out_dir, f"pretrain_log_seed{seed}.tsv"),

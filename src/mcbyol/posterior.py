@@ -208,8 +208,16 @@ def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarr
         header = json.loads(raw[12:12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ChecksumError(f"{path}: header corrupt ({exc})") from exc
-    n_elems = sum(math.prod(seg[2])
-                  for block in header.get("blocks", []) for seg in block["segments"])
+    # the CRC sits after the payload, so a header that cannot size the
+    # payload is reported as corrupt before the CRC can be checked
+    try:
+        n_elems = sum(math.prod(seg[2])
+                      for block in header["blocks"] for seg in block["segments"])
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ChecksumError(f"{path}: header corrupt (cannot size the payload: "
+                            f"{type(exc).__name__} {exc})") from exc
+    if type(n_elems) is not int:
+        raise ChecksumError(f"{path}: header corrupt (payload size {n_elems!r})")
     expected = 12 + header_len + 8 * n_elems + 4
     if len(raw) < expected:
         raise TruncationError(f"{path}: payload truncated "

@@ -30,9 +30,13 @@ fixes every output bit.
 
 grad_U is the minibatch estimate of the scaled negative log posterior:
 the batch-mean twin-network loss gradient plus the Gaussian-prior term
-theta / (prior_std^2 * n) on the encoder slice only.  Temperature
-multiplies the noise variance only; tempering the drift instead (drift / T,
-untempered noise) is exactly this update at lr0 / T.
+theta / (prior_std^2 * n) on the encoder slice only.  The loss gradient is
+the sum of its two directions, each from a tape of its own, one of them
+computed by a forked helper process where run_pretrain has one (with 2
+or more CPUs, see helper.py): every step is deterministic given the seed,
+and the same at any CPU count.  Temperature multiplies the noise
+variance only; tempering the drift instead (drift / T, untempered noise)
+is exactly this update at lr0 / T.
 
 A step takes its noise one of two ways: drawn from state.rng and scaled
 by s (the default), or as an already-scaled noise= term, s * eps.  A
@@ -56,13 +60,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import Tape
 from .config import SAMPLER_KINDS, SamplerSection
 from .errors import ContractError, DivergenceError
-from .model import TwinModel, byol_loss_symmetrized
+from .model import TwinModel, byol_loss_one_direction
+# bench/tracing.py times model.loss_forward at this name
+from .model import byol_loss_symmetrized  # noqa: F401
+
+if TYPE_CHECKING:
+    from .helper import DirectionHelper
 
 DIVERGENCE_LIMIT = 1e6  # a chain with any |theta| above this has diverged
 # the momentum kinds as a set built from the table: the step guards run on
@@ -130,23 +140,45 @@ def should_yield(cfg: SamplerSection, k: int) -> bool:
     return (k + 1) % cfg.cycle_len == 0
 
 
+def direction_grad(model: TwinModel, view_a: np.ndarray,
+                   view_b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gradient on the online parameters, flat, and value of one direction
+    of the twin loss, L(view_a, view_b), from a tape of its own."""
+    model.zero_online_grads()
+    tape = Tape()
+    loss = byol_loss_one_direction(tape, model, view_a, view_b)
+    tape.backward(loss)
+    return model.online_grad_flat(), float(loss.values)
+
+
 def posterior_grad(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray,
-                   cfg: SamplerSection, n_dataset: int) -> tuple[np.ndarray, float]:
+                   cfg: SamplerSection, n_dataset: int,
+                   helper: DirectionHelper | None = None) -> tuple[np.ndarray, float]:
     """Gradient of the minibatch posterior estimate on the online parameters.
 
     Returns (grad_U, loss) where grad_U = d/dtheta [batch-mean symmetrized
     loss] plus theta / (prior_std^2 * n) on the encoder slice; projector and
     predictor receive only the likelihood gradient.  Callers scale by n.
+    With a helper, L(view_b, view_a) runs there while L(view_a, view_b)
+    runs here; without one, both run here.  Each weight's gradient is
+    g_ab + g_ba either way, the bits of one tape over both directions.
     """
-    model.zero_online_grads()
-    tape = Tape()
-    loss = byol_loss_symmetrized(tape, model, view_a, view_b)
-    tape.backward(loss)
-    grad = model.online_grad_flat()
+    if helper is None:
+        g_ab, l_ab = direction_grad(model, view_a, view_b)
+        g_ba, l_ba = direction_grad(model, view_b, view_a)
+    else:
+        helper.send(model, view_b, view_a)
+        try:
+            g_ab, l_ab = direction_grad(model, view_a, view_b)
+        except BaseException:
+            helper.close()  # else its reply would answer the next request
+            raise
+        g_ba, l_ba = helper.receive()
+    grad = g_ab + g_ba
     d_enc = model.encoder_dim
     enc_flat = model.online_encoder.flatten()
     grad[:d_enc] += enc_flat / (cfg.prior_std ** 2 * n_dataset)
-    return grad, float(loss.values)
+    return grad, l_ab + l_ba
 
 
 def noise_scale(cfg: SamplerSection, lr: float) -> float:

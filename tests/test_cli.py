@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_helper import assert_no_child_process
 
-from mcbyol import cli, config, pipeline
+from mcbyol import cli, config, helper, pipeline
 from mcbyol.errors import DivergenceError
 from mcbyol.sampler import DIVERGENCE_LIMIT
 
@@ -338,15 +339,18 @@ def test_sample_diag_analytic_variance_is_the_sampler_temperature(tmp_path):
 
 
 def pretrain_with_grad(tmp_path, monkeypatch, edit):
-    """run_pretrain with every posterior gradient passed through edit(grad, loss)."""
+    """run_pretrain, with a gradient helper process, with every posterior
+    gradient passed through edit(grad, loss)."""
     real = pipeline.posterior_grad
     monkeypatch.setattr(pipeline, "posterior_grad",
                         lambda *args: edit(*real(*args)))
+    monkeypatch.setattr(helper, "available_cpus", lambda: 2)
     cfg = config.load(write_config(tmp_path))
     with pytest.raises(DivergenceError) as err:
         pipeline.run_pretrain(cfg, 0, str(tmp_path / "o"))
     assert err.value.step == 0
     assert "lr 0.0005, noise off" in str(err.value)
+    assert_no_child_process()
     return err.value
 
 
@@ -470,11 +474,27 @@ def test_exit_code_missing_ensemble(tmp_path):
     assert rc == 4
 
 
-def test_exit_code_divergence(tmp_path):
+def test_exit_code_divergence(tmp_path, monkeypatch):
+    monkeypatch.setattr(helper, "available_cpus", lambda: 2)
     blowup = TINY_CONFIG.replace("lr0 = 0.0005", "lr0 = 50.0")
     cfg_path = write_config(tmp_path, blowup)
     rc = cli.main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "o")])
     assert rc == 3
+    assert_no_child_process()
+
+
+def test_header_byte_flip_in_an_ensemble_is_an_io_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert cli.main(["pretrain", "--config", cfg_path, "--out", str(out)]) == 0
+    path = out / "ensemble_seed0.ckpt"
+    raw = path.read_bytes()
+    assert raw.count(b'"segments"') > 1
+    path.write_bytes(raw.replace(b'"segments"', b'"segmfnts"', 1))
+    capsys.readouterr()
+    assert cli.main(["finetune", "--config", cfg_path, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "header corrupt" in err
 
 
 def test_exit_code_bad_seed_override(tmp_path):

@@ -3,12 +3,13 @@ import pytest
 
 from mcbyol.autodiff import Tensor
 from mcbyol.config import ModelSection
-from mcbyol.errors import ChecksumError, ContractError, TruncationError, VersionError
-from mcbyol.finetune import ClassifierHead
+from mcbyol.errors import (CheckpointError, ChecksumError, ContractError, TruncationError,
+                           VersionError)
+from mcbyol.finetune import ClassifierHead, load_member, save_member
 from mcbyol.model import init_twin, mlp_forward_np
 from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect,
-                              load_ensemble, predictive_entropy, recent_mean,
-                              save_ensemble, softmax)
+                              load_ensemble, predictive_entropy, read_container,
+                              recent_mean, save_ensemble, softmax)
 
 TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
 
@@ -284,6 +285,38 @@ def test_truncated_file_raises_truncation_error(tmp_path):
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(TruncationError):
         load_ensemble(path)
+
+
+def write_checkpoint(kind, path):
+    """An ensemble or member file, as the pipeline writes them; returns its loader."""
+    if kind == "ensemble":
+        save_ensemble(make_ensemble(2), path)
+        return load_ensemble
+    ens = make_ensemble(1)
+    save_member(path, ens.snapshots[0].encoder_params, random_head(np.random.default_rng(0)),
+                {"seed": 0, "label_fraction": 0.5, "snapshot": 0})
+    return load_member
+
+
+@pytest.mark.parametrize("kind", ["ensemble", "member"])
+def test_every_header_byte_flip_raises_a_checkpoint_error(tmp_path, kind):
+    # the header sizes the payload and so locates the CRC: a flip that
+    # breaks its structure (say "segments" -> "segmdnts") must still read
+    # as a corrupt checkpoint, not as a KeyError
+    path = tmp_path / f"{kind}.ckpt"
+    load = write_checkpoint(kind, path)
+    raw = path.read_bytes()
+    header_end = 12 + int.from_bytes(raw[8:12], "little")
+    assert b'"segments"' in raw[12:header_end]
+    for mask in (0x01, 0x03):  # 0x03 turns "segments" into "segmfnts"
+        for i in range(header_end):
+            flipped = bytearray(raw)
+            flipped[i] ^= mask
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError):
+                read_container(path)
+            with pytest.raises(CheckpointError):
+                load(path)
 
 
 def test_bad_magic_and_version_raise_version_error(tmp_path):
