@@ -3,7 +3,9 @@
 Subcommands: pretrain, finetune, eval, ood, sample-diag.  Each takes
 --config <path>, --out <dir> and an optional --seed override.  Exit codes:
 0 success, 1 config error, 2 data error, 3 numeric/divergence error,
-4 I/O error, 5 the gradient helper process of pretrain failed or died.
+4 I/O error, 5 a forked helper process failed or died: pretrain's gradient
+helper, or finetune's child, whose own config, data, numeric and I/O errors
+keep their codes above.
 """
 
 from __future__ import annotations

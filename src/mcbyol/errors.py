@@ -1,8 +1,12 @@
 """Exception taxonomy shared by all modules.
 
 The CLI maps these onto exit codes: config -> 1, data -> 2,
-numeric/divergence -> 3, checkpoint/file -> 4, gradient helper -> 5.
+numeric/divergence -> 3, checkpoint/file -> 4, forked helper process -> 5.
+Every error pickles with its message and fields, so that a forked child
+can hand it to its parent (helper.Child).
 """
+
+import functools
 
 
 class McbyolError(Exception):
@@ -37,7 +41,7 @@ class DivergenceError(NumericError):
 
     def __init__(self, step: int, *, quantity: str | None = None,
                  value: float | None = None, detail: str = ""):
-        self.step, self.quantity, self.value = step, quantity, value
+        self.step, self.quantity, self.value, self.detail = step, quantity, value, detail
         message = f"chain diverged at step {step}"
         if quantity is not None:
             message += f": {quantity}"
@@ -46,6 +50,10 @@ class DivergenceError(NumericError):
         if detail:
             message += f" ({detail})"
         super().__init__(message)
+
+    def __reduce__(self):
+        return functools.partial(type(self), self.step, quantity=self.quantity,
+                                 value=self.value, detail=self.detail), ()
 
 
 class CheckpointError(McbyolError):
@@ -66,10 +74,11 @@ class ChecksumError(CheckpointError):
 
 
 class HelperError(McbyolError):
-    """The gradient helper process failed or died.
+    """A forked helper process failed or died: pretrain's gradient helper,
+    or the child that fits a share of finetune's label fractions.
 
-    detail says how; step is the pretrain step whose gradient it was
-    computing, once the caller that knows it has filled it in."""
+    detail says how; step is the pretrain step whose gradient the gradient
+    helper was computing, once the caller that knows it has filled it in."""
 
     def __init__(self, detail: str, step: int | None = None):
         self.detail, self.step = detail, step

@@ -11,26 +11,29 @@ run (and re-run) independently:
 
 Baseline methods are config variants of the sampler kind, not code forks.
 Everything is deterministic given config + seeds, and the same at any CPU
-count: with two or more CPUs, pretraining computes one direction of the
-twin loss in a forked helper process (helper.py), with the bits of
-computing both here.
+count.  With two or more CPUs, each seed's pretraining computes one
+direction of the twin loss in a forked helper process, with the bits of
+computing both here, and each seed's fine-tuning fits a share of the label
+fractions in a forked child, which writes the files a fit here would
+(helper.py).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 
 import numpy as np
 
 from . import config as cfgmod
+from . import helper as helpermod
 from .autodiff import Tensor
 from .data import (Dataset, augment_pair, load_dataset, make_clusters, make_ood,
                    minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
-from .errors import CheckpointError, DataError, DivergenceError, HelperError
+from .errors import CheckpointError, DataError, DivergenceError, HelperError, McbyolError
 from .finetune import ClassifierHead, finetune, load_member, save_member, subset_labels
-from .helper import direction_helper
 from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
                       write_histogram, write_table)
 from .model import ema_update, init_twin
@@ -87,10 +90,21 @@ def _step_state(lr: float, noise_on: bool) -> str:
     return f"lr {lr:.6g}, noise {'on' if noise_on else 'off'}"
 
 
+def _pretrain_views(x: np.ndarray, batch: int, epoch_keys: np.ndarray,
+                    data: cfgmod.DataSection, aug_rng: np.random.Generator):
+    """Yields every step's (view_a, view_b), epoch by epoch, for as many
+    epochs as epoch_keys holds keys."""
+    for epoch in range(epoch_keys.shape[1]):
+        for (idx,) in minibatches(len(x), batch, epoch_keys[:, epoch]):
+            yield augment_pair(x[idx], data, aug_rng)
+
+
 def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEnsemble:
     """One training run of the snapshot-collecting loop for one seed.  With
     two or more CPUs it forks one helper process for the run (helper.py)
-    and reaps it before writing any file."""
+    and reaps it before writing any file.  Each step draws and augments the
+    next step's minibatch between its two loss directions, which overlaps
+    the helper's direction where there is one."""
     pretrain, _, _, _ = make_datasets(cfg)
     n = pretrain.n  # the rows loaded, whatever their source
     if n < 1:
@@ -110,16 +124,18 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
 
     step_fn = sghmc_step if cfgmod.SAMPLER_KINDS[s.kind].momentum else sgld_step
     log_rows: list[tuple] = []
-    epoch, queue = 0, []
-    with direction_helper(model, min(s.batch, n)) as helper:
+    views = itertools.islice(_pretrain_views(pretrain.x, s.batch, epoch_keys, cfg.data, aug_rng),
+                             s.total_steps)
+    upcoming = [next(views)]  # the views of the step to run next
+
+    def prefetch() -> None:
+        upcoming.append(next(views, None))  # None after the last step
+
+    with helpermod.direction_helper(model, min(s.batch, n)) as helper:
         for k in range(s.total_steps):
-            if not queue:
-                queue = minibatches(n, s.batch, epoch_keys[:, epoch])
-                epoch += 1
-            (idx,) = queue.pop(0)
-            view_a, view_b = augment_pair(pretrain.x[idx], cfg.data, aug_rng)
+            view_a, view_b = upcoming.pop()
             try:
-                grad_u, loss = posterior_grad(model, view_a, view_b, s, n, helper)
+                grad_u, loss = posterior_grad(model, view_a, view_b, s, n, helper, prefetch)
             except HelperError as exc:
                 raise HelperError(exc.detail, step=k) from exc
             lr = cyclic_lr(s, k)
@@ -142,8 +158,29 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
     return ensemble
 
 
+def split_fractions(counts: list[int]) -> tuple[list[int], list[int]]:
+    """Splits label fractions between two processes by their minibatch
+    counts per epoch: largest first, each to the process with the fewer
+    minibatches so far, ties to the first process and, among equal counts,
+    in list order.  Returns each process's fraction indices, ascending."""
+    shares: tuple[list[int], list[int]] = ([], [])
+    loads = [0, 0]
+    for i in sorted(range(len(counts)), key=lambda i: -counts[i]):
+        p = int(loads[1] < loads[0])
+        shares[p].append(i)
+        loads[p] += counts[i]
+    return sorted(shares[0]), sorted(shares[1])
+
+
 def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
-    """Fine-tune every snapshot of this seed's ensemble at every label fraction."""
+    """Fine-tune every snapshot of this seed's ensemble at every label
+    fraction.  With two or more CPUs and fractions, a forked child
+    (helper.Child) fits one share of the fractions (split_fractions) while
+    this process fits the other.  Each process writes only its own
+    fractions' members and logs.  This returns, or raises, only after the
+    child is reaped; an error of the child's raises here as itself when it
+    is a McbyolError or OSError, so the CLI exits as an in-process run
+    would, and as a HelperError naming the seed and fractions otherwise."""
     path = ensemble_path(out_dir, seed)
     if not os.path.exists(path):
         raise CheckpointError(f"missing ensemble checkpoint: {path}")
@@ -151,24 +188,45 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
     _, train, _, _ = make_datasets(cfg)
     f = cfg.finetune
     digest = cfg.digest()
-    for frac_idx, frac in enumerate(f.label_fractions):
-        subset = subset_labels(train, frac, seed=cfg.data.seed + seed)
-        member_seeds = [(seed * 1009 + s) * 1009 + frac_idx
-                        for s in range(ensemble.size)]
-        fitted = finetune(ensemble.snapshots, subset, f, member_seeds, cfg.model,
-                          num_classes=cfg.data.classes)
-        log_rows: list[tuple] = []
-        for s, (snap, (encoder, head, losses)) in enumerate(zip(ensemble.snapshots, fitted)):
-            meta = {"seed": seed, "label_fraction": frac, "snapshot": s,
-                    "step": snap.step, "cycle": snap.cycle,
-                    "sampler_kind": ensemble.run_meta.get("sampler_kind", ""),
-                    "config_digest": digest,
-                    "freeze_encoder": f.freeze_encoder}
-            save_member(member_path(out_dir, seed, frac, s), encoder, head, meta)
-            log_rows.extend((s, e, v) for e, v in enumerate(losses))
-        tag = cfgmod.frac_tag(frac)
-        write_table(os.path.join(out_dir, f"finetune_log_seed{seed}_f{tag}.tsv"),
-                    ["snapshot", "epoch", "loss"], log_rows)
+    subsets = [subset_labels(train, frac, seed=cfg.data.seed + seed)
+               for frac in f.label_fractions]
+
+    def fit(fractions: list[int]) -> None:
+        for frac_idx in fractions:
+            frac = f.label_fractions[frac_idx]
+            member_seeds = [(seed * 1009 + s) * 1009 + frac_idx
+                            for s in range(ensemble.size)]
+            fitted = finetune(ensemble.snapshots, subsets[frac_idx], f, member_seeds,
+                              cfg.model, num_classes=cfg.data.classes)
+            log_rows: list[tuple] = []
+            for s, (snap, (encoder, head, losses)) in enumerate(zip(ensemble.snapshots,
+                                                                    fitted)):
+                meta = {"seed": seed, "label_fraction": frac, "snapshot": s,
+                        "step": snap.step, "cycle": snap.cycle,
+                        "sampler_kind": ensemble.run_meta.get("sampler_kind", ""),
+                        "config_digest": digest,
+                        "freeze_encoder": f.freeze_encoder}
+                save_member(member_path(out_dir, seed, frac, s), encoder, head, meta)
+                log_rows.extend((s, e, v) for e, v in enumerate(losses))
+            tag = cfgmod.frac_tag(frac)
+            write_table(os.path.join(out_dir, f"finetune_log_seed{seed}_f{tag}.tsv"),
+                        ["snapshot", "epoch", "loss"], log_rows)
+
+    if len(subsets) < 2 or helpermod.available_cpus() < 2:
+        fit(list(range(len(subsets))))
+        return
+    mine, theirs = split_fractions([-(-subset.n // f.batch) for subset in subsets])
+    what = (f"the fine-tuning child of seed {seed} (label fractions "
+            + ", ".join(str(f.label_fractions[i]) for i in theirs) + ")")
+    child = helpermod.Child(what, lambda: fit(theirs))
+    try:
+        fit(mine)
+    finally:
+        error = child.join()
+    if isinstance(error, (McbyolError, OSError)):
+        raise error
+    if error is not None:
+        raise HelperError(f"{what} failed: {type(error).__name__}: {error}")
 
 
 def _ensemble_sizes(cfg: cfgmod.RunConfig, out_dir: str) -> dict[int, int]:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -153,7 +153,8 @@ def direction_grad(model: TwinModel, view_a: np.ndarray,
 
 def posterior_grad(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray,
                    cfg: SamplerSection, n_dataset: int,
-                   helper: DirectionHelper | None = None) -> tuple[np.ndarray, float]:
+                   helper: DirectionHelper | None = None,
+                   meanwhile: Callable[[], object] | None = None) -> tuple[np.ndarray, float]:
     """Gradient of the minibatch posterior estimate on the online parameters.
 
     Returns (grad_U, loss) where grad_U = d/dtheta [batch-mean symmetrized
@@ -162,18 +163,22 @@ def posterior_grad(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray,
     With a helper, L(view_b, view_a) runs there while L(view_a, view_b)
     runs here; without one, both run here.  Each weight's gradient is
     g_ab + g_ba either way, the bits of one tape over both directions.
+    meanwhile(), work that must not touch the model, runs between the two
+    directions, so that it overlaps the helper's.  Anything raised between
+    sending the helper its direction and taking the reply closes the helper.
     """
-    if helper is None:
-        g_ab, l_ab = direction_grad(model, view_a, view_b)
-        g_ba, l_ba = direction_grad(model, view_b, view_a)
-    else:
+    if helper is not None:
         helper.send(model, view_b, view_a)
-        try:
-            g_ab, l_ab = direction_grad(model, view_a, view_b)
-        except BaseException:
+    try:
+        g_ab, l_ab = direction_grad(model, view_a, view_b)
+        if meanwhile is not None:
+            meanwhile()
+    except BaseException:
+        if helper is not None:
             helper.close()  # else its reply would answer the next request
-            raise
-        g_ba, l_ba = helper.receive()
+        raise
+    g_ba, l_ba = (direction_grad(model, view_b, view_a) if helper is None
+                  else helper.receive())
     grad = g_ab + g_ba
     d_enc = model.encoder_dim
     enc_flat = model.online_encoder.flatten()

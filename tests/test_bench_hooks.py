@@ -3,7 +3,8 @@
 a traced sample-diag run counts every sampler step, that a traced pipeline run
 counts every stacked minibatch position of finetune and one encoder forward
 per snapshot and input in eval and ood, and that traced runs write the same
-bytes as untraced ones."""
+bytes as untraced ones.  The tracer sees only its own process's calls, so
+the traced runs fix the CPU count that run_finetune's fork reads."""
 
 import json
 import os
@@ -62,8 +63,10 @@ def test_traced_sample_diag_counts_every_step_and_keeps_bytes(tmp_path):
 
 TRACED_PIPELINE = """
 import json, sys
-from mcbyol import config, pipeline
+from mcbyol import config, helper, pipeline
 import tracing
+
+helper.available_cpus = lambda: int(sys.argv[3])
 
 tracer = tracing.Tracer("hooks")
 tracing.install(tracer)
@@ -106,22 +109,29 @@ seeds = 0,4219
 """
 
 
+def traced_tiny_run(tmp_path_factory, cpus):
+    """The tiny pipeline traced in a subprocess whose CPU probe reads cpus;
+    returns its output directory and trace counts."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    traced = tmp_path_factory.mktemp(f"traced_cpus{cpus}")
+    proc = subprocess.run([sys.executable, "-c", TRACED_PIPELINE, TINY_PIPELINE, str(traced),
+                           str(cpus)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr  # an AttributeError here: a patched name is gone
+    return traced, json.loads(proc.stdout.splitlines()[-1])
+
+
 @pytest.fixture(scope="module")
 def tiny_runs(tmp_path_factory):
-    """The tiny pipeline run untraced in-process and traced in a child, with
-    the child's trace counts."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    """The tiny pipeline run untraced in-process and traced in a subprocess
+    that forks nothing, with the subprocess's trace counts."""
     cfg = config.parse(TINY_PIPELINE)
-    plain, traced = tmp_path_factory.mktemp("plain"), tmp_path_factory.mktemp("traced")
+    plain = tmp_path_factory.mktemp("plain")
     for seed in cfg.run.seeds:
         pipeline.run_pretrain(cfg, seed, str(plain))
         pipeline.run_finetune(cfg, seed, str(plain))
     pipeline.run_eval(cfg, str(plain))
     pipeline.run_ood(cfg, str(plain))
-    proc = subprocess.run([sys.executable, "-c", TRACED_PIPELINE, TINY_PIPELINE, str(traced)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr  # an AttributeError here: a patched name is gone
-    return cfg, plain, traced, json.loads(proc.stdout.splitlines()[-1])
+    return (cfg, plain, *traced_tiny_run(tmp_path_factory, 1))
 
 
 def test_traced_finetune_counts_stacked_positions_and_keeps_bytes(tiny_runs):
@@ -152,4 +162,23 @@ def test_traced_eval_and_ood_forward_each_snapshot_once_per_input_and_keep_bytes
     assert counts["posterior.encoder_forwards"] == forwards
     assert counts["posterior.distinct_pairs"] == forwards
     for name in ("eval_results.tsv", "ood_results.tsv"):
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_traced_forked_finetune_counts_the_parents_share_and_keeps_bytes(tiny_runs,
+                                                                        tmp_path_factory):
+    # with 2 CPUs each seed's finetune forks a child for some fractions; the
+    # tracer counts only the parent's positions: fraction 1.0 (90 rows, 6
+    # batches of 16) stays here, 0.3 (27 rows, 2 batches) goes to the child
+    cfg, plain, _, _ = tiny_runs
+    traced, counts = traced_tiny_run(tmp_path_factory, 2)
+    _, train, _, _ = pipeline.make_datasets(cfg)
+    f = cfg.finetune
+    for seed in cfg.run.seeds:
+        assert [-(-subset_labels(train, frac, cfg.data.seed + seed).n // f.batch)
+                for frac in f.label_fractions] == [6, 2]
+    assert counts["finetune.minibatches"] == f.epochs * 6 * len(cfg.run.seeds) == 36
+    names = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in traced.iterdir()) == names
+    for name in names:
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
