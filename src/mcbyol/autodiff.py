@@ -50,10 +50,11 @@ class Tensor:
         self.grad = None
 
     def copy(self) -> "Tensor":
+        """A copy of the values; the gradient buffer is not carried over."""
         t = Tensor.__new__(Tensor)
         t.values = self.values.copy()
         t.requires_grad = self.requires_grad
-        t.grad = None if self.grad is None else self.grad.copy()
+        t.grad = None
         t._op_produced = False
         return t
 

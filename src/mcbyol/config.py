@@ -38,6 +38,9 @@ class DataSection:
     def __post_init__(self):
         if self.classes < 2:
             raise ConfigError("data.classes must be >= 2")
+        for key in ("per_class_pretrain", "per_class_train", "per_class_test"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"data.{key} must be >= 0")
         if self.input_dim < 1:
             raise ConfigError("data.input_dim must be >= 1")
         if self.separation <= 0:

@@ -8,11 +8,11 @@ call fits all snapshots of a (seed, label fraction) group.  Linear
 evaluation fits the group as one stacked (S, D, C) problem without a tape:
 the head gradient on the frozen features has a closed form.  Each
 member's bits equal those of a fit on its own.
+A head is a ParamVector with segments weight (D, C) then bias (C,), the
+layout that posterior.save_member writes into a member checkpoint.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,17 +22,7 @@ from .data import Dataset, minibatch_keys, minibatches
 from .errors import ContractError, DataError
 from .model import mlp_forward, mlp_forward_np
 from .params import ParamVector
-from .posterior import Snapshot, _pv_from_payload, _shifted_exp, read_container, write_container
-
-
-@dataclass
-class ClassifierHead:
-    weight: Tensor  # (embed_dim, C)
-    bias: Tensor    # (C,)
-
-    @property
-    def class_count(self) -> int:
-        return self.weight.shape[1]
+from .posterior import Snapshot, _shifted_exp
 
 
 def subset_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
@@ -56,11 +46,11 @@ def subset_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     return Dataset(x=dataset.x[chosen].copy(), y=dataset.y[chosen].copy())
 
 
-def _init_head(embed_dim: int, classes: int, rng: np.random.Generator) -> ClassifierHead:
+def _init_head(embed_dim: int, classes: int, rng: np.random.Generator) -> ParamVector:
     bound = 1.0 / np.sqrt(embed_dim)
-    return ClassifierHead(
-        weight=Tensor(rng.uniform(-bound, bound, size=(embed_dim, classes)), requires_grad=True),
-        bias=Tensor(rng.uniform(-bound, bound, size=(classes,)), requires_grad=True))
+    return ParamVector({
+        "weight": Tensor(rng.uniform(-bound, bound, size=(embed_dim, classes)), requires_grad=True),
+        "bias": Tensor(rng.uniform(-bound, bound, size=(classes,)), requires_grad=True)})
 
 
 def _mean_ce(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -113,10 +103,11 @@ def _nesterov(theta: np.ndarray, seeds: list[int], n: int, cfg: FinetuneSection,
 
 def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FinetuneSection,
              seeds: list[int], model: ModelSection, num_classes: int
-             ) -> list[tuple[ParamVector, ClassifierHead, list[float]]]:
+             ) -> list[tuple[ParamVector, ParamVector, list[float]]]:
     """Fine-tunes each snapshot with its own seed (head init and minibatch
     order) and returns one (encoder copy, trained head, per-epoch loss log)
-    per snapshot, in order.  Labels must lie in [0, num_classes).
+    per snapshot, in order.  Labels must lie in [0, num_classes).  The head
+    is a ParamVector: weight (embed_dim, num_classes), bias (num_classes,).
 
     freeze_encoder trains the heads only (linear evaluation) as one stacked
     problem: every snapshot's features are computed once into (S, N, D),
@@ -152,7 +143,7 @@ def _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, activation) -> list[li
     """Linear evaluation of S frozen encoders as one stacked fit."""
     z = np.stack([mlp_forward_np(encoder, x_all, activation) for encoder in encoders])
     count, n, dim = z.shape
-    classes = heads[0].class_count
+    classes = heads[0]["weight"].shape[1]
     w_size = dim * classes
     z_rows = z.reshape(count * n, dim)
     first_row = (np.arange(count) * n)[:, None]  # of each member's block in z_rows
@@ -167,12 +158,10 @@ def _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, activation) -> list[li
         feats = np.take(z_rows, idx + first_row, axis=0)  # each member's own rows, (S, B, D)
         return _head_grad(feats, logits_at(point, feats), np.take(onehot, idx, axis=0))
 
-    theta0 = np.stack([np.concatenate([h.weight.values.ravel(), h.bias.values]) for h in heads])
-    theta, logs = _nesterov(theta0, seeds, n, cfg, grad_at,
-                            lambda th: _mean_ce(logits_at(th, z), y_all))
+    theta, logs = _nesterov(np.stack([head.flatten() for head in heads]), seeds, n, cfg,
+                            grad_at, lambda th: _mean_ce(logits_at(th, z), y_all))
     for head, row in zip(heads, theta):
-        head.weight.values = row[:w_size].reshape(dim, classes).copy()
-        head.bias.values = row[w_size:].copy()
+        head.set_flat(row)
     return logs
 
 
@@ -181,38 +170,22 @@ def _fit_jointly(encoder, head, x_all, y_all, cfg, seed, activation) -> list[flo
     the parameters are written back at the end of every epoch."""
     encoder.set_requires_grad(True)
     group = ParamVector({**{f"encoder.{k}": t for k, t in encoder.items()},
-                         "head.weight": head.weight, "head.bias": head.bias})
+                         "head.weight": head["weight"], "head.bias": head["bias"]})
 
     def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
         group.set_flat(point[0])
         group.zero_grad()
         tape = Tape()
         z = mlp_forward(tape, encoder, Tensor(x_all[idx[0]]), activation)
-        logits = tape.bias_add(tape.matmul(z, head.weight), head.bias)
+        logits = tape.bias_add(tape.matmul(z, head["weight"]), head["bias"])
         tape.backward(tape.softmax_cross_entropy(logits, y_all[idx[0]]))
         return group.grad_flat()[None]
 
     def epoch_loss(theta: np.ndarray) -> np.ndarray:
         group.set_flat(theta[0])
         z = mlp_forward_np(encoder, x_all, activation)
-        return _mean_ce((z @ head.weight.values + head.bias.values)[None], y_all)
+        return _mean_ce((z @ head["weight"].values + head["bias"].values)[None], y_all)
 
     _, (log,) = _nesterov(group.flatten()[None], [seed], len(y_all), cfg, grad_at, epoch_loss)
     return log
 
-
-# ---- member persistence -----------------------------------------------------
-
-def save_member(path, encoder: ParamVector, head: ClassifierHead, meta: dict) -> None:
-    head_pv = ParamVector({"weight": head.weight, "bias": head.bias})
-    write_container(path, "member", meta,
-                    [("encoder", {}, encoder), ("head", {}, head_pv)])
-
-
-def load_member(path) -> tuple[ParamVector, ClassifierHead, dict]:
-    header, payload = read_container(path, expect_kind="member")
-    blocks = {b["name"]: b for b in header["blocks"]}
-    encoder = _pv_from_payload(blocks["encoder"]["segments"], payload)
-    head_pv = _pv_from_payload(blocks["head"]["segments"], payload)
-    head = ClassifierHead(weight=head_pv["weight"], bias=head_pv["bias"])
-    return encoder, head, header["meta"]

@@ -33,12 +33,14 @@ from .data import (Dataset, augment_pair, load_dataset, make_clusters, make_ood,
                    minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
 from .errors import CheckpointError, DataError, DivergenceError, HelperError, McbyolError
-from .finetune import ClassifierHead, finetune, load_member, save_member, subset_labels
+from .finetune import finetune, subset_labels
 from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
                       write_histogram, write_table)
 from .model import ema_update, init_twin
-from .posterior import (PosteriorEnsemble, bma_predict, collect, load_ensemble,
-                        predictive_entropy, read_container, recent_mean, save_ensemble)
+from .params import ParamVector
+from .posterior import (PosteriorEnsemble, bma_predict, collect, ensemble_size, load_ensemble,
+                        load_member, predictive_entropy, recent_mean, save_ensemble,
+                        save_member)
 from .sampler import (cyclic_lr, diverged, divergence_error, make_state, noise_active,
                       posterior_grad, sghmc_step, sgld_step, should_yield)
 
@@ -48,19 +50,28 @@ def make_datasets(cfg: cfgmod.RunConfig) -> tuple[Dataset, Dataset, Dataset, Dat
     of one generated cluster sample, so they share means and mixing layer.
     With data.file_prefix set, the four splits load from dataset files,
     which must all have the pretrain file's width; train and test must be
-    labeled."""
+    labeled, with labels below data.classes.  Every split must have rows."""
     d = cfg.data
+    tags = ("pretrain", "train", "test", "ood")
     if d.file_prefix:
-        tags = ("pretrain", "train", "test", "ood")
         splits = tuple(load_dataset(f"{d.file_prefix}_{tag}") for tag in tags)
         for tag, ds in zip(tags, splits):
+            stem = f"{d.file_prefix}_{tag}"
+            if ds.n == 0:
+                raise DataError(f"{stem}.txt: the {tag} split has no rows")
             if ds.input_dim != splits[0].input_dim:
-                raise DataError(f"{d.file_prefix}_{tag}.bin: rows have width {ds.input_dim}, "
+                raise DataError(f"{stem}.bin: rows have width {ds.input_dim}, "
                                 f"{d.file_prefix}_pretrain.bin's have {splits[0].input_dim}")
             if tag in ("train", "test") and ds.y is None:
-                raise DataError(f"{d.file_prefix}_{tag}.txt: labeled = 0, "
-                                f"but the {tag} split needs labels")
+                raise DataError(f"{stem}.txt: labeled = 0, but the {tag} split needs labels")
+            if tag in ("train", "test") and ds.y.max() >= d.classes:
+                row = int(np.argmax(ds.y >= d.classes))
+                raise DataError(f"{stem}.bin: the label of row {row}, {int(ds.y[row])}, "
+                                f"is not below data.classes = {d.classes}")
         return splits
+    for tag in tags[:3]:
+        if getattr(d, f"per_class_{tag}") == 0:
+            raise DataError(f"the {tag} split has no rows")
     per_class_total = d.per_class_pretrain + d.per_class_train + d.per_class_test
     full = make_clusters(d, per_class_total)
 
@@ -107,8 +118,6 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
     the helper's direction where there is one."""
     pretrain, _, _, _ = make_datasets(cfg)
     n = pretrain.n  # the rows loaded, whatever their source
-    if n < 1:
-        raise DataError("the pretrain split has no rows")
     os.makedirs(out_dir, exist_ok=True)
     s = cfg.sampler
 
@@ -181,11 +190,11 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
     child is reaped; an error of the child's raises here as itself when it
     is a McbyolError or OSError, so the CLI exits as an in-process run
     would, and as a HelperError naming the seed and fractions otherwise."""
+    _, train, _, _ = make_datasets(cfg)
     path = ensemble_path(out_dir, seed)
     if not os.path.exists(path):
         raise CheckpointError(f"missing ensemble checkpoint: {path}")
     ensemble = load_ensemble(path)
-    _, train, _, _ = make_datasets(cfg)
     f = cfg.finetune
     digest = cfg.digest()
     subsets = [subset_labels(train, frac, seed=cfg.data.seed + seed)
@@ -230,10 +239,8 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
 
 
 def _ensemble_sizes(cfg: cfgmod.RunConfig, out_dir: str) -> dict[int, int]:
-    """Each seed's snapshot count, one per block of its ensemble file."""
-    headers = {seed: read_container(ensemble_path(out_dir, seed), expect_kind="ensemble")[0]
-               for seed in cfg.run.seeds}
-    return {seed: len(header["blocks"]) for seed, header in headers.items()}
+    """Each seed's snapshot count."""
+    return {seed: ensemble_size(ensemble_path(out_dir, seed)) for seed in cfg.run.seeds}
 
 
 def _sweep(out_dir: str, seed: int, fracs: list[float], size: int, xs: list[np.ndarray],
@@ -260,9 +267,9 @@ def _sweep(out_dir: str, seed: int, fracs: list[float], size: int, xs: list[np.n
             by_encoder.setdefault(encoder.flatten().tobytes(), []).append(i)
         for idx in by_encoder.values():
             heads = [members[i][1] for i in idx]
-            groups.append((members[idx[0]][0], idx, ClassifierHead(
-                weight=Tensor(np.stack([h.weight.values for h in heads])),
-                bias=Tensor(np.stack([h.bias.values[None, :] for h in heads])))))
+            groups.append((members[idx[0]][0], idx, ParamVector({
+                "weight": Tensor(np.stack([h["weight"].values for h in heads])),
+                "bias": Tensor(np.stack([h["bias"].values[None, :] for h in heads]))})))
     probs = [[[] for _ in xs] for _ in fracs]  # [fraction][input][snapshot]
     for j, x in enumerate(xs):
         for encoder, idx, head in groups:

@@ -1,6 +1,8 @@
 """Posterior snapshot collection, marginalized prediction, and checkpoint IO.
 
-Checkpoint container layout (little-endian):
+This module writes and reads every checkpoint: the per-seed ensembles of
+snapshots and the fine-tuned members (an encoder and a linear head, both
+ParamVectors).  Checkpoint container layout (little-endian):
 
     magic  b"MCPV" | version u32 | header_len u32 | header JSON (UTF-8)
     payload float64 array | crc32 u32 over everything before it
@@ -120,8 +122,8 @@ def bma_predict(members, x: np.ndarray, model: ModelSection,
                 count: int | None = None) -> np.ndarray:
     """Average the per-member softmax outputs over posterior samples.
 
-    members: (encoder ParamVector, head) pairs in snapshot capture order;
-    head carries .weight (embed_dim, C) and .bias (C,) tensors.  `count`
+    members: (encoder, head) ParamVector pairs in snapshot capture order;
+    head has segments weight (embed_dim, C) and bias (C,).  `count`
     selects the most recent members, so count=1 is exactly the final
     snapshot's model (ensemble-size sweeps grow backwards from the end).
     Only the selected members run their encoder.  A sweep over every
@@ -139,7 +141,7 @@ def bma_predict(members, x: np.ndarray, model: ModelSection,
     used = members if count is None else members[-count:]
     x = np.asarray(x, dtype=np.float64)
     return recent_mean([softmax(mlp_forward_np(encoder, x, model.activation)
-                                @ head.weight.values + head.bias.values)
+                                @ head["weight"].values + head["bias"].values)
                         for encoder, head in used])
 
 
@@ -264,3 +266,22 @@ def load_ensemble(path) -> PosteriorEnsemble:
             pretrain_loss=float(meta["pretrain_loss"]),
             sampler_kind=str(meta["sampler_kind"])))
     return PosteriorEnsemble(snapshots=snapshots, run_meta=header["meta"])
+
+
+def ensemble_size(path) -> int:
+    """The number of snapshots in the ensemble file at path, one per block."""
+    header, _ = read_container(path, expect_kind="ensemble")
+    return len(header["blocks"])
+
+
+def save_member(path, encoder: ParamVector, head: ParamVector, meta: dict) -> None:
+    """A fine-tuned member: its encoder and its head (segments weight, bias)."""
+    write_container(path, "member", meta, [("encoder", {}, encoder), ("head", {}, head)])
+
+
+def load_member(path) -> tuple[ParamVector, ParamVector, dict]:
+    """(encoder, head, meta), as save_member wrote them."""
+    header, payload = read_container(path, expect_kind="member")
+    blocks = {b["name"]: b for b in header["blocks"]}
+    return (_pv_from_payload(blocks["encoder"]["segments"], payload),
+            _pv_from_payload(blocks["head"]["segments"], payload), header["meta"])

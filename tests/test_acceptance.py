@@ -18,11 +18,11 @@ from mcbyol import cli, config, pipeline, posterior
 from mcbyol.autodiff import Tape, Tensor
 from mcbyol.config import ModelSection, SamplerSection
 from mcbyol.diagnostics import QuadraticTarget, run_chain
-from mcbyol.finetune import ClassifierHead, load_member
 from mcbyol.metrics import accuracy, auroc, nll
 from mcbyol.model import byol_loss_symmetrized, init_twin
-from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect, predictive_entropy,
-                              recent_mean)
+from mcbyol.params import ParamVector
+from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect, load_member,
+                              predictive_entropy, recent_mean)
 from mcbyol.sampler import (cyclic_lr, make_state, noise_active, sghmc_step, sgld_step,
                             should_yield)
 
@@ -203,8 +203,8 @@ def test_criterion_06_marginalization_contract():
         for i in range(4):
             m = init_twin(arch, 4, i)
             collect(ens, m, step=i, cycle=i, loss=0.0)
-            head = ClassifierHead(weight=Tensor(rng.normal(size=(3, 5))),
-                                  bias=Tensor(rng.normal(size=(5,))))
+            head = ParamVector({"weight": Tensor(rng.normal(size=(3, 5))),
+                                "bias": Tensor(rng.normal(size=(5,)))})
             members.append((ens.snapshots[-1].encoder_params, head))
         for batch in range(10):
             x = rng.normal(size=(int(rng.integers(1, 30)), 4))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from test_helper import assert_no_child_process
 
-from mcbyol import cli, config, helper, pipeline
+from mcbyol import cli, config, helper, pipeline, posterior
 from mcbyol.errors import DivergenceError
 from mcbyol.sampler import DIVERGENCE_LIMIT
 
@@ -159,22 +159,22 @@ def test_eval_loads_each_ensemble_once(tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     for cmd in ("pretrain", "finetune"):
         assert cli.main([cmd, "--config", cfg_path, "--out", out]) == 0
-    loaded, read_container = [], pipeline.read_container
+    loaded, read_container = [], posterior.read_container
 
     def counting_load(path, **kwargs):
         loaded.append(os.path.basename(path))
         return read_container(path, **kwargs)
 
-    monkeypatch.setattr(pipeline, "read_container", counting_load)
+    monkeypatch.setattr(posterior, "read_container", counting_load)
     pipeline.run_eval(config.load(cfg_path), out)  # two seeds x two label fractions
-    assert sorted(loaded) == ["ensemble_seed0.ckpt", "ensemble_seed1.ckpt"]
+    ensembles = [name for name in loaded if name.startswith("ensemble_")]
+    assert sorted(ensembles) == ["ensemble_seed0.ckpt", "ensemble_seed1.ckpt"]
 
 
 def test_frozen_finetune_member_encoder_equals_snapshot(tmp_path):
     # default finetune mode is linear evaluation, so the stored member
     # encoder must be byte-identical to the pretraining snapshot
-    from mcbyol.finetune import load_member
-    from mcbyol.posterior import load_ensemble
+    from mcbyol.posterior import load_ensemble, load_member
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "out")
     assert cli.main(["pretrain", "--config", cfg_path, "--out", out]) == 0
@@ -263,9 +263,13 @@ def test_split_of_another_width_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tag,defect", [("test", "unlabeled"), ("train", "unlabeled"),
-                                        ("train", "fractional label")])
+                                        ("train", "fractional label"), ("test", "label 7"),
+                                        ("train", "label 7"), ("test", "no rows"),
+                                        ("train", "no rows"), ("ood", "no rows"),
+                                        ("pretrain", "no rows")])
 def test_unusable_labels_stop_every_stage_with_data_error(tmp_path, capsys, tag, defect):
-    # the pretrain and ood splits may be unlabeled; train and test may not
+    # the pretrain and ood splits may be unlabeled; train and test may not,
+    # and their labels must lie below data.classes = 3; no split may be empty
     from mcbyol.data import Dataset, load_dataset, save_dataset
     prefix = tmp_path / "ds"
     save_splits(write_config(tmp_path), prefix)
@@ -283,11 +287,18 @@ def test_unusable_labels_stop_every_stage_with_data_error(tmp_path, capsys, tag,
     if defect == "unlabeled":
         save_dataset(Dataset(x=split.x, y=None), f"{prefix}_{tag}")
         message = f"ds_{tag}.txt: labeled = 0, but the {tag} split needs labels"
+    elif defect == "no rows":
+        save_dataset(Dataset(x=split.x[:0], y=None if split.y is None else split.y[:0]),
+                     f"{prefix}_{tag}")
+        message = f"ds_{tag}.txt: the {tag} split has no rows"
     else:
+        label = 1.5 if defect == "fractional label" else 7.0
         raw = np.fromfile(f"{prefix}_{tag}.bin", dtype="<f8")
-        raw[split.x.size + 3] = 1.5
+        raw[split.x.size + 3] = label
         Path(f"{prefix}_{tag}.bin").write_bytes(raw.tobytes())
-        message = f"ds_{tag}.bin: the label of row 3, 1.5, is not a whole number >= 0"
+        message = (f"ds_{tag}.bin: the label of row 3, 1.5, is not a whole number >= 0"
+                   if label == 1.5 else
+                   f"ds_{tag}.bin: the label of row 3, 7, is not below data.classes = 3")
     for cmd in ("pretrain", "finetune", "eval", "ood"):
         assert cli.main([cmd, "--config", cfg_path, "--out", str(out)]) == 2, cmd
         assert message in capsys.readouterr().err, cmd
@@ -430,6 +441,9 @@ def test_fractions_sharing_a_file_tag_is_config_error(tmp_path, capsys, command)
     ("pred_hidden = 6", "pred_hidden = 6\ntau = 1.5", "model.tau must lie in [0, 1]"),
     ("embed_dim = 5", "embed_dim = 0", "model.embed_dim must be >= 1"),
     ("input_dim = 6", "input_dim = 0", "data.input_dim must be >= 1"),
+    ("per_class_pretrain = 40", "per_class_pretrain = -1", "data.per_class_pretrain must be >= 0"),
+    ("per_class_train = 30", "per_class_train = -1", "data.per_class_train must be >= 0"),
+    ("per_class_test = 30", "per_class_test = -1", "data.per_class_test must be >= 0"),
 ])
 def test_bad_value_fails_at_load_for_every_stage(tmp_path, capsys, command, old, new, message):
     cfg_path = write_config(tmp_path, TINY_CONFIG.replace(old, new))
@@ -452,6 +466,17 @@ def test_malformed_dataset_header_is_data_error(tmp_path, capsys, old, new, mess
                                                           f"file_prefix = {prefix}\n[model]"))
     assert cli.main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval", "ood"])
+@pytest.mark.parametrize("tag", ["train", "test"])
+def test_empty_generated_split_stops_every_stage(tmp_path, capsys, command, tag):
+    # before any file is written, not when a later stage first reads the split
+    cfg_path = write_config(tmp_path, TINY_CONFIG.replace(f"per_class_{tag} = 30",
+                                                          f"per_class_{tag} = 0"))
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert f"the {tag} split has no rows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_empty_pretrain_split_is_data_error(tmp_path, capsys):

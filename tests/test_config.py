@@ -87,6 +87,9 @@ def test_repeated_key_rejected_with_both_lines():
     ("[model]\ntau = 1.5\n", "model.tau"),
     ("[model]\nembed_dim = 0\n", "model.embed_dim"),
     ("[data]\ninput_dim = 0\n", "data.input_dim"),
+    ("[data]\nper_class_pretrain = -1\n", "data.per_class_pretrain must be >= 0"),
+    ("[data]\nper_class_train = -1\n", "data.per_class_train must be >= 0"),
+    ("[data]\nper_class_test = -1\n", "data.per_class_test must be >= 0"),
 ])
 def test_out_of_range_values_fail_at_load(text, message):
     with pytest.raises(ConfigError, match=message):

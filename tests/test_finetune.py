@@ -6,11 +6,11 @@ from mcbyol.autodiff import Tape, Tensor
 from mcbyol.config import DataSection, FinetuneSection, ModelSection
 from mcbyol.data import Dataset, make_clusters
 from mcbyol.errors import ContractError, DataError
-from mcbyol.finetune import (ClassifierHead, _init_head, finetune, load_member, save_member,
-                             subset_labels)
+from mcbyol.finetune import _init_head, finetune, subset_labels
 from mcbyol.model import init_twin, mlp_forward, mlp_forward_np
 from mcbyol.params import ParamVector
-from mcbyol.posterior import PosteriorEnsemble, _class_reduce, collect, softmax
+from mcbyol.posterior import (PosteriorEnsemble, _class_reduce, collect, load_member,
+                              save_member, softmax)
 
 TINY = ModelSection(encoder_hidden=[6], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
 
@@ -23,7 +23,12 @@ def snapshot_for(seed=0):
 
 def predict_logits(encoder, head, x, arch):
     """A fine-tuned member's logits, as BMA computes them per member."""
-    return mlp_forward_np(encoder, x, arch.activation) @ head.weight.values + head.bias.values
+    z = mlp_forward_np(encoder, x, arch.activation)
+    return z @ head["weight"].values + head["bias"].values
+
+
+def head_of(weight, bias):
+    return ParamVector({"weight": Tensor(weight), "bias": Tensor(bias)})
 
 
 def toy_labeled(n_per_class=50, classes=3, seed=0):
@@ -109,9 +114,9 @@ def test_lr_zero_leaves_parameters_unchanged():
     cfg = FinetuneSection(lr=0.0, momentum=0.9, batch=16, epochs=3, freeze_encoder=False)
     enc, head, _ = fit_one(snap, ds, cfg, seed=0)
     assert np.array_equal(enc.flatten(), snap.encoder_params.flatten())
-    w0 = head.weight.values.copy()
+    w0 = head["weight"].values.copy()
     enc2, head2, _ = fit_one(snap, ds, cfg, seed=0)
-    assert np.array_equal(head2.weight.values, w0)  # deterministic init, untouched
+    assert np.array_equal(head2["weight"].values, w0)  # deterministic init, untouched
 
 
 def test_finetune_does_not_mutate_snapshot():
@@ -172,8 +177,8 @@ def tape_finetune(snapshot, data, cfg, seed, arch, classes):
     encoder.set_requires_grad(not cfg.freeze_encoder)
     head = _init_head(arch.embed_dim, classes, rng)
     trainable = {} if cfg.freeze_encoder else {f"encoder.{k}": t for k, t in encoder.items()}
-    trainable["head.weight"] = head.weight
-    trainable["head.bias"] = head.bias
+    trainable["head.weight"] = head["weight"]
+    trainable["head.bias"] = head["bias"]
     group = ParamVector(trainable)
     frozen_z = mlp_forward_np(encoder, data.x, arch.activation) if cfg.freeze_encoder else None
     velocity = np.zeros(group.total_dim)
@@ -186,7 +191,7 @@ def tape_finetune(snapshot, data, cfg, seed, arch, classes):
             z = Tensor(frozen_z[idx])
         else:
             z = mlp_forward(tape, encoder, Tensor(data.x[idx]), arch.activation)
-        logits = tape.bias_add(tape.matmul(z, head.weight), head.bias)
+        logits = tape.bias_add(tape.matmul(z, head["weight"]), head["bias"])
         tape.backward(tape.softmax_cross_entropy(logits, data.y[idx]))
         return group.grad_flat()
 
@@ -199,15 +204,15 @@ def tape_finetune(snapshot, data, cfg, seed, arch, classes):
             velocity = mu * velocity - cfg.lr * grad
             group.set_flat(theta + velocity)
         z_eval = frozen_z if cfg.freeze_encoder else mlp_forward_np(encoder, data.x, arch.activation)
-        log.append(_ce_np(z_eval @ head.weight.values + head.bias.values, data.y))
+        log.append(_ce_np(z_eval @ head["weight"].values + head["bias"].values, data.y))
     return encoder, head, log
 
 
 def assert_same_member(got, ref):
     (enc, head, log), (ref_enc, ref_head, ref_log) = got, ref
     assert enc.flatten().tobytes() == ref_enc.flatten().tobytes()
-    assert head.weight.values.tobytes() == ref_head.weight.values.tobytes()
-    assert head.bias.values.tobytes() == ref_head.bias.values.tobytes()
+    assert head["weight"].values.tobytes() == ref_head["weight"].values.tobytes()
+    assert head["bias"].values.tobytes() == ref_head["bias"].values.tobytes()
     assert log == ref_log
 
 
@@ -295,7 +300,7 @@ def test_label_out_of_range_rejected():
 
 def test_zero_head_gives_uniform_softmax():
     snap = snapshot_for(5)
-    head = ClassifierHead(weight=Tensor(np.zeros((3, 4))), bias=Tensor(np.zeros(4)))
+    head = head_of(np.zeros((3, 4)), np.zeros(4))
     x = np.random.default_rng(1).normal(size=(5, 4))
     probs = softmax(predict_logits(snap.encoder_params, head, x, TINY))
     assert np.allclose(probs, 0.25)
@@ -304,23 +309,21 @@ def test_zero_head_gives_uniform_softmax():
 def test_logits_match_manual_recomputation():
     rng = np.random.default_rng(2)
     snap = snapshot_for(6)
-    head = ClassifierHead(weight=Tensor(rng.normal(size=(3, 5))),
-                          bias=Tensor(rng.normal(size=(5,))))
+    head = head_of(rng.normal(size=(3, 5)), rng.normal(size=(5,)))
     x = rng.normal(size=(7, 4))
     got = predict_logits(snap.encoder_params, head, x, TINY)
     z = mlp_forward_np(snap.encoder_params, x, "tanh")
     manual = np.empty((7, 5))
     for i in range(7):
         for j in range(5):
-            manual[i, j] = float(z[i] @ head.weight.values[:, j]) + head.bias.values[j]
+            manual[i, j] = float(z[i] @ head["weight"].values[:, j]) + head["bias"].values[j]
     assert np.allclose(got, manual, atol=1e-12)
 
 
 def test_logits_batch_independence():
     rng = np.random.default_rng(3)
     snap = snapshot_for(7)
-    head = ClassifierHead(weight=Tensor(rng.normal(size=(3, 2))),
-                          bias=Tensor(rng.normal(size=(2,))))
+    head = head_of(rng.normal(size=(3, 2)), rng.normal(size=(2,)))
     x = rng.normal(size=(6, 4))
     full = predict_logits(snap.encoder_params, head, x, TINY)
     row = predict_logits(snap.encoder_params, head, x[4:5], TINY)
@@ -333,12 +336,11 @@ def test_logits_batch_independence():
 def test_member_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     snap = snapshot_for(8)
-    head = ClassifierHead(weight=Tensor(rng.normal(size=(3, 4))),
-                          bias=Tensor(rng.normal(size=(4,))))
+    head = head_of(rng.normal(size=(3, 4)), rng.normal(size=(4,)))
     path = tmp_path / "member.ckpt"
     save_member(path, snap.encoder_params, head, {"seed": 1, "label_fraction": 0.5})
     enc2, head2, meta = load_member(path)
     assert np.array_equal(enc2.flatten(), snap.encoder_params.flatten())
-    assert np.array_equal(head2.weight.values, head.weight.values)
-    assert np.array_equal(head2.bias.values, head.bias.values)
+    assert np.array_equal(head2["weight"].values, head["weight"].values)
+    assert np.array_equal(head2["bias"].values, head["bias"].values)
     assert meta["label_fraction"] == 0.5

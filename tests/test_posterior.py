@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from mcbyol.autodiff import Tensor
-from mcbyol.config import ModelSection
+from mcbyol.config import ModelSection, SamplerSection
 from mcbyol.errors import (CheckpointError, ChecksumError, ContractError, TruncationError,
                            VersionError)
-from mcbyol.finetune import ClassifierHead, load_member, save_member
 from mcbyol.model import init_twin, mlp_forward_np
+from mcbyol.params import ParamVector
 from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect,
-                              load_ensemble, predictive_entropy, read_container,
-                              recent_mean, save_ensemble, softmax)
+                              load_ensemble, load_member, predictive_entropy, read_container,
+                              recent_mean, save_ensemble, save_member, softmax)
+from mcbyol.sampler import posterior_grad
 
 TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
 
@@ -24,9 +25,12 @@ def make_ensemble(n_snaps=4, seed=0):
     return ens
 
 
+def head_of(weight, bias):
+    return ParamVector({"weight": Tensor(weight), "bias": Tensor(bias)})
+
+
 def random_head(rng, embed_dim=3, classes=4):
-    return ClassifierHead(weight=Tensor(rng.normal(size=(embed_dim, classes))),
-                          bias=Tensor(rng.normal(size=(classes,))))
+    return head_of(rng.normal(size=(embed_dim, classes)), rng.normal(size=(classes,)))
 
 
 def members_for(ens, seed=0, classes=4):
@@ -44,6 +48,17 @@ def test_collect_deep_copies_parameters():
     before = ens.snapshots[0].encoder_params.flatten().copy()
     m.set_online_flat(m.online_flat() + 1.0)
     assert np.array_equal(ens.snapshots[0].encoder_params.flatten(), before)
+
+
+def test_collected_snapshot_carries_no_gradient():
+    # collect runs right after a step, when the online encoder holds that step's grads
+    m = init_twin(TINY, 3, 0)
+    views = np.random.default_rng(0).normal(size=(2, 8, 3))
+    posterior_grad(m, views[0], views[1], SamplerSection(), n_dataset=8)
+    assert all(t.grad is not None for _, t in m.online_encoder.items())
+    ens = PosteriorEnsemble(run_meta={})
+    snap = collect(ens, m, step=0, cycle=0, loss=0.0)
+    assert all(t.grad is None for _, t in snap.encoder_params.items())
 
 
 def test_collect_counts():
@@ -72,7 +87,7 @@ def test_bma_single_member_equals_model_softmax():
     from mcbyol.model import mlp_forward_np
     enc, head = members[0]
     z = mlp_forward_np(enc, x, "tanh")
-    direct = softmax(z @ head.weight.values + head.bias.values)
+    direct = softmax(z @ head["weight"].values + head["bias"].values)
     assert np.array_equal(bma_predict(members, x, TINY), direct)
 
 
@@ -100,8 +115,8 @@ def test_bma_averages_probabilities():
     for _, t in enc.items():
         t.values[...] = 0.0  # embeddings all zero, logits = bias
     big = 1e3
-    head_a = ClassifierHead(weight=Tensor(np.zeros((3, 2))), bias=Tensor([big, 0.0]))
-    head_b = ClassifierHead(weight=Tensor(np.zeros((3, 2))), bias=Tensor([0.0, big]))
+    head_a = head_of(np.zeros((3, 2)), [big, 0.0])
+    head_b = head_of(np.zeros((3, 2)), [0.0, big])
     probs = bma_predict([(enc, head_a), (enc, head_b)], x, TINY)
     assert np.allclose(probs, 0.5, atol=1e-9)
 
@@ -155,7 +170,7 @@ def streaming_bma(members, x, count):
     total = None
     for encoder, head in members[-count:]:
         z = mlp_forward_np(encoder, x, TINY.activation)
-        probs = softmax(z @ head.weight.values + head.bias.values)
+        probs = softmax(z @ head["weight"].values + head["bias"].values)
         total = probs if total is None else total + probs
     return total / count
 
@@ -182,9 +197,8 @@ def test_stacked_heads_give_each_heads_own_bma_bytes(heads):
     rng = np.random.default_rng(heads)
     for classes in (3, 10):
         own = [random_head(rng, classes=classes) for _ in range(heads)]
-        stacked = ClassifierHead(
-            weight=Tensor(np.stack([h.weight.values for h in own])),
-            bias=Tensor(np.stack([h.bias.values[None, :] for h in own])))
+        stacked = head_of(np.stack([h["weight"].values for h in own]),
+                          np.stack([h["bias"].values[None, :] for h in own]))
         for rows in (1, 7, 2000):
             x = rng.normal(size=(rows, 3))
             out = bma_predict([(encoder, stacked)], x, TINY)

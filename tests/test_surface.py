@@ -8,7 +8,10 @@ Imports do not count, so a package-root re-export keeps nothing alive.
 Dunder methods are called by Python itself and are not checked.
 
 Each setting has one home, its config section: no dataclass outside
-config.py re-declares a key of a section."""
+config.py re-declares a key of a section.
+
+The checkpoint format has one home, posterior.py: no other module names
+the container functions, whether it calls, imports or defines them."""
 
 import ast
 import dataclasses
@@ -92,6 +95,43 @@ def test_scan_flags_a_definition_without_caller(tmp_path):
         "class K:\n    def __init__(self):\n        pass\n\n    def meth(self):\n        pass\n")
     (tmp_path / "b.py").write_text("from .a import dead\nused()\nK()\n")
     assert scan(tmp_path) == ({"a.used", "a.dead", "a.K", "K.meth"}, ["a.dead", "K.meth"])
+
+
+CONTAINER_NAMES = {"read_container", "write_container", "_pv_from_payload"}
+
+
+def container_users(src: Path) -> list[str]:
+    """'module: name' for every module other than posterior.py that names a
+    checkpoint container function in code, an import or a definition."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "posterior.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = set(_refs(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+        found += [f"{path.stem}: {name}" for name in sorted(names & CONTAINER_NAMES)]
+    return found
+
+
+def test_only_posterior_names_the_checkpoint_container():
+    found = container_users(SRC)
+    assert not found, f"read and write checkpoints through posterior.py's functions: {found}"
+
+
+def test_container_scan_flags_a_call_an_import_and_a_definition(tmp_path):
+    (tmp_path / "posterior.py").write_text(
+        "def read_container(p):\n    pass\n\ndef write_container(p):\n    pass\n")
+    (tmp_path / "a.py").write_text("from .posterior import read_container as load\n")
+    (tmp_path / "b.py").write_text("from . import posterior\nposterior.write_container(1)\n")
+    (tmp_path / "c.py").write_text("def _pv_from_payload(segments):\n    pass\n")
+    (tmp_path / "d.py").write_text("from .posterior import load_member\nload_member(1)\n")
+    assert container_users(tmp_path) == ["a: read_container", "b: write_container",
+                                         "c: _pv_from_payload"]
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:
