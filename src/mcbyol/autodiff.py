@@ -7,6 +7,12 @@ as one record, with the same arithmetic as its matmul -> bias_add ->
 tanh|relu composition.  A Tape records every operation whose output needs
 a gradient; backward() replays the records in reverse.  Tapes are rebuilt
 per forward pass and must not be shared across threads or processes.
+
+mlp_layers and mlp_backward are that record's forward and backward as
+plain functions over arrays.  Pretraining calls them directly
+(sampler.direction_grad takes the twin loss's gradient in closed form
+with the tape's bits) and builds no Tape; joint fine-tuning still runs
+on a tape.
 """
 
 from __future__ import annotations
@@ -82,6 +88,34 @@ def mlp_layers(x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray]],
                 np.maximum(h, 0.0, out=h)
         outs.append(h)
     return outs
+
+
+def mlp_backward(x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray]],
+                 outs: Sequence[np.ndarray], g: np.ndarray, activation: str,
+                 wants: Sequence[bool]) -> list[np.ndarray | None]:
+    """Reverse pass of outs = mlp_layers(x, layers, activation) for the
+    adjoint g of the last output (g is not written to).  Returns the
+    gradients of [x, W0, b0, W1, b1, ...], None where wants, a flag per
+    entry in that order, says no.  The pass stops below the last layer
+    whose input leads back to nothing wanted."""
+    grads: list[np.ndarray | None] = []
+    for i in range(len(layers) - 1, -1, -1):
+        w = layers[i][0]
+        a = outs[i - 1] if i else x
+        grads += [g.sum(axis=0) if wants[2 * i + 2] else None,
+                  a.T @ g if wants[2 * i + 1] else None]
+        if not any(wants[:2 * i + 1]):  # layer i's input leads to nothing wanted
+            grads += [None] * (2 * i + 1)
+            break
+        g = g @ w.T  # a fresh array, so the derivatives below go in place
+        if not i:
+            grads.append(g)
+        elif activation == "tanh":
+            g *= 1.0 - a * a
+        else:
+            g *= a > 0.0
+    grads.reverse()
+    return grads
 
 
 def _result(values: np.ndarray, requires_grad: bool) -> Tensor:
@@ -178,35 +212,16 @@ class Tape:
                 raise DimensionError(
                     f"mlp: incompatible shapes {x.shape} through {w.shape} + {b.shape}")
             width = w.shape[1]
-        outs = mlp_layers(x.values, [(w.values, b.values) for w, b in layers], activation)
-        # whether each layer's input carries a gradient, as the per-op records decide it
-        flows = [x.requires_grad]
-        for w, b in layers:
-            flows.append(flows[-1] or w.requires_grad or b.requires_grad)
-        out = _result(outs[-1], flows[-1])
-        tanh = activation == "tanh"
+        arrays = [(w.values, b.values) for w, b in layers]
+        outs = mlp_layers(x.values, arrays, activation)
+        inputs = (x, *(t for layer in layers for t in layer))
+        wants = [t.requires_grad for t in inputs]
+        out = _result(outs[-1], any(wants))
 
         def backward(g):
-            grads = []
-            for i in range(len(layers) - 1, -1, -1):
-                w, b = layers[i]
-                a = outs[i - 1] if i else x.values
-                grads += [g.sum(axis=0) if b.requires_grad else None,
-                          a.T @ g if w.requires_grad else None]
-                if not flows[i]:
-                    grads += [None] * (2 * i + 1)
-                    break
-                g = g @ w.values.T  # a fresh array, so the derivatives below go in place
-                if not i:
-                    grads.append(g)
-                elif tanh:
-                    g *= 1.0 - a * a
-                else:
-                    g *= a > 0.0
-            grads.reverse()
-            return grads
+            return mlp_backward(x.values, arrays, outs, g, activation, wants)
 
-        self._push(out, (x, *(t for layer in layers for t in layer)), backward)
+        self._push(out, inputs, backward)
         return out
 
     def scale(self, x: Tensor, c: float) -> Tensor:

@@ -10,23 +10,32 @@ callers fork only where available_cpus() is 2 or more, and no output
 depends on whether they do:
 
 - run_pretrain forks one DirectionHelper per seed.  The symmetrized loss
-  L(a, b) + L(b, a) is two tape passes that share no record until their
-  sum, and on every step sampler.posterior_grad hands the helper
-  L(view_b, view_a) while it computes L(view_a, view_b) itself.  Each
-  online weight gets one adjoint per direction and IEEE addition
-  commutes, so the sum of the two gradients has the bits of one tape
-  over both directions.
+  L(a, b) + L(b, a) is two gradient passes that share nothing until
+  their sum, and on every step sampler.posterior_grad has the helper
+  compute L(view_b, view_a) while it computes L(view_a, view_b) itself.
+  Each online weight gets one gradient per direction and IEEE addition
+  commutes, so the sum has the bits of one tape over both directions.
+  The helper also draws and augments every step's views, from the view
+  iterator the run forked it with, in the window where it would idle
+  through the parent's update; the run draws from the same iterator
+  itself where it has no helper, so the views are the same either way.
 - run_finetune forks one child per seed, which fits some of the label
   fractions and writes their files while the parent fits the rest.
 
-The helper's protocol is stateless per step.  The parent writes the
-online flat, the target encoder and projector flats, both views and
-their row count into one shared anonymous mmap sized for max_rows rows,
-then sends one byte on the request pipe.  The helper writes the gradient
-flat and the loss back and answers DONE.  It holds no write end of its
-own request pipe, so the parent's close or death reads as EOF, on which
-it exits with 0.  A helper that raises exits, so the parent reads EOF
-where it waits for DONE and learns why from Child.join.
+The helper's protocol is one round per step, over one shared anonymous
+mmap sized for max_rows rows and two pipes.  The helper writes a step's
+two views and their row count into the mmap and answers VIEWS; it does
+so first on start and then right after each DONE, for the next step.
+The parent copies the views out, writes the online flat and the target
+encoder and projector flats, and sends one REQUEST byte.  The helper
+computes L(view_b, view_a) on the views it drew, writes the gradient
+flat and the loss back and answers DONE.  When its views run out it
+exits with 0.  It holds no write end of its own request pipe, so the
+parent's close or death reads as EOF, on which it exits with 0 too.  A
+helper that raises exits, so the parent reads EOF where it waits for
+VIEWS or DONE and learns why from Child.join: an error raised while
+drawing views is the parent's as itself, as it would be where the parent
+draws them.
 """
 
 from __future__ import annotations
@@ -36,15 +45,15 @@ import gc
 import mmap
 import os
 import pickle
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DimensionError, HelperError
+from .errors import ContractError, DimensionError, HelperError
 from .model import TwinModel
 from .sampler import direction_grad
 
-REQUEST, DONE = b"r", b"d"
+REQUEST, DONE, VIEWS = b"r", b"d", b"v"
 
 
 def available_cpus() -> int:
@@ -130,10 +139,12 @@ def _run(work: Callable[[], object], reports: int) -> int:
 
 
 class DirectionHelper:
-    """The parent's end of one forked helper: send() a direction's inputs,
-    receive() its gradient and loss, close() to reap the process."""
+    """The parent's end of one forked helper: views() takes a step's views,
+    send() starts the helper's direction on them, receive() takes its
+    gradient and loss, close() reaps the process."""
 
-    def __init__(self, model: TwinModel, max_rows: int):
+    def __init__(self, model: TwinModel, max_rows: int,
+                 views: Iterator[tuple[np.ndarray, np.ndarray]]):
         dim, width = model.online_dim, model.input_dim
         sizes = [dim, model.target_encoder.total_dim, model.target_projector.total_dim,
                  max_rows * width, max_rows * width, dim + 1]
@@ -144,13 +155,14 @@ class DirectionHelper:
         self._online, self._target_encoder, self._target_projector = floats[:3]
         self._view_a, self._view_b = (v.reshape(max_rows, width) for v in floats[3:5])
         self._grad, self._loss = floats[5][:-1], floats[5][-1:]
+        self._drawn: tuple[np.ndarray, np.ndarray] | None = None  # what views() last returned
         requests, self._requests = os.pipe()
         self._replies, replies = os.pipe()
 
         def serve() -> None:
             os.close(self._requests)
             os.close(self._replies)
-            self._serve(model, requests, replies)
+            self._serve(model, views, requests, replies)
 
         try:
             self._child = Child("the gradient helper process", serve)
@@ -167,15 +179,27 @@ class DirectionHelper:
         """The helper's process id, or None once it is closed."""
         return self._child.pid
 
-    def _serve(self, model: TwinModel, requests: int, replies: int) -> None:
-        """The helper's loop, until the parent hangs up."""
-        while os.read(requests, 1) == REQUEST:
-            rows = int(self._rows[0])
+    def _serve(self, model: TwinModel, views: Iterator[tuple[np.ndarray, np.ndarray]],
+               requests: int, replies: int) -> None:
+        """The helper's loop, until the views run out or the parent hangs up."""
+        capacity, width = self._view_a.shape
+        for view_a, view_b in views:
+            a, b = np.asarray(view_a, dtype=np.float64), np.asarray(view_b, dtype=np.float64)
+            if a.shape != b.shape or a.ndim != 2 or a.shape[1] != width \
+                    or not 1 <= a.shape[0] <= capacity:
+                raise DimensionError(f"helper views must be equal (1..{capacity}, {width}) "
+                                     f"batches, got {a.shape} and {b.shape}")
+            rows = a.shape[0]
+            self._rows[0] = rows
+            self._view_a[:rows] = a
+            self._view_b[:rows] = b
+            os.write(replies, VIEWS)
+            if os.read(requests, 1) != REQUEST:
+                return
             model.set_online_flat(self._online)
             model.target_encoder.set_flat(self._target_encoder)
             model.target_projector.set_flat(self._target_projector)
-            grad, loss = direction_grad(model, self._view_a[:rows].copy(),
-                                        self._view_b[:rows].copy())
+            grad, loss = direction_grad(model, b, a)
             self._grad[:] = grad
             self._loss[0] = loss
             os.write(replies, DONE)
@@ -184,22 +208,29 @@ class DirectionHelper:
         if self.pid is None:
             raise HelperError("the gradient helper process is closed")
 
-    def send(self, model: TwinModel, view_a: np.ndarray, view_b: np.ndarray) -> None:
-        """Start L(view_a, view_b) at the model's current weights."""
+    def views(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the next step's two views, once the helper has drawn
+        them.  An error the helper raised while drawing them raises here as
+        itself."""
         self._check_open()
-        a, b = np.asarray(view_a, dtype=np.float64), np.asarray(view_b, dtype=np.float64)
-        capacity, width = self._view_a.shape
-        if a.shape != b.shape or a.ndim != 2 or a.shape[1] != width \
-                or not 1 <= a.shape[0] <= capacity:
-            raise DimensionError(f"helper views must be equal (1..{capacity}, {width}) "
-                                 f"batches, got {a.shape} and {b.shape}")
-        rows = a.shape[0]
-        self._rows[0] = rows
+        if os.read(self._replies, 1) != VIEWS:
+            raise self._lost(as_itself=True)
+        rows = int(self._rows[0])
+        self._drawn = (self._view_a[:rows].copy(), self._view_b[:rows].copy())
+        return self._drawn
+
+    def send(self, model: TwinModel, view_a: np.ndarray, view_b: np.ndarray) -> None:
+        """Start L(view_b, view_a) at the model's current weights, where
+        view_a and view_b are the arrays views() last returned."""
+        self._check_open()
+        drawn = self._drawn
+        if drawn is None or view_a is not drawn[0] or view_b is not drawn[1]:
+            raise ContractError("the gradient helper computes on the views it drew: "
+                                "pass the arrays its views() last returned")
+        self._drawn = None  # each step's views go out once
         self._online[:] = model.online_flat()
         self._target_encoder[:] = model.target_encoder.flatten()
         self._target_projector[:] = model.target_projector.flatten()
-        self._view_a[:rows] = a
-        self._view_b[:rows] = b
         try:
             os.write(self._requests, REQUEST)
         except BrokenPipeError:
@@ -212,12 +243,14 @@ class DirectionHelper:
             return self._grad.copy(), float(self._loss[0])
         raise self._lost()
 
-    def _lost(self) -> HelperError:
-        """The error for a helper that hung up unasked; reaps it to say why."""
+    def _lost(self, as_itself: bool = False) -> Exception:
+        """The error for a helper that hung up unasked; reaps it to say why.
+        An error the helper raised is a HelperError naming it, or itself
+        where as_itself is set and it unpickled."""
         error = self.close()
         if error is None:
             return HelperError("the gradient helper process ended")
-        if isinstance(error, HelperError):
+        if isinstance(error, HelperError) or as_itself:
             return error
         return HelperError(f"the gradient helper process failed: "
                            f"{type(error).__name__}: {error}")
@@ -233,12 +266,14 @@ class DirectionHelper:
 
 
 @contextlib.contextmanager
-def direction_helper(model: TwinModel, max_rows: int):
-    """Yields a DirectionHelper forked from this process for views of up to
-    max_rows rows, or None where fewer than 2 CPUs are available
-    (posterior_grad then runs both directions here); reaps the helper on
-    every way out."""
-    helper = DirectionHelper(model, max_rows) if available_cpus() >= 2 else None
+def direction_helper(model: TwinModel, max_rows: int,
+                     views: Iterator[tuple[np.ndarray, np.ndarray]]):
+    """Yields a DirectionHelper forked from this process, which draws every
+    step's views, of up to max_rows rows, from views; or None where fewer
+    than 2 CPUs are available (the caller then draws from views, and
+    posterior_grad runs both directions here).  Reaps the helper on every
+    way out."""
+    helper = DirectionHelper(model, max_rows, views) if available_cpus() >= 2 else None
     try:
         yield helper
     finally:

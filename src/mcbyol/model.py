@@ -56,13 +56,6 @@ class TwinModel:
             p.set_flat(vec[offset:offset + p.total_dim])
             offset += p.total_dim
 
-    def online_grad_flat(self) -> np.ndarray:
-        return np.concatenate([p.grad_flat() for p in self.online_parts()])
-
-    def zero_online_grads(self) -> None:
-        for p in self.online_parts():
-            p.zero_grad()
-
 
 def init_mlp(widths: list[int], rng: np.random.Generator, requires_grad: bool) -> ParamVector:
     """Scaled-uniform fan-in init: W, b ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
@@ -101,13 +94,19 @@ def mlp_forward(tape: Tape, pv: ParamVector, x: Tensor, activation: str) -> Tens
     return tape.mlp(x, _layers(pv), activation)
 
 
+def mlp_arrays(pv: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (W, b) value arrays of every layer, input side first."""
+    return [(w.values, b.values) for w, b in _layers(pv)]
+
+
 def mlp_forward_np(pv: ParamVector, x: np.ndarray, activation: str) -> np.ndarray:
     """Inference-mode forward pass, no tape; the same arithmetic as mlp_forward."""
-    layers = [(w.values, b.values) for w, b in _layers(pv)]
-    return mlp_layers(np.asarray(x, dtype=np.float64), layers, activation)[-1]
+    return mlp_layers(np.asarray(x, dtype=np.float64), mlp_arrays(pv), activation)[-1]
 
 
-def _check_views(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def check_views(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both views as float64 arrays, which must be equal non-empty 2-D
+    batches of the model's input width."""
     a = np.asarray(view_a, dtype=np.float64)
     b = np.asarray(view_b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
@@ -126,7 +125,7 @@ def byol_loss_one_direction(tape: Tape, model: TwinModel,
     """Mean over the batch of ||q_bar - y_bar||^2 where q_bar is the
     normalized online prediction of view_a and y_bar the normalized target
     projection of view_b.  The target branch carries no gradient."""
-    a, b = _check_views(model, view_a, view_b)
+    a, b = check_views(model, view_a, view_b)
     act = model.cfg.activation
 
     xa = Tensor(a)
@@ -146,8 +145,9 @@ def byol_loss_one_direction(tape: Tape, model: TwinModel,
 def byol_loss_symmetrized(tape: Tape, model: TwinModel,
                           view_a: np.ndarray, view_b: np.ndarray) -> Tensor:
     """Sum of the two view assignments, L(a, b) + L(b, a), on one tape.
-    sampler.posterior_grad takes each direction from a tape of its own,
-    with the same gradient bits."""
+    Pretraining does not run it: sampler.direction_grad takes each
+    direction's gradient in closed form, and posterior_grad sums the two,
+    with the bits of this tape's backward."""
     return tape.add(byol_loss_one_direction(tape, model, view_a, view_b),
                     byol_loss_one_direction(tape, model, view_b, view_a))
 

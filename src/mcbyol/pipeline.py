@@ -93,6 +93,15 @@ def ensemble_path(out_dir: str, seed: int) -> str:
     return os.path.join(out_dir, f"ensemble_seed{seed}.ckpt")
 
 
+def _pretrained_ensemble(out_dir: str, seed: int) -> str:
+    """The seed's ensemble path, or a CheckpointError where pretrain wrote
+    none."""
+    path = ensemble_path(out_dir, seed)
+    if not os.path.exists(path):
+        raise CheckpointError(f"missing ensemble checkpoint: {path}")
+    return path
+
+
 def member_path(out_dir: str, seed: int, frac: float, snap: int) -> str:
     return os.path.join(out_dir, f"member_seed{seed}_f{cfgmod.frac_tag(frac)}_snap{snap}.ckpt")
 
@@ -112,10 +121,10 @@ def _pretrain_views(x: np.ndarray, batch: int, epoch_keys: np.ndarray,
 
 def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEnsemble:
     """One training run of the snapshot-collecting loop for one seed.  With
-    two or more CPUs it forks one helper process for the run (helper.py)
-    and reaps it before writing any file.  Each step draws and augments the
-    next step's minibatch between its two loss directions, which overlaps
-    the helper's direction where there is one."""
+    two or more CPUs it forks one helper process for the run (helper.py),
+    which draws and augments every step's views while this process runs
+    the step before's update, and reaps it before writing any file;
+    without one, each step draws its views here."""
     pretrain, _, _, _ = make_datasets(cfg)
     n = pretrain.n  # the rows loaded, whatever their source
     os.makedirs(out_dir, exist_ok=True)
@@ -135,16 +144,11 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
     log_rows: list[tuple] = []
     views = itertools.islice(_pretrain_views(pretrain.x, s.batch, epoch_keys, cfg.data, aug_rng),
                              s.total_steps)
-    upcoming = [next(views)]  # the views of the step to run next
-
-    def prefetch() -> None:
-        upcoming.append(next(views, None))  # None after the last step
-
-    with helpermod.direction_helper(model, min(s.batch, n)) as helper:
+    with helpermod.direction_helper(model, min(s.batch, n), views) as helper:
         for k in range(s.total_steps):
-            view_a, view_b = upcoming.pop()
             try:
-                grad_u, loss = posterior_grad(model, view_a, view_b, s, n, helper, prefetch)
+                view_a, view_b = next(views) if helper is None else helper.views()
+                grad_u, loss = posterior_grad(model, view_a, view_b, s, n, helper)
             except HelperError as exc:
                 raise HelperError(exc.detail, step=k) from exc
             lr = cyclic_lr(s, k)
@@ -191,10 +195,7 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
     is a McbyolError or OSError, so the CLI exits as an in-process run
     would, and as a HelperError naming the seed and fractions otherwise."""
     _, train, _, _ = make_datasets(cfg)
-    path = ensemble_path(out_dir, seed)
-    if not os.path.exists(path):
-        raise CheckpointError(f"missing ensemble checkpoint: {path}")
-    ensemble = load_ensemble(path)
+    ensemble = load_ensemble(_pretrained_ensemble(out_dir, seed))
     f = cfg.finetune
     digest = cfg.digest()
     subsets = [subset_labels(train, frac, seed=cfg.data.seed + seed)
@@ -240,7 +241,7 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
 
 def _ensemble_sizes(cfg: cfgmod.RunConfig, out_dir: str) -> dict[int, int]:
     """Each seed's snapshot count."""
-    return {seed: ensemble_size(ensemble_path(out_dir, seed)) for seed in cfg.run.seeds}
+    return {seed: ensemble_size(_pretrained_ensemble(out_dir, seed)) for seed in cfg.run.seeds}
 
 
 def _sweep(out_dir: str, seed: int, fracs: list[float], size: int, xs: list[np.ndarray],

@@ -31,12 +31,12 @@ fixes every output bit.
 grad_U is the minibatch estimate of the scaled negative log posterior:
 the batch-mean twin-network loss gradient plus the Gaussian-prior term
 theta / (prior_std^2 * n) on the encoder slice only.  The loss gradient is
-the sum of its two directions, each from a tape of its own, one of them
-computed by a forked helper process where run_pretrain has one (with 2
-or more CPUs, see helper.py): every step is deterministic given the seed,
-and the same at any CPU count.  Temperature multiplies the noise
-variance only; tempering the drift instead (drift / T, untempered noise)
-is exactly this update at lr0 / T.
+the sum of its two directions, each in closed form (direction_grad),
+one of them computed by a forked helper process where run_pretrain has
+one (with 2 or more CPUs, see helper.py): every step is deterministic
+given the seed, and the same at any CPU count.  Temperature multiplies
+the noise variance only; tempering the drift instead (drift / T,
+untempered noise) is exactly this update at lr0 / T.
 
 A step takes its noise one of two ways: drawn from state.rng and scaled
 by s (the default), or as an already-scaled noise= term, s * eps.  A
@@ -60,14 +60,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import EPS_NORM, mlp_backward, mlp_layers
 from .config import SAMPLER_KINDS, SamplerSection
-from .errors import ContractError, DivergenceError
-from .model import TwinModel, byol_loss_one_direction
+from .errors import ContractError, DivergenceError, NumericError
+from .model import TwinModel, check_views, mlp_arrays
 # bench/tracing.py times model.loss_forward at this name
 from .model import byol_loss_symmetrized  # noqa: F401
 
@@ -143,36 +143,66 @@ def should_yield(cfg: SamplerSection, k: int) -> bool:
 def direction_grad(model: TwinModel, view_a: np.ndarray,
                    view_b: np.ndarray) -> tuple[np.ndarray, float]:
     """Gradient on the online parameters, flat, and value of one direction
-    of the twin loss, L(view_a, view_b), from a tape of its own."""
-    model.zero_online_grads()
-    tape = Tape()
-    loss = byol_loss_one_direction(tape, model, view_a, view_b)
-    tape.backward(loss)
-    return model.online_grad_flat(), float(loss.values)
+    of the twin loss, L(view_a, view_b), in closed form, with the bits of
+    byol_loss_one_direction's tape and its backward: the same forward
+    arithmetic, the l2_normalize and mse adjoints from the seed 1.0, then
+    mlp_backward through the predictor, projector and encoder, and every
+    weight's gradient added to 0.0 as a tape leaf's is.  The target branch
+    enters as a constant, so it gets no gradient by construction."""
+    a, b = check_views(model, view_a, view_b)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise NumericError("leaf tensor contains NaN or Inf")
+    act = model.cfg.activation
+    passes = []  # (input, layers, outputs) of each online network
+    h = a
+    for net in model.online_parts():
+        layers = mlp_arrays(net)
+        outs = mlp_layers(h, layers, act)
+        passes.append((h, layers, outs))
+        h = outs[-1]
+    yt = mlp_layers(mlp_layers(b, mlp_arrays(model.target_encoder), act)[-1],
+                    mlp_arrays(model.target_projector), act)[-1]
+    # l2_normalize of the prediction h and the target projection yt, row-wise
+    s = np.maximum(np.sqrt((h * h).sum(axis=1, keepdims=True)), EPS_NORM)
+    s_t = np.maximum(np.sqrt((yt * yt).sum(axis=1, keepdims=True)), EPS_NORM)
+    d = h / s - yt / s_t
+    n_rows = d.shape[0]
+    loss = (d * d).sum() / n_rows
+    adjoint = 1.0  # of the loss itself, where the tape's backward starts
+    g = (2.0 / n_rows) * adjoint * d  # mse's adjoint of the normalized prediction
+    proj = (g * h).sum(axis=1, keepdims=True)
+    g = g / s - h * (proj / (s * s * s))  # l2_normalize's adjoint of h
+    grads: list[np.ndarray] = []
+    for i in (2, 1, 0):  # predictor, projector, encoder
+        x, layers, outs = passes[i]
+        wants = [i > 0] + [True] * (2 * len(layers))  # the views want no gradient
+        g, *net_grads = mlp_backward(x, layers, outs, g, act, wants)
+        grads[:0] = net_grads
+    flat = np.concatenate([gr.ravel() for gr in grads])
+    flat += 0.0  # a tape leaf's gradient starts at 0.0, so -0.0 reads as 0.0
+    return flat, float(loss)
 
 
 def posterior_grad(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray,
                    cfg: SamplerSection, n_dataset: int,
-                   helper: DirectionHelper | None = None,
-                   meanwhile: Callable[[], object] | None = None) -> tuple[np.ndarray, float]:
+                   helper: DirectionHelper | None = None) -> tuple[np.ndarray, float]:
     """Gradient of the minibatch posterior estimate on the online parameters.
 
     Returns (grad_U, loss) where grad_U = d/dtheta [batch-mean symmetrized
     loss] plus theta / (prior_std^2 * n) on the encoder slice; projector and
     predictor receive only the likelihood gradient.  Callers scale by n.
     With a helper, L(view_b, view_a) runs there while L(view_a, view_b)
-    runs here; without one, both run here.  Each weight's gradient is
-    g_ab + g_ba either way, the bits of one tape over both directions.
-    meanwhile(), work that must not touch the model, runs between the two
-    directions, so that it overlaps the helper's.  Anything raised between
-    sending the helper its direction and taking the reply closes the helper.
+    runs here, and the views must be the arrays helper.views() last
+    returned, since the helper computes on the views it drew itself;
+    without one, both run here.  Each weight's gradient is g_ab + g_ba
+    either way, the bits of one tape over both directions.  Anything
+    raised between sending the helper its direction and taking the reply
+    closes the helper.
     """
     if helper is not None:
-        helper.send(model, view_b, view_a)
+        helper.send(model, view_a, view_b)
     try:
         g_ab, l_ab = direction_grad(model, view_a, view_b)
-        if meanwhile is not None:
-            meanwhile()
     except BaseException:
         if helper is not None:
             helper.close()  # else its reply would answer the next request

@@ -1,9 +1,11 @@
-"""Central-difference gradient oracle shared by the gradient tests."""
+"""Gradient oracles shared by the gradient tests: central differences, and
+the tape's gradient of a twin loss on the online parameters."""
 
 from typing import Callable
 
 import numpy as np
 
+from mcbyol.autodiff import Tape
 from mcbyol.errors import ContractError, DimensionError
 
 
@@ -34,3 +36,15 @@ def grad_check(loss_fn: Callable[[np.ndarray], float],
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst
+
+
+def tape_online_grad(loss, model, view_a: np.ndarray, view_b: np.ndarray) -> np.ndarray:
+    """The gradient of loss(tape, model, view_a, view_b) on the online
+    parameters, flat in the model's online_flat order, from one tape's
+    backward: each online ParamVector's grad_flat, zeroed first."""
+    parts = model.online_parts()
+    for p in parts:
+        p.zero_grad()
+    tape = Tape()
+    tape.backward(loss(tape, model, view_a, view_b))
+    return np.concatenate([p.grad_flat() for p in parts])

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from gradcheck import tape_online_grad
 
 from mcbyol import cli, config, pipeline, posterior
 from mcbyol.autodiff import Tape, Tensor
@@ -91,10 +92,7 @@ def test_criterion_01_gradient_correctness():
             model = init_twin(arch, input_dim, seed)
             a = rng.normal(size=(3, input_dim))
             b = rng.normal(size=(3, input_dim))
-            model.zero_online_grads()
-            tape = Tape()
-            tape.backward(byol_loss_symmetrized(tape, model, a, b))
-            analytic = model.online_grad_flat()
+            analytic = tape_online_grad(byol_loss_symmetrized, model, a, b)
 
             def loss_at(flat, model=model, a=a, b=b):
                 probe = copy.deepcopy(model)

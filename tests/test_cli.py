@@ -499,6 +499,16 @@ def test_exit_code_missing_ensemble(tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize("command", ["finetune", "eval", "ood"])
+def test_a_seed_never_pretrained_names_its_missing_ensemble(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert cli.main([command, "--config", cfg_path, "--out", str(out), "--seed", "7"]) == 4
+    assert capsys.readouterr().err.strip() == \
+        f"i/o error: missing ensemble checkpoint: {out / 'ensemble_seed7.ckpt'}"
+
+
 def test_exit_code_divergence(tmp_path, monkeypatch):
     monkeypatch.setattr(helper, "available_cpus", lambda: 2)
     blowup = TINY_CONFIG.replace("lr0 = 0.0005", "lr0 = 50.0")

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcbyol import cli, config, helper, pipeline, sampler
-from mcbyol.errors import DataError, DimensionError, DivergenceError, HelperError, NumericError
+from mcbyol import autodiff, cli, config, helper, pipeline, sampler
+from mcbyol.errors import (ContractError, DataError, DimensionError, DivergenceError,
+                           HelperError, NumericError)
 from mcbyol.model import init_twin
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,44 +88,78 @@ def test_helper_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch, 
     assert written[2] == written[1]
 
 
+def tiny_model():
+    return init_twin(config.ModelSection(encoder_hidden=[5], embed_dim=3, proj_hidden=4,
+                                         proj_dim=2, pred_hidden=4), 4, 0)
+
+
 def test_posterior_grad_with_a_helper_gives_the_in_process_bits():
-    # row counts change between calls, as at the end of an epoch
-    model = init_twin(config.ModelSection(encoder_hidden=[5], embed_dim=3, proj_hidden=4,
-                                          proj_dim=2, pred_hidden=4), 4, 0)
+    # row counts change between steps, as at the end of an epoch
+    model = tiny_model()
     cfg = config.SamplerSection()
     rng = np.random.default_rng(0)
-    h = helper.DirectionHelper(model, 6)
+    drawn = [tuple(rng.normal(size=(2, rows, 4))) for rows in (6, 2, 6)]
+    h = helper.DirectionHelper(model, 6, iter(drawn))
     try:
-        for rows in (6, 2, 6):
-            a, b = rng.normal(size=(2, rows, 4))
-            g_helper, l_helper = sampler.posterior_grad(model, a, b, cfg, 50, h)
+        for a, b in drawn:
+            view_a, view_b = h.views()
+            assert view_a.tobytes() == a.tobytes() and view_b.tobytes() == b.tobytes()
+            g_helper, l_helper = sampler.posterior_grad(model, view_a, view_b, cfg, 50, h)
             g_here, l_here = sampler.posterior_grad(model, a, b, cfg, 50)
             assert g_helper.tobytes() == g_here.tobytes()
             assert l_helper == l_here
             model.set_online_flat(model.online_flat() - 0.1 * g_here)
-        with pytest.raises(DimensionError):  # more rows than the helper holds
-            sampler.posterior_grad(model, *rng.normal(size=(2, 7, 4)), cfg, 50, h)
-        assert h.pid is not None  # nothing was sent, so the helper serves on
-        a, b = rng.normal(size=(2, 3, 4))
-        assert (sampler.posterior_grad(model, a, b, cfg, 50, h)[0].tobytes()
-                == sampler.posterior_grad(model, a, b, cfg, 50)[0].tobytes())
+        with pytest.raises(HelperError, match="ended"):  # its views ran out, so it exited
+            h.views()
+        assert h.pid is None
     finally:
         h.close()
     assert_no_child_process()
 
 
+def test_posterior_grad_refuses_views_the_helper_did_not_draw():
+    model = tiny_model()
+    cfg = config.SamplerSection()
+    drawn = [tuple(np.random.default_rng(seed).normal(size=(2, 3, 4))) for seed in (0, 1)]
+    h = helper.DirectionHelper(model, 3, iter(drawn))
+    try:
+        with pytest.raises(ContractError, match="views it drew"):  # none taken yet
+            sampler.posterior_grad(model, *drawn[0], cfg, 10, h)
+        view_a, view_b = h.views()
+        for other in ((view_a.copy(), view_b), (view_a, view_b.copy()), (view_b, view_a),
+                      drawn[0]):
+            with pytest.raises(ContractError, match="views it drew"):
+                sampler.posterior_grad(model, *other, cfg, 10, h)
+        assert h.pid is not None  # nothing was sent, so the helper serves on
+        assert (sampler.posterior_grad(model, view_a, view_b, cfg, 10, h)[0].tobytes()
+                == sampler.posterior_grad(model, *drawn[0], cfg, 10)[0].tobytes())
+        with pytest.raises(ContractError, match="views it drew"):  # each step's views once
+            sampler.posterior_grad(model, view_a, view_b, cfg, 10, h)
+        assert h.pid is not None
+    finally:
+        h.close()
+    assert_no_child_process()
+
+
+def test_views_with_more_rows_than_the_helper_holds_raise_as_themselves():
+    h = helper.DirectionHelper(tiny_model(), 6, iter([tuple(np.zeros((2, 7, 4)))]))
+    with pytest.raises(DimensionError, match=r"\(1\.\.6, 4\)"):
+        h.views()
+    assert h.pid is None
+    assert_no_child_process()
+
+
 def test_a_failing_parent_direction_reaps_the_helper():
-    model = init_twin(config.ModelSection(encoder_hidden=[5], embed_dim=3, proj_hidden=4,
-                                          proj_dim=2, pred_hidden=4), 4, 0)
-    h = helper.DirectionHelper(model, 3)
+    model = tiny_model()
     a = np.zeros((3, 4))
     a[1, 2] = np.nan
+    h = helper.DirectionHelper(model, 3, iter([(a, np.zeros((3, 4)))]))
     with pytest.raises(NumericError):
-        sampler.posterior_grad(model, a, np.zeros((3, 4)), config.SamplerSection(), 10, h)
+        sampler.posterior_grad(model, *h.views(), config.SamplerSection(), 10, h)
     assert h.pid is None
     assert_no_child_process()
     with pytest.raises(HelperError, match="closed"):
-        h.send(model, np.zeros((3, 4)), np.zeros((3, 4)))
+        h.views()
 
 
 def test_a_failing_helper_stops_the_run_naming_the_step(tmp_path, monkeypatch, capsys):
@@ -233,13 +268,32 @@ def test_a_child_that_exits_without_a_report_says_how():
     assert_no_child_process()
 
 
-# ---- prefetching the next step's views ---------------------------------------
+# ---- the helper draws each step's views ---------------------------------------
+
+
+def count_calls(monkeypatch, tmp_path, name, fail_at=None):
+    """Patches pipeline.<name> to append a byte to a file on every call, in
+    this process or a forked one, and to raise a DataError on call number
+    fail_at; returns a function that reads the count."""
+    path = tmp_path / f"calls_{name}"
+    path.write_bytes(b"")
+    real = getattr(pipeline, name)
+
+    def counted(*args):
+        with open(path, "ab") as calls:
+            calls.write(b".")
+        if path.stat().st_size == fail_at:
+            raise DataError("no views")
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return lambda: path.stat().st_size
 
 
 def pretrain_both_ways(tmp_path, monkeypatch, cfg):
     """Pretrains cfg with the helper forced on and off; returns the bytes
     each way wrote, after checking that both drew each step's minibatch and
-    views once and each epoch's minibatch orders once."""
+    views once and each epoch's minibatch orders once, in whichever process."""
     names = ("ensemble_seed0.ckpt", "pretrain_log_seed0.tsv")
     s = cfg.sampler
     steps_per_epoch = -(-3 * 40 // s.batch)
@@ -247,17 +301,15 @@ def pretrain_both_ways(tmp_path, monkeypatch, cfg):
     written = {}
     for cpus in (2, 1):
         started = counting_helpers(monkeypatch, cpus)
-        calls = {"augment_pair": 0, "minibatches": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(pipeline, name)):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(pipeline, name, counted)
         out = tmp_path / f"cpus{cpus}"
+        out.mkdir()
+        calls = {name: count_calls(monkeypatch, out, name)
+                 for name in ("augment_pair", "minibatches")}
         pipeline.run_pretrain(cfg, 0, str(out))
         monkeypatch.undo()
         assert len(started) == (cpus >= 2)
-        assert calls == {"augment_pair": s.total_steps, "minibatches": epochs}
+        assert {name: count() for name, count in calls.items()} == \
+            {"augment_pair": s.total_steps, "minibatches": epochs}
         assert_no_child_process()
         written[cpus] = {name: (out / name).read_bytes() for name in names}
     assert written[2] == written[1]
@@ -299,34 +351,31 @@ def test_a_divergence_names_its_own_step_with_prefetching(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_an_error_while_prefetching_closes_the_helper(tmp_path, monkeypatch, cpus):
-    real, calls = pipeline.augment_pair, []
-
-    def fails_on_the_views_of_step_3(*args):  # drawn while step 2 runs
-        calls.append(1)
-        if len(calls) == 4:
-            raise DataError("no views")
-        return real(*args)
-
+    # the views of step 3: drawn by the helper after its reply for step 2,
+    # or here at the start of step 3, and raised here as itself either way
     started = counting_helpers(monkeypatch, cpus)
-    monkeypatch.setattr(pipeline, "augment_pair", fails_on_the_views_of_step_3)
+    calls = count_calls(monkeypatch, tmp_path, "augment_pair", fail_at=4)
     with pytest.raises(DataError, match="no views"):
         pipeline.run_pretrain(config.parse(RUN.format(**VARIANTS["csghmc"])), 0,
                               str(tmp_path / "o"))
-    assert len(calls) == 4 and len(started) == (cpus >= 2)
+    assert calls() == 4 and len(started) == (cpus >= 2)
     assert_no_child_process()
     assert not (tmp_path / "o" / "ensemble_seed0.ckpt").exists()
 
 
-def test_posterior_grad_closes_the_helper_when_meanwhile_raises():
-    model = init_twin(config.ModelSection(encoder_hidden=[5], embed_dim=3, proj_hidden=4,
-                                          proj_dim=2, pred_hidden=4), 4, 0)
-    h = helper.DirectionHelper(model, 3)
+def test_pretraining_builds_no_tape_and_writes_the_same_bytes_either_way(tmp_path,
+                                                                         monkeypatch):
+    def no_tape(self):
+        raise AssertionError("pretraining built a Tape")
 
-    def meanwhile():
-        raise DataError("prefetch")
-
-    with pytest.raises(DataError, match="prefetch"):
-        sampler.posterior_grad(model, np.zeros((3, 4)), np.zeros((3, 4)),
-                               config.SamplerSection(), 10, h, meanwhile)
-    assert h.pid is None
-    assert_no_child_process()
+    cfg = config.parse(RUN.format(**VARIANTS["csghmc"]))
+    written = {}
+    for cpus in (2, 1):
+        counting_helpers(monkeypatch, cpus)
+        monkeypatch.setattr(autodiff.Tape, "__init__", no_tape)
+        out = tmp_path / f"cpus{cpus}"
+        pipeline.run_pretrain(cfg, 0, str(out))
+        monkeypatch.undo()
+        written[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert written[2] == written[1]
+    assert sorted(written[1]) == ["ensemble_seed0.ckpt", "pretrain_log_seed0.tsv"]

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from mcbyol.autodiff import Tensor
-from mcbyol.config import ModelSection, SamplerSection
+from mcbyol.autodiff import Tape, Tensor
+from mcbyol.config import ModelSection
 from mcbyol.errors import (CheckpointError, ChecksumError, ContractError, TruncationError,
                            VersionError)
-from mcbyol.model import init_twin, mlp_forward_np
+from mcbyol.model import byol_loss_one_direction, init_twin, mlp_forward_np
 from mcbyol.params import ParamVector
 from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect,
                               load_ensemble, load_member, predictive_entropy, read_container,
                               recent_mean, save_ensemble, save_member, softmax)
-from mcbyol.sampler import posterior_grad
 
 TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
 
@@ -51,10 +50,11 @@ def test_collect_deep_copies_parameters():
 
 
 def test_collected_snapshot_carries_no_gradient():
-    # collect runs right after a step, when the online encoder holds that step's grads
+    # an online encoder that holds gradients, from a tape's backward
     m = init_twin(TINY, 3, 0)
     views = np.random.default_rng(0).normal(size=(2, 8, 3))
-    posterior_grad(m, views[0], views[1], SamplerSection(), n_dataset=8)
+    tape = Tape()
+    tape.backward(byol_loss_one_direction(tape, m, views[0], views[1]))
     assert all(t.grad is not None for _, t in m.online_encoder.items())
     ens = PosteriorEnsemble(run_meta={})
     snap = collect(ens, m, step=0, cycle=0, loss=0.0)

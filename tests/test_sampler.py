@@ -2,13 +2,13 @@ import copy
 
 import numpy as np
 import pytest
-from gradcheck import grad_check
+from gradcheck import grad_check, tape_online_grad
 
 from mcbyol.autodiff import Tape
 from mcbyol.config import ModelSection, SamplerSection
-from mcbyol.errors import ConfigError, ContractError
-from mcbyol.model import byol_loss_symmetrized, init_twin
-from mcbyol.sampler import (cyclic_lr, make_state, noise_active, noise_scale,
+from mcbyol.errors import ConfigError, ContractError, NumericError
+from mcbyol.model import byol_loss_one_direction, byol_loss_symmetrized, init_twin
+from mcbyol.sampler import (cyclic_lr, direction_grad, make_state, noise_active, noise_scale,
                             posterior_grad, sghmc_step, sgld_step, should_yield)
 
 TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
@@ -215,6 +215,66 @@ def test_empty_batch_rejected():
     m = tiny_twin(0)
     with pytest.raises(ContractError):
         posterior_grad(m, np.zeros((0, 3)), np.zeros((0, 3)), cfg_for(), 1)
+
+
+# ---- closed-form direction gradient ------------------------------------------
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("rows", [1, 24, 256])
+def test_direction_grad_has_the_bits_of_the_tape_direction(activation, rows):
+    for seed in range(4):
+        m = init_twin(ModelSection(activation=activation), 10, seed)  # the default widths
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, rows, 10))
+        a[rng.random(a.shape) < 0.1] = 0.0  # masked coordinates, as augmentation makes them
+        grad, loss = direction_grad(m, a, b)
+        assert grad.tobytes() == tape_online_grad(byol_loss_one_direction, m, a, b).tobytes()
+        assert loss == float(byol_loss_one_direction(Tape(), m, a, b).values)
+
+
+def test_direction_grad_matches_central_differences():
+    # criterion 01's architecture draws, h and tolerances, on one direction
+    rng = np.random.default_rng(2024)
+    h = 1e-5
+    for seed in range(25):
+        input_dim = int(rng.integers(2, 5))
+        arch = ModelSection(encoder_hidden=[int(rng.integers(2, 5))],
+                            embed_dim=int(rng.integers(2, 4)),
+                            proj_hidden=int(rng.integers(2, 4)), proj_dim=2,
+                            pred_hidden=int(rng.integers(2, 4)))
+        m = init_twin(arch, input_dim, seed)
+        a = rng.normal(size=(3, input_dim))
+        b = rng.normal(size=(3, input_dim))
+        analytic, _ = direction_grad(m, a, b)
+        probe = copy.deepcopy(m)
+        x = m.online_flat()
+        numeric = np.zeros_like(x)
+        for i in range(x.size):
+            losses = []
+            for step in (h, -h):
+                moved = x.copy()
+                moved[i] += step
+                probe.set_online_flat(moved)
+                losses.append(direction_grad(probe, a, b)[1])
+            numeric[i] = (losses[0] - losses[1]) / (2 * h)
+        vec_rel = np.linalg.norm(analytic - numeric) / max(
+            np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-8)
+        assert vec_rel < 1e-4, f"seed {seed}"
+        mag = np.maximum(np.abs(analytic), np.abs(numeric))
+        sound = mag >= 1e-6
+        coord_rel = np.abs(analytic - numeric)[sound] / mag[sound]
+        assert coord_rel.size == 0 or coord_rel.max() < 1e-4, f"seed {seed}"
+
+
+def test_direction_grad_rejects_non_finite_views():
+    m = tiny_twin(0)
+    a = np.zeros((2, 3))
+    for bad in (np.nan, np.inf):
+        a[1, 0] = bad
+        for views in ((a, np.zeros((2, 3))), (np.zeros((2, 3)), a)):
+            with pytest.raises(NumericError, match="NaN or Inf"):
+                direction_grad(m, *views)
 
 
 # ---- step updates -----------------------------------------------------------

@@ -35,7 +35,7 @@ ALLOWED = {
     "Tape.scale",
     "Tape.relu",
     # bench/tracing.py patches sampler.byol_loss_symmetrized to time
-    # model.loss_forward; posterior_grad sums the two directions instead
+    # model.loss_forward; posterior_grad sums two closed-form directions instead
     "model.byol_loss_symmetrized",
 }
 
