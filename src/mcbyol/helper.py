@@ -22,20 +22,23 @@ depends on whether they do:
 - run_finetune forks one child per seed, which fits some of the label
   fractions and writes their files while the parent fits the rest.
 
-The helper's protocol is one round per step, over one shared anonymous
-mmap sized for max_rows rows and two pipes.  The helper writes a step's
-two views and their row count into the mmap and answers VIEWS; it does
-so first on start and then right after each DONE, for the next step.
-The parent copies the views out, writes the online flat and the target
-encoder and projector flats, and sends one REQUEST byte.  The helper
-computes L(view_b, view_a) on the views it drew, writes the gradient
-flat and the loss back and answers DONE.  When its views run out it
-exits with 0.  It holds no write end of its own request pipe, so the
-parent's close or death reads as EOF, on which it exits with 0 too.  A
-helper that raises exits, so the parent reads EOF where it waits for
-VIEWS or DONE and learns why from Child.join: an error raised while
-drawing views is the parent's as itself, as it would be where the parent
-draws them.
+The helper's protocol is one round per step, over two pipes and one
+shared anonymous mmap, which holds the model's online and target arrays
+(moved there before the fork, TwinModel.move_to), two views of up to
+max_rows rows and a gradient flat.  The parent writes the weights (the
+sampler step, the EMA) only between a DONE and the next REQUEST; the
+helper reads them in place only between a REQUEST and its DONE.  The
+helper writes a step's two views and their row count into the mmap and
+answers VIEWS; it does so first on start and then right after each DONE,
+for the next step.  The parent copies the views out and sends one
+REQUEST byte.  The helper computes L(view_b, view_a) on the views it
+drew, writes the gradient flat and the loss back and answers DONE.
+When its views run out it exits with 0.  It holds no write end of its
+own request pipe, so the parent's close or death reads as EOF, on which
+it exits with 0 too.  A helper that raises exits, so the parent reads
+EOF where it waits for VIEWS or DONE and learns why from Child.join: an
+error raised while drawing views is the parent's as itself, as it would
+be where the parent draws them.
 """
 
 from __future__ import annotations
@@ -146,15 +149,14 @@ class DirectionHelper:
     def __init__(self, model: TwinModel, max_rows: int,
                  views: Iterator[tuple[np.ndarray, np.ndarray]]):
         dim, width = model.online_dim, model.input_dim
-        sizes = [dim, model.target_encoder.total_dim, model.target_projector.total_dim,
-                 max_rows * width, max_rows * width, dim + 1]
+        sizes = [dim, model.target.size, max_rows * width, max_rows * width, dim + 1]
         self._mm = mmap.mmap(-1, 8 + 8 * sum(sizes))  # MAP_SHARED: the fork sees writes
         self._rows = np.frombuffer(self._mm, dtype=np.int64, count=1)
         floats = np.split(np.frombuffer(self._mm, dtype=np.float64, offset=8),
                           np.cumsum(sizes)[:-1])
-        self._online, self._target_encoder, self._target_projector = floats[:3]
-        self._view_a, self._view_b = (v.reshape(max_rows, width) for v in floats[3:5])
-        self._grad, self._loss = floats[5][:-1], floats[5][-1:]
+        model.move_to(floats[0], floats[1])
+        self._view_a, self._view_b = (v.reshape(max_rows, width) for v in floats[2:4])
+        self._grad, self._loss = floats[4][:-1], floats[4][-1:]
         self._drawn: tuple[np.ndarray, np.ndarray] | None = None  # what views() last returned
         requests, self._requests = os.pipe()
         self._replies, replies = os.pipe()
@@ -196,9 +198,6 @@ class DirectionHelper:
             os.write(replies, VIEWS)
             if os.read(requests, 1) != REQUEST:
                 return
-            model.set_online_flat(self._online)
-            model.target_encoder.set_flat(self._target_encoder)
-            model.target_projector.set_flat(self._target_projector)
             grad, loss = direction_grad(model, b, a)
             self._grad[:] = grad
             self._loss[0] = loss
@@ -219,18 +218,15 @@ class DirectionHelper:
         self._drawn = (self._view_a[:rows].copy(), self._view_b[:rows].copy())
         return self._drawn
 
-    def send(self, model: TwinModel, view_a: np.ndarray, view_b: np.ndarray) -> None:
-        """Start L(view_b, view_a) at the model's current weights, where
-        view_a and view_b are the arrays views() last returned."""
+    def send(self, view_a: np.ndarray, view_b: np.ndarray) -> None:
+        """Start L(view_b, view_a) at the weights in the mmap, where view_a
+        and view_b are the arrays views() last returned."""
         self._check_open()
         drawn = self._drawn
         if drawn is None or view_a is not drawn[0] or view_b is not drawn[1]:
             raise ContractError("the gradient helper computes on the views it drew: "
                                 "pass the arrays its views() last returned")
         self._drawn = None  # each step's views go out once
-        self._online[:] = model.online_flat()
-        self._target_encoder[:] = model.target_encoder.flatten()
-        self._target_projector[:] = model.target_projector.flatten()
         try:
             os.write(self._requests, REQUEST)
         except BrokenPipeError:

@@ -75,12 +75,14 @@ def entropy_histogram(entropies: np.ndarray, bins: int,
                       lo: float, hi: float) -> Histogram:
     """Fixed-width binning, left-closed: a value on an interior edge falls
     into the bin to its right; the final edge is right-closed.  Out-of-range
-    values are clamped into the end bins and counted."""
+    values are clamped into the end bins and counted; NaN or inf raises."""
     if bins < 1:
         raise ContractError("entropy_histogram: bins must be >= 1")
     if not hi > lo:
         raise ContractError("entropy_histogram: need hi > lo")
     e = np.asarray(entropies, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(e)):
+        raise ContractError("entropy_histogram: entropies must be finite")
     edges = lo + (hi - lo) * np.arange(bins + 1) / bins
     clamped = int(np.count_nonzero(e < lo) + np.count_nonzero(e > hi))
     idx = np.floor((e - lo) / (hi - lo) * bins).astype(np.int64)

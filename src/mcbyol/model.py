@@ -3,11 +3,16 @@
 The online network is trained; the target network is its exponential
 moving average and never receives gradients.  All networks are dense MLPs
 (activation on hidden layers, linear output).
+
+A TwinModel keeps its weights in two flat float64 arrays, online and
+target; every tensor of its five networks is a reshaped view into one of
+them, and every write to the weights is in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,16 +30,39 @@ class TwinModel:
     online_predictor: ParamVector
     target_encoder: ParamVector
     target_projector: ParamVector
+    # encoder | projector | predictor (the prior applies to the leading encoder
+    # slice, sampler.posterior_grad); target has the layout of online's start
+    online: np.ndarray = field(init=False, repr=False, compare=False)
+    target: np.ndarray = field(init=False, repr=False, compare=False)
 
-    # flat-vector view over all online parameters; order is fixed:
-    # encoder, projector, predictor (the prior applies to the leading
-    # encoder slice, see sampler.posterior_grad)
+    def __post_init__(self) -> None:
+        if not all(t.same_layout(o) for t, o in zip(self._parts()[1], self.online_parts())):
+            raise DimensionError("the target networks must match the online encoder and projector")
+        self.move_to(*(np.empty(sum(p.total_dim for p in ps)) for ps in self._parts()))
+
+    def __deepcopy__(self, memo: dict) -> "TwinModel":  # with arrays of its own
+        return TwinModel(copy.deepcopy(self.cfg, memo), *(p.copy() for ps in self._parts() for p in ps))
+
+    def _parts(self) -> tuple[tuple[ParamVector, ...], tuple[ParamVector, ...]]:
+        return self.online_parts(), (self.target_encoder, self.target_projector)
+
+    def move_to(self, online: np.ndarray, target: np.ndarray) -> None:
+        """Copies the weights into the flat float64 arrays online and target
+        and makes every tensor a view of them (DirectionHelper's mmap)."""
+        for buf, parts in zip((online, target), self._parts()):
+            offset = 0
+            for t in (t for p in parts for _, t in p.items()):
+                buf[offset:offset + t.size] = t.values.ravel()
+                t.values = buf[offset:offset + t.size].reshape(t.shape)
+                offset += t.size
+        self.online, self.target = online, target
+
     def online_parts(self) -> tuple[ParamVector, ParamVector, ParamVector]:
         return self.online_encoder, self.online_projector, self.online_predictor
 
     @property
     def online_dim(self) -> int:
-        return sum(p.total_dim for p in self.online_parts())
+        return self.online.size
 
     @property
     def encoder_dim(self) -> int:
@@ -45,16 +73,15 @@ class TwinModel:
         return self.online_encoder["layer0.w"].shape[0]
 
     def online_flat(self) -> np.ndarray:
-        return np.concatenate([p.flatten() for p in self.online_parts()])
+        """An independent copy of the online weights, flat."""
+        return self.online.copy()
 
     def set_online_flat(self, vec: np.ndarray) -> None:
+        """Writes vec, of online_dim values, into the online array in place."""
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.online_dim,):
+        if vec.shape != self.online.shape:
             raise DimensionError(f"set_online_flat: need {self.online_dim} values")
-        offset = 0
-        for p in self.online_parts():
-            p.set_flat(vec[offset:offset + p.total_dim])
-            offset += p.total_dim
+        self.online[:] = vec
 
 
 def init_mlp(widths: list[int], rng: np.random.Generator, requires_grad: bool) -> ParamVector:
@@ -153,10 +180,8 @@ def byol_loss_symmetrized(tape: Tape, model: TwinModel,
 
 
 def ema_update(model: TwinModel) -> None:
-    """target <- tau * target + (1 - tau) * online, on encoder and projector."""
-    tau = model.cfg.tau
-    for target, online in ((model.target_encoder, model.online_encoder),
-                           (model.target_projector, model.online_projector)):
-        for name, t in target.items():
-            t.values = tau * t.values + (1.0 - tau) * online[name].values
+    """target <- tau * target + (1 - tau) * online, on encoder and projector,
+    in place; elementwise, so with the bits of a loop over the tensors."""
+    tau, target = model.cfg.tau, model.target
+    target[:] = tau * target + (1.0 - tau) * model.online[:target.size]
 

@@ -42,14 +42,14 @@ class ParamVector:
         return np.concatenate([t.values.ravel() for t in self._segments.values()])
 
     def set_flat(self, vec: np.ndarray) -> None:
-        """Inverse of flatten(); writes values in place, shapes unchanged."""
+        """Inverse of flatten(); writes into each segment's array, so a view stays a view."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.total_dim,):
             raise DimensionError(f"set_flat: need {self.total_dim} values, got {vec.shape}")
         offset = 0
         for t in self._segments.values():
             n = t.size
-            t.values = vec[offset:offset + n].reshape(t.shape).copy()
+            t.values[...] = vec[offset:offset + n].reshape(t.shape)
             offset += n
 
     def grad_flat(self) -> np.ndarray:

@@ -153,7 +153,7 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
                 raise HelperError(exc.detail, step=k) from exc
             lr = cyclic_lr(s, k)
             on = noise_active(s, k)
-            new_flat = step_fn(model.online_flat(), state, grad_u, lr, s, n, noise_on=on)
+            new_flat = step_fn(model.online, state, grad_u, lr, s, n, noise_on=on)
             if not np.isfinite(loss):
                 raise DivergenceError(k, quantity="loss", value=loss,
                                       detail=f"non-finite loss; {_step_state(lr, on)}")

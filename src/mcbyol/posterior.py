@@ -151,8 +151,9 @@ def predictive_entropy(p: np.ndarray) -> np.ndarray:
     rows = p if p.ndim == 2 else p[None, :]
     if rows.ndim != 2:
         raise ContractError("predictive_entropy: need a vector or matrix of probabilities")
-    if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-6):
-        raise ContractError("predictive_entropy: rows must be probability vectors")
+    # written so that NaN fails both comparisons: a NaN row must not read as certainty
+    if not (np.all(rows >= 0) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-6)):
+        raise ContractError("predictive_entropy: rows must be finite probability vectors")
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(rows > 0, rows * np.log(rows), 0.0)
     h = -terms.sum(axis=1)

@@ -200,7 +200,7 @@ def posterior_grad(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray,
     closes the helper.
     """
     if helper is not None:
-        helper.send(model, view_a, view_b)
+        helper.send(view_a, view_b)
     try:
         g_ab, l_ab = direction_grad(model, view_a, view_b)
     except BaseException:
@@ -211,8 +211,7 @@ def posterior_grad(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray,
                   else helper.receive())
     grad = g_ab + g_ba
     d_enc = model.encoder_dim
-    enc_flat = model.online_encoder.flatten()
-    grad[:d_enc] += enc_flat / (cfg.prior_std ** 2 * n_dataset)
+    grad[:d_enc] += model.online[:d_enc] / (cfg.prior_std ** 2 * n_dataset)
     return grad, l_ab + l_ba
 
 

@@ -2,6 +2,7 @@
 bytes of a run without it, it is reaped on every way out, and its failure
 or death stops the run with an error that names the step."""
 
+import copy
 import json
 import os
 import signal
@@ -15,7 +16,8 @@ import pytest
 from mcbyol import autodiff, cli, config, helper, pipeline, sampler
 from mcbyol.errors import (ContractError, DataError, DimensionError, DivergenceError,
                            HelperError, NumericError)
-from mcbyol.model import init_twin
+from mcbyol.model import TwinModel, ema_update, init_twin
+from mcbyol.params import ParamVector
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -112,6 +114,32 @@ def test_posterior_grad_with_a_helper_gives_the_in_process_bits():
         with pytest.raises(HelperError, match="ended"):  # its views ran out, so it exited
             h.views()
         assert h.pid is None
+    finally:
+        h.close()
+    assert_no_child_process()
+
+
+def test_the_helper_sees_weights_written_after_the_fork():
+    # the sampler step's set_online_flat and the EMA write the shared
+    # arrays in place; a model that never had a helper is the oracle
+    model = tiny_model()
+    oracle = copy.deepcopy(model)
+    cfg = config.SamplerSection()
+    rng = np.random.default_rng(1)
+    drawn = [tuple(rng.normal(size=(2, 5, 4))) for _ in range(4)]
+    h = helper.DirectionHelper(model, 5, iter(drawn))
+    try:
+        targets = set()
+        for a, b in drawn:
+            g_helper, l_helper = sampler.posterior_grad(model, *h.views(), cfg, 50, h)
+            g_here, l_here = sampler.posterior_grad(oracle, a, b, cfg, 50)
+            assert g_helper.tobytes() == g_here.tobytes() and l_helper == l_here
+            for m in (model, oracle):
+                m.set_online_flat(m.online_flat() - 0.5 * g_here)
+                ema_update(m)
+            assert model.target.tobytes() == oracle.target.tobytes()
+            targets.add(model.target.tobytes())
+        assert len(targets) == len(drawn)  # the target moved on every step
     finally:
         h.close()
     assert_no_child_process()
@@ -271,13 +299,13 @@ def test_a_child_that_exits_without_a_report_says_how():
 # ---- the helper draws each step's views ---------------------------------------
 
 
-def count_calls(monkeypatch, tmp_path, name, fail_at=None):
-    """Patches pipeline.<name> to append a byte to a file on every call, in
+def count_calls(monkeypatch, tmp_path, name, fail_at=None, owner=pipeline):
+    """Patches owner.<name> to append a byte to a file on every call, in
     this process or a forked one, and to raise a DataError on call number
     fail_at; returns a function that reads the count."""
     path = tmp_path / f"calls_{name}"
     path.write_bytes(b"")
-    real = getattr(pipeline, name)
+    real = getattr(owner, name)
 
     def counted(*args):
         with open(path, "ab") as calls:
@@ -286,7 +314,7 @@ def count_calls(monkeypatch, tmp_path, name, fail_at=None):
             raise DataError("no views")
         return real(*args)
 
-    monkeypatch.setattr(pipeline, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return lambda: path.stat().st_size
 
 
@@ -361,6 +389,30 @@ def test_an_error_while_prefetching_closes_the_helper(tmp_path, monkeypatch, cpu
     assert calls() == 4 and len(started) == (cpus >= 2)
     assert_no_child_process()
     assert not (tmp_path / "o" / "ensemble_seed0.ckpt").exists()
+
+
+def test_no_pretrain_step_copies_the_weights(tmp_path, monkeypatch):
+    # the weights live in the model's two arrays, which the helper shares:
+    # what flattens or sets them whole runs per snapshot, not per step
+    counts = {}
+    for total_steps, cycle_len in ((20, 10), (40, 20)):  # two snapshots each
+        text = (RUN.format(**VARIANTS["csghmc"])
+                .replace("total_steps = 30", f"total_steps = {total_steps}")
+                .replace("cycle_len = 10", f"cycle_len = {cycle_len}"))
+        for cpus in (2, 1):
+            started = counting_helpers(monkeypatch, cpus)
+            out = tmp_path / f"steps{total_steps}_cpus{cpus}"
+            out.mkdir()
+            calls = {f"{owner.__name__}.{name}": count_calls(monkeypatch, out, name, owner=owner)
+                     for owner, name in ((ParamVector, "flatten"), (ParamVector, "set_flat"),
+                                         (TwinModel, "online_flat"))}
+            pipeline.run_pretrain(config.parse(text), 0, str(out))
+            monkeypatch.undo()
+            assert len(started) == (cpus >= 2)
+            counts[total_steps, cpus] = {name: count() for name, count in calls.items()}
+    # the same at either length and CPU count; save_ensemble flattens each snapshot once
+    assert all(count == {"ParamVector.flatten": 2, "ParamVector.set_flat": 0,
+                         "TwinModel.online_flat": 0} for count in counts.values()), counts
 
 
 def test_pretraining_builds_no_tape_and_writes_the_same_bytes_either_way(tmp_path,

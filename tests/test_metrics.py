@@ -153,6 +153,13 @@ def test_histogram_clamps_and_counts():
     assert h.clamped == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_histogram_rejects_non_finite_entropies(bad):
+    # a NaN fell into bin 0, the most confident one, without counting as clamped
+    with pytest.raises(ContractError, match="finite"):
+        entropy_histogram(np.array([0.2, bad, 0.7]), bins=2, lo=0.0, hi=1.0)
+
+
 def test_histogram_validation():
     with pytest.raises(ContractError):
         entropy_histogram(np.zeros(3), bins=0, lo=0.0, hi=1.0)

@@ -10,6 +10,7 @@ from mcbyol.config import ModelSection
 from mcbyol.errors import ConfigError, DimensionError
 from mcbyol.model import (byol_loss_one_direction, byol_loss_symmetrized, ema_update,
                           init_twin, mlp_forward_np)
+from mcbyol.sampler import direction_grad
 
 TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
 
@@ -292,3 +293,100 @@ def test_symmetrized_loss_records_one_op_per_network():
     kinds = [fn.__qualname__.split(".")[1] for _, _, fn in t._records]
     assert kinds == ["mlp"] * 3 + ["l2_normalize", "mse"] + ["mlp"] * 3 \
         + ["l2_normalize", "mse", "add"]
+
+
+# ---- the two shared weight arrays -------------------------------------------
+
+
+def weight_arrays(m):
+    """The model's two flat arrays and every tensor's values."""
+    parts = (*m.online_parts(), m.target_encoder, m.target_projector)
+    return [m.online, m.target] + [t.values for p in parts for _, t in p.items()]
+
+
+def test_every_tensor_views_one_of_the_two_arrays():
+    m = tiny_model(1)
+    targets = (m.target_encoder, m.target_projector)
+    for parts, flat in ((m.online_parts(), m.online), (targets, m.target)):
+        assert flat.tobytes() == np.concatenate([p.flatten() for p in parts]).tobytes()
+        assert all(t.values.base is flat for p in parts for _, t in p.items())
+    assert m.target.size == m.online_encoder.total_dim + m.online_projector.total_dim
+
+
+def test_mutating_online_flat_leaves_the_model_unchanged():
+    m = tiny_model(1)
+    before = [a.copy() for a in weight_arrays(m)]
+    flat = m.online_flat()
+    flat += 1.0
+    flat[0] = np.nan
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(weight_arrays(m), before))
+
+
+def test_a_part_set_flat_shows_in_online_flat_and_direction_grad():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(2, 5, 3))
+    m = tiny_model(1)
+    oracle = copy.deepcopy(m)
+    start = m.encoder_dim
+    stop = start + m.online_projector.total_dim
+    vec = rng.normal(size=stop - start)
+    m.online_projector.set_flat(vec)
+    assert m.online_flat()[start:stop].tobytes() == vec.tobytes()
+    assert all(t.values.base is m.online for _, t in m.online_projector.items())
+    # the oracle takes the same weights through set_online_flat
+    flat = oracle.online_flat()
+    unchanged = direction_grad(oracle, a, b)[0]
+    flat[start:stop] = vec
+    oracle.set_online_flat(flat)
+    assert m.online_flat().tobytes() == flat.tobytes()
+    grad = direction_grad(m, a, b)[0]
+    assert grad.tobytes() == direction_grad(oracle, a, b)[0].tobytes()
+    assert grad.tobytes() != unchanged.tobytes()
+
+
+def test_a_deepcopy_has_arrays_of_its_own():
+    m = tiny_model(2)
+    probe = copy.deepcopy(m)
+    assert probe.cfg == m.cfg and probe.cfg is not m.cfg
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(weight_arrays(probe), weight_arrays(m)))
+    assert not any(np.shares_memory(x, y) for x in weight_arrays(probe) for y in weight_arrays(m))
+    assert all(t.values.base is probe.online for p in probe.online_parts() for _, t in p.items())
+    before = [x.copy() for x in weight_arrays(m)]
+    probe.set_online_flat(probe.online_flat() + 1.0)
+    ema_update(probe)
+    assert probe.online_encoder.flatten().tobytes() == (before[0][:m.encoder_dim] + 1.0).tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(weight_arrays(m), before))
+
+
+def per_tensor_ema(model):
+    """The EMA as a loop over the target tensors, each rebound to a new
+    array: the oracle for ema_update's one expression."""
+    tau = model.cfg.tau
+    for target, online in ((model.target_encoder, model.online_encoder),
+                           (model.target_projector, model.online_projector)):
+        for name, t in target.items():
+            t.values = tau * t.values + (1.0 - tau) * online[name].values
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 0.9, 0.99, 0.996, 1.0])
+def test_ema_update_equals_the_per_tensor_loop(tau):
+    rng = np.random.default_rng(int(tau * 1000))
+    m = tiny_model(4, tau=tau)
+    oracle = copy.deepcopy(m)
+    for _ in range(6):
+        step = rng.normal(scale=rng.choice([1e-8, 1e-2, 10.0]), size=m.online_dim)
+        m.set_online_flat(m.online_flat() + step)
+        oracle.set_online_flat(oracle.online_flat() + step)
+        ema_update(m)
+        per_tensor_ema(oracle)
+        expected = np.concatenate([oracle.target_encoder.flatten(),
+                                   oracle.target_projector.flatten()])
+        assert m.target.tobytes() == expected.tobytes()
+        assert m.target_encoder.flatten().tobytes() == oracle.target_encoder.flatten().tobytes()
+
+
+def test_targets_must_match_the_online_layout():
+    m = tiny_model(0)
+    parts = (m.online_encoder, m.online_projector, m.online_predictor)
+    with pytest.raises(DimensionError, match="target networks must match"):
+        type(m)(m.cfg, *parts, m.online_projector.copy(), m.target_projector)

@@ -251,6 +251,24 @@ def test_entropy_rejects_malformed():
         predictive_entropy(np.array([-0.1, 1.1]))
 
 
+@pytest.mark.parametrize("p", [[[np.nan, np.nan]], [[0.5, np.nan]], [np.inf, 0.0],
+                               [[1.0, 0.0], [-np.inf, np.inf]], [np.nan]])
+def test_entropy_rejects_non_finite(p):
+    # NaN passed the row checks and scored entropy -0.0, a certain prediction
+    with pytest.raises(ContractError, match="finite probability"):
+        predictive_entropy(np.array(p))
+
+
+def test_entropy_of_finite_rows_keeps_its_bits():
+    rng = np.random.default_rng(11)
+    p = rng.dirichlet(np.ones(5), size=30)
+    p[::4, 1:3] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = -np.where(p > 0, p * np.log(p), 0.0).sum(axis=1)
+    assert predictive_entropy(p).tobytes() == expected.tobytes()
+
+
 def test_disagreeing_one_hots_raise_entropy():
     rng = np.random.default_rng(7)
     for _ in range(50):
