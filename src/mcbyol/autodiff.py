@@ -69,17 +69,17 @@ class Tensor:
 
 
 def mlp_layers(x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray]],
-               activation: str) -> list[np.ndarray]:
+               activation: str, out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
     """Every layer's output of the dense network h <- act(h @ W + b), with
-    the activation on hidden layers only.  Each output is a fresh array
-    that the bias and the activation then update in place."""
+    the activation on hidden layers only.  Each output is a fresh array, or
+    out[i] where out is given, that the bias and activation update in place."""
     if activation not in ("tanh", "relu"):
         raise ContractError(f"mlp: unknown activation {activation!r}")
     last = len(layers) - 1
     outs = []
     h = x
     for i, (w, b) in enumerate(layers):
-        h = h @ w
+        h = h @ w if out is None else np.matmul(h, w, out=out[i])
         h += b
         if i < last:
             if activation == "tanh":

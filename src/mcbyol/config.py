@@ -121,6 +121,9 @@ class SamplerSection:
             raise ConfigError("sampler.cycle_len must be >= 1")
         if self.total_steps < 1:
             raise ConfigError("sampler.total_steps must be >= 1")
+        if self.total_steps < self.cycle_len:
+            raise ConfigError(f"sampler.total_steps = {self.total_steps} is below sampler.cycle_len"
+                              f" = {self.cycle_len}: no cycle ends, so no snapshot is collected")
         if not 0.0 <= self.noise_start_frac <= 1.0:
             raise ConfigError("sampler.noise_start_frac must lie in [0, 1]")
         if self.prior_std <= 0:

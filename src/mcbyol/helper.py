@@ -5,9 +5,9 @@ so the child never collects, and never finalizes, the parent's objects.
 The child leaves through os._exit, so it never runs the parent's cleanup
 code: with 0 when its work returns, and with 1 after it has written the
 exception its work raised, pickled, to a pipe.  Child.join reads that
-pipe, then reaps the child; each caller joins on every way out.  Both
-callers fork only where available_cpus() is 2 or more, and no output
-depends on whether they do:
+pipe, then reaps the child; each caller joins on every way out.  Every
+caller forks only where available_cpus() is 2 or more, and no output
+depends on whether it does:
 
 - run_pretrain forks one DirectionHelper per seed.  The symmetrized loss
   L(a, b) + L(b, a) is two gradient passes that share nothing until
@@ -21,6 +21,8 @@ depends on whether they do:
   itself where it has no helper, so the views are the same either way.
 - run_finetune forks one child per seed, which fits some of the label
   fractions and writes their files while the parent fits the rest.
+- run_eval and run_ood fork one child per seed (pipeline._sweep) for the
+  later half of its snapshots.  This and run_finetune fork by run_split.
 
 The helper's protocol is one round per step, over two pipes and one
 shared anonymous mmap, which holds the model's online and target arrays
@@ -52,7 +54,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, HelperError
+from .errors import ContractError, DimensionError, HelperError, McbyolError
 from .model import TwinModel
 from .sampler import direction_grad
 
@@ -123,6 +125,27 @@ class Child:
         if os.WIFSIGNALED(status):
             return HelperError(f"{self.what} was killed by signal {os.WTERMSIG(status)}")
         return HelperError(f"{self.what} exited with code {os.waitstatus_to_exitcode(status)}")
+
+
+def run_split(what: str, work: Callable[[list[int]], object], mine: list[int],
+              theirs: list[int]) -> None:
+    """Runs work(theirs) in a forked Child named what while this process
+    runs work(mine), or work(sorted(mine + theirs)) here alone where theirs
+    is empty or fewer than 2 CPUs are available; returns or raises once the
+    child is reaped.  This process's error wins; the child's raises as
+    itself where it is a McbyolError or OSError, else as a HelperError."""
+    if not theirs or available_cpus() < 2:
+        work(sorted(mine + theirs))
+        return
+    child = Child(what, lambda: work(theirs))
+    try:
+        work(mine)
+    finally:
+        error = child.join()
+    if isinstance(error, (McbyolError, OSError)):
+        raise error
+    if error is not None:
+        raise HelperError(f"{what} failed: {type(error).__name__}: {error}")
 
 
 def _run(work: Callable[[], object], reports: int) -> int:

@@ -126,9 +126,10 @@ def mlp_arrays(pv: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(w.values, b.values) for w, b in _layers(pv)]
 
 
-def mlp_forward_np(pv: ParamVector, x: np.ndarray, activation: str) -> np.ndarray:
-    """Inference-mode forward pass, no tape; the same arithmetic as mlp_forward."""
-    return mlp_layers(np.asarray(x, dtype=np.float64), mlp_arrays(pv), activation)[-1]
+def mlp_forward_np(pv: ParamVector, x: np.ndarray, activation: str, out: list | None = None) -> np.ndarray:
+    """Inference-mode forward pass, no tape; the same arithmetic as
+    mlp_forward.  out, where given, takes every layer's output (mlp_layers)."""
+    return mlp_layers(np.asarray(x, dtype=np.float64), mlp_arrays(pv), activation, out)[-1]
 
 
 def check_views(model: TwinModel, view_a: np.ndarray, view_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

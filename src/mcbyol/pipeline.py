@@ -13,15 +13,17 @@ Baseline methods are config variants of the sampler kind, not code forks.
 Everything is deterministic given config + seeds, and the same at any CPU
 count.  With two or more CPUs, each seed's pretraining computes one
 direction of the twin loss in a forked helper process, with the bits of
-computing both here, and each seed's fine-tuning fits a share of the label
-fractions in a forked child, which writes the files a fit here would
-(helper.py).
+computing both here; each seed's fine-tuning fits a share of the label
+fractions in a forked child, which writes the files a fit here would; and
+eval and ood forward each seed's later snapshots in a forked child, which
+writes their softmax into shared memory (helper.py).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import mmap
 import os
 
 import numpy as np
@@ -32,11 +34,11 @@ from .autodiff import Tensor
 from .data import (Dataset, augment_pair, load_dataset, make_clusters, make_ood,
                    minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
-from .errors import CheckpointError, DataError, DivergenceError, HelperError, McbyolError
+from .errors import CheckpointError, DataError, DivergenceError, HelperError
 from .finetune import finetune, subset_labels
 from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
                       write_histogram, write_table)
-from .model import ema_update, init_twin
+from .model import ema_update, init_twin, mlp_arrays
 from .params import ParamVector
 from .posterior import (PosteriorEnsemble, bma_predict, collect, ensemble_size, load_ensemble,
                         load_member, predictive_entropy, recent_mean, save_ensemble,
@@ -187,13 +189,10 @@ def split_fractions(counts: list[int]) -> tuple[list[int], list[int]]:
 
 def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
     """Fine-tune every snapshot of this seed's ensemble at every label
-    fraction.  With two or more CPUs and fractions, a forked child
-    (helper.Child) fits one share of the fractions (split_fractions) while
-    this process fits the other.  Each process writes only its own
-    fractions' members and logs.  This returns, or raises, only after the
-    child is reaped; an error of the child's raises here as itself when it
-    is a McbyolError or OSError, so the CLI exits as an in-process run
-    would, and as a HelperError naming the seed and fractions otherwise."""
+    fraction.  With two or more CPUs and fractions, a forked child fits one
+    share of the fractions (split_fractions) while this process fits the
+    other (helper.run_split).  Each process writes only its own fractions'
+    members and logs."""
     _, train, _, _ = make_datasets(cfg)
     ensemble = load_ensemble(_pretrained_ensemble(out_dir, seed))
     f = cfg.finetune
@@ -222,26 +221,19 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
             write_table(os.path.join(out_dir, f"finetune_log_seed{seed}_f{tag}.tsv"),
                         ["snapshot", "epoch", "loss"], log_rows)
 
-    if len(subsets) < 2 or helpermod.available_cpus() < 2:
-        fit(list(range(len(subsets))))
-        return
     mine, theirs = split_fractions([-(-subset.n // f.batch) for subset in subsets])
-    what = (f"the fine-tuning child of seed {seed} (label fractions "
-            + ", ".join(str(f.label_fractions[i]) for i in theirs) + ")")
-    child = helpermod.Child(what, lambda: fit(theirs))
-    try:
-        fit(mine)
-    finally:
-        error = child.join()
-    if isinstance(error, (McbyolError, OSError)):
-        raise error
-    if error is not None:
-        raise HelperError(f"{what} failed: {type(error).__name__}: {error}")
+    helpermod.run_split(f"the fine-tuning child of seed {seed} (label fractions "
+                        f"{', '.join(str(f.label_fractions[i]) for i in theirs)})",
+                        fit, mine, theirs)
 
 
 def _ensemble_sizes(cfg: cfgmod.RunConfig, out_dir: str) -> dict[int, int]:
-    """Each seed's snapshot count."""
-    return {seed: ensemble_size(_pretrained_ensemble(out_dir, seed)) for seed in cfg.run.seeds}
+    """Each seed's snapshot count, which must not be 0."""
+    sizes = {seed: ensemble_size(_pretrained_ensemble(out_dir, seed)) for seed in cfg.run.seeds}
+    for seed, size in sizes.items():
+        if not size:
+            raise CheckpointError(f"{ensemble_path(out_dir, seed)}: the ensemble has no snapshots")
+    return sizes
 
 
 def _sweep(out_dir: str, seed: int, fracs: list[float], size: int, xs: list[np.ndarray],
@@ -252,34 +244,54 @@ def _sweep(out_dir: str, seed: int, fracs: list[float], size: int, xs: list[np.n
     byte-equal (all of them under linear evaluation) form a group, whose
     heads are stacked as weight (G, D, C) and bias (G, 1, C): one
     bma_predict call per group and input runs the encoder once and gives
-    each member's softmax, bit for bit as a call of its own.  The forwards
-    run back to back after the loads, so that each reuses the memory the
-    one before freed instead of faulting in fresh pages."""
-    groups = []  # (encoder, indices into fracs, stacked heads), snapshot by snapshot
-    for s in range(size):
-        members = []
-        for frac in fracs:
-            path = member_path(out_dir, seed, frac, s)
-            if not os.path.exists(path):
-                raise CheckpointError(f"missing member checkpoint: {path}")
-            members.append(load_member(path)[:2])
-        by_encoder: dict[bytes, list[int]] = {}
-        for i, (encoder, _) in enumerate(members):
-            by_encoder.setdefault(encoder.flatten().tobytes(), []).append(i)
-        for idx in by_encoder.values():
-            heads = [members[i][1] for i in idx]
-            groups.append((members[idx[0]][0], idx, ParamVector({
-                "weight": Tensor(np.stack([h["weight"].values for h in heads])),
-                "bias": Tensor(np.stack([h["bias"].values[None, :] for h in heads]))})))
-    probs = [[[] for _ in xs] for _ in fracs]  # [fraction][input][snapshot]
-    for j, x in enumerate(xs):
-        for encoder, idx, head in groups:
-            out = bma_predict([(encoder, head)], x, model)
-            for g, i in enumerate(idx):
-                probs[i][j].append(out[g])
-    for frac, frac_probs in zip(fracs, probs):
+    each member's softmax, bit for bit as a call of its own.
+
+    This process does so for snapshots 0 .. ceil(size/2) - 1 and a forked
+    child for the rest (helper.run_split), each into one shared mmap per
+    input, (size, fractions, rows, classes), through layer buffers reused
+    by every forward.  A member laid out unlike the first raises
+    CheckpointError.  The child is reaped before the first yield."""
+    def load(s: int, i: int) -> tuple[ParamVector, ParamVector]:
+        path = member_path(out_dir, seed, fracs[i], s)
+        if not os.path.exists(path):
+            raise CheckpointError(f"missing member checkpoint: {path}")
+        encoder, head, _ = load_member(path)
+        if (s, i) != (0, 0) and not encoder.same_layout(first[0]):  # the buffers' layout
+            raise CheckpointError(f"{path}: its encoder is laid out unlike the first member's")
+        if (s, i) != (0, 0) and head["bias"].size != classes:
+            raise CheckpointError(f"{path}: its head has {head['bias'].size} classes, "
+                                  f"{member_path(out_dir, seed, fracs[0], 0)}'s has {classes}")
+        return encoder, head
+
+    first = load(0, 0)
+    classes = first[1]["bias"].size
+    probs = [np.ndarray((size, len(fracs), len(x), classes),
+                        buffer=mmap.mmap(-1, 8 * size * len(fracs) * len(x) * classes)) for x in xs]
+
+    def forward(snapshots: list[int]) -> None:
+        buffers: dict[int, list[np.ndarray]] = {}  # layer outputs by row count
+        for s in snapshots:
+            members = [first if s == i == 0 else load(s, i) for i in range(len(fracs))]
+            by_encoder: dict[bytes, list[int]] = {}
+            for i, (encoder, _) in enumerate(members):
+                by_encoder.setdefault(encoder.flatten().tobytes(), []).append(i)
+            for idx in by_encoder.values():
+                encoder, heads = members[idx[0]][0], [members[i][1] for i in idx]
+                head = ParamVector({
+                    "weight": Tensor(np.stack([h["weight"].values for h in heads])),
+                    "bias": Tensor(np.stack([h["bias"].values[None, :] for h in heads]))})
+                for x, p in zip(xs, probs):
+                    if len(x) not in buffers:  # after the fork and the first loads: less RSS
+                        buffers[len(x)] = [np.empty((len(x), w.shape[1]))
+                                           for w, _ in mlp_arrays(encoder)]
+                    p[s, idx] = bma_predict([(encoder, head)], x, model, out=buffers[len(x)])
+
+    mine, theirs = list(range(-(-size // 2))), list(range(-(-size // 2), size))
+    helpermod.run_split(f"the sweep child of seed {seed} (snapshots {', '.join(map(str, theirs))})",
+                        forward, mine, theirs)
+    for i, frac in enumerate(fracs):
         for k in range(1, size + 1):
-            yield frac, k, [recent_mean(member_probs, k) for member_probs in frac_probs]
+            yield frac, k, [recent_mean(list(p[:, i]), k) for p in probs]
 
 
 def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:

@@ -119,7 +119,7 @@ def recent_mean(probs: list[np.ndarray], count: int | None = None) -> np.ndarray
 
 
 def bma_predict(members, x: np.ndarray, model: ModelSection,
-                count: int | None = None) -> np.ndarray:
+                count: int | None = None, out: list[np.ndarray] | None = None) -> np.ndarray:
     """Average the per-member softmax outputs over posterior samples.
 
     members: (encoder, head) ParamVector pairs in snapshot capture order;
@@ -134,13 +134,14 @@ def bma_predict(members, x: np.ndarray, model: ModelSection,
     A head may also be a stack of G heads over one encoder: weight
     (G, embed_dim, C) and bias (G, 1, C).  Broadcasting then runs the
     encoder once and returns a (G, N, C) array whose slice g has the bits
-    of head g's own one-member call.
+    of head g's own one-member call.  out, where given, takes every
+    encoder's layer outputs (mlp_layers).
     """
     if count is not None and not 1 <= count <= len(members):
         raise ContractError(f"count must lie in [1, {len(members)}], got {count}")
     used = members if count is None else members[-count:]
     x = np.asarray(x, dtype=np.float64)
-    return recent_mean([softmax(mlp_forward_np(encoder, x, model.activation)
+    return recent_mean([softmax(mlp_forward_np(encoder, x, model.activation, out)
                                 @ head["weight"].values + head["bias"].values)
                         for encoder, head in used])
 

@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from gradcheck import tape_online_grad
+from test_helper import count_calls
 
-from mcbyol import cli, config, pipeline, posterior
+from mcbyol import cli, config, helper, pipeline, posterior
 from mcbyol.autodiff import Tape, Tensor
 from mcbyol.config import ModelSection, SamplerSection
 from mcbyol.diagnostics import QuadraticTarget, run_chain
@@ -391,28 +392,25 @@ SWEEP_RUN = (SMALL_RUN.replace("label_fractions = 0.5", "label_fractions = 1.0,0
              .replace("seeds = 0", "seeds = 0,1"))
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("freeze", ["true", "false"])
-def test_eval_and_ood_equal_the_per_member_sweep(tmp_path, monkeypatch, freeze):
+def test_eval_and_ood_equal_the_per_member_sweep(tmp_path, monkeypatch, freeze, cpus):
     """Members of one snapshot that share its encoder share one forward: a
     frozen run forwards each snapshot once per input, an unfrozen one each
-    member, and both write the tables of the per-member sweep byte for byte."""
+    member, and both write the tables of the per-member sweep byte for byte.
+    The forwards are counted through a file, so that those of the sweep's
+    forked child count too."""
     cfg = config.parse(SWEEP_RUN.format(activation="tanh", freeze=freeze))
     out = str(tmp_path)
     for seed in cfg.run.seeds:
         pipeline.run_pretrain(cfg, seed, out)
         pipeline.run_finetune(cfg, seed, out)
-    forwards = []
-    forward = posterior.mlp_forward_np
-
-    def counted(*args):
-        forwards.append(args)
-        return forward(*args)
-
-    monkeypatch.setattr(posterior, "mlp_forward_np", counted)
+    monkeypatch.setattr(helper, "available_cpus", lambda: cpus)
+    forwards = count_calls(monkeypatch, tmp_path, "mlp_forward_np", owner=posterior)
     pipeline.run_eval(cfg, out)
-    eval_forwards = len(forwards)
+    eval_forwards = forwards()
     pipeline.run_ood(cfg, out)
-    ood_forwards = len(forwards) - eval_forwards
+    ood_forwards = forwards() - eval_forwards
     names = ("eval_results.tsv", "ood_results.tsv")
     got = {name: Path(out, name).read_bytes() for name in names}
 

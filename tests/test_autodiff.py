@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from gradcheck import grad_check
 
-from mcbyol.autodiff import Tape, Tensor
+from mcbyol.autodiff import Tape, Tensor, mlp_layers
 from mcbyol.errors import ContractError, DimensionError, NumericError
 
 
@@ -379,3 +379,24 @@ def test_mlp_rejects_bad_shapes_and_activation():
         t.mlp(Tensor(np.ones((4, 2))), [], "tanh")
     with pytest.raises(ContractError):
         t.mlp(Tensor(np.ones((4, 2))), [good], "sigmoid")
+
+
+# ---- mlp_layers into caller-given buffers -------------------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 7, 2000])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_mlp_layers_into_buffers_keeps_the_bits_of_fresh_arrays(activation, rows):
+    rng = np.random.default_rng(rows)
+    widths = [10, 64, 64, 16]
+    layers = [(rng.standard_normal((m, n)) / np.sqrt(m), rng.standard_normal(n))
+              for m, n in zip(widths[:-1], widths[1:])]
+    x = rng.standard_normal((rows, widths[0]))
+    fresh = mlp_layers(x, layers, activation)
+    bufs = [np.full((rows, n), np.nan) for n in widths[1:]]
+    outs = mlp_layers(x, layers, activation, out=bufs)
+    assert all(o is b for o, b in zip(outs, bufs)) and len(outs) == len(bufs)
+    assert [o.tobytes() for o in outs] == [f.tobytes() for f in fresh]
+    again = mlp_layers(x[::-1].copy(), layers, activation, out=bufs)  # the buffers' second use
+    assert [o.tobytes() for o in again] == [f.tobytes() for f in
+                                            mlp_layers(x[::-1].copy(), layers, activation)]

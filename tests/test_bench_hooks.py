@@ -4,7 +4,8 @@ a traced sample-diag run counts every sampler step, that a traced pipeline run
 counts every stacked minibatch position of finetune and one encoder forward
 per snapshot and input in eval and ood, and that traced runs write the same
 bytes as untraced ones.  The tracer sees only its own process's calls, so
-the traced runs fix the CPU count that run_finetune's fork reads."""
+the traced runs fix the CPU count that the forks of run_finetune and of
+eval's and ood's sweep read."""
 
 import json
 import os
@@ -178,6 +179,9 @@ def test_traced_forked_finetune_counts_the_parents_share_and_keeps_bytes(tiny_ru
         assert [-(-subset_labels(train, frac, cfg.data.seed + seed).n // f.batch)
                 for frac in f.label_fractions] == [6, 2]
     assert counts["finetune.minibatches"] == f.epochs * 6 * len(cfg.run.seeds) == 36
+    # eval's and ood's sweeps fork too, and this process forwards snapshots 0
+    # and 1 of each seed's 3, once in eval and twice (test, OOD) in ood
+    assert counts["posterior.encoder_forwards"] == (2 + 2 * 2) * len(cfg.run.seeds)
     names = sorted(p.name for p in plain.iterdir())
     assert sorted(p.name for p in traced.iterdir()) == names
     for name in names:

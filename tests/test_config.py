@@ -83,6 +83,9 @@ def test_repeated_key_rejected_with_both_lines():
     ("[sampler]\nlr0 = -1\n", "sampler.lr0"),
     ("[sampler]\nbatch = 0\n", "sampler.batch"),
     ("[sampler]\nkind = adam\n", "sampler.kind"),
+    # no cycle ends, so no snapshot would be collected (the default cycle_len is 50)
+    ("[sampler]\ntotal_steps = 20\n", "sampler.total_steps = 20 is below sampler.cycle_len = 50"),
+    ("[sampler]\ncycle_len = 10\ntotal_steps = 9\n", "total_steps = 9 is below sampler.cycle_len = 10"),
     ("[model]\nactivation = sigmoid\n", "model.activation"),
     ("[model]\ntau = 1.5\n", "model.tau"),
     ("[model]\nembed_dim = 0\n", "model.embed_dim"),
