@@ -126,6 +126,11 @@ class SamplerSection:
                               f" = {self.cycle_len}: no cycle ends, so no snapshot is collected")
         if not 0.0 <= self.noise_start_frac <= 1.0:
             raise ConfigError("sampler.noise_start_frac must lie in [0, 1]")
+        kind, c = SAMPLER_KINDS[self.kind], self.cycle_len
+        if kind.cyclic and kind.noisy and self.noise_start_frac * c > c - 1:
+            raise ConfigError(f"sampler.noise_start_frac = {self.noise_start_frac} leaves no noisy "
+                              f"step in a cycle of sampler.cycle_len = {self.cycle_len}: "
+                              f"{self.kind} would run as snap_sgd")
         if self.prior_std <= 0:
             raise ConfigError("sampler.prior_std must be positive")
         if self.batch < 1:

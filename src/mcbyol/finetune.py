@@ -1,9 +1,9 @@
 """Semi-supervised fine-tuning of posterior snapshots into classifiers.
 
-Every snapshot gets an encoder copy and a fresh linear head, trained on a
-stratified labeled subset by SGD with Nesterov momentum in lookahead form
-and no augmentation; each has its own seed for the head init and the
-minibatch order.  The stored snapshots are never mutated.  One finetune()
+Every snapshot gets a fresh linear head, over its own encoder or a copy
+trained with it, fit on a stratified labeled subset by SGD with Nesterov
+momentum in lookahead form, no augmentation, and its own seed for the head
+init and the minibatch order.  The snapshots are never mutated.  One finetune()
 call fits all snapshots of a (seed, label fraction) group.  Linear
 evaluation fits the group as one stacked (S, D, C) problem without a tape:
 the head gradient on the frozen features has a closed form.  Each
@@ -105,12 +105,12 @@ def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FinetuneSect
              seeds: list[int], model: ModelSection, num_classes: int
              ) -> list[tuple[ParamVector, ParamVector, list[float]]]:
     """Fine-tunes each snapshot with its own seed (head init and minibatch
-    order) and returns one (encoder copy, trained head, per-epoch loss log)
-    per snapshot, in order.  Labels must lie in [0, num_classes).  The head
-    is a ParamVector: weight (embed_dim, num_classes), bias (num_classes,).
+    order) and returns one (encoder, trained head, per-epoch loss log) per
+    snapshot, in order.  Labels must lie in [0, num_classes).  The head is a
+    ParamVector: weight (embed_dim, num_classes), bias (num_classes,).
 
-    freeze_encoder trains the heads only (linear evaluation) as one stacked
-    problem: every snapshot's features are computed once into (S, N, D),
+    freeze_encoder trains the heads only, over the snapshots' own encoders,
+    as one stacked problem: every snapshot's features go once into (S, N, D),
     the S heads live as rows of one (S, P) array, and each minibatch
     position takes every head's gradient in one batched call of _head_grad,
     without a tape.  Otherwise each encoder copy is updated jointly with
@@ -124,7 +124,8 @@ def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FinetuneSect
     if len(seeds) != len(snapshots):
         raise ContractError(f"finetune: {len(snapshots)} snapshots but {len(seeds)} seeds")
 
-    encoders = [snap.encoder_params.copy() for snap in snapshots]
+    encoders = [snap.encoder_params if cfg.freeze_encoder else snap.encoder_params.copy()
+                for snap in snapshots]
     heads = [_init_head(model.embed_dim, num_classes,
                         np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 5]))))
              for seed in seeds]
@@ -134,8 +135,6 @@ def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FinetuneSect
     else:
         logs = [_fit_jointly(encoder, head, x_all, y_all, cfg, seed, act)
                 for encoder, head, seed in zip(encoders, heads, seeds)]
-    for encoder in encoders:
-        encoder.set_requires_grad(False)
     return list(zip(encoders, heads, logs))
 
 
@@ -187,5 +186,6 @@ def _fit_jointly(encoder, head, x_all, y_all, cfg, seed, activation) -> list[flo
         return _mean_ce((z @ head["weight"].values + head["bias"].values)[None], y_all)
 
     _, (log,) = _nesterov(group.flatten()[None], [seed], len(y_all), cfg, grad_at, epoch_loss)
+    encoder.set_requires_grad(False)
     return log
 

@@ -5,7 +5,7 @@ run (and re-run) independently:
 
     ensemble_seed<N>.ckpt          posterior snapshots, one file per seed
     pretrain_log_seed<N>.tsv       step, lr, loss, noise_active
-    member_seed<N>_f<F>_snap<S>.ckpt   fine-tuned encoder + head
+    member_seed<N>_f<F>_snap<S>.ckpt   fine-tuned head + its snapshot's CRC (or trained encoder)
     finetune_log_seed<N>_f<F>.tsv  snapshot, epoch, loss
     eval_results.tsv / ood_results.tsv / *_hist_*.tsv
 
@@ -40,9 +40,8 @@ from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
                       write_histogram, write_table)
 from .model import ema_update, init_twin, mlp_arrays
 from .params import ParamVector
-from .posterior import (PosteriorEnsemble, bma_predict, collect, ensemble_size, load_ensemble,
-                        load_member, predictive_entropy, recent_mean, save_ensemble,
-                        save_member)
+from .posterior import (PosteriorEnsemble, bma_predict, collect, load_ensemble, load_member,
+                        predictive_entropy, recent_mean, save_ensemble, save_member)
 from .sampler import (cyclic_lr, diverged, divergence_error, make_state, noise_active,
                       posterior_grad, sghmc_step, sgld_step, should_yield)
 
@@ -95,13 +94,15 @@ def ensemble_path(out_dir: str, seed: int) -> str:
     return os.path.join(out_dir, f"ensemble_seed{seed}.ckpt")
 
 
-def _pretrained_ensemble(out_dir: str, seed: int) -> str:
-    """The seed's ensemble path, or a CheckpointError where pretrain wrote
-    none."""
+def _pretrained_ensemble(out_dir: str, seed: int) -> PosteriorEnsemble:
+    """The seed's ensemble; a CheckpointError if it is missing or holds no snapshot."""
     path = ensemble_path(out_dir, seed)
     if not os.path.exists(path):
         raise CheckpointError(f"missing ensemble checkpoint: {path}")
-    return path
+    ensemble = load_ensemble(path)
+    if not ensemble.size:
+        raise CheckpointError(f"{path}: the ensemble has no snapshots")
+    return ensemble
 
 
 def member_path(out_dir: str, seed: int, frac: float, snap: int) -> str:
@@ -194,7 +195,7 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
     other (helper.run_split).  Each process writes only its own fractions'
     members and logs."""
     _, train, _, _ = make_datasets(cfg)
-    ensemble = load_ensemble(_pretrained_ensemble(out_dir, seed))
+    ensemble = _pretrained_ensemble(out_dir, seed)
     f = cfg.finetune
     digest = cfg.digest()
     subsets = [subset_labels(train, frac, seed=cfg.data.seed + seed)
@@ -227,24 +228,15 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
                         fit, mine, theirs)
 
 
-def _ensemble_sizes(cfg: cfgmod.RunConfig, out_dir: str) -> dict[int, int]:
-    """Each seed's snapshot count, which must not be 0."""
-    sizes = {seed: ensemble_size(_pretrained_ensemble(out_dir, seed)) for seed in cfg.run.seeds}
-    for seed, size in sizes.items():
-        if not size:
-            raise CheckpointError(f"{ensemble_path(out_dir, seed)}: the ensemble has no snapshots")
-    return sizes
-
-
-def _sweep(out_dir: str, seed: int, fracs: list[float], size: int, xs: list[np.ndarray],
+def _sweep(out_dir: str, seed: int, fracs: list[float], xs: list[np.ndarray],
            model: cfgmod.ModelSection):
     """Yields (frac, k, [BMA of the k most recent members on x for each x in
-    xs]) for each fraction in fracs and k = 1..size, fraction by fraction.
-    Loads every member once.  Members of one snapshot whose encoders are
-    byte-equal (all of them under linear evaluation) form a group, whose
-    heads are stacked as weight (G, D, C) and bias (G, 1, C): one
-    bma_predict call per group and input runs the encoder once and gives
-    each member's softmax, bit for bit as a call of its own.
+    xs]) for each fraction in fracs and k = 1..size (the seed's snapshot
+    count), fraction by fraction, loading the ensemble and each member once.
+    Members of one snapshot that share its encoder object (all under linear
+    evaluation) form a group, whose heads are stacked as weight (G, D, C)
+    and bias (G, 1, C): one bma_predict call per group and input runs the
+    encoder once and gives each member's softmax, bit for bit as its own.
 
     This process does so for snapshots 0 .. ceil(size/2) - 1 and a forked
     child for the rest (helper.run_split), each into one shared mmap per
@@ -255,7 +247,7 @@ def _sweep(out_dir: str, seed: int, fracs: list[float], size: int, xs: list[np.n
         path = member_path(out_dir, seed, fracs[i], s)
         if not os.path.exists(path):
             raise CheckpointError(f"missing member checkpoint: {path}")
-        encoder, head, _ = load_member(path)
+        encoder, head, _ = load_member(path, ensemble)
         if (s, i) != (0, 0) and not encoder.same_layout(first[0]):  # the buffers' layout
             raise CheckpointError(f"{path}: its encoder is laid out unlike the first member's")
         if (s, i) != (0, 0) and head["bias"].size != classes:
@@ -263,6 +255,8 @@ def _sweep(out_dir: str, seed: int, fracs: list[float], size: int, xs: list[np.n
                                   f"{member_path(out_dir, seed, fracs[0], 0)}'s has {classes}")
         return encoder, head
 
+    ensemble = _pretrained_ensemble(out_dir, seed)
+    size = ensemble.size
     first = load(0, 0)
     classes = first[1]["bias"].size
     probs = [np.ndarray((size, len(fracs), len(x), classes),
@@ -272,9 +266,9 @@ def _sweep(out_dir: str, seed: int, fracs: list[float], size: int, xs: list[np.n
         buffers: dict[int, list[np.ndarray]] = {}  # layer outputs by row count
         for s in snapshots:
             members = [first if s == i == 0 else load(s, i) for i in range(len(fracs))]
-            by_encoder: dict[bytes, list[int]] = {}
+            by_encoder: dict[int, list[int]] = {}
             for i, (encoder, _) in enumerate(members):
-                by_encoder.setdefault(encoder.flatten().tobytes(), []).append(i)
+                by_encoder.setdefault(id(encoder), []).append(i)
             for idx in by_encoder.values():
                 encoder, heads = members[idx[0]][0], [members[i][1] for i in idx]
                 head = ParamVector({
@@ -300,12 +294,11 @@ def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     per seed covers every label fraction, and each (fraction, k) cell
     collects its values in seed order."""
     _, _, test, _ = make_datasets(cfg)
-    sizes = _ensemble_sizes(cfg, out_dir)
     digest = cfg.digest()
     fracs = cfg.finetune.label_fractions
     per_cell: dict[tuple[float, int], list[tuple[float, float]]] = {}
     for seed in cfg.run.seeds:
-        for frac, k, (probs,) in _sweep(out_dir, seed, fracs, sizes[seed], [test.x], cfg.model):
+        for frac, k, (probs,) in _sweep(out_dir, seed, fracs, [test.x], cfg.model):
             per_cell.setdefault((frac, k), []).append((accuracy(probs, test.y),
                                                        nll(probs, test.y)))
     rows: list[tuple] = []
@@ -333,7 +326,6 @@ def run_ood(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     """Entropy histograms plus an NLL/AUROC table (OOD scored positive),
     swept over ensemble sizes, using the largest label fraction's members."""
     _, _, test, ood = make_datasets(cfg)
-    sizes = _ensemble_sizes(cfg, out_dir)
     frac = max(cfg.finetune.label_fractions)
     digest = cfg.digest()
     kind, score = cfg.sampler.kind, cfg.eval.score
@@ -341,7 +333,7 @@ def run_ood(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
 
     per_k: dict[int, dict[str, list]] = {}
     for seed in cfg.run.seeds:
-        sweep = _sweep(out_dir, seed, [frac], sizes[seed], [test.x, ood.x], cfg.model)
+        sweep = _sweep(out_dir, seed, [frac], [test.x, ood.x], cfg.model)
         for _, k, (p_test, p_ood) in sweep:
             h_test, h_ood = predictive_entropy(p_test), predictive_entropy(p_ood)
             cell = per_k.setdefault(k, {"nll": [], "auroc": [], "h_test": [], "h_ood": []})

@@ -1,8 +1,8 @@
 """Posterior snapshot collection, marginalized prediction, and checkpoint IO.
 
 This module writes and reads every checkpoint: the per-seed ensembles of
-snapshots and the fine-tuned members (an encoder and a linear head, both
-ParamVectors).  Checkpoint container layout (little-endian):
+snapshots and the fine-tuned members (a linear head, and a trained encoder
+or a frozen one's CRC).  Checkpoint container layout (little-endian):
 
     magic  b"MCPV" | version u32 | header_len u32 | header JSON (UTF-8)
     payload float64 array | crc32 u32 over everything before it
@@ -10,7 +10,8 @@ ParamVectors).  Checkpoint container layout (little-endian):
 The JSON header is the human-auditable metadata block: container kind,
 run metadata, and one block per stored parameter vector with its segment
 table (name, element offset, shape).  Loads are bit-exact; corruption
-surfaces as a checksum, truncation, or version error, never silently.
+surfaces as a checksum, truncation, or version error, never silently,
+and a missing block or key as a CheckpointError.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,7 @@ class Snapshot:
 class PosteriorEnsemble:
     snapshots: list[Snapshot] = field(default_factory=list)
     run_meta: dict = field(default_factory=dict)
+    path: str = ""  # the file load_ensemble read it from
 
     @property
     def size(self) -> int:
@@ -247,6 +250,19 @@ def _pv_from_payload(segments: list, payload: np.ndarray) -> ParamVector:
     return ParamVector(tensors)
 
 
+@contextmanager
+def _complete(path, kind: str):
+    """A block or key missing from the container at path is a CheckpointError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: the {kind} file has no {exc}") from exc
+
+
+def _crc(encoder: ParamVector) -> int:
+    return zlib.crc32(encoder.flatten().astype("<f8"))  # of its little-endian float64 bytes
+
+
 def save_ensemble(ensemble: PosteriorEnsemble, path) -> None:
     blocks = []
     for i, snap in enumerate(ensemble.snapshots):
@@ -260,30 +276,35 @@ def save_ensemble(ensemble: PosteriorEnsemble, path) -> None:
 def load_ensemble(path) -> PosteriorEnsemble:
     header, payload = read_container(path, expect_kind="ensemble")
     snapshots = []
-    for block in header["blocks"]:
-        meta = block["meta"]
-        snapshots.append(Snapshot(
-            encoder_params=_pv_from_payload(block["segments"], payload),
-            step=int(meta["step"]), cycle=int(meta["cycle"]),
-            pretrain_loss=float(meta["pretrain_loss"]),
-            sampler_kind=str(meta["sampler_kind"])))
-    return PosteriorEnsemble(snapshots=snapshots, run_meta=header["meta"])
-
-
-def ensemble_size(path) -> int:
-    """The number of snapshots in the ensemble file at path, one per block."""
-    header, _ = read_container(path, expect_kind="ensemble")
-    return len(header["blocks"])
+    with _complete(path, "ensemble"):
+        for block in header["blocks"]:
+            meta = block["meta"]
+            snapshots.append(Snapshot(
+                encoder_params=_pv_from_payload(block["segments"], payload),
+                step=int(meta["step"]), cycle=int(meta["cycle"]),
+                pretrain_loss=float(meta["pretrain_loss"]),
+                sampler_kind=str(meta["sampler_kind"])))
+        return PosteriorEnsemble(snapshots=snapshots, run_meta=header["meta"], path=str(path))
 
 
 def save_member(path, encoder: ParamVector, head: ParamVector, meta: dict) -> None:
-    """A fine-tuned member: its encoder and its head (segments weight, bias)."""
-    write_container(path, "member", meta, [("encoder", {}, encoder), ("head", {}, head)])
+    """A fine-tuned member; a frozen encoder (meta freeze_encoder) is stored as its CRC-32."""
+    frozen = meta.get("freeze_encoder")
+    stored = ({"crc": _crc(encoder)}, ParamVector({})) if frozen else ({}, encoder)
+    write_container(path, "member", meta, [("encoder", *stored), ("head", {}, head)])
 
 
-def load_member(path) -> tuple[ParamVector, ParamVector, dict]:
-    """(encoder, head, meta), as save_member wrote them."""
+def load_member(path, ensemble: PosteriorEnsemble) -> tuple[ParamVector, ParamVector, dict]:
+    """(encoder, head, meta); a frozen encoder is its snapshot's own in ensemble."""
     header, payload = read_container(path, expect_kind="member")
-    blocks = {b["name"]: b for b in header["blocks"]}
-    return (_pv_from_payload(blocks["encoder"]["segments"], payload),
-            _pv_from_payload(blocks["head"]["segments"], payload), header["meta"])
+    with _complete(path, "member"):
+        blocks, meta = {b["name"]: b for b in header["blocks"]}, header["meta"]
+        head = _pv_from_payload(blocks["head"]["segments"], payload)
+        encoder = _pv_from_payload(blocks["encoder"]["segments"], payload)
+        if encoder.names:  # trained, or frozen but stored whole by an earlier version
+            return encoder, head, meta
+        s, crc = meta["snapshot"], blocks["encoder"]["meta"]["crc"]
+    snaps = ensemble.snapshots
+    if not (type(s) is int and 0 <= s < len(snaps)) or _crc(snaps[s].encoder_params) != crc:
+        raise CheckpointError(f"{path}: stale, not fitted on snapshot {s} of {ensemble.path}")
+    return snaps[s].encoder_params, head, meta

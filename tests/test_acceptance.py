@@ -23,8 +23,8 @@ from mcbyol.diagnostics import QuadraticTarget, run_chain
 from mcbyol.metrics import accuracy, auroc, nll
 from mcbyol.model import byol_loss_symmetrized, init_twin
 from mcbyol.params import ParamVector
-from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect, load_member,
-                              predictive_entropy, recent_mean)
+from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect, load_ensemble,
+                              load_member, predictive_entropy, recent_mean)
 from mcbyol.sampler import (cyclic_lr, make_state, noise_active, sghmc_step, sgld_step,
                             should_yield)
 
@@ -250,7 +250,7 @@ def test_criterion_08_ood_uncertainty_directional(toy_runs):
 
 GOLDEN_SHA256 = {
     "ensemble_seed0.ckpt": "1d03379763c8eeab74df90ecaa148950431bc262c430c528e23fb4baaab0ead4",
-    "member_seed0_f1_snap3.ckpt": "a080dbaf79291606cd1ab48fdc1d828db563afb7084e8f77dfb4165c5134860f",
+    "member_seed0_f1_snap3.ckpt": "008ad5a3b7d4afec701435bb97a03a874dc219fa794ccc17bb6113ce50be1a2f",
     "finetune_log_seed0_f0p1.tsv": "ab12c16ae24860aa51265b0491898a62706fd3e04849a5581332c156ba620c47",
     "eval_results.tsv": "ffb72107fb8798c6bd373096e46bb971849a3f16629d4b266e9f9eccd22b9cfb",
     "ood_results.tsv": "7332aecf1b5efc1ac039f17317a56f24ea81c583b3e936e3435a1f1df8477c66",
@@ -359,7 +359,9 @@ def test_max_prob_ood_auroc_equals_member_recomputation(tmp_path):
     frac = max(cfg.finetune.label_fractions)
     by_score: dict[str, dict[int, list[float]]] = {"max_prob": {}, "entropy": {}}
     for seed in cfg.run.seeds:
-        members = [load_member(pipeline.member_path(out, seed, frac, s))[:2] for s in range(2)]
+        ensemble = load_ensemble(pipeline.ensemble_path(out, seed))
+        members = [load_member(pipeline.member_path(out, seed, frac, s), ensemble)[:2]
+                   for s in range(2)]
         for k in (1, 2):
             p_test = bma_predict(members, test.x, arch, count=k)
             p_ood = bma_predict(members, ood.x, arch, count=k)
@@ -375,11 +377,13 @@ def test_max_prob_ood_auroc_equals_member_recomputation(tmp_path):
     assert sha256_of(out, "ood_results.tsv") == MAX_PROB_OOD_SHA256
 
 
-def per_member_sweep(out_dir, seed, fracs, size, xs, model):
+def per_member_sweep(out_dir, seed, fracs, xs, model):
     """Reference for pipeline._sweep: each (seed, fraction) group on its own,
     one bma_predict call per member and input, combined by recent_mean."""
+    ensemble = load_ensemble(pipeline.ensemble_path(out_dir, seed))
+    size = ensemble.size
     for frac in fracs:
-        members = [load_member(pipeline.member_path(out_dir, seed, frac, s))[:2]
+        members = [load_member(pipeline.member_path(out_dir, seed, frac, s), ensemble)[:2]
                    for s in range(size)]
         member_probs = [[bma_predict(members[i:i + 1], x, model) for i in range(size)]
                         for x in xs]

@@ -3,10 +3,12 @@
 a traced sample-diag run counts every sampler step, that a traced pipeline run
 counts every stacked minibatch position of finetune and one encoder forward
 per snapshot and input in eval and ood, and that traced runs write the same
-bytes as untraced ones.  The tracer sees only its own process's calls, so
+bytes as untraced ones, and that the benchmark's own output checks pass on
+the tiny pipeline's outputs.  The tracer sees only its own process's calls, so
 the traced runs fix the CPU count that the forks of run_finetune and of
 eval's and ood's sweep read."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -186,3 +188,35 @@ def test_traced_forked_finetune_counts_the_parents_share_and_keeps_bytes(tiny_ru
     assert sorted(p.name for p in traced.iterdir()) == names
     for name in names:
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def bench_child():
+    """bench/child.py as a module, for its output checks."""
+    spec = importlib.util.spec_from_file_location("bench_child", ROOT / "bench" / "child.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("freeze", ["true", "false"])
+def test_the_benchmarks_output_checks_pass_on_the_tiny_pipeline(tiny_runs, tmp_path_factory,
+                                                                 freeze):
+    # the checks the benchmark runs on every stage call's outputs: a change
+    # of a checkpoint's kind or block count, or of a table's rows, fails here
+    cfg, out = tiny_runs[0], tiny_runs[1]
+    if freeze == "false":
+        cfg = config.parse(TINY_PIPELINE.replace("[finetune]", "[finetune]\nfreeze_encoder = false"))
+        out = tmp_path_factory.mktemp("joint")
+        for seed in cfg.run.seeds:
+            pipeline.run_pretrain(cfg, seed, str(out))
+            pipeline.run_finetune(cfg, seed, str(out))
+        pipeline.run_eval(cfg, str(out))
+        pipeline.run_ood(cfg, str(out))
+    assert cfg.finetune.freeze_encoder == (freeze == "true")
+    child = bench_child()
+    checks = child.Checks()
+    calls = [(stage, seed) for stage in ("pretrain", "finetune") for seed in cfg.run.seeds]
+    for stage, seed in calls + [("eval", None), ("ood", None)]:
+        child.pipeline_check(stage, seed, cfg, out, checks)
+    assert checks.problems == []
+    assert child.pipeline_quality(out, cfg)["bma_accuracy"] > 0

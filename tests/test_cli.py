@@ -172,19 +172,23 @@ def test_eval_loads_each_ensemble_once(tmp_path, monkeypatch):
 
 
 def test_frozen_finetune_member_encoder_equals_snapshot(tmp_path):
-    # default finetune mode is linear evaluation, so the stored member
-    # encoder must be byte-identical to the pretraining snapshot
-    from mcbyol.posterior import load_ensemble, load_member
+    # default finetune mode is linear evaluation, so a member stores no
+    # encoder: it loads as the pretraining snapshot's own
+    from mcbyol.posterior import load_ensemble, load_member, read_container
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "out")
     assert cli.main(["pretrain", "--config", cfg_path, "--out", out]) == 0
     assert cli.main(["finetune", "--config", cfg_path, "--out", out]) == 0
     ens = load_ensemble(os.path.join(out, "ensemble_seed0.ckpt"))
     for snap_idx in range(ens.size):
-        enc, _, meta = load_member(os.path.join(out, f"member_seed0_f1_snap{snap_idx}.ckpt"))
+        path = os.path.join(out, f"member_seed0_f1_snap{snap_idx}.ckpt")
+        enc, head, meta = load_member(path, ens)
         assert meta["freeze_encoder"] is True
-        assert np.array_equal(enc.flatten(),
-                              ens.snapshots[snap_idx].encoder_params.flatten())
+        assert enc is ens.snapshots[snap_idx].encoder_params
+        header, payload = read_container(path)
+        assert [(b["name"], bool(b["segments"])) for b in header["blocks"]] == \
+            [("encoder", False), ("head", True)]
+        assert np.array_equal(payload, head.flatten())  # the head alone
 
 
 def test_datasets_loadable_from_files(tmp_path):
@@ -507,6 +511,25 @@ def test_a_seed_never_pretrained_names_its_missing_ensemble(tmp_path, capsys, co
     assert cli.main([command, "--config", cfg_path, "--out", str(out), "--seed", "7"]) == 4
     assert capsys.readouterr().err.strip() == \
         f"i/o error: missing ensemble checkpoint: {out / 'ensemble_seed7.ckpt'}"
+
+
+@pytest.mark.parametrize("command", ["eval", "ood"])
+def test_members_of_an_earlier_pretrain_are_an_io_error_naming_both_files(tmp_path, capsys,
+                                                                         command):
+    # pretrain is re-run under another config, finetune is not: the frozen
+    # members' heads were fitted on the old snapshots
+    out = tmp_path / "o"
+    first, second = write_config(tmp_path), str(tmp_path / "second.cfg")
+    Path(second).write_text(TINY_CONFIG.replace("lr0 = 0.0005", "lr0 = 0.001"))
+    for cmd, cfg_path in (("pretrain", first), ("finetune", first), ("pretrain", second)):
+        assert cli.main([cmd, "--config", cfg_path, "--out", str(out), "--seed", "0"]) == 0
+    capsys.readouterr()
+    for cfg_path in (first, second):
+        assert cli.main([command, "--config", cfg_path, "--out", str(out), "--seed", "0"]) == 4
+        member, ensemble = out / "member_seed0_f1_snap0.ckpt", out / "ensemble_seed0.ckpt"
+        assert capsys.readouterr().err == (
+            f"i/o error: {member}: stale, not fitted on snapshot 0 of {ensemble}\n")
+    assert not list(out.glob(f"{command}_results.tsv"))
 
 
 def test_exit_code_divergence(tmp_path, monkeypatch):

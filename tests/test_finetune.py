@@ -339,8 +339,21 @@ def test_member_roundtrip(tmp_path):
     head = head_of(rng.normal(size=(3, 4)), rng.normal(size=(4,)))
     path = tmp_path / "member.ckpt"
     save_member(path, snap.encoder_params, head, {"seed": 1, "label_fraction": 0.5})
-    enc2, head2, meta = load_member(path)
+    enc2, head2, meta = load_member(path, PosteriorEnsemble())  # a stored encoder
     assert np.array_equal(enc2.flatten(), snap.encoder_params.flatten())
     assert np.array_equal(head2["weight"].values, head["weight"].values)
     assert np.array_equal(head2["bias"].values, head["bias"].values)
     assert meta["label_fraction"] == 0.5
+
+
+def test_frozen_member_roundtrip_resolves_its_snapshot(tmp_path):
+    rng = np.random.default_rng(4)
+    ensemble = PosteriorEnsemble(snapshots=[snapshot_for(7), snapshot_for(8)], path="ens.ckpt")
+    head = head_of(rng.normal(size=(3, 4)), rng.normal(size=(4,)))
+    path = tmp_path / "member.ckpt"
+    meta = {"seed": 1, "snapshot": 1, "freeze_encoder": True}
+    save_member(path, ensemble.snapshots[1].encoder_params, head, meta)
+    enc2, head2, meta2 = load_member(path, ensemble)
+    assert enc2 is ensemble.snapshots[1].encoder_params
+    assert np.array_equal(head2.flatten(), head.flatten())
+    assert meta2 == meta

@@ -17,6 +17,7 @@ from test_helper import assert_no_child_process
 from mcbyol import cli, config, helper, pipeline
 from mcbyol.errors import (CheckpointError, DataError, DivergenceError, HelperError,
                            NumericError)
+from mcbyol.posterior import PosteriorEnsemble, save_ensemble
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -214,6 +215,21 @@ except ChildProcessError:
     left = False
 print(json.dumps({"rc": rc, "left": left}))
 """
+
+
+def test_an_ensemble_without_snapshots_is_refused_before_any_fork(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    path = pipeline.ensemble_path(str(out), 0)
+    save_ensemble(PosteriorEnsemble(), path)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(RUN.format(freeze="true", fractions="1.0,0.25,0.1"))
+    forked = counting_children(monkeypatch, 2)
+    assert cli.main(["finetune", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_IO
+    assert forked == []
+    assert_no_child_process()
+    assert capsys.readouterr().err == f"i/o error: {path}: the ensemble has no snapshots\n"
+    assert sorted(p.name for p in out.iterdir()) == ["ensemble_seed0.ckpt"]
 
 
 def test_a_killed_child_stops_finetune_with_exit_code_5(tmp_path, ensemble_file):

@@ -354,7 +354,7 @@ def test_prefetching_runs_write_the_same_bytes_either_way(tmp_path, monkeypatch,
                                                           total_steps, batch):
     text = (RUN.format(**VARIANTS["csghmc"])
             .replace("total_steps = 30", f"total_steps = {total_steps}")
-            .replace("batch = 32", f"batch = {batch}").replace("cycle_len = 10", "cycle_len = 1"))
+            .replace("batch = 32", f"batch = {batch}").replace("cycle_len = 10", "cycle_len = 1\nnoise_start_frac = 0.0"))
     log = pretrain_both_ways(tmp_path, monkeypatch, config.parse(text))["pretrain_log_seed0.tsv"]
     assert len(log.decode().splitlines()) == 1 + total_steps
 

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from mcbyol.model import byol_loss_one_direction, init_twin, mlp_forward_np
 from mcbyol.params import ParamVector
 from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect,
                               load_ensemble, load_member, predictive_entropy, read_container,
-                              recent_mean, save_ensemble, save_member, softmax)
+                              recent_mean, save_ensemble, save_member, softmax,
+                              write_container)
 
 TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
 
@@ -320,17 +323,20 @@ def test_truncated_file_raises_truncation_error(tmp_path):
 
 
 def write_checkpoint(kind, path):
-    """An ensemble or member file, as the pipeline writes them; returns its loader."""
+    """An ensemble file, or a member file with its encoder (jointly
+    fine-tuned) or without (frozen), as the pipeline writes them; returns
+    its loader."""
     if kind == "ensemble":
         save_ensemble(make_ensemble(2), path)
         return load_ensemble
     ens = make_ensemble(1)
     save_member(path, ens.snapshots[0].encoder_params, random_head(np.random.default_rng(0)),
-                {"seed": 0, "label_fraction": 0.5, "snapshot": 0})
-    return load_member
+                {"seed": 0, "label_fraction": 0.5, "snapshot": 0,
+                 "freeze_encoder": kind == "frozen_member"})
+    return lambda p: load_member(p, ens)
 
 
-@pytest.mark.parametrize("kind", ["ensemble", "member"])
+@pytest.mark.parametrize("kind", ["ensemble", "member", "frozen_member"])
 def test_every_header_byte_flip_raises_a_checkpoint_error(tmp_path, kind):
     # the header sizes the payload and so locates the CRC: a flip that
     # breaks its structure (say "segments" -> "segmdnts") must still read
@@ -349,6 +355,66 @@ def test_every_header_byte_flip_raises_a_checkpoint_error(tmp_path, kind):
                 read_container(path)
             with pytest.raises(CheckpointError):
                 load(path)
+
+
+def test_a_frozen_member_loads_as_its_snapshots_own_encoder(tmp_path):
+    ens = make_ensemble(3)
+    path = tmp_path / "member.ckpt"
+    head = random_head(np.random.default_rng(0))
+    meta = {"seed": 0, "snapshot": 2, "freeze_encoder": True}
+    save_member(path, ens.snapshots[2].encoder_params, head, meta)
+    header, payload = read_container(path, expect_kind="member")
+    encoder_bytes = ens.snapshots[2].encoder_params.flatten().astype("<f8").tobytes()
+    assert header["blocks"][0] == {"name": "encoder", "segments": [],
+                                   "meta": {"crc": zlib.crc32(encoder_bytes)}}
+    assert np.array_equal(payload, head.flatten())
+    encoder, loaded, loaded_meta = load_member(path, ens)
+    assert encoder is ens.snapshots[2].encoder_params
+    assert np.array_equal(loaded.flatten(), head.flatten()) and loaded_meta == meta
+
+
+@pytest.mark.parametrize("snapshot", [0, 1, 5, -1])
+def test_a_frozen_member_of_another_encoder_names_both_files(tmp_path, snapshot):
+    """Members fitted on one pretrain run do not load against the snapshots
+    of another (or a snapshot index the ensemble lacks)."""
+    ens_path, path = tmp_path / "ens.ckpt", tmp_path / "member.ckpt"
+    save_ensemble(make_ensemble(2, seed=1), ens_path)
+    other = load_ensemble(ens_path)
+    save_member(path, make_ensemble(2).snapshots[1].encoder_params,
+                random_head(np.random.default_rng(0)),
+                {"seed": 0, "snapshot": snapshot, "freeze_encoder": True})
+    with pytest.raises(CheckpointError) as err:
+        load_member(path, other)
+    assert str(err.value).startswith(f"{path}: ") and str(ens_path) in str(err.value)
+
+
+SNAPSHOT_META = {"step": 49, "cycle": 0, "pretrain_loss": 0.5, "sampler_kind": "csghmc"}
+FROZEN = {"seed": 0, "snapshot": 0, "freeze_encoder": True}
+
+
+@pytest.mark.parametrize("kind,meta,blocks,missing", [
+    ("member", FROZEN, ["head"], "encoder"),
+    ("member", FROZEN, ["encoder_ref"], "head"),
+    ("member", FROZEN, ["encoder_ref_without_crc", "head"], "crc"),
+    ("member", {"seed": 0}, ["encoder_ref", "head"], "snapshot"),
+    ("ensemble", {}, ["snapshot_without_cycle"], "cycle"),
+], ids=["no_encoder_block", "no_head_block", "no_crc", "no_snapshot", "no_cycle"])
+def test_a_file_missing_a_block_or_key_of_its_kind_is_a_checkpoint_error(tmp_path, kind, meta,
+                                                                         blocks, missing):
+    """A sound container that lacks what its kind's loader reads."""
+    ens = make_ensemble(1)
+    encoder, empty = ens.snapshots[0].encoder_params, ParamVector({})
+    made = {"head": ("head", {}, random_head(np.random.default_rng(0))),
+            "encoder_ref": ("encoder", {"crc": 0}, empty),
+            "encoder_ref_without_crc": ("encoder", {}, empty),
+            "snapshot_without_cycle": ("snapshot0", {k: v for k, v in SNAPSHOT_META.items()
+                                                     if k != "cycle"}, encoder)}
+    path = tmp_path / f"{kind}.ckpt"
+    write_container(path, kind, meta, [made[b] for b in blocks])
+    read_container(path, expect_kind=kind)  # passes its CRC
+    with pytest.raises(CheckpointError) as err:
+        load_member(path, ens) if kind == "member" else load_ensemble(path)
+    assert str(err.value) == f"{path}: the {kind} file has no '{missing}'"
 
 
 def test_bad_magic_and_version_raise_version_error(tmp_path):

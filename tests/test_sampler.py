@@ -72,7 +72,7 @@ def test_lr_out_of_range_rejected():
 
 
 def test_cycle_len_one_gives_constant_schedule():
-    cfg = cfg_for(cycle_len=1)
+    cfg = cfg_for(cycle_len=1, noise_start_frac=0.0)
     assert all(cyclic_lr(cfg, k) == pytest.approx(0.2, abs=1e-15) for k in range(20))
 
 
@@ -115,8 +115,15 @@ def test_noiseless_kinds_never_inject():
 def test_noise_start_frac_bounds():
     cfg_on = cfg_for(noise_start_frac=0.0)
     assert all(noise_active(cfg_on, k) for k in range(200))
-    cfg_off = cfg_for(noise_start_frac=1.0)
-    assert not any(noise_active(cfg_off, k) for k in range(200))
+    # the latest start leaves one noisy step, the last of each cycle
+    cfg_last = cfg_for(noise_start_frac=49 / 50)
+    assert [k for k in range(200) if noise_active(cfg_last, k)] == [49, 99, 149, 199]
+    # a later one leaves none, so csghmc would run as snap_sgd under its own name
+    for frac, cycle_len in ((1.0, 50), (0.99, 50), (0.8, 1), (0.6, 2)):
+        with pytest.raises(ConfigError, match="leaves no noisy step"):
+            cfg_for(noise_start_frac=frac, cycle_len=cycle_len)
+    assert cfg_for(noise_start_frac=0.5, cycle_len=2).noise_start_frac == 0.5
+    assert cfg_for(kind="snap_sgd", noise_start_frac=1.0, cycle_len=1).cycle_len == 1
 
 
 def test_should_yield_cycle_end():
@@ -311,8 +318,8 @@ def test_sghmc_beta_zero_equals_sgld_bitwise():
         assert np.array_equal(p_l, p_h)
 
 
-def test_noiseless_csghmc_beta_zero_is_gradient_descent():
-    cfg = cfg_for(kind="csghmc", beta=0.0, cycle_len=1, noise_start_frac=1.0, total_steps=100)
+def test_noiseless_snap_sgd_beta_zero_is_gradient_descent():
+    cfg = cfg_for(kind="snap_sgd", beta=0.0, cycle_len=1, total_steps=100)
     state = make_state(1, 0)
     theta = np.array([1.0])
     for k in range(100):

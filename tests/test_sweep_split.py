@@ -22,7 +22,8 @@ from mcbyol import cli, config, model, pipeline
 from mcbyol.autodiff import Tensor
 from mcbyol.errors import CheckpointError, HelperError
 from mcbyol.params import ParamVector
-from mcbyol.posterior import PosteriorEnsemble, load_member, save_ensemble, save_member
+from mcbyol.posterior import (PosteriorEnsemble, load_ensemble, load_member, save_ensemble,
+                              save_member, write_container)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -138,6 +139,31 @@ def test_every_forward_of_a_sweep_reuses_its_layer_buffers(tmp_path, monkeypatch
             assert all(len(arrays) == 1 for arrays in by_pid.values())
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_members_that_store_their_frozen_encoder_give_the_same_tables(tmp_path, monkeypatch,
+                                                                      finetuned, cpus):
+    """Member files written before linear-evaluation members referred to
+    their snapshot, each with a copy of its encoder, still load, and eval
+    and ood write the same tables from them."""
+    cfg_path, out = copy_run(tmp_path, finetuned, "o")
+    cfg = config.load(str(cfg_path))
+    counting_children(monkeypatch, cpus)
+    written = []
+    for rewrite in (False, True):
+        if rewrite:
+            ensemble = load_ensemble(pipeline.ensemble_path(str(out), 0))
+            for path in out.glob("member_*.ckpt"):
+                encoder, head, meta = load_member(str(path), ensemble)
+                write_container(path, "member", meta, [("encoder", {}, encoder),
+                                                       ("head", {}, head)])
+                assert path.stat().st_size > 8 * encoder.total_dim
+        pipeline.run_eval(cfg, str(out))
+        pipeline.run_ood(cfg, str(out))
+        assert_no_child_process()
+        written.append({name: (out / name).read_bytes() for name in TABLES.values()})
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("stage", STAGES)
 def test_a_member_missing_from_the_childs_half_is_an_io_error(tmp_path, monkeypatch, capsys,
                                                               finetuned, stage):
@@ -160,12 +186,13 @@ def test_a_member_missing_from_the_childs_half_is_an_io_error(tmp_path, monkeypa
 @pytest.mark.parametrize("snapshot", [1, 2])  # this process's half, the child's
 def test_a_member_laid_out_unlike_the_first_is_an_io_error(tmp_path, monkeypatch, finetuned,
                                                            snapshot, part):
-    """A head with another class count, or an encoder with another hidden
-    width, which the first member's layer buffers would not fit."""
+    """A head with another class count, or a stored encoder with another
+    hidden width, which the first member's layer buffers would not fit."""
     cfg_path, out = copy_run(tmp_path, finetuned, "o")
     cfg = config.load(str(cfg_path))
     path = pipeline.member_path(str(out), 0, 1.0, snapshot)
-    encoder, head, meta = load_member(path)
+    ensemble = load_ensemble(pipeline.ensemble_path(str(out), 0))
+    encoder, head, meta = load_member(path, ensemble)
     if part == "head":
         head = ParamVector({"weight": Tensor(head["weight"].values[:, :2]),
                             "bias": Tensor(head["bias"].values[:2])})
@@ -173,7 +200,9 @@ def test_a_member_laid_out_unlike_the_first_is_an_io_error(tmp_path, monkeypatch
                    f"{pipeline.member_path(str(out), 0, 1.0, 0)}'s has 3")
     else:
         encoder = model.init_mlp([6, 5, 4], np.random.default_rng(0), requires_grad=False)
-        assert encoder.shapes() != load_member(pipeline.member_path(str(out), 0, 1.0, 0))[0].shapes()
+        first = load_member(pipeline.member_path(str(out), 0, 1.0, 0), ensemble)[0]
+        assert encoder.shapes() != first.shapes()
+        meta = {**meta, "freeze_encoder": False}  # a trained encoder is stored whole
         message = f"{path}: its encoder is laid out unlike the first member's"
     save_member(path, encoder, head, meta)
     for cpus in (1, 2):
@@ -190,10 +219,10 @@ def test_an_unexpected_error_in_the_child_is_a_helper_error(tmp_path, monkeypatc
                                                             finetuned, stage):
     real = pipeline.load_member
 
-    def fails_at_snapshot_2(path):
+    def fails_at_snapshot_2(path, ensemble):
         if path.endswith("_snap2.ckpt"):
             raise KeyError("snapshot")
-        return real(path)
+        return real(path, ensemble)
 
     monkeypatch.setattr(pipeline, "load_member", fails_at_snapshot_2)
     cfg_path, out = copy_run(tmp_path, finetuned, "o")
@@ -216,10 +245,10 @@ def test_the_parents_own_error_wins_and_the_child_is_reaped(tmp_path, monkeypatc
     the error is snapshot 1's, the one a run in one process raises first."""
     real = pipeline.load_member
 
-    def fails_at_snapshots_1_and_2(path):
+    def fails_at_snapshots_1_and_2(path, ensemble):
         if path.endswith(("_snap1.ckpt", "_snap2.ckpt")):
             raise CheckpointError(f"cannot read {os.path.basename(path)}")
-        return real(path)
+        return real(path, ensemble)
 
     monkeypatch.setattr(pipeline, "load_member", fails_at_snapshots_1_and_2)
     cfg_path, out = copy_run(tmp_path, finetuned, "o")
