@@ -9,10 +9,9 @@ a gradient; backward() replays the records in reverse.  Tapes are rebuilt
 per forward pass and must not be shared across threads or processes.
 
 mlp_layers and mlp_backward are that record's forward and backward as
-plain functions over arrays.  Pretraining calls them directly
-(sampler.direction_grad takes the twin loss's gradient in closed form
-with the tape's bits) and builds no Tape; joint fine-tuning still runs
-on a tape.
+plain functions over arrays.  Pretraining and fine-tuning take every
+gradient in closed form with them, with the tape's bits, and build no Tape:
+it stays as the tests' reference for those bits and the tracer's hook.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ class Tensor:
     """Dense float64 array with an optional gradient buffer.
 
     Leaf tensors (built directly, not by tape ops) reject non-finite
-    values; .grad accumulates across backward calls until zero_grad().
+    values; .grad accumulates across backward calls until set to None.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_op_produced")
@@ -51,9 +50,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.values.size
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def copy(self) -> "Tensor":
         """A copy of the values; the gradient buffer is not carried over."""

@@ -5,9 +5,9 @@ trained with it, fit on a stratified labeled subset by SGD with Nesterov
 momentum in lookahead form, no augmentation, and its own seed for the head
 init and the minibatch order.  The snapshots are never mutated.  One finetune()
 call fits all snapshots of a (seed, label fraction) group.  Linear
-evaluation fits the group as one stacked (S, D, C) problem without a tape:
-the head gradient on the frozen features has a closed form.  Each
-member's bits equal those of a fit on its own.
+evaluation fits the group as one stacked (S, D, C) problem.  Every
+gradient is taken in closed form, with a tape's bits, and each member's
+bits equal those of a fit on its own.
 A head is a ParamVector with segments weight (D, C) then bias (C,), the
 layout that posterior.save_member writes into a member checkpoint.
 """
@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor, mlp_backward, mlp_layers
 from .config import FinetuneSection, ModelSection
 from .data import Dataset, minibatch_keys, minibatches
 from .errors import ContractError, DataError
-from .model import mlp_forward, mlp_forward_np
+from .model import mlp_arrays, mlp_forward_np
 from .params import ParamVector
 from .posterior import Snapshot, _shifted_exp
 
@@ -49,8 +49,8 @@ def subset_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
 def _init_head(embed_dim: int, classes: int, rng: np.random.Generator) -> ParamVector:
     bound = 1.0 / np.sqrt(embed_dim)
     return ParamVector({
-        "weight": Tensor(rng.uniform(-bound, bound, size=(embed_dim, classes)), requires_grad=True),
-        "bias": Tensor(rng.uniform(-bound, bound, size=(classes,)), requires_grad=True)})
+        "weight": Tensor(rng.uniform(-bound, bound, size=(embed_dim, classes))),
+        "bias": Tensor(rng.uniform(-bound, bound, size=(classes,)))})
 
 
 def _mean_ce(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -62,20 +62,22 @@ def _mean_ce(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(picked, 1e-12)).mean(axis=1)
 
 
-def _head_grad(z: np.ndarray, logits: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+def _head_grad(z: np.ndarray, logits: np.ndarray, onehot: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the mean softmax cross-entropy of logits = z @ W + b
     with respect to (W, b), for S heads at once: z (S, B, D), logits and
     one-hot labels (S, B, C).  Returns (S, P), each row flat in (W, b)
-    order.  Per head it does the arithmetic that Tape.backward does through
-    softmax_cross_entropy, bias_add and matmul, in the same order
-    (subtracting the one-hot 1.0 or 0.0 equals the tape's -1.0 at the
-    label), so each row's bits equal the tape's."""
+    order, and the logits' own gradient g (S, B, C).  Per head it does the
+    arithmetic of a tape's backward through softmax_cross_entropy,
+    bias_add and matmul, in the same order (subtracting the one-hot 1.0 or
+    0.0 equals the tape's -1.0 at the label), so each row's bits equal the
+    tape's."""
     zmax, _, total = _shifted_exp(logits)
     g = (np.exp(logits - (np.log(total) + zmax)) - onehot) / onehot.shape[1]
     grad = np.concatenate([(z.transpose(0, 2, 1) @ g).reshape(len(g), -1), g.sum(axis=1)],
                           axis=1)
     grad += 0.0  # the tape accumulates into zeros, which turns -0.0 into +0.0
-    return grad
+    return grad, g
 
 
 def _nesterov(theta: np.ndarray, seeds: list[int], n: int, cfg: FinetuneSection,
@@ -112,10 +114,10 @@ def finetune(snapshots: list[Snapshot], labeled_data: Dataset, cfg: FinetuneSect
     freeze_encoder trains the heads only, over the snapshots' own encoders,
     as one stacked problem: every snapshot's features go once into (S, N, D),
     the S heads live as rows of one (S, P) array, and each minibatch
-    position takes every head's gradient in one batched call of _head_grad,
-    without a tape.  Otherwise each encoder copy is updated jointly with
-    its head through a tape, one snapshot after another.  Both run the
-    same Nesterov loop; each member's bits equal those of a fit on its own.
+    position takes every head's gradient in one batched call of _head_grad.
+    Otherwise each encoder copy is updated jointly with its head, one
+    snapshot after another (_fit_jointly).  Both run the same Nesterov
+    loop; each member's bits equal those of a fit on its own.
     """
     if labeled_data.y is None or labeled_data.n == 0:
         raise DataError("finetune requires non-empty labeled data")
@@ -155,7 +157,7 @@ def _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, activation) -> list[li
 
     def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
         feats = np.take(z_rows, idx + first_row, axis=0)  # each member's own rows, (S, B, D)
-        return _head_grad(feats, logits_at(point, feats), np.take(onehot, idx, axis=0))
+        return _head_grad(feats, logits_at(point, feats), np.take(onehot, idx, axis=0))[0]
 
     theta, logs = _nesterov(np.stack([head.flatten() for head in heads]), seeds, n, cfg,
                             grad_at, lambda th: _mean_ce(logits_at(th, z), y_all))
@@ -165,27 +167,29 @@ def _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, activation) -> list[li
 
 
 def _fit_jointly(encoder, head, x_all, y_all, cfg, seed, activation) -> list[float]:
-    """Joint fine-tuning of one encoder copy and its head through a tape;
-    the parameters are written back at the end of every epoch."""
-    encoder.set_requires_grad(True)
+    """Joint fine-tuning of one encoder copy and its head, with the bits of
+    a tape's backward: _head_grad for the head, and mlp_backward of its
+    logits adjoint through the encoder."""
     group = ParamVector({**{f"encoder.{k}": t for k, t in encoder.items()},
                          "head.weight": head["weight"], "head.bias": head["bias"]})
+    layers, w, b = mlp_arrays(encoder), head["weight"].values, head["bias"].values
+    wants = [False] + [True] * (2 * len(layers))  # no gradient for the input rows
+    onehot = np.eye(w.shape[1])[y_all]
 
     def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
         group.set_flat(point[0])
-        group.zero_grad()
-        tape = Tape()
-        z = mlp_forward(tape, encoder, Tensor(x_all[idx[0]]), activation)
-        logits = tape.bias_add(tape.matmul(z, head["weight"]), head["bias"])
-        tape.backward(tape.softmax_cross_entropy(logits, y_all[idx[0]]))
-        return group.grad_flat()[None]
+        x = x_all[idx[0]]
+        outs = mlp_layers(x, layers, activation)
+        head_grad, g = _head_grad(outs[-1][None], (outs[-1] @ w + b)[None], onehot[idx])
+        grads = mlp_backward(x, layers, outs, g[0] @ w.T, activation, wants)[1:]
+        grad = np.concatenate([*(a.ravel() for a in grads), head_grad[0]])
+        grad += 0.0  # as in _head_grad
+        return grad[None]
 
     def epoch_loss(theta: np.ndarray) -> np.ndarray:
         group.set_flat(theta[0])
         z = mlp_forward_np(encoder, x_all, activation)
-        return _mean_ce((z @ head["weight"].values + head["bias"].values)[None], y_all)
+        return _mean_ce((z @ w + b)[None], y_all)
 
     _, (log,) = _nesterov(group.flatten()[None], [seed], len(y_all), cfg, grad_at, epoch_loss)
-    encoder.set_requires_grad(False)
     return log
-

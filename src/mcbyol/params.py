@@ -59,10 +59,6 @@ class ParamVector:
             parts.append(t.grad.ravel() if t.grad is not None else np.zeros(t.size))
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def zero_grad(self) -> None:
-        for t in self._segments.values():
-            t.zero_grad()
-
     def copy(self) -> "ParamVector":
         return ParamVector({k: t.copy() for k, t in self._segments.items()})
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from minibatch_reference import reference_minibatches
@@ -176,6 +178,7 @@ def tape_finetune(snapshot, data, cfg, seed, arch, classes):
     encoder = snapshot.encoder_params.copy()
     encoder.set_requires_grad(not cfg.freeze_encoder)
     head = _init_head(arch.embed_dim, classes, rng)
+    head.set_requires_grad(True)
     trainable = {} if cfg.freeze_encoder else {f"encoder.{k}": t for k, t in encoder.items()}
     trainable["head.weight"] = head["weight"]
     trainable["head.bias"] = head["bias"]
@@ -185,7 +188,8 @@ def tape_finetune(snapshot, data, cfg, seed, arch, classes):
     mu = cfg.momentum
 
     def batch_grad(idx):
-        group.zero_grad()
+        for _, t in group.items():
+            t.grad = None
         tape = Tape()
         if cfg.freeze_encoder:
             z = Tensor(frozen_z[idx])
@@ -222,16 +226,18 @@ def relabeled(classes):
     return Dataset(x=base.x, y=np.arange(base.n) % classes)
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("freeze", [True, False])
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 @pytest.mark.parametrize("batch", [40, 149])  # final batches of 30 rows and of 1 row
-def test_finetune_is_bit_identical_to_tape_reference(freeze, momentum, batch):
+def test_finetune_is_bit_identical_to_tape_reference(activation, freeze, momentum, batch):
+    arch = dataclasses.replace(TINY, activation=activation)
     snap = snapshot_for(9)
     ds = toy_labeled(n_per_class=50, classes=3, seed=11)
     cfg = FinetuneSection(lr=0.3, momentum=momentum, batch=batch, epochs=4,
                          freeze_encoder=freeze)
-    assert_same_member(fit_one(snap, ds, cfg, seed=5, num_classes=4),
-                       tape_finetune(snap, ds, cfg, 5, TINY, 4))
+    assert_same_member(fit_one(snap, ds, cfg, seed=5, arch=arch, num_classes=4),
+                       tape_finetune(snap, ds, cfg, 5, arch, 4))
 
 
 @pytest.mark.parametrize("members", [1, 3])
