@@ -216,7 +216,8 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
                         "sampler_kind": ensemble.run_meta.get("sampler_kind", ""),
                         "config_digest": digest,
                         "freeze_encoder": f.freeze_encoder}
-                save_member(member_path(out_dir, seed, frac, s), encoder, head, meta)
+                save_member(member_path(out_dir, seed, frac, s), encoder, head, meta,
+                            snap.encoder_params)
                 log_rows.extend((s, e, v) for e, v in enumerate(losses))
             tag = cfgmod.frac_tag(frac)
             write_table(os.path.join(out_dir, f"finetune_log_seed{seed}_f{tag}.tsv"),

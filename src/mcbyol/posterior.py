@@ -287,24 +287,30 @@ def load_ensemble(path) -> PosteriorEnsemble:
         return PosteriorEnsemble(snapshots=snapshots, run_meta=header["meta"], path=str(path))
 
 
-def save_member(path, encoder: ParamVector, head: ParamVector, meta: dict) -> None:
-    """A fine-tuned member; a frozen encoder (meta freeze_encoder) is stored as its CRC-32."""
+def save_member(path, encoder: ParamVector, head: ParamVector, meta: dict,
+                snapshot: ParamVector | None = None) -> None:
+    """A fine-tuned member, with the CRC-32 of the snapshot encoder it was
+    fitted from (a frozen encoder's own, or snapshot's); a frozen encoder
+    (meta freeze_encoder) is stored as that CRC alone."""
     frozen = meta.get("freeze_encoder")
-    stored = ({"crc": _crc(encoder)}, ParamVector({})) if frozen else ({}, encoder)
-    write_container(path, "member", meta, [("encoder", *stored), ("head", {}, head)])
+    fitted_from = encoder if frozen else snapshot
+    block_meta = {} if fitted_from is None else {"crc": _crc(fitted_from)}
+    stored = ParamVector({}) if frozen else encoder
+    write_container(path, "member", meta, [("encoder", block_meta, stored), ("head", {}, head)])
 
 
 def load_member(path, ensemble: PosteriorEnsemble) -> tuple[ParamVector, ParamVector, dict]:
-    """(encoder, head, meta); a frozen encoder is its snapshot's own in ensemble."""
+    """(encoder, head, meta); a frozen encoder is its snapshot's own in
+    ensemble.  A recorded CRC must match that snapshot's encoder."""
     header, payload = read_container(path, expect_kind="member")
     with _complete(path, "member"):
         blocks, meta = {b["name"]: b for b in header["blocks"]}, header["meta"]
         head = _pv_from_payload(blocks["head"]["segments"], payload)
         encoder = _pv_from_payload(blocks["encoder"]["segments"], payload)
-        if encoder.names:  # trained, or frozen but stored whole by an earlier version
+        if encoder.names and "crc" not in blocks["encoder"]["meta"]:  # written without one
             return encoder, head, meta
         s, crc = meta["snapshot"], blocks["encoder"]["meta"]["crc"]
     snaps = ensemble.snapshots
     if not (type(s) is int and 0 <= s < len(snaps)) or _crc(snaps[s].encoder_params) != crc:
         raise CheckpointError(f"{path}: stale, not fitted on snapshot {s} of {ensemble.path}")
-    return snaps[s].encoder_params, head, meta
+    return (encoder if encoder.names else snaps[s].encoder_params), head, meta

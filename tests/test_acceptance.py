@@ -303,7 +303,7 @@ seeds = 0
 SMALL_GOLDEN_SHA256 = {
     ("tanh", "false"): {
         "member_seed0_f0p5_snap1.ckpt":
-            "59a43ff2fe58de9aea015cebd166cf9ea4617901aabca97a9e5579c4b8717f54",
+            "c39016782e82572abe9e1a9c8544abbcc875f467c7d64ca3e5769c05334e922e",
         "finetune_log_seed0_f0p5.tsv":
             "ef3a17d55da9408a3c9bd10d093affc27afc27a5d454618df49a29a5e90d97a4",
         "eval_results.tsv":

@@ -513,14 +513,16 @@ def test_a_seed_never_pretrained_names_its_missing_ensemble(tmp_path, capsys, co
         f"i/o error: missing ensemble checkpoint: {out / 'ensemble_seed7.ckpt'}"
 
 
+@pytest.mark.parametrize("freeze", ["true", "false"])
 @pytest.mark.parametrize("command", ["eval", "ood"])
 def test_members_of_an_earlier_pretrain_are_an_io_error_naming_both_files(tmp_path, capsys,
-                                                                         command):
-    # pretrain is re-run under another config, finetune is not: the frozen
-    # members' heads were fitted on the old snapshots
+                                                                         command, freeze):
+    # pretrain is re-run under another config, finetune is not: the members
+    # were fitted on the old snapshots, whether their encoders were frozen or trained
     out = tmp_path / "o"
-    first, second = write_config(tmp_path), str(tmp_path / "second.cfg")
-    Path(second).write_text(TINY_CONFIG.replace("lr0 = 0.0005", "lr0 = 0.001"))
+    text = TINY_CONFIG.replace("epochs = 5", f"epochs = 5\nfreeze_encoder = {freeze}")
+    first, second = write_config(tmp_path, text), str(tmp_path / "second.cfg")
+    Path(second).write_text(text.replace("lr0 = 0.0005", "lr0 = 0.001"))
     for cmd, cfg_path in (("pretrain", first), ("finetune", first), ("pretrain", second)):
         assert cli.main([cmd, "--config", cfg_path, "--out", str(out), "--seed", "0"]) == 0
     capsys.readouterr()

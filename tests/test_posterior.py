@@ -332,7 +332,7 @@ def write_checkpoint(kind, path):
     ens = make_ensemble(1)
     save_member(path, ens.snapshots[0].encoder_params, random_head(np.random.default_rng(0)),
                 {"seed": 0, "label_fraction": 0.5, "snapshot": 0,
-                 "freeze_encoder": kind == "frozen_member"})
+                 "freeze_encoder": kind == "frozen_member"}, ens.snapshots[0].encoder_params)
     return lambda p: load_member(p, ens)
 
 
