@@ -4,8 +4,8 @@ Subcommands: pretrain, finetune, eval, ood, sample-diag.  Each takes
 --config <path>, --out <dir> and an optional --seed override.  Exit codes:
 0 success, 1 config error, 2 data error, 3 numeric/divergence error,
 4 I/O error, 5 a forked helper process failed or died: pretrain's gradient
-helper, or finetune's child, whose own config, data, numeric and I/O errors
-keep their codes above.
+helper, or the child of finetune, eval or ood, whose own config, data,
+numeric and I/O errors keep their codes above.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ def _dispatch(args) -> None:
         for flag, value in (("--steps", args.steps), ("--dim", args.dim)):
             if value < 1:
                 raise ConfigError(f"{flag} must be >= 1, got {value}")
+        if args.burn_in is not None and not 0 <= args.burn_in <= args.steps - 2:
+            raise ConfigError(f"--burn-in must be >= 0 and leave 2 of the {args.steps} "
+                              f"steps, got {args.burn_in}")
         stats = pipeline.run_sample_diag(cfg, out_dir, steps=args.steps,
                                          burn_in=args.burn_in, dim=args.dim)
         for i in range(stats.mean.size):

@@ -198,7 +198,7 @@ def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, dict, P
 def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarray]:
     """Returns (header, payload), payload a read-only view of the file's
     bytes.  Raises VersionError, TruncationError, or ChecksumError on
-    malformed files."""
+    malformed files, and CheckpointError on a payload that is not finite."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 16:
@@ -238,6 +238,8 @@ def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarr
     if expect_kind is not None and header.get("kind") != expect_kind:
         raise CheckpointError(f"{path}: expected a {expect_kind} file, "
                               f"found {header.get('kind')!r}")
+    if not np.isfinite(payload).all():
+        raise CheckpointError(f"{path}: payload holds NaN or Inf")
     return header, payload
 
 

@@ -320,12 +320,14 @@ def test_sample_diag_writes_chain_stats(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("steps,burn_in", [("1000", "-3"), ("2", "1")])
-def test_sample_diag_rejects_bad_burn_in(tmp_path, steps, burn_in):
+def test_sample_diag_rejects_bad_burn_in(tmp_path, capsys, steps, burn_in):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "diag")
     rc = cli.main(["sample-diag", "--config", cfg_path, "--out", out,
                    "--steps", steps, "--burn-in", burn_in])
     assert rc == 1
+    assert capsys.readouterr().err == (f"config error: --burn-in must be >= 0 and leave 2 "
+                                       f"of the {steps} steps, got {burn_in}\n")
     assert not os.path.exists(out)
 
 

@@ -336,6 +336,21 @@ def write_checkpoint(kind, path):
     return lambda p: load_member(p, ens)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["ensemble", "member", "frozen_member"])
+def test_a_non_finite_payload_is_a_checkpoint_error_naming_the_file(tmp_path, kind, value):
+    # the file's CRC is valid: it was written from weights that held the value
+    path = tmp_path / f"{kind}.ckpt"
+    load = write_checkpoint(kind, path)
+    body = bytearray(path.read_bytes()[:-4])
+    body[-8:] = np.array([value], dtype="<f8").tobytes()  # the payload's last value
+    path.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
+    for read in (read_container, load):
+        with pytest.raises(CheckpointError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: payload holds NaN or Inf"
+
+
 @pytest.mark.parametrize("kind", ["ensemble", "member", "frozen_member"])
 def test_every_header_byte_flip_raises_a_checkpoint_error(tmp_path, kind):
     # the header sizes the payload and so locates the CRC: a flip that
