@@ -43,8 +43,9 @@ def tape_online_grad(loss, model, view_a: np.ndarray, view_b: np.ndarray) -> np.
     parameters, flat in the model's online_flat order, from one tape's
     backward: each online ParamVector's grad_flat, zeroed first."""
     parts = model.online_parts()
-    for _, t in (item for p in parts for item in p.items()):
-        t.grad = None
+    for p in parts:
+        for _, t in p.items():
+            t.grad = None
     tape = Tape()
     tape.backward(loss(tape, model, view_a, view_b))
     return np.concatenate([p.grad_flat() for p in parts])
