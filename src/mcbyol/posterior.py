@@ -290,15 +290,13 @@ def load_ensemble(path) -> PosteriorEnsemble:
 
 
 def save_member(path, encoder: ParamVector, head: ParamVector, meta: dict,
-                snapshot: ParamVector | None = None) -> None:
+                snapshot: ParamVector) -> None:
     """A fine-tuned member, with the CRC-32 of the snapshot encoder it was
-    fitted from (a frozen encoder's own, or snapshot's); a frozen encoder
-    (meta freeze_encoder) is stored as that CRC alone."""
-    frozen = meta.get("freeze_encoder")
-    fitted_from = encoder if frozen else snapshot
-    block_meta = {} if fitted_from is None else {"crc": _crc(fitted_from)}
-    stored = ParamVector({}) if frozen else encoder
-    write_container(path, "member", meta, [("encoder", block_meta, stored), ("head", {}, head)])
+    fitted from; a frozen encoder (meta freeze_encoder), which is that
+    snapshot's own, is stored as the CRC alone."""
+    stored = ParamVector({}) if meta.get("freeze_encoder") else encoder
+    write_container(path, "member", meta,
+                    [("encoder", {"crc": _crc(snapshot)}, stored), ("head", {}, head)])
 
 
 def load_member(path, ensemble: PosteriorEnsemble) -> tuple[ParamVector, ParamVector, dict]:

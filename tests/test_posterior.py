@@ -377,7 +377,7 @@ def test_a_frozen_member_loads_as_its_snapshots_own_encoder(tmp_path):
     path = tmp_path / "member.ckpt"
     head = random_head(np.random.default_rng(0))
     meta = {"seed": 0, "snapshot": 2, "freeze_encoder": True}
-    save_member(path, ens.snapshots[2].encoder_params, head, meta)
+    save_member(path, ens.snapshots[2].encoder_params, head, meta, ens.snapshots[2].encoder_params)
     header, payload = read_container(path, expect_kind="member")
     encoder_bytes = ens.snapshots[2].encoder_params.flatten().astype("<f8").tobytes()
     assert header["blocks"][0] == {"name": "encoder", "segments": [],
@@ -395,9 +395,9 @@ def test_a_frozen_member_of_another_encoder_names_both_files(tmp_path, snapshot)
     ens_path, path = tmp_path / "ens.ckpt", tmp_path / "member.ckpt"
     save_ensemble(make_ensemble(2, seed=1), ens_path)
     other = load_ensemble(ens_path)
-    save_member(path, make_ensemble(2).snapshots[1].encoder_params,
-                random_head(np.random.default_rng(0)),
-                {"seed": 0, "snapshot": snapshot, "freeze_encoder": True})
+    fitted_on = make_ensemble(2).snapshots[1].encoder_params
+    save_member(path, fitted_on, random_head(np.random.default_rng(0)),
+                {"seed": 0, "snapshot": snapshot, "freeze_encoder": True}, fitted_on)
     with pytest.raises(CheckpointError) as err:
         load_member(path, other)
     assert str(err.value).startswith(f"{path}: ") and str(ens_path) in str(err.value)

@@ -204,7 +204,7 @@ def test_a_member_laid_out_unlike_the_first_is_an_io_error(tmp_path, monkeypatch
         assert encoder.shapes() != first.shapes()
         meta = {**meta, "freeze_encoder": False}  # a trained encoder is stored whole
         message = f"{path}: its encoder is laid out unlike the first member's"
-    save_member(path, encoder, head, meta)
+    save_member(path, encoder, head, meta, ensemble.snapshots[snapshot].encoder_params)
     for cpus in (1, 2):
         counting_children(monkeypatch, cpus)
         for stage in STAGES:
