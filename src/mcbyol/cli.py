@@ -75,11 +75,12 @@ def _dispatch(args) -> None:
         for flag, value in (("--steps", args.steps), ("--dim", args.dim)):
             if value < 1:
                 raise ConfigError(f"{flag} must be >= 1, got {value}")
-        if args.burn_in is not None and not 0 <= args.burn_in <= args.steps - 2:
+        burn_in = pipeline.default_burn_in(args.steps) if args.burn_in is None else args.burn_in
+        if not 0 <= burn_in <= args.steps - 2:
             raise ConfigError(f"--burn-in must be >= 0 and leave 2 of the {args.steps} "
-                              f"steps, got {args.burn_in}")
+                              f"steps, got {burn_in}")
         stats = pipeline.run_sample_diag(cfg, out_dir, steps=args.steps,
-                                         burn_in=args.burn_in, dim=args.dim)
+                                         burn_in=burn_in, dim=args.dim)
         for i in range(stats.mean.size):
             print(f"coord {i}: mean {stats.mean[i]:+.6f} "
                   f"variance {stats.variance[i]:.6f} "

@@ -360,13 +360,19 @@ def run_ood(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     return rows
 
 
+def default_burn_in(steps: int) -> int:
+    """sample-diag's burn-in when none is given: 5% of steps, at least 1,
+    but leaving 2 samples where steps allows."""
+    return max(0, min(max(1, steps // 20), steps - 2))
+
+
 def run_sample_diag(cfg: cfgmod.RunConfig, out_dir: str, steps: int = 200_000,
                     burn_in: int | None = None, dim: int = 1) -> ChainStats:
     """Run the configured sampler for steps steps from the first run seed
     against the unit quadratic and emit the chain moments next to their
     analytic values, the [sampler] temperature."""
     if burn_in is None:
-        burn_in = max(1, steps // 20)  # default burn-in: 5% of steps
+        burn_in = default_burn_in(steps)
     diag_cfg = dataclasses.replace(cfg.sampler, cycle_len=1, total_steps=steps,
                                    noise_start_frac=0.0)
     target = QuadraticTarget(dim=dim)

@@ -331,6 +331,23 @@ def test_sample_diag_rejects_bad_burn_in(tmp_path, capsys, steps, burn_in):
     assert not os.path.exists(out)
 
 
+def test_sample_diag_default_burn_in_leaves_two_samples(tmp_path, capsys):
+    # the default burn-in is 5% of the steps and at least 1, but never more
+    # than --steps 2 allows; --steps 1 cannot leave 2 samples at all
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "diag"
+    assert cli.main(["sample-diag", "--config", cfg_path, "--out", str(out),
+                     "--steps", "2"]) == 0
+    assert (out / "chain_stats.tsv").exists()
+    capsys.readouterr()
+    out = tmp_path / "diag1"
+    assert cli.main(["sample-diag", "--config", cfg_path, "--out", str(out),
+                     "--steps", "1"]) == 1
+    assert capsys.readouterr().err == ("config error: --burn-in must be >= 0 and leave 2 "
+                                       "of the 1 steps, got 0\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--steps", "--dim"])
 def test_sample_diag_rejects_non_positive_flag(tmp_path, capsys, flag):
     out = tmp_path / "diag"
