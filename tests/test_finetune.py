@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -240,6 +241,52 @@ def test_finetune_is_bit_identical_to_tape_reference(activation, freeze, momentu
                        tape_finetune(snap, ds, cfg, 5, arch, 4))
 
 
+def test_a_joint_minibatch_gradient_is_the_tapes_with_the_sign_of_every_zero(monkeypatch):
+    """_fit_jointly's closed-form gradient of each one-row minibatch, before
+    any Nesterov update, equals a tape's bit for bit, the sign of every zero
+    included (a tape accumulates into zeros, so its zeros are +0.0).  The
+    point has a relu unit dead on every row, so every row's gradient holds
+    exact zeros: that unit's weights and bias on both sides."""
+    captured = []
+
+    def capture(theta, seeds, n, cfg, grad_at, epoch_loss):
+        captured.append((theta, grad_at))
+        return theta, [[]]
+
+    # the package exports the finetune function under the module's name
+    monkeypatch.setattr(importlib.import_module("mcbyol.finetune"), "_nesterov", capture)
+    arch = dataclasses.replace(TINY, activation="relu")
+    snap = snapshot_for(9)
+    ds = toy_labeled(n_per_class=20, classes=3, seed=11)
+    cfg = FinetuneSection(lr=0.3, momentum=0.9, batch=1, epochs=1, freeze_encoder=False)
+    fit_one(snap, ds, cfg, seed=5, arch=arch)
+    ((theta, grad_at),) = captured
+    encoder = snap.encoder_params.copy()
+    encoder.set_requires_grad(True)
+    head = _init_head(arch.embed_dim, 3, np.random.default_rng(0))
+    head.set_requires_grad(True)
+    group = ParamVector({**{f"encoder.{k}": t for k, t in encoder.items()},
+                         "head.weight": head["weight"], "head.bias": head["bias"]})
+    group.set_flat(theta[0])
+    encoder["layer0.b"].values[2] = -1e3  # hidden unit 2 is dead on every row
+    point = group.flatten()
+    assert (ds.x @ encoder["layer0.w"].values[:, 2] + encoder["layer0.b"].values[2] < 0).all()
+    zeros = 0
+    for row in range(ds.n):
+        got = grad_at(point[None], np.array([[row]]))[0]
+        group.set_flat(point)
+        for _, t in group.items():
+            t.grad = None
+        tape = Tape()
+        z = mlp_forward(tape, encoder, Tensor(ds.x[row:row + 1]), "relu")
+        logits = tape.bias_add(tape.matmul(z, head["weight"]), head["bias"])
+        tape.backward(tape.softmax_cross_entropy(logits, ds.y[row:row + 1]))
+        ref = group.grad_flat()
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+        zeros += int((ref == 0.0).sum())
+    assert zeros >= 8 * ds.n  # 4 + 1 into the dead unit, 3 out of it, on every row
+
+
 @pytest.mark.parametrize("members", [1, 3])
 @pytest.mark.parametrize("classes", [4, 9])  # 9 is above numpy's 8-term pairwise-sum block
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -344,8 +391,10 @@ def test_member_roundtrip(tmp_path):
     snap = snapshot_for(8)
     head = head_of(rng.normal(size=(3, 4)), rng.normal(size=(4,)))
     path = tmp_path / "member.ckpt"
-    save_member(path, snap.encoder_params, head, {"seed": 1, "label_fraction": 0.5})
-    enc2, head2, meta = load_member(path, PosteriorEnsemble())  # a stored encoder
+    save_member(path, snap.encoder_params, head,
+                {"seed": 1, "label_fraction": 0.5, "snapshot": 0}, snap.encoder_params)
+    enc2, head2, meta = load_member(path, PosteriorEnsemble(snapshots=[snap]))  # a stored encoder
+    assert enc2 is not snap.encoder_params
     assert np.array_equal(enc2.flatten(), snap.encoder_params.flatten())
     assert np.array_equal(head2["weight"].values, head["weight"].values)
     assert np.array_equal(head2["bias"].values, head["bias"].values)
@@ -358,7 +407,8 @@ def test_frozen_member_roundtrip_resolves_its_snapshot(tmp_path):
     head = head_of(rng.normal(size=(3, 4)), rng.normal(size=(4,)))
     path = tmp_path / "member.ckpt"
     meta = {"seed": 1, "snapshot": 1, "freeze_encoder": True}
-    save_member(path, ensemble.snapshots[1].encoder_params, head, meta)
+    save_member(path, ensemble.snapshots[1].encoder_params, head, meta,
+                ensemble.snapshots[1].encoder_params)
     enc2, head2, meta2 = load_member(path, ensemble)
     assert enc2 is ensemble.snapshots[1].encoder_params
     assert np.array_equal(head2.flatten(), head.flatten())
