@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -248,7 +249,10 @@ def _parse_scalar(raw: str, target_type, where: str):
         if target_type is int:
             return int(raw)
         if target_type is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {raw!r}")
+            return value
         return raw
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc

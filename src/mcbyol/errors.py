@@ -75,8 +75,8 @@ class ChecksumError(CheckpointError):
 
 class HelperError(McbyolError):
     """A forked helper process failed or died: pretrain's gradient helper,
-    the child that fits a share of finetune's label fractions, or the child
-    that sweeps a share of eval's or ood's snapshots.
+    the child that fits a share of finetune's members, or the child that
+    sweeps a share of eval's or ood's snapshots.
 
     detail says how; step is the pretrain step whose gradient the gradient
     helper was computing, once the caller that knows it has filled it in."""

@@ -19,8 +19,9 @@ depends on whether it does:
   iterator the run forked it with, in the window where it would idle
   through the parent's update; the run draws from the same iterator
   itself where it has no helper, so the views are the same either way.
-- run_finetune forks one child per seed, which fits some of the label
-  fractions and writes their files while the parent fits the rest.
+- run_finetune forks one child per seed, which fits some of the (label
+  fraction, snapshot range) units and writes their member files while
+  the parent fits the rest; both write the losses into a shared_array.
 - run_eval and run_ood fork one child per seed (pipeline._sweep) for the
   later half of its snapshots.  This and run_finetune fork by run_split.
 
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import math
 import mmap
 import os
 import pickle
@@ -146,6 +148,14 @@ def run_split(what: str, work: Callable[[list[int]], object], mine: list[int],
         raise error
     if error is not None:
         raise HelperError(f"{what} failed: {type(error).__name__}: {error}")
+
+
+def shared_array(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array over an anonymous shared mmap, so that a child
+    forked after this call writes into this process's pages; a plain empty
+    array where shape holds no element, which mmap cannot map."""
+    size = math.prod(shape)
+    return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * size)) if size else np.empty(shape)
 
 
 def _run(work: Callable[[], object], reports: int) -> int:

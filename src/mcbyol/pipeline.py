@@ -13,17 +13,18 @@ Baseline methods are config variants of the sampler kind, not code forks.
 Everything is deterministic given config + seeds, and the same at any CPU
 count.  With two or more CPUs, each seed's pretraining computes one
 direction of the twin loss in a forked helper process, with the bits of
-computing both here; each seed's fine-tuning fits a share of the label
-fractions in a forked child, which writes the files a fit here would; and
-eval and ood forward each seed's later snapshots in a forked child, which
-writes their softmax into shared memory (helper.py).
+computing both here; each seed's fine-tuning fits a share of its (label
+fraction, snapshot range) units in a forked child, which writes the member
+files a fit here would and their losses into shared memory, from which
+this process writes the logs; and eval and ood forward each seed's later
+snapshots in a forked child, which writes their softmax into shared
+memory (helper.py).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import mmap
 import os
 
 import numpy as np
@@ -35,7 +36,7 @@ from .data import (Dataset, augment_pair, load_dataset, make_clusters, make_ood,
                    minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
 from .errors import CheckpointError, DataError, DivergenceError, HelperError
-from .finetune import finetune, subset_labels
+from .finetune import finetune, split_members, subset_labels
 from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
                       write_histogram, write_table)
 from .model import ema_update, init_twin, mlp_arrays
@@ -174,43 +175,34 @@ def run_pretrain(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> PosteriorEns
     return ensemble
 
 
-def split_fractions(counts: list[int]) -> tuple[list[int], list[int]]:
-    """Splits label fractions between two processes by their minibatch
-    counts per epoch: largest first, each to the process with the fewer
-    minibatches so far, ties to the first process and, among equal counts,
-    in list order.  Returns each process's fraction indices, ascending."""
-    shares: tuple[list[int], list[int]] = ([], [])
-    loads = [0, 0]
-    for i in sorted(range(len(counts)), key=lambda i: -counts[i]):
-        p = int(loads[1] < loads[0])
-        shares[p].append(i)
-        loads[p] += counts[i]
-    return sorted(shares[0]), sorted(shares[1])
-
-
 def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
     """Fine-tune every snapshot of this seed's ensemble at every label
-    fraction.  With two or more CPUs and fractions, a forked child fits one
-    share of the fractions (split_fractions) while this process fits the
-    other (helper.run_split).  Each process writes only its own fractions'
-    members and logs."""
+    fraction.  With two or more CPUs, a forked child fits one share of the
+    (label fraction, snapshot range) units (split_members) while this
+    process fits the other (helper.run_split); run alone, this process
+    fits each fraction as one unit.  Each process writes its own units'
+    member files and their per-epoch losses into one shared (fractions,
+    snapshots, epochs) array, from which this process writes every
+    fraction's log once the child is reaped."""
     _, train, _, _ = make_datasets(cfg)
     ensemble = _pretrained_ensemble(out_dir, seed)
     f = cfg.finetune
+    fracs = f.label_fractions
     digest = cfg.digest()
-    subsets = [subset_labels(train, frac, seed=cfg.data.seed + seed)
-               for frac in f.label_fractions]
+    subsets = [subset_labels(train, frac, seed=cfg.data.seed + seed) for frac in fracs]
+    losses = helpermod.shared_array((len(fracs), ensemble.size, f.epochs))
 
-    def fit(fractions: list[int]) -> None:
-        for frac_idx in fractions:
-            frac = f.label_fractions[frac_idx]
-            member_seeds = [(seed * 1009 + s) * 1009 + frac_idx
-                            for s in range(ensemble.size)]
-            fitted = finetune(ensemble.snapshots, subsets[frac_idx], f, member_seeds,
-                              cfg.model, num_classes=cfg.data.classes)
-            log_rows: list[tuple] = []
-            for s, (snap, (encoder, head, losses)) in enumerate(zip(ensemble.snapshots,
-                                                                    fitted)):
+    def fit(units: list[tuple[int, int, int]]) -> None:
+        # one call per fraction: a process's units of one fraction are adjacent ranges
+        for frac_idx, group in itertools.groupby(units, key=lambda unit: unit[0]):
+            group = list(group)
+            snaps = range(group[0][1], group[-1][2])
+            frac = fracs[frac_idx]
+            member_seeds = [(seed * 1009 + s) * 1009 + frac_idx for s in snaps]
+            fitted = finetune([ensemble.snapshots[s] for s in snaps], subsets[frac_idx], f,
+                              member_seeds, cfg.model, num_classes=cfg.data.classes)
+            for s, (encoder, head, log) in zip(snaps, fitted):
+                snap = ensemble.snapshots[s]
                 meta = {"seed": seed, "label_fraction": frac, "snapshot": s,
                         "step": snap.step, "cycle": snap.cycle,
                         "sampler_kind": ensemble.run_meta.get("sampler_kind", ""),
@@ -218,15 +210,18 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
                         "freeze_encoder": f.freeze_encoder}
                 save_member(member_path(out_dir, seed, frac, s), encoder, head, meta,
                             snap.encoder_params)
-                log_rows.extend((s, e, v) for e, v in enumerate(losses))
-            tag = cfgmod.frac_tag(frac)
-            write_table(os.path.join(out_dir, f"finetune_log_seed{seed}_f{tag}.tsv"),
-                        ["snapshot", "epoch", "loss"], log_rows)
+                losses[frac_idx, s] = log
 
-    mine, theirs = split_fractions([-(-subset.n // f.batch) for subset in subsets])
+    mine, theirs = split_members([-(-subset.n // f.batch) for subset in subsets], ensemble.size)
+    named = [str(fracs[i]) if (start, end) == (0, ensemble.size) else
+             f"{fracs[i]} at snapshots {start}-{end - 1}" for i, start, end in theirs]
     helpermod.run_split(f"the fine-tuning child of seed {seed} (label fractions "
-                        f"{', '.join(str(f.label_fractions[i]) for i in theirs)})",
-                        fit, mine, theirs)
+                        f"{', '.join(named)})", fit, mine, theirs)
+    for frac_idx, frac in enumerate(fracs):
+        write_table(os.path.join(out_dir, f"finetune_log_seed{seed}_f{cfgmod.frac_tag(frac)}.tsv"),
+                    ["snapshot", "epoch", "loss"],
+                    [(s, e, v) for s, log in enumerate(losses[frac_idx].tolist())
+                     for e, v in enumerate(log)])
 
 
 def _sweep(out_dir: str, seed: int, fracs: list[float], xs: list[np.ndarray],
@@ -260,8 +255,7 @@ def _sweep(out_dir: str, seed: int, fracs: list[float], xs: list[np.ndarray],
     size = ensemble.size
     first = load(0, 0)
     classes = first[1]["bias"].size
-    probs = [np.ndarray((size, len(fracs), len(x), classes),
-                        buffer=mmap.mmap(-1, 8 * size * len(fracs) * len(x) * classes)) for x in xs]
+    probs = [helpermod.shared_array((size, len(fracs), len(x), classes)) for x in xs]
 
     def forward(snapshots: list[int]) -> None:
         buffers: dict[int, list[np.ndarray]] = {}  # layer outputs by row count

@@ -26,7 +26,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .config import ModelSection
-from .errors import (ChecksumError, CheckpointError, ContractError,
+from .errors import (ChecksumError, CheckpointError, ContractError, NumericError,
                      TruncationError, VersionError)
 from .model import TwinModel, mlp_forward_np
 from .params import ParamVector
@@ -175,7 +175,9 @@ def _segment_table(pv: ParamVector, offset: int) -> tuple[list, int]:
 
 
 def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, dict, ParamVector]]) -> None:
-    """blocks: (block_name, block_meta, params) triples, order preserved."""
+    """blocks: (block_name, block_meta, params) triples, order preserved.
+    A payload that read_container would refuse, one holding NaN or Inf,
+    raises NumericError naming path before any byte is written."""
     offset = 0
     header_blocks = []
     payload_parts = []
@@ -186,6 +188,8 @@ def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, dict, P
     header = {"kind": kind, "meta": meta, "blocks": header_blocks}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = (np.concatenate(payload_parts) if payload_parts else np.zeros(0))
+    if not np.isfinite(payload).all():
+        raise NumericError(f"{path}: payload holds NaN or Inf, not written")
     body = (MAGIC
             + FORMAT_VERSION.to_bytes(4, "little")
             + len(header_bytes).to_bytes(4, "little")

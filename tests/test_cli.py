@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_config import FLOAT_KEYS
 from test_helper import assert_no_child_process
 
 from mcbyol import cli, config, helper, pipeline, posterior
@@ -473,6 +474,17 @@ def test_bad_value_fails_at_load_for_every_stage(tmp_path, capsys, command, old,
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval", "ood", "sample-diag"])
+def test_a_non_finite_float_is_config_error_for_every_stage(tmp_path, capsys, command):
+    for section, key in FLOAT_KEYS:
+        for value in ("nan", "inf", "-inf"):
+            lines = [ln for ln in TINY_CONFIG.splitlines() if not ln.startswith(f"{key} =")]
+            cfg_path = write_config(tmp_path, "\n".join(lines) + f"\n[{section}]\n{key} = {value}\n")
+            assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+            assert f"({section}.{key}): not a finite number: '{value}'" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("old,new,message", [

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,10 @@ from mcbyol import config
 from mcbyol.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# (section, key) of every float and float-list key
+FLOAT_KEYS = [(name, f.name) for name, cls in config.SECTIONS.items()
+              for f in dataclasses.fields(cls) if "float" in str(f.type)]
 
 
 def test_defaults_roundtrip():
@@ -97,6 +102,21 @@ def test_repeated_key_rejected_with_both_lines():
 def test_out_of_range_values_fail_at_load(text, message):
     with pytest.raises(ConfigError, match=message):
         config.parse(text)
+
+
+def test_float_keys_cover_every_section_with_floats():
+    assert {section for section, _ in FLOAT_KEYS} == {"data", "model", "sampler", "finetune"}
+    assert {("finetune", "lr"), ("sampler", "lr0"), ("sampler", "temperature"),
+            ("sampler", "prior_std"), ("data", "separation"), ("data", "noise_std"),
+            ("finetune", "label_fractions")} <= set(FLOAT_KEYS)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_a_non_finite_float_fails_at_load_naming_its_key(section, key, value):
+    with pytest.raises(ConfigError) as err:
+        config.parse(f"[{section}]\n{key} = {value}\n")
+    assert str(err.value) == f"line 2 ({section}.{key}): not a finite number: '{value}'"
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)

@@ -5,8 +5,8 @@ import pytest
 
 from mcbyol.autodiff import Tape, Tensor
 from mcbyol.config import ModelSection
-from mcbyol.errors import (CheckpointError, ChecksumError, ContractError, TruncationError,
-                           VersionError)
+from mcbyol.errors import (CheckpointError, ChecksumError, ContractError, NumericError,
+                           TruncationError, VersionError)
 from mcbyol.model import byol_loss_one_direction, init_twin, mlp_forward_np
 from mcbyol.params import ParamVector
 from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect,
@@ -349,6 +349,29 @@ def test_a_non_finite_payload_is_a_checkpoint_error_naming_the_file(tmp_path, ki
         with pytest.raises(CheckpointError) as err:
             read(path)
         assert str(err.value) == f"{path}: payload holds NaN or Inf"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["ensemble encoder", "member encoder", "member head",
+                                   "frozen_member head"])
+def test_a_non_finite_payload_is_never_written(tmp_path, where, value):
+    ens = make_ensemble(2)
+    snapshot, head = ens.snapshots[1].encoder_params, random_head(np.random.default_rng(0))
+    encoder = snapshot if where.startswith("frozen") else snapshot.copy()
+    bad = {"ensemble encoder": snapshot, "member encoder": encoder}.get(where, head)
+    flat = bad.flatten()
+    flat[len(flat) // 2] = value
+    bad.set_flat(flat)
+    path = tmp_path / "x.ckpt"
+    with pytest.raises(NumericError) as err:
+        if where == "ensemble encoder":
+            save_ensemble(ens, path)
+        else:
+            save_member(path, encoder, head, {"seed": 0, "label_fraction": 0.5, "snapshot": 1,
+                                              "freeze_encoder": where.startswith("frozen")},
+                        ens.snapshots[0].encoder_params)
+    assert str(err.value) == f"{path}: payload holds NaN or Inf, not written"
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
 
 
 @pytest.mark.parametrize("kind", ["ensemble", "member", "frozen_member"])
