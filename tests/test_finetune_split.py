@@ -54,8 +54,8 @@ seeds = 0
 """
 
 
-# the same run with 12 snapshots per seed: fractions 1.0, 0.25 and 0.1 are
-# cut 11 + 1 snapshots of 1.0 here against the last one, 0.25 and 0.1
+# the same run with 12 snapshots per seed: fractions 1.0, 0.25 and 0.1 split
+# as 1.0's snapshots 0-10 here against its snapshot 11, 0.25 and 0.1 in the child
 WIDE_RUN = RUN.replace("cycle_len = 10\ntotal_steps = 30", "cycle_len = 5\ntotal_steps = 60")
 
 
@@ -122,8 +122,7 @@ WHOLE = [
     (counts, snapshots, shares) for counts, shares in WHOLE for snapshots in (1, 4)
     if (counts, snapshots) != ([5], 4)])
 def test_split_members_keeps_whole_fractions_where_no_cut_wins(counts, snapshots, shares):
-    assert split_members(counts, snapshots) == tuple(whole(share, snapshots)
-                                                              for share in shares)
+    assert split_members(counts, snapshots) == tuple(whole(share, snapshots) for share in shares)
 
 
 @pytest.mark.parametrize("counts,snapshots,shares", [
@@ -303,7 +302,8 @@ def test_the_parent_waits_for_the_child_when_its_own_fit_raises(tmp_path, monkey
     assert_no_child_process()
     # the child's fractions were fitted and written before the parent raised;
     # the logs, which this process writes once the child is reaped, were not
-    assert len(list(out.glob("member_seed0_f0p1_*"))) == len(list(out.glob("member_seed0_f0p25_*"))) == 3
+    for tag in ("0p1", "0p25"):
+        assert len(list(out.glob(f"member_seed0_f{tag}_*"))) == 3
     assert not list(out.glob("member_seed0_f1_*"))
     assert not list(out.glob("finetune_log_*"))
 
