@@ -1,17 +1,17 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
-The op vocabulary is fixed to what the twin-network losses and the linear
-classifier need: matmul, add, bias_add, tanh, relu, scale, sum, dot, mlp,
-l2_normalize, mse, softmax_cross_entropy.  `mlp` is a whole dense network
-as one record, with the same arithmetic as its matmul -> bias_add ->
-tanh|relu composition.  A Tape records every operation whose output needs
-a gradient; backward() replays the records in reverse.  Tapes are rebuilt
-per forward pass and must not be shared across threads or processes.
+The op vocabulary is fixed to what the tests' two tape oracles run, the
+twin-network loss and the fine-tuning head: matmul, add, bias_add, tanh,
+relu, l2_normalize, mse, softmax_cross_entropy.  A Tape records every
+operation whose output needs a gradient; backward() replays the records
+in reverse.  Tapes are rebuilt per forward pass and must not be shared
+across threads or processes.
 
-mlp_layers and mlp_backward are that record's forward and backward as
-plain functions over arrays.  Pretraining and fine-tuning take every
-gradient in closed form with them, with the tape's bits, and build no Tape:
-it stays as the tests' reference for those bits and the tracer's hook.
+mlp_layers and mlp_backward are a dense network's forward and backward
+as plain functions over arrays, with the arithmetic of its matmul ->
+bias_add -> tanh|relu records.  Pretraining and fine-tuning take every
+gradient in closed form with them and build no Tape: it stays as the
+tests' independent reference for those bits and the tracer's hook.
 """
 
 from __future__ import annotations
@@ -88,30 +88,22 @@ def mlp_layers(x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray]],
 
 def mlp_backward(x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray]],
                  outs: Sequence[np.ndarray], g: np.ndarray, activation: str,
-                 wants: Sequence[bool]) -> list[np.ndarray | None]:
+                 input_grad: bool) -> tuple[np.ndarray | None, list[np.ndarray]]:
     """Reverse pass of outs = mlp_layers(x, layers, activation) for the
     adjoint g of the last output (g is not written to).  Returns the
-    gradients of [x, W0, b0, W1, b1, ...], None where wants, a flag per
-    entry in that order, says no.  The pass stops below the last layer
-    whose input leads back to nothing wanted."""
-    grads: list[np.ndarray | None] = []
-    for i in range(len(layers) - 1, -1, -1):
-        w = layers[i][0]
-        a = outs[i - 1] if i else x
-        grads += [g.sum(axis=0) if wants[2 * i + 2] else None,
-                  a.T @ g if wants[2 * i + 1] else None]
-        if not any(wants[:2 * i + 1]):  # layer i's input leads to nothing wanted
-            grads += [None] * (2 * i + 1)
-            break
-        g = g @ w.T  # a fresh array, so the derivatives below go in place
-        if not i:
-            grads.append(g)
-        elif activation == "tanh":
+    gradient of x, or None without input_grad, and the gradients of
+    [W0, b0, W1, b1, ...]."""
+    grads: list[np.ndarray] = []
+    for i in range(len(layers) - 1, 0, -1):
+        a = outs[i - 1]
+        grads[:0] = [a.T @ g, g.sum(axis=0)]
+        g = g @ layers[i][0].T  # a fresh array, so the derivative goes in place
+        if activation == "tanh":
             g *= 1.0 - a * a
         else:
             g *= a > 0.0
-    grads.reverse()
-    return grads
+    grads[:0] = [x.T @ g, g.sum(axis=0)]
+    return (g @ layers[0][0].T if input_grad else None), grads
 
 
 def _result(values: np.ndarray, requires_grad: bool) -> Tensor:
@@ -194,85 +186,22 @@ class Tape:
         self._push(out, (x,), backward)
         return out
 
-    def mlp(self, x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], activation: str) -> Tensor:
-        """Dense network over (W, b) layers, activation on hidden layers only,
-        recorded as one op.  Forward and backward do the arithmetic of the
-        per-layer matmul -> bias_add -> tanh|relu records, so values and
-        gradients are bit-identical to that composition."""
-        if x.values.ndim != 2 or not layers:
-            raise DimensionError(f"mlp: need a 2-D input and a layer, got {x.shape}")
-        width = x.shape[1]
-        for w, b in layers:
-            if w.values.ndim != 2 or b.values.ndim != 1 or w.shape[0] != width \
-                    or b.shape[0] != w.shape[1]:
-                raise DimensionError(
-                    f"mlp: incompatible shapes {x.shape} through {w.shape} + {b.shape}")
-            width = w.shape[1]
-        arrays = [(w.values, b.values) for w, b in layers]
-        outs = mlp_layers(x.values, arrays, activation)
-        inputs = (x, *(t for layer in layers for t in layer))
-        wants = [t.requires_grad for t in inputs]
-        out = _result(outs[-1], any(wants))
-
-        def backward(g):
-            return mlp_backward(x.values, arrays, outs, g, activation, wants)
-
-        self._push(out, inputs, backward)
-        return out
-
-    def scale(self, x: Tensor, c: float) -> Tensor:
-        c = float(c)
-        out = _result(x.values * c, x.requires_grad)
-
-        def backward(g):
-            return (g * c,)
-
-        self._push(out, (x,), backward)
-        return out
-
-    def sum(self, x: Tensor) -> Tensor:
-        out = _result(np.asarray(x.values.sum()), x.requires_grad)
-
-        def backward(g):
-            return (np.broadcast_to(g, x.shape).copy() if x.shape else np.asarray(g),)
-
-        self._push(out, (x,), backward)
-        return out
-
-    def dot(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.values.ndim != 1 or b.values.ndim != 1 or a.shape != b.shape:
-            raise DimensionError(f"dot: need equal-length vectors, got {a.shape}, {b.shape}")
-        out = _result(np.asarray(a.values @ b.values), a.requires_grad or b.requires_grad)
-
-        def backward(g):
-            ga = g * b.values if a.requires_grad else None
-            gb = g * a.values if b.requires_grad else None
-            return ga, gb
-
-        self._push(out, (a, b), backward)
-        return out
-
     def l2_normalize(self, x: Tensor) -> Tensor:
-        """Row-wise v / max(||v||, eps); 1-D input treated as a single row.
+        """Row-wise v / max(||v||, eps) of a 2-D input.
 
         The max-guard keeps nonzero rows exactly unit norm while still
         bounding the output near zero-norm inputs.
         """
-        if x.values.ndim not in (1, 2):
-            raise DimensionError(f"l2_normalize: need 1-D or 2-D, got {x.shape}")
-        v = x.values if x.values.ndim == 2 else x.values[None, :]
-        r = np.sqrt((v * v).sum(axis=1, keepdims=True))
-        s = np.maximum(r, EPS_NORM)
-        y = v / s
-        out_vals = y if x.values.ndim == 2 else y[0]
-        out = _result(out_vals, x.requires_grad)
+        if x.values.ndim != 2:
+            raise DimensionError(f"l2_normalize: need 2-D, got {x.shape}")
+        v = x.values
+        s = np.maximum(np.sqrt((v * v).sum(axis=1, keepdims=True)), EPS_NORM)
+        out = _result(v / s, x.requires_grad)
 
         def backward(g):
-            g2 = g if g.ndim == 2 else g[None, :]
             # d(v/s)/dv = I/s - v v^T / s^3, per row (s constant below the guard)
-            proj = (g2 * v).sum(axis=1, keepdims=True)
-            gv = g2 / s - v * (proj / (s * s * s))
-            return (gv if x.values.ndim == 2 else gv[0],)
+            proj = (g * v).sum(axis=1, keepdims=True)
+            return (g / s - v * (proj / (s * s * s)),)
 
         self._push(out, (x,), backward)
         return out

@@ -175,7 +175,6 @@ def _fit_jointly(encoder, head, x_all, y_all, cfg, seed, activation) -> list[flo
     group = ParamVector({**{f"encoder.{k}": t for k, t in encoder.items()},
                          "head.weight": head["weight"], "head.bias": head["bias"]})
     layers, w, b = mlp_arrays(encoder), head["weight"].values, head["bias"].values
-    wants = [False] + [True] * (2 * len(layers))  # no gradient for the input rows
     onehot = np.eye(w.shape[1])[y_all]
 
     def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -183,7 +182,7 @@ def _fit_jointly(encoder, head, x_all, y_all, cfg, seed, activation) -> list[flo
         x = x_all[idx[0]]
         outs = mlp_layers(x, layers, activation)
         head_grad, g = _head_grad(outs[-1][None], (outs[-1] @ w + b)[None], onehot[idx])
-        grads = mlp_backward(x, layers, outs, g[0] @ w.T, activation, wants)[1:]
+        _, grads = mlp_backward(x, layers, outs, g[0] @ w.T, activation, input_grad=False)
         grad = np.concatenate([*(a.ravel() for a in grads), head_grad[0]])
         grad += 0.0  # as in _head_grad
         return grad[None]

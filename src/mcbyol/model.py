@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, mlp_layers
 from .config import ModelSection
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 from .params import ParamVector
 
 
@@ -116,9 +116,17 @@ def _layers(pv: ParamVector) -> list[tuple[Tensor, Tensor]]:
 
 
 def mlp_forward(tape: Tape, pv: ParamVector, x: Tensor, activation: str) -> Tensor:
-    """Tape-recorded forward pass, one record per network; activation on
-    hidden layers only."""
-    return tape.mlp(x, _layers(pv), activation)
+    """Tape-recorded forward pass, a matmul -> bias_add -> tanh|relu record
+    per layer, with no activation after the last layer."""
+    if activation not in ("tanh", "relu"):
+        raise ContractError(f"mlp_forward: unknown activation {activation!r}")
+    act = tape.tanh if activation == "tanh" else tape.relu
+    layers = _layers(pv)
+    for i, (w, b) in enumerate(layers):
+        x = tape.bias_add(tape.matmul(x, w), b)
+        if i < len(layers) - 1:
+            x = act(x)
+    return x
 
 
 def mlp_arrays(pv: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -127,8 +135,8 @@ def mlp_arrays(pv: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def mlp_forward_np(pv: ParamVector, x: np.ndarray, activation: str, out: list | None = None) -> np.ndarray:
-    """Inference-mode forward pass, no tape; the same arithmetic as
-    mlp_forward.  out, where given, takes every layer's output (mlp_layers)."""
+    """Inference-mode forward pass, no tape; the arithmetic of mlp_forward's
+    records.  out, where given, takes every layer's output (mlp_layers)."""
     return mlp_layers(np.asarray(x, dtype=np.float64), mlp_arrays(pv), activation, out)[-1]
 
 

@@ -305,14 +305,12 @@ def save_member(path, encoder: ParamVector, head: ParamVector, meta: dict,
 
 def load_member(path, ensemble: PosteriorEnsemble) -> tuple[ParamVector, ParamVector, dict]:
     """(encoder, head, meta); a frozen encoder is its snapshot's own in
-    ensemble.  A recorded CRC must match that snapshot's encoder."""
+    ensemble.  The recorded CRC must match that snapshot's encoder."""
     header, payload = read_container(path, expect_kind="member")
     with _complete(path, "member"):
         blocks, meta = {b["name"]: b for b in header["blocks"]}, header["meta"]
         head = _pv_from_payload(blocks["head"]["segments"], payload)
         encoder = _pv_from_payload(blocks["encoder"]["segments"], payload)
-        if encoder.names and "crc" not in blocks["encoder"]["meta"]:  # written without one
-            return encoder, head, meta
         s, crc = meta["snapshot"], blocks["encoder"]["meta"]["crc"]
     snaps = ensemble.snapshots
     if not (type(s) is int and 0 <= s < len(snaps)) or _crc(snaps[s].encoder_params) != crc:

@@ -175,8 +175,8 @@ def direction_grad(model: TwinModel, view_a: np.ndarray,
     grads: list[np.ndarray] = []
     for i in (2, 1, 0):  # predictor, projector, encoder
         x, layers, outs = passes[i]
-        wants = [i > 0] + [True] * (2 * len(layers))  # the views want no gradient
-        g, *net_grads = mlp_backward(x, layers, outs, g, act, wants)
+        # the encoder's input is the view, which takes no gradient
+        g, net_grads = mlp_backward(x, layers, outs, g, act, input_grad=i > 0)
         grads[:0] = net_grads
     flat = np.concatenate([gr.ravel() for gr in grads])
     flat += 0.0  # a tape leaf's gradient starts at 0.0, so -0.0 reads as 0.0

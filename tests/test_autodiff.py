@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from gradcheck import grad_check
 
-from mcbyol.autodiff import Tape, Tensor, mlp_layers
+from mcbyol.autodiff import Tape, Tensor, mlp_backward, mlp_layers
 from mcbyol.errors import ContractError, DimensionError, NumericError
 
 
@@ -44,14 +44,8 @@ def rel_err(a, b):
 
 def test_l2_normalize_345_triangle():
     t = Tape()
-    out = t.l2_normalize(Tensor([3.0, 4.0]))
-    assert np.allclose(out.values, [0.6, 0.8], atol=1e-9)
-
-
-def test_dot_orthogonal_is_zero():
-    t = Tape()
-    out = t.dot(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
-    assert float(out.values) == 0.0
+    out = t.l2_normalize(Tensor([[3.0, 4.0]]))
+    assert np.allclose(out.values, [[0.6, 0.8]], atol=1e-9)
 
 
 def test_matmul_matches_naive_oracle():
@@ -64,31 +58,18 @@ def test_matmul_matches_naive_oracle():
     assert np.allclose(out.values, naive_matmul(a, b), atol=1e-12)
 
 
-def test_backward_sum_gives_ones():
-    t = Tape()
-    x = Tensor([1.0, 5.0, -2.0], requires_grad=True)
-    t.backward(t.sum(x))
-    assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
-
-
-def test_backward_dot_quadratic():
-    t = Tape()
-    x = Tensor([2.0, -1.0], requires_grad=True)
-    t.backward(t.dot(x, x))
-    assert np.allclose(x.grad, [4.0, -2.0])
-
-
 def test_two_layer_tanh_network_matches_finite_differences():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 3))
     w1 = Tensor(rng.normal(size=(3, 4)) * 0.5, requires_grad=True)
     b1 = Tensor(rng.normal(size=(4,)) * 0.1, requires_grad=True)
     w2 = Tensor(rng.normal(size=(4, 2)) * 0.5, requires_grad=True)
+    target = Tensor(rng.normal(size=(5, 2)))
 
     def forward():
         t = Tape()
         h = t.tanh(t.bias_add(t.matmul(Tensor(x), w1), b1))
-        return t, t.sum(t.matmul(h, w2))
+        return t, t.mse(t.matmul(h, w2), target)
 
     t, loss = forward()
     t.backward(loss)
@@ -105,33 +86,28 @@ def test_two_layer_tanh_network_matches_finite_differences():
         assert rel_err(p.grad, numeric) < 1e-4
 
 
-# kind: (input shapes, output width, the Tape method applied to the inputs)
+# kind: (input shapes, output shape or None for a scalar, the Tape method)
 PRIMITIVES = {
-    "matmul": ([(2, 3), (3, 2)], 2, Tape.matmul),
-    "add": ([(2, 3), (2, 3)], 3, Tape.add),
-    "bias_add": ([(2, 3), (3,)], 3, Tape.bias_add),
-    "elementwise_tanh": ([(2, 3)], 3, Tape.tanh),
-    "elementwise_relu": ([(2, 3)], 3, Tape.relu),
-    "scale": ([(2, 3)], 3, lambda tape, x: tape.scale(x, 2.0)),
-    "sum": ([(2, 3)], 1, Tape.sum),
-    "dot": ([(4,), (4,)], 1, Tape.dot),
-    "l2_normalize": ([(2, 3)], 3, Tape.l2_normalize),
-    "mse": ([(2, 3), (2, 3)], 1, Tape.mse),
+    "matmul": ([(2, 3), (3, 2)], (2, 2), Tape.matmul),
+    "add": ([(2, 3), (2, 3)], (2, 3), Tape.add),
+    "bias_add": ([(2, 3), (3,)], (2, 3), Tape.bias_add),
+    "elementwise_tanh": ([(2, 3)], (2, 3), Tape.tanh),
+    "elementwise_relu": ([(2, 3)], (2, 3), Tape.relu),
+    "l2_normalize": ([(2, 3)], (2, 3), Tape.l2_normalize),
+    "mse": ([(2, 3), (2, 3)], None, Tape.mse),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(PRIMITIVES))
 def test_primitive_gradients_match_finite_differences(kind):
     """VJP of every primitive against central differences, 100 seeds."""
-    shapes, out_width, op = PRIMITIVES[kind]
+    shapes, out_shape, op = PRIMITIVES[kind]
 
-    def scalar_loss(tape, vals, weights):
+    def scalar_loss(tape, vals, target):
         tensors = [Tensor(v, requires_grad=True) for v in vals]
         out = op(tape, *tensors)
-        if out.values.ndim == 2:  # fold matrix outputs with a random cotangent
-            out = tape.sum(tape.matmul(out, Tensor(weights)))
-        elif out.values.ndim == 1:
-            out = tape.dot(out, Tensor(weights[: out.values.size, 0]))
+        if out_shape is not None:  # fold matrix outputs with mse against a fixed target
+            out = tape.mse(out, Tensor(target))
         return out, tensors
 
     for seed in range(100):
@@ -139,10 +115,10 @@ def test_primitive_gradients_match_finite_differences(kind):
         # keep relu inputs away from the kink where FD is meaningless
         inputs = [rng.normal(size=s) + (0.3 if kind == "elementwise_relu" else 0.0)
                   for s in shapes]
-        weights = rng.normal(size=(out_width, 1))
+        target = rng.normal(size=out_shape) if out_shape is not None else None
 
         tape = Tape()
-        out, tensors = scalar_loss(tape, inputs, weights)
+        out, tensors = scalar_loss(tape, inputs, target)
         tape.backward(out)
 
         for i, tensor in enumerate(tensors):
@@ -150,7 +126,7 @@ def test_primitive_gradients_match_finite_differences(kind):
                 vals = [u.copy() for u in inputs]
                 vals[i] = v.reshape(vals[i].shape)
                 t2 = Tape()
-                o, _ = scalar_loss(t2, vals, weights)
+                o, _ = scalar_loss(t2, vals, target)
                 return float(o.values)
 
             numeric = central_diff(f, inputs[i].copy())
@@ -178,7 +154,7 @@ def test_stop_gradient_leaves_without_requires_grad():
     t = Tape()
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     w_frozen = Tensor([[1.0], [1.0]], requires_grad=False)
-    loss = t.sum(t.matmul(x, w_frozen))
+    loss = t.mse(t.matmul(x, w_frozen), Tensor([[0.0]]))
     t.backward(loss)
     assert x.grad is not None
     assert w_frozen.grad is None
@@ -203,7 +179,7 @@ def test_backward_is_deterministic():
 def test_l2_normalize_output_norm_close_to_one():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        v = rng.normal(size=6) * 10.0 ** rng.uniform(-5, 2)
+        v = rng.normal(size=(1, 6)) * 10.0 ** rng.uniform(-5, 2)
         if np.linalg.norm(v) <= 1e-6:
             continue
         t = Tape()
@@ -231,7 +207,7 @@ def test_shape_mismatch_raises():
     with pytest.raises(DimensionError):
         t.add(Tensor(np.ones(3)), Tensor(np.ones(4)))
     with pytest.raises(DimensionError):
-        t.dot(Tensor(np.ones((2, 2))), Tensor(np.ones(4)))
+        t.l2_normalize(Tensor(np.ones(4)))
 
 
 def test_nonfinite_leaf_rejected():
@@ -249,7 +225,7 @@ def test_backward_requires_scalar_loss():
         t.backward(y)
 
 
-# ---- Tape.mlp against its per-op composition --------------------------------
+# ---- mlp_layers and mlp_backward against the per-op tape ---------------------
 
 
 def per_op_mlp(tape, x, layers, activation):
@@ -263,10 +239,10 @@ def per_op_mlp(tape, x, layers, activation):
     return h
 
 
-def mlp_case(seed, n_layers, activation, x_grad, frozen_first):
-    """Inputs, layers and a target of one random network; for relu, the
-    first hidden layer gets pre-activations of exactly +0.0 (a zero weight
-    column) and -0.0 (a product that underflows, then a -0.0 bias)."""
+def mlp_case(seed, n_layers, activation):
+    """Two inputs, the layers and a target of one random network; for relu,
+    the first hidden layer gets pre-activations of exactly +0.0 (a zero
+    weight column) and -0.0 (a product that underflows, then a -0.0 bias)."""
     rng = np.random.default_rng(seed)
     widths = [int(w) for w in rng.integers(3, 7, size=n_layers + 1)]
     xs = [rng.normal(size=(5, widths[0])) for _ in range(2)]
@@ -280,105 +256,93 @@ def mlp_case(seed, n_layers, activation, x_grad, frozen_first):
         for x in xs:
             x[2] = -1e-200
     target = rng.normal(size=(5, widths[-1]))
-
-    def tensors():
-        x_t = [Tensor(x, requires_grad=x_grad) for x in xs]
-        layers = [(Tensor(w, requires_grad=not (frozen_first and i == 0)),
-                   Tensor(b, requires_grad=not (frozen_first and i == 0)))
-                  for i, (w, b) in enumerate(zip(ws, bs))]
-        return x_t, layers
-
-    return tensors, target
+    return xs, list(zip(ws, bs)), target
 
 
-def run_mlp(forward, tensors, target, activation):
-    """Two inputs through one network, as the symmetrized loss uses it."""
+def tape_mlp_grads(xs, layers, target, activation, input_grad):
+    """Both inputs through one network, as the symmetrized loss uses it, on
+    the per-op tape: the two outputs, the loss, and the gradients of the
+    two inputs and of [W0, b0, W1, b1, ...]."""
     tape = Tape()
-    xs, layers = tensors()
-    outs = [forward(tape, x, layers, activation) for x in xs]
+    x_t = [Tensor(x, requires_grad=input_grad) for x in xs]
+    leaves = [Tensor(a, requires_grad=True) for layer in layers for a in layer]
+    pairs = list(zip(leaves[::2], leaves[1::2]))
+    outs = [per_op_mlp(tape, x, pairs, activation) for x in x_t]
     loss = tape.add(*(tape.mse(out, Tensor(target)) for out in outs))
     tape.backward(loss)
-    leaves = [*xs, *(t for layer in layers for t in layer)]
-    return tape, outs, loss, leaves
+    return ([o.values for o in outs], loss.values, [x.grad for x in x_t],
+            [leaf.grad for leaf in leaves])
+
+
+def closed_form_mlp_grads(xs, layers, target, activation, input_grad):
+    """The same from mlp_layers and mlp_backward: mse's adjoint of each
+    output, each weight's two gradients summed and, like every tape leaf's,
+    added to 0.0."""
+    outs, losses, x_grads, weight_grads = [], [], [], []
+    for x in xs:
+        out = mlp_layers(x, layers, activation)
+        d = out[-1] - target
+        gx, grads = mlp_backward(x, layers, out, (2.0 / len(d)) * d, activation, input_grad)
+        outs.append(out[-1])
+        losses.append((d * d).sum() / len(d))
+        x_grads.append(None if gx is None else gx + 0.0)
+        weight_grads.append(grads)
+    summed = [a + b + 0.0 for a, b in zip(*weight_grads)]
+    return outs, np.asarray(losses[0] + losses[1]), x_grads, summed
 
 
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("x_grad", [False, True])
-@pytest.mark.parametrize("frozen_first", [False, True])
-def test_mlp_is_bit_identical_to_per_op_composition(n_layers, activation, x_grad, frozen_first):
+@pytest.mark.parametrize("input_grad", [False, True])
+def test_mlp_is_bit_identical_to_per_op_composition(n_layers, activation, input_grad):
     for seed in range(5):
-        tensors, target = mlp_case(seed, n_layers, activation, x_grad, frozen_first)
-        fused = run_mlp(lambda t, x, layers, act: t.mlp(x, layers, act),
-                        tensors, target, activation)
-        oracle = run_mlp(per_op_mlp, tensors, target, activation)
-        for out, ref in zip(fused[1], oracle[1]):
-            assert out.values.tobytes() == ref.values.tobytes()
-            assert out.requires_grad == ref.requires_grad
-        assert fused[2].values.tobytes() == oracle[2].values.tobytes()
-        for leaf, ref in zip(fused[3], oracle[3]):
-            assert (leaf.grad is None) == (ref.grad is None)
-            if ref.grad is not None:
-                assert leaf.grad.tobytes() == ref.grad.tobytes()
-        assert (fused[3][0].grad is not None) == x_grad
-        # one record per network pass, plus the two mse and the add; none
-        # when no input of the single frozen layer needs a gradient
-        needs_grad = x_grad or n_layers > 1 or not frozen_first
-        assert len(fused[0]._records) == (5 if needs_grad else 0)
+        case = mlp_case(seed, n_layers, activation)
+        closed = closed_form_mlp_grads(*case, activation, input_grad)
+        oracle = tape_mlp_grads(*case, activation, input_grad)
+        assert [o.tobytes() for o in closed[0]] == [o.tobytes() for o in oracle[0]]
+        assert closed[1].tobytes() == oracle[1].tobytes()
+        assert all((g is None) == (not input_grad) for g in closed[2] + oracle[2])
+        if input_grad:
+            assert [g.tobytes() for g in closed[2]] == [g.tobytes() for g in oracle[2]]
+        assert len(closed[3]) == len(oracle[3]) == 2 * n_layers
+        assert [g.tobytes() for g in closed[3]] == [g.tobytes() for g in oracle[3]]
 
 
 def test_relu_case_has_both_signed_zero_pre_activations():
-    tensors, _ = mlp_case(0, 2, "relu", False, False)
-    xs, layers = tensors()
+    xs, layers, _ = mlp_case(0, 2, "relu")
     w, b = layers[0]
-    pre = xs[0].values @ w.values + b.values
+    pre = xs[0] @ w + b
     zeros = pre[pre == 0.0]
     assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_mlp_gradient_matches_finite_differences(activation):
+def test_mlp_backward_matches_finite_differences(activation):
+    """The input's and every weight's gradient of an mse loss."""
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(4, 3))
-    shapes = [(3, 5), (5,), (5, 4), (4,), (4, 2), (2,)]
+    shapes = [(4, 3), (3, 5), (5,), (5, 4), (4,), (4, 2), (2,)]
     flat0 = np.concatenate([rng.normal(size=s).ravel() for s in shapes])
     target = rng.normal(size=(4, 2))
 
-    def build(flat, requires_grad):
+    def split(flat):
         parts, at = [], 0
         for s in shapes:
             n = int(np.prod(s))
-            parts.append(Tensor(flat[at:at + n].reshape(s), requires_grad))
+            parts.append(flat[at:at + n].reshape(s))
             at += n
-        return list(zip(parts[::2], parts[1::2]))
+        return parts[0], list(zip(parts[1::2], parts[2::2]))
 
     def loss_at(flat):
-        t = Tape()
-        return float(t.mse(t.mlp(Tensor(x), build(flat, False), activation),
-                           Tensor(target)).values)
+        x, layers = split(flat)
+        d = mlp_layers(x, layers, activation)[-1] - target
+        return float((d * d).sum() / len(d))
 
-    t = Tape()
-    layers = build(flat0, True)
-    t.backward(t.mse(t.mlp(Tensor(x), layers, activation), Tensor(target)))
-    analytic = np.concatenate([p.grad.ravel() for layer in layers for p in layer])
+    x, layers = split(flat0)
+    outs = mlp_layers(x, layers, activation)
+    gx, grads = mlp_backward(x, layers, outs, (2.0 / len(x)) * (outs[-1] - target),
+                             activation, input_grad=True)
+    analytic = np.concatenate([gx.ravel(), *(g.ravel() for g in grads)])
     assert grad_check(loss_at, flat0, analytic) < 1e-4
-
-
-def test_mlp_rejects_bad_shapes_and_activation():
-    t = Tape()
-    good = (Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
-    with pytest.raises(DimensionError):
-        t.mlp(Tensor(np.ones((4, 3))), [good], "tanh")
-    with pytest.raises(DimensionError):
-        t.mlp(Tensor(np.ones((4, 2))), [good, good], "tanh")
-    with pytest.raises(DimensionError):
-        t.mlp(Tensor(np.ones((4, 2))), [(good[0], Tensor(np.zeros(2)))], "tanh")
-    with pytest.raises(DimensionError):
-        t.mlp(Tensor(np.ones(2)), [good], "tanh")
-    with pytest.raises(DimensionError):
-        t.mlp(Tensor(np.ones((4, 2))), [], "tanh")
-    with pytest.raises(ContractError):
-        t.mlp(Tensor(np.ones((4, 2))), [good], "sigmoid")
 
 
 # ---- mlp_layers into caller-given buffers -------------------------------------

@@ -7,7 +7,7 @@ from gradcheck import grad_check, tape_online_grad
 
 from mcbyol.autodiff import Tape, Tensor
 from mcbyol.config import ModelSection
-from mcbyol.errors import ConfigError, DimensionError
+from mcbyol.errors import ConfigError, ContractError, DimensionError
 from mcbyol.model import (byol_loss_one_direction, byol_loss_symmetrized, ema_update,
                           init_twin, mlp_forward_np)
 from mcbyol.sampler import direction_grad
@@ -283,16 +283,31 @@ def test_tape_and_numpy_forward_agree():
     assert relu_tape.tobytes() == mlp_forward_np(m.online_encoder, x, "relu").tobytes()
 
 
-def test_symmetrized_loss_records_one_op_per_network():
-    """Per direction: the three online networks, l2_normalize and mse; the
-    target branch records nothing.  Then one add: 11 records in all."""
+def test_tape_forward_rejects_an_unknown_activation_and_a_bad_width():
+    from mcbyol.model import mlp_forward
+    m = tiny_model(3)
+    with pytest.raises(ContractError):
+        mlp_forward(Tape(), m.online_encoder, Tensor(np.ones((4, 3))), "sigmoid")
+    with pytest.raises(DimensionError):
+        mlp_forward(Tape(), m.online_encoder, Tensor(np.ones((4, 2))), "tanh")
+
+
+def test_symmetrized_loss_records_each_layer_op_by_op():
+    """Per direction: each of the three two-layer online networks as
+    matmul -> bias_add -> tanh -> matmul -> bias_add, then l2_normalize and
+    mse; the target branch records nothing, and no record reads a target
+    tensor.  Then one add: 35 records in all."""
     rng = np.random.default_rng(4)
     m = tiny_model(2)
     t = Tape()
     byol_loss_symmetrized(t, m, rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
     kinds = [fn.__qualname__.split(".")[1] for _, _, fn in t._records]
-    assert kinds == ["mlp"] * 3 + ["l2_normalize", "mse"] + ["mlp"] * 3 \
-        + ["l2_normalize", "mse", "add"]
+    network = ["matmul", "bias_add", "tanh", "matmul", "bias_add"]
+    direction = network * 3 + ["l2_normalize", "mse"]
+    assert kinds == direction * 2 + ["add"]
+    target = {id(tensor) for p in (m.target_encoder, m.target_projector)
+              for _, tensor in p.items()}
+    assert not any(id(tensor) in target for _, inputs, _ in t._records for tensor in inputs)
 
 
 # ---- the two shared weight arrays -------------------------------------------

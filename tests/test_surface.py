@@ -11,7 +11,11 @@ Each setting has one home, its config section: no dataclass outside
 config.py re-declares a key of a section.
 
 The checkpoint format has one home, posterior.py: no other module names
-the container functions, whether it calls, imports or defines them."""
+the container functions, whether it calls, imports or defines them.
+
+The tape stays an independent oracle: no Tape method, model.mlp_forward or
+model.byol_loss_one_direction names the closed-form gradient code that the
+tests check against it."""
 
 import ast
 import dataclasses
@@ -28,15 +32,10 @@ ALLOWED = {
     "config.save",
     # README's way to write a file_prefix dataset
     "data.save_dataset",
-    # BENCHMARK.json lists autodiff.op.scale.* and autodiff.op.relu.*, which
-    # bench/tracing.py measures by patching every Tape op (Tape.dot, Tape.sum and
-    # Tape.tanh pass the scan only because numpy's .dot, .sum and .tanh share
-    # their names)
-    "Tape.scale",
-    "Tape.relu",
-    # likewise for autodiff.op.bias_add.* and autodiff.op.softmax_cross_entropy.*;
-    # no pipeline path builds a tape, and the tests keep it as the gradients' reference
-    "Tape.bias_add",
+    # BENCHMARK.json lists autodiff.op.softmax_cross_entropy.*, which bench/tracing.py
+    # measures by patching every Tape op; no pipeline path builds a tape, and the
+    # tests' fine-tuning oracle runs it (every other Tape op is called by
+    # model.mlp_forward or a twin-loss function, the tests' pretraining oracle)
     "Tape.softmax_cross_entropy",
     # bench/tracing.py patches it, and BENCHMARK.json lists params.grad_flat_s and
     # params.grad_flat.calls; the tests' tape oracles read their gradients with it
@@ -142,6 +141,44 @@ def test_container_scan_flags_a_call_an_import_and_a_definition(tmp_path):
     (tmp_path / "d.py").write_text("from .posterior import load_member\nload_member(1)\n")
     assert container_users(tmp_path) == ["a: read_container", "b: write_container",
                                          "c: _pv_from_payload"]
+
+
+# the tape oracle's definitions, and the closed-form code they check
+ORACLE = {"autodiff.Tape", "model.mlp_forward", "model.byol_loss_one_direction"}
+CLOSED_FORM = {"mlp_layers", "mlp_backward", "direction_grad"}
+
+
+def oracle_leaks(src: Path) -> list[str]:
+    """'module.definition: name' for every closed-form gradient function
+    that a definition of the tape oracle names."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if f"{path.stem}.{getattr(node, 'name', '')}" in ORACLE:
+                found += [f"{path.stem}.{node.name}: {name}"
+                          for name in sorted(set(_refs(node)) & CLOSED_FORM)]
+    return found
+
+
+def test_the_tape_oracle_shares_no_code_with_what_it_checks():
+    found = oracle_leaks(SRC)
+    assert not found, f"the tape oracle must not run the code it checks: {found}"
+
+
+def test_oracle_scan_flags_a_tape_method_and_both_loss_functions(tmp_path):
+    (tmp_path / "autodiff.py").write_text(
+        "def mlp_layers(x):\n    pass\n\n"
+        "class Tape:\n    def mlp(self, x):\n        return mlp_layers(x)\n")
+    (tmp_path / "model.py").write_text(
+        "from . import sampler\n\n"
+        "def mlp_forward(tape, x):\n    return autodiff.mlp_backward(x)\n\n"
+        "def byol_loss_one_direction(tape, x):\n    return sampler.direction_grad(x)\n\n"
+        "def mlp_forward_np(x):\n    return mlp_layers(x)\n")
+    (tmp_path / "sampler.py").write_text(
+        "class Tape:\n    def f(self):\n        return direction_grad\n")
+    assert oracle_leaks(tmp_path) == ["autodiff.Tape: mlp_layers",
+                                      "model.mlp_forward: mlp_backward",
+                                      "model.byol_loss_one_direction: direction_grad"]
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:

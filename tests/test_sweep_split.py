@@ -139,29 +139,28 @@ def test_every_forward_of_a_sweep_reuses_its_layer_buffers(tmp_path, monkeypatch
             assert all(len(arrays) == 1 for arrays in by_pid.values())
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_members_that_store_their_frozen_encoder_give_the_same_tables(tmp_path, monkeypatch,
-                                                                      finetuned, cpus):
-    """Member files written before linear-evaluation members referred to
-    their snapshot, each with a copy of its encoder, still load, and eval
-    and ood write the same tables from them."""
-    cfg_path, out = copy_run(tmp_path, finetuned, "o")
-    cfg = config.load(str(cfg_path))
-    counting_children(monkeypatch, cpus)
-    written = []
-    for rewrite in (False, True):
-        if rewrite:
-            ensemble = load_ensemble(pipeline.ensemble_path(str(out), 0))
-            for path in out.glob("member_*.ckpt"):
-                encoder, head, meta = load_member(str(path), ensemble)
-                write_container(path, "member", meta, [("encoder", {}, encoder),
-                                                       ("head", {}, head)])
-                assert path.stat().st_size > 8 * encoder.total_dim
-        pipeline.run_eval(cfg, str(out))
-        pipeline.run_ood(cfg, str(out))
+@pytest.mark.parametrize("stage", STAGES)
+def test_members_written_without_a_snapshot_crc_are_an_io_error(tmp_path, monkeypatch, capsys,
+                                                                finetuned, stage):
+    """Member files in the format written before every member recorded its
+    snapshot's CRC, each with a copy of its encoder, are refused: eval and
+    ood exit with code 4, naming the file and the missing 'crc', at 1 and
+    2 CPUs alike."""
+    errs = {}
+    for cpus in (1, 2):
+        cfg_path, out = copy_run(tmp_path, finetuned, f"cpus{cpus}")
+        ensemble = load_ensemble(pipeline.ensemble_path(str(out), 0))
+        for path in out.glob("member_*.ckpt"):
+            encoder, head, meta = load_member(str(path), ensemble)
+            write_container(path, "member", meta, [("encoder", {}, encoder), ("head", {}, head)])
+        counting_children(monkeypatch, cpus)
+        assert run_stage(stage, cfg_path, out) == cli.EXIT_IO
         assert_no_child_process()
-        written.append({name: (out / name).read_bytes() for name in TABLES.values()})
-    assert written[0] == written[1]
+        errs[cpus] = capsys.readouterr().err
+        first = pipeline.member_path(str(out), 0, 1.0, 0)
+        assert errs[cpus] == f"i/o error: {first}: the member file has no 'crc'\n"
+        assert not (out / TABLES[stage]).exists()
+    assert errs[1].replace("cpus1", "cpus2") == errs[2]
 
 
 @pytest.mark.parametrize("stage", STAGES)
