@@ -239,13 +239,14 @@ def per_op_mlp(tape, x, layers, activation):
     return h
 
 
-def mlp_case(seed, n_layers, activation):
-    """Two inputs, the layers and a target of one random network; for relu,
-    the first hidden layer gets pre-activations of exactly +0.0 (a zero
-    weight column) and -0.0 (a product that underflows, then a -0.0 bias)."""
+def mlp_case(seed, n_layers, activation, rows=5):
+    """Two inputs of `rows` rows, the layers and a target of one random
+    network; for relu, the first hidden layer gets pre-activations of
+    exactly +0.0 (a zero weight column) and -0.0 (a product that
+    underflows, then a -0.0 bias)."""
     rng = np.random.default_rng(seed)
     widths = [int(w) for w in rng.integers(3, 7, size=n_layers + 1)]
-    xs = [rng.normal(size=(5, widths[0])) for _ in range(2)]
+    xs = [rng.normal(size=(rows, widths[0])) for _ in range(2)]
     ws = [rng.normal(size=(i, o)) for i, o in zip(widths[:-1], widths[1:])]
     bs = [rng.normal(size=o) for o in widths[1:]]
     if activation == "relu" and n_layers > 1:
@@ -254,8 +255,8 @@ def mlp_case(seed, n_layers, activation):
         ws[0][:, 1] = 1e-200
         bs[0][1] = -0.0
         for x in xs:
-            x[2] = -1e-200
-    target = rng.normal(size=(5, widths[-1]))
+            x[min(2, rows - 1)] = -1e-200
+    target = rng.normal(size=(rows, widths[-1]))
     return xs, list(zip(ws, bs)), target
 
 
@@ -291,12 +292,20 @@ def closed_form_mlp_grads(xs, layers, target, activation, input_grad):
     return outs, np.asarray(losses[0] + losses[1]), x_grads, summed
 
 
+# a small batch, the tests' usual one and the pretraining batch of
+# configs/default.cfg, where the weight gradients' products and the bias
+# gradients' column sums run over many rows (one row does not do: numpy's
+# product of a single row sums the underflowing -0.0 products to +0.0)
+BATCH_ROWS = [2, 5, 256]
+
+
+@pytest.mark.parametrize("rows", BATCH_ROWS)
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("input_grad", [False, True])
-def test_mlp_is_bit_identical_to_per_op_composition(n_layers, activation, input_grad):
+def test_mlp_is_bit_identical_to_per_op_composition(n_layers, activation, input_grad, rows):
     for seed in range(5):
-        case = mlp_case(seed, n_layers, activation)
+        case = mlp_case(seed, n_layers, activation, rows)
         closed = closed_form_mlp_grads(*case, activation, input_grad)
         oracle = tape_mlp_grads(*case, activation, input_grad)
         assert [o.tobytes() for o in closed[0]] == [o.tobytes() for o in oracle[0]]
@@ -308,21 +317,24 @@ def test_mlp_is_bit_identical_to_per_op_composition(n_layers, activation, input_
         assert [g.tobytes() for g in closed[3]] == [g.tobytes() for g in oracle[3]]
 
 
-def test_relu_case_has_both_signed_zero_pre_activations():
-    xs, layers, _ = mlp_case(0, 2, "relu")
+@pytest.mark.parametrize("rows", BATCH_ROWS)
+def test_relu_case_has_both_signed_zero_pre_activations(rows):
+    xs, layers, _ = mlp_case(0, 2, "relu", rows)
     w, b = layers[0]
     pre = xs[0] @ w + b
     zeros = pre[pre == 0.0]
     assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
 
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_mlp_backward_matches_finite_differences(activation):
+def test_mlp_backward_matches_finite_differences(activation, n_layers):
     """The input's and every weight's gradient of an mse loss."""
     rng = np.random.default_rng(3)
-    shapes = [(4, 3), (3, 5), (5,), (5, 4), (4,), (4, 2), (2,)]
+    widths = [3, 5, 4, 2][-(n_layers + 1):]
+    shapes = [(4, widths[0])] + [s for i, o in zip(widths[:-1], widths[1:]) for s in ((i, o), (o,))]
     flat0 = np.concatenate([rng.normal(size=s).ravel() for s in shapes])
-    target = rng.normal(size=(4, 2))
+    target = rng.normal(size=(4, widths[-1]))
 
     def split(flat):
         parts, at = [], 0

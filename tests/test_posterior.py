@@ -434,9 +434,14 @@ FROZEN = {"seed": 0, "snapshot": 0, "freeze_encoder": True}
     ("member", FROZEN, ["head"], "encoder"),
     ("member", FROZEN, ["encoder_ref"], "head"),
     ("member", FROZEN, ["encoder_ref_without_crc", "head"], "crc"),
+    # the formats written before members recorded their snapshot's CRC: a
+    # copy of the encoder, frozen or fine-tuned, and no CRC
+    ("member", FROZEN, ["encoder_copy_without_crc", "head"], "crc"),
+    ("member", {**FROZEN, "freeze_encoder": False}, ["encoder_copy_without_crc", "head"], "crc"),
     ("member", {"seed": 0}, ["encoder_ref", "head"], "snapshot"),
     ("ensemble", {}, ["snapshot_without_cycle"], "cycle"),
-], ids=["no_encoder_block", "no_head_block", "no_crc", "no_snapshot", "no_cycle"])
+], ids=["no_encoder_block", "no_head_block", "no_crc", "frozen_copy_no_crc", "tuned_copy_no_crc",
+        "no_snapshot", "no_cycle"])
 def test_a_file_missing_a_block_or_key_of_its_kind_is_a_checkpoint_error(tmp_path, kind, meta,
                                                                          blocks, missing):
     """A sound container that lacks what its kind's loader reads."""
@@ -445,6 +450,7 @@ def test_a_file_missing_a_block_or_key_of_its_kind_is_a_checkpoint_error(tmp_pat
     made = {"head": ("head", {}, random_head(np.random.default_rng(0))),
             "encoder_ref": ("encoder", {"crc": 0}, empty),
             "encoder_ref_without_crc": ("encoder", {}, empty),
+            "encoder_copy_without_crc": ("encoder", {}, encoder),
             "snapshot_without_cycle": ("snapshot0", {k: v for k, v in SNAPSHOT_META.items()
                                                      if k != "cycle"}, encoder)}
     path = tmp_path / f"{kind}.ckpt"
