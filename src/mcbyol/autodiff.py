@@ -12,6 +12,8 @@ as plain functions over arrays, with the arithmetic of its matmul ->
 bias_add -> tanh|relu records.  Pretraining and fine-tuning take every
 gradient in closed form with them and build no Tape: it stays as the
 tests' independent reference for those bits and the tracer's hook.
+Tensor is the tape's type; no pipeline path sets a gradient flag, and the
+tests' oracles mark the leaves they differentiate.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class Tensor:
     """Dense float64 array with an optional gradient buffer.
 
     Leaf tensors (built directly, not by tape ops) reject non-finite
-    values; .grad accumulates across backward calls until set to None.
+    values and take a gradient only with requires_grad set; .grad
+    accumulates across backward calls until set to None.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_op_produced")
@@ -50,15 +53,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.values.size
-
-    def copy(self) -> "Tensor":
-        """A copy of the values; the gradient buffer is not carried over."""
-        t = Tensor.__new__(Tensor)
-        t.values = self.values.copy()
-        t.requires_grad = self.requires_grad
-        t.grad = None
-        t._op_produced = False
-        return t
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -207,11 +201,11 @@ class Tape:
         return out
 
     def mse(self, a: Tensor, b: Tensor) -> Tensor:
-        """Mean over rows of the squared Euclidean distance ||a_i - b_i||^2."""
-        if a.shape != b.shape:
-            raise DimensionError(f"mse: shape mismatch {a.shape} vs {b.shape}")
+        """Mean over rows of the squared Euclidean distance ||a_i - b_i||^2 (2-D only)."""
+        if a.values.ndim != 2 or a.shape != b.shape:
+            raise DimensionError(f"mse: need equal 2-D shapes, got {a.shape} vs {b.shape}")
         d = a.values - b.values
-        n_rows = d.shape[0] if d.ndim == 2 else 1
+        n_rows = d.shape[0]
         out = _result(np.asarray((d * d).sum() / n_rows), a.requires_grad or b.requires_grad)
 
         def backward(g):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, mlp_backward, mlp_layers
+from .autodiff import mlp_backward, mlp_layers
 from .config import FinetuneSection, ModelSection
 from .data import Dataset, minibatch_keys, minibatches
 from .errors import ContractError, DataError
@@ -51,8 +51,8 @@ def subset_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
 def _init_head(embed_dim: int, classes: int, rng: np.random.Generator) -> ParamVector:
     bound = 1.0 / np.sqrt(embed_dim)
     return ParamVector({
-        "weight": Tensor(rng.uniform(-bound, bound, size=(embed_dim, classes))),
-        "bias": Tensor(rng.uniform(-bound, bound, size=(classes,)))})
+        "weight": rng.uniform(-bound, bound, size=(embed_dim, classes)),
+        "bias": rng.uniform(-bound, bound, size=(classes,))})
 
 
 def _mean_ce(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ moving average and never receives gradients.  All networks are dense MLPs
 
 A TwinModel keeps its weights in two flat float64 arrays, online and
 target; every tensor of its five networks is a reshaped view into one of
-them, and every write to the weights is in place.
+them, and every write to the weights is in place.  mlp_forward and the
+byol_loss_* functions are the tests' Tape oracle for sampler.direction_grad.
 """
 
 from __future__ import annotations
@@ -84,15 +85,13 @@ class TwinModel:
         self.online[:] = vec
 
 
-def init_mlp(widths: list[int], rng: np.random.Generator, requires_grad: bool) -> ParamVector:
+def init_mlp(widths: list[int], rng: np.random.Generator) -> ParamVector:
     """Scaled-uniform fan-in init: W, b ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-    segments: dict[str, Tensor] = {}
+    segments: dict[str, np.ndarray] = {}
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         bound = 1.0 / np.sqrt(fan_in)
-        segments[f"layer{i}.w"] = Tensor(
-            rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad)
-        segments[f"layer{i}.b"] = Tensor(
-            rng.uniform(-bound, bound, size=(fan_out,)), requires_grad)
+        segments[f"layer{i}.w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        segments[f"layer{i}.b"] = rng.uniform(-bound, bound, size=(fan_out,))
     return ParamVector(segments)
 
 
@@ -100,15 +99,11 @@ def init_twin(cfg: ModelSection, input_dim: int, seed: int) -> TwinModel:
     """Online weights seeded; target starts as an exact copy of the online
     encoder and projector (the predictor has no target counterpart)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    encoder = init_mlp([input_dim, *cfg.encoder_hidden, cfg.embed_dim], rng, requires_grad=True)
-    projector = init_mlp([cfg.embed_dim, cfg.proj_hidden, cfg.proj_dim], rng, requires_grad=True)
+    encoder = init_mlp([input_dim, *cfg.encoder_hidden, cfg.embed_dim], rng)
+    projector = init_mlp([cfg.embed_dim, cfg.proj_hidden, cfg.proj_dim], rng)
     # the predictor maps projection space onto itself
-    predictor = init_mlp([cfg.proj_dim, cfg.pred_hidden, cfg.proj_dim], rng, requires_grad=True)
-    target_encoder = encoder.copy()
-    target_encoder.set_requires_grad(False)
-    target_projector = projector.copy()
-    target_projector.set_requires_grad(False)
-    return TwinModel(cfg, encoder, projector, predictor, target_encoder, target_projector)
+    predictor = init_mlp([cfg.proj_dim, cfg.pred_hidden, cfg.proj_dim], rng)
+    return TwinModel(cfg, encoder, projector, predictor, encoder.copy(), projector.copy())
 
 
 def _layers(pv: ParamVector) -> list[tuple[Tensor, Tensor]]:

@@ -1,8 +1,9 @@
-"""Named, ordered collections of parameter tensors with flat-vector views.
+"""Named, ordered collections of parameter arrays with flat-vector views.
 
 A ParamVector is the unit the samplers, checkpoints, and EMA updates
 operate on: segment order is fixed at construction and flatten / set_flat
-round-trip bit-exactly.
+round-trip bit-exactly.  Each segment is held as a Tensor, the tape's
+type, so that the tests' tape oracles can record over it.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from .autodiff import Tensor
 from .errors import DimensionError
 
 class ParamVector:
-    def __init__(self, segments: dict[str, Tensor]):
-        if len(set(segments)) != len(segments):
-            raise DimensionError("duplicate segment names")
-        self._segments: dict[str, Tensor] = dict(segments)
+    def __init__(self, segments: dict[str, np.ndarray | Tensor]):
+        """Wraps each array in a Tensor, a float64 one without a copy; a
+        Tensor is kept as it is (the tests' oracles regroup leaves so)."""
+        self._segments = {k: v if isinstance(v, Tensor) else Tensor(v) for k, v in segments.items()}
 
     @property
     def names(self) -> list[str]:
@@ -60,11 +61,7 @@ class ParamVector:
         return np.concatenate(parts) if parts else np.zeros(0)
 
     def copy(self) -> "ParamVector":
-        return ParamVector({k: t.copy() for k, t in self._segments.items()})
-
-    def set_requires_grad(self, flag: bool) -> None:
-        for t in self._segments.values():
-            t.requires_grad = flag
+        return ParamVector({k: t.values.copy() for k, t in self._segments.items()})
 
     def same_layout(self, other: "ParamVector") -> bool:
         return self.shapes() == other.shapes()

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import config as cfgmod
 from . import helper as helpermod
-from .autodiff import Tensor
 from .data import (Dataset, augment_pair, load_dataset, make_clusters, make_ood,
                    minibatch_keys, minibatches)
 from .diagnostics import ChainStats, QuadraticTarget, run_chain
@@ -267,8 +266,8 @@ def _sweep(out_dir: str, seed: int, fracs: list[float], xs: list[np.ndarray],
             for idx in by_encoder.values():
                 encoder, heads = members[idx[0]][0], [members[i][1] for i in idx]
                 head = ParamVector({
-                    "weight": Tensor(np.stack([h["weight"].values for h in heads])),
-                    "bias": Tensor(np.stack([h["bias"].values[None, :] for h in heads]))})
+                    "weight": np.stack([h["weight"].values for h in heads]),
+                    "bias": np.stack([h["bias"].values[None, :] for h in heads])})
                 for x, p in zip(xs, probs):
                     if len(x) not in buffers:  # after the fork and the first loads: less RSS
                         buffers[len(x)] = [np.empty((len(x), w.shape[1]))

@@ -30,7 +30,6 @@ from .errors import (ChecksumError, CheckpointError, ContractError, NumericError
                      TruncationError, VersionError)
 from .model import TwinModel, mlp_forward_np
 from .params import ParamVector
-from .autodiff import Tensor
 
 MAGIC = b"MCPV"
 FORMAT_VERSION = 1
@@ -61,7 +60,6 @@ def collect(ensemble: PosteriorEnsemble, model: TwinModel,
     """Deep-copy the online encoder into the ensemble; training state is
     untouched and later model updates do not affect the stored snapshot."""
     params = model.online_encoder.copy()
-    params.set_requires_grad(False)
     if ensemble.snapshots and not params.same_layout(ensemble.snapshots[0].encoder_params):
         raise ContractError("snapshot layout differs from existing ensemble")
     snap = Snapshot(encoder_params=params, step=step, cycle=cycle,
@@ -248,12 +246,11 @@ def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarr
 
 
 def _pv_from_payload(segments: list, payload: np.ndarray) -> ParamVector:
-    tensors = {}
+    arrays = {}
     for name, offset, shape in segments:
         size = math.prod(shape)
-        vals = payload[offset:offset + size].reshape([int(s) for s in shape])
-        tensors[name] = Tensor(vals.copy())
-    return ParamVector(tensors)
+        arrays[name] = payload[offset:offset + size].reshape([int(s) for s in shape]).copy()
+    return ParamVector(arrays)
 
 
 @contextmanager
@@ -290,6 +287,9 @@ def load_ensemble(path) -> PosteriorEnsemble:
                 step=int(meta["step"]), cycle=int(meta["cycle"]),
                 pretrain_loss=float(meta["pretrain_loss"]),
                 sampler_kind=str(meta["sampler_kind"])))
+            if not snapshots[-1].encoder_params.same_layout(snapshots[0].encoder_params):
+                raise CheckpointError(f"{path}: snapshot {len(snapshots) - 1} "
+                                      "is laid out unlike snapshot 0")
         return PosteriorEnsemble(snapshots=snapshots, run_meta=header["meta"], path=str(path))
 
 

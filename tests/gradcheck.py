@@ -1,5 +1,7 @@
 """Gradient oracles shared by the gradient tests: central differences, and
-the tape's gradient of a twin loss on the online parameters."""
+the tape's gradient of a twin loss on the online parameters.  No package
+code marks a parameter as needing a gradient: a test that records a tape
+over parameters marks its own leaves with requires_grad."""
 
 from typing import Callable
 
@@ -38,12 +40,21 @@ def grad_check(loss_fn: Callable[[np.ndarray], float],
     return worst
 
 
+def requires_grad(params, flag: bool = True) -> None:
+    """Marks every tensor of the ParamVector params as a tape leaf that takes
+    a gradient, or with flag False as one that does not."""
+    for _, t in params.items():
+        t.requires_grad = flag
+
+
 def tape_online_grad(loss, model, view_a: np.ndarray, view_b: np.ndarray) -> np.ndarray:
     """The gradient of loss(tape, model, view_a, view_b) on the online
     parameters, flat in the model's online_flat order, from one tape's
-    backward: each online ParamVector's grad_flat, zeroed first."""
+    backward: each online ParamVector's grad_flat, marked as leaves and
+    zeroed first."""
     parts = model.online_parts()
     for p in parts:
+        requires_grad(p)
         for _, t in p.items():
             t.grad = None
     tape = Tape()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mcbyol import atomic, config
-from mcbyol.autodiff import Tensor
 from mcbyol.data import make_clusters, save_dataset
 from mcbyol.metrics import entropy_histogram, write_histogram, write_table
 from mcbyol.params import ParamVector
@@ -13,7 +12,7 @@ from mcbyol.posterior import write_container
 # each writer puts version v of its file(s) into a directory
 WRITERS = {
     "write_container": lambda d, v: write_container(
-        d / "m.ckpt", "member", {"v": v}, [("head", {}, ParamVector({"w": Tensor(np.full(3, v))}))]),
+        d / "m.ckpt", "member", {"v": v}, [("head", {}, ParamVector({"w": np.full(3, v)}))]),
     "write_table": lambda d, v: write_table(d / "t.tsv", ["a", "b"], [(v, 0.5)] * 4),
     "write_histogram": lambda d, v: write_histogram(
         d / "h.tsv", entropy_histogram(np.full(4, 0.2 * v), bins=3, lo=0.0, hi=1.0)),

@@ -208,6 +208,10 @@ def test_shape_mismatch_raises():
         t.add(Tensor(np.ones(3)), Tensor(np.ones(4)))
     with pytest.raises(DimensionError):
         t.l2_normalize(Tensor(np.ones(4)))
+    with pytest.raises(DimensionError):
+        t.mse(Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    with pytest.raises(DimensionError):
+        t.mse(Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 3))))
 
 
 def test_nonfinite_leaf_rejected():

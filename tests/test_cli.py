@@ -7,7 +7,7 @@ import pytest
 from test_config import FLOAT_KEYS
 from test_helper import assert_no_child_process
 
-from mcbyol import cli, config, helper, pipeline, posterior
+from mcbyol import cli, config, helper, model, pipeline, posterior
 from mcbyol.errors import DivergenceError
 from mcbyol.sampler import DIVERGENCE_LIMIT
 
@@ -563,6 +563,25 @@ def test_members_of_an_earlier_pretrain_are_an_io_error_naming_both_files(tmp_pa
         assert capsys.readouterr().err == (
             f"i/o error: {member}: stale, not fitted on snapshot 0 of {ensemble}\n")
     assert not list(out.glob(f"{command}_results.tsv"))
+
+
+@pytest.mark.parametrize("widths", [[6, 8, 8, 4], [6, 8, 7, 5]], ids=["embed", "hidden"])
+def test_a_snapshot_laid_out_unlike_snapshot_0_is_an_io_error(tmp_path, capsys, widths):
+    # snapshot 1 is re-saved with another encoder after finetune; the file's CRC holds
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "o"
+    for cmd in ("pretrain", "finetune"):
+        assert cli.main([cmd, "--config", cfg_path, "--out", str(out), "--seed", "0"]) == 0
+    path = out / "ensemble_seed0.ckpt"
+    ens = posterior.load_ensemble(path)
+    ens.snapshots[1].encoder_params = model.init_mlp(widths, np.random.default_rng(0))
+    posterior.save_ensemble(ens, path)
+    capsys.readouterr()
+    for command in ("finetune", "eval", "ood"):
+        assert cli.main([command, "--config", cfg_path, "--out", str(out), "--seed", "0"]) == 4
+        assert capsys.readouterr().err == (
+            f"i/o error: {path}: snapshot 1 is laid out unlike snapshot 0\n")
+    assert not list(out.glob("*_results.tsv"))
 
 
 def test_exit_code_divergence(tmp_path, monkeypatch):

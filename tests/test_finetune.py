@@ -3,6 +3,7 @@ import importlib
 
 import numpy as np
 import pytest
+from gradcheck import requires_grad
 from minibatch_reference import reference_minibatches
 
 from mcbyol.autodiff import Tape, Tensor
@@ -31,7 +32,7 @@ def predict_logits(encoder, head, x, arch):
 
 
 def head_of(weight, bias):
-    return ParamVector({"weight": Tensor(weight), "bias": Tensor(bias)})
+    return ParamVector({"weight": weight, "bias": bias})
 
 
 def toy_labeled(n_per_class=50, classes=3, seed=0):
@@ -177,9 +178,9 @@ def tape_finetune(snapshot, data, cfg, seed, arch, classes):
     minibatch."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 5])))
     encoder = snapshot.encoder_params.copy()
-    encoder.set_requires_grad(not cfg.freeze_encoder)
+    requires_grad(encoder, not cfg.freeze_encoder)
     head = _init_head(arch.embed_dim, classes, rng)
-    head.set_requires_grad(True)
+    requires_grad(head)
     trainable = {} if cfg.freeze_encoder else {f"encoder.{k}": t for k, t in encoder.items()}
     trainable["head.weight"] = head["weight"]
     trainable["head.bias"] = head["bias"]
@@ -262,9 +263,9 @@ def test_a_joint_minibatch_gradient_is_the_tapes_with_the_sign_of_every_zero(mon
     fit_one(snap, ds, cfg, seed=5, arch=arch)
     ((theta, grad_at),) = captured
     encoder = snap.encoder_params.copy()
-    encoder.set_requires_grad(True)
+    requires_grad(encoder)
     head = _init_head(arch.embed_dim, 3, np.random.default_rng(0))
-    head.set_requires_grad(True)
+    requires_grad(head)
     group = ParamVector({**{f"encoder.{k}": t for k, t in encoder.items()},
                          "head.weight": head["weight"], "head.bias": head["bias"]})
     group.set_flat(theta[0])

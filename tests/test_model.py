@@ -3,13 +3,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from gradcheck import grad_check, tape_online_grad
+from gradcheck import grad_check, requires_grad, tape_online_grad
 
 from mcbyol.autodiff import Tape, Tensor
 from mcbyol.config import ModelSection
 from mcbyol.errors import ConfigError, ContractError, DimensionError
 from mcbyol.model import (byol_loss_one_direction, byol_loss_symmetrized, ema_update,
                           init_twin, mlp_forward_np)
+from mcbyol.params import ParamVector
 from mcbyol.sampler import direction_grad
 
 TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
@@ -65,6 +66,39 @@ def test_flatten_roundtrip_is_bit_exact():
     vec = seg.flatten()
     seg.set_flat(vec)
     assert np.array_equal(seg.flatten(), vec)
+
+
+# ---- ParamVector ------------------------------------------------------------
+
+
+def test_param_vector_wraps_a_float64_array_without_copying_it():
+    w, b = np.zeros((2, 3)), np.zeros(3)
+    pv = ParamVector({"w": w, "b": b})
+    pv["w"].values[1, 2] = 5.0
+    assert w[1, 2] == 5.0 and pv["b"].values is b
+    assert pv.names == ["w", "b"] and not pv["w"].requires_grad and pv["w"].grad is None
+
+
+def test_param_vector_keeps_a_given_tensor():
+    t = Tensor(np.ones(3), requires_grad=True)
+    pv = ParamVector({"a": np.ones(2), "t": t})
+    assert pv["t"] is t and pv["t"].requires_grad
+
+
+def test_param_vector_copy_has_arrays_of_its_own_and_no_gradient():
+    m = tiny_model(4)
+    a, b = np.random.default_rng(6).normal(size=(2, 5, 3))
+    tape_online_grad(byol_loss_symmetrized, m, a, b)
+    pv = m.online_encoder
+    assert all(t.requires_grad and t.grad is not None for _, t in pv.items())
+    c = pv.copy()
+    assert c.names == pv.names and c.flatten().tobytes() == pv.flatten().tobytes()
+    for (_, t), (_, orig) in zip(c.items(), pv.items()):
+        assert not np.shares_memory(t.values, orig.values)
+        assert t.grad is None and not t.requires_grad
+    before = pv.flatten()
+    c.set_flat(c.flatten() + 1.0)
+    assert pv.flatten().tobytes() == before.tobytes()
 
 
 # ---- loss values ------------------------------------------------------------
@@ -299,6 +333,8 @@ def test_symmetrized_loss_records_each_layer_op_by_op():
     tensor.  Then one add: 35 records in all."""
     rng = np.random.default_rng(4)
     m = tiny_model(2)
+    for p in m.online_parts():
+        requires_grad(p)
     t = Tape()
     byol_loss_symmetrized(t, m, rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
     kinds = [fn.__qualname__.split(".")[1] for _, _, fn in t._records]

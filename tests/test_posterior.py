@@ -1,9 +1,11 @@
+import dataclasses
 import zlib
 
 import numpy as np
 import pytest
+from gradcheck import requires_grad
 
-from mcbyol.autodiff import Tape, Tensor
+from mcbyol.autodiff import Tape
 from mcbyol.config import ModelSection
 from mcbyol.errors import (CheckpointError, ChecksumError, ContractError, NumericError,
                            TruncationError, VersionError)
@@ -28,7 +30,7 @@ def make_ensemble(n_snaps=4, seed=0):
 
 
 def head_of(weight, bias):
-    return ParamVector({"weight": Tensor(weight), "bias": Tensor(bias)})
+    return ParamVector({"weight": weight, "bias": bias})
 
 
 def random_head(rng, embed_dim=3, classes=4):
@@ -55,6 +57,7 @@ def test_collect_deep_copies_parameters():
 def test_collected_snapshot_carries_no_gradient():
     # an online encoder that holds gradients, from a tape's backward
     m = init_twin(TINY, 3, 0)
+    requires_grad(m.online_encoder)
     views = np.random.default_rng(0).normal(size=(2, 8, 3))
     tape = Tape()
     tape.backward(byol_loss_one_direction(tape, m, views[0], views[1]))
@@ -299,6 +302,19 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
         assert a.encoder_params.shapes() == b.encoder_params.shapes()
         assert (a.step, a.cycle, a.sampler_kind) == (b.step, b.cycle, b.sampler_kind)
         assert a.pretrain_loss == b.pretrain_loss  # bit-exact float round trip
+
+
+@pytest.mark.parametrize("where", ["embed", "hidden"])
+def test_a_snapshot_laid_out_unlike_snapshot_0_is_a_checkpoint_error(tmp_path, where):
+    # collect refuses this on write; a CRC-valid file is checked on read
+    ens = make_ensemble(3)
+    other = dataclasses.replace(TINY, **({"embed_dim": 4} if where == "embed"
+                                         else {"encoder_hidden": [5]}))
+    ens.snapshots[2].encoder_params = init_twin(other, 3, 0).online_encoder
+    path = tmp_path / "ens.ckpt"
+    save_ensemble(ens, path)
+    with pytest.raises(CheckpointError, match=r"ens\.ckpt: snapshot 2 is laid out unlike snapshot 0$"):
+        load_ensemble(path)
 
 
 def test_corrupted_payload_byte_raises_checksum_error(tmp_path):

@@ -15,7 +15,11 @@ the container functions, whether it calls, imports or defines them.
 
 The tape stays an independent oracle: no Tape method, model.mlp_forward or
 model.byol_loss_one_direction names the closed-form gradient code that the
-tests check against it."""
+tests check against it.
+
+Tensor is the tape's type only: outside autodiff.py and params.py, just the
+tape oracle in model.py names it, and no module but autodiff.py names a
+gradient flag (requires_grad, in any form); the tests mark their leaves."""
 
 import ast
 import dataclasses
@@ -179,6 +183,71 @@ def test_oracle_scan_flags_a_tape_method_and_both_loss_functions(tmp_path):
     assert oracle_leaks(tmp_path) == ["autodiff.Tape: mlp_layers",
                                       "model.mlp_forward: mlp_backward",
                                       "model.byol_loss_one_direction: direction_grad"]
+
+
+# the tape oracle's definitions in model.py, which record over Tensors
+TENSOR_ORACLE = ("_layers", "mlp_forward", "byol_loss_")
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    """Every name a node spells: names, attributes, keywords, parameters and
+    the definitions' own names."""
+    out = set(_refs(node))
+    for n in ast.walk(node):
+        if isinstance(n, (ast.keyword, ast.arg)) and n.arg:
+            out.add(n.arg)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(n.name)
+    return out
+
+
+def tape_type_users(src: Path) -> list[str]:
+    """'module.definition: name' for every top-level statement outside
+    autodiff.py that names Tensor where it may not, or a gradient flag.
+    Imports do not count."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "autodiff":
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            name = getattr(node, "name", "")
+            may_name_tensor = path.stem == "params" or (
+                path.stem == "model" and name.startswith(TENSOR_ORACLE))
+            found += [f"{path.stem}.{name or f'line {node.lineno}'}: {ident}"
+                      for ident in sorted(_identifiers(node))
+                      if "requires_grad" in ident or (ident == "Tensor" and not may_name_tensor)]
+    return found
+
+
+def test_only_the_tape_and_its_oracle_name_tensor_or_a_gradient_flag():
+    found = tape_type_users(SRC)
+    assert not found, f"build parameters from arrays, and mark leaves in the tests: {found}"
+
+
+def test_tape_type_scan_flags_tensor_and_every_form_of_the_flag(tmp_path):
+    (tmp_path / "autodiff.py").write_text(
+        "class Tensor:\n    def __init__(self, v, requires_grad=False):\n"
+        "        self.requires_grad = requires_grad\n")
+    (tmp_path / "params.py").write_text(
+        "from .autodiff import Tensor\n\n"
+        "def wrap(v):\n    return Tensor(v)\n\n"
+        "def mark(t):\n    t.requires_grad = True\n")
+    (tmp_path / "model.py").write_text(
+        "from .autodiff import Tensor\n\n"
+        "def _layers(pv) -> Tensor:\n    pass\n\n"
+        "def byol_loss_one_direction(x):\n    return Tensor(x)\n\n"
+        "def init(requires_grad):\n    return Tensor(1.0, requires_grad=requires_grad)\n")
+    (tmp_path / "posterior.py").write_text(
+        "from . import autodiff\n\n"
+        "def collect(pv):\n    pv.set_requires_grad(False)\n\n"
+        "class Loader:\n    def load(self):\n        return autodiff.Tensor(0.0)\n\n"
+        "LEAF = autodiff.Tensor(0.0, True)\n")
+    assert tape_type_users(tmp_path) == ["model.init: Tensor", "model.init: requires_grad",
+                                         "params.mark: requires_grad",
+                                         "posterior.collect: set_requires_grad",
+                                         "posterior.Loader: Tensor", "posterior.line 10: Tensor"]
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:

@@ -19,7 +19,6 @@ from test_finetune_split import counting_children
 from test_helper import assert_no_child_process
 
 from mcbyol import cli, config, model, pipeline
-from mcbyol.autodiff import Tensor
 from mcbyol.errors import CheckpointError, HelperError
 from mcbyol.params import ParamVector
 from mcbyol.posterior import (PosteriorEnsemble, load_ensemble, load_member, save_ensemble,
@@ -193,12 +192,12 @@ def test_a_member_laid_out_unlike_the_first_is_an_io_error(tmp_path, monkeypatch
     ensemble = load_ensemble(pipeline.ensemble_path(str(out), 0))
     encoder, head, meta = load_member(path, ensemble)
     if part == "head":
-        head = ParamVector({"weight": Tensor(head["weight"].values[:, :2]),
-                            "bias": Tensor(head["bias"].values[:2])})
+        head = ParamVector({"weight": head["weight"].values[:, :2],
+                            "bias": head["bias"].values[:2]})
         message = (f"{path}: its head has 2 classes, "
                    f"{pipeline.member_path(str(out), 0, 1.0, 0)}'s has 3")
     else:
-        encoder = model.init_mlp([6, 5, 4], np.random.default_rng(0), requires_grad=False)
+        encoder = model.init_mlp([6, 5, 4], np.random.default_rng(0))
         first = load_member(pipeline.member_path(str(out), 0, 1.0, 0), ensemble)[0]
         assert encoder.shapes() != first.shapes()
         meta = {**meta, "freeze_encoder": False}  # a trained encoder is stored whole
