@@ -15,6 +15,7 @@ import sys
 
 from . import config as cfgmod
 from . import pipeline
+from .diagnostics import ESS_FLOOR, lag1_effective_samples
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                      HelperError, NumericError)
 
@@ -85,6 +86,11 @@ def _dispatch(args) -> None:
             print(f"coord {i}: mean {stats.mean[i]:+.6f} "
                   f"variance {stats.variance[i]:.6f} "
                   f"lag1 {stats.lag1_autocorr[i]:.4f}")
+        for i, ess in enumerate(lag1_effective_samples(stats)):
+            if ess < ESS_FLOOR:
+                print(f"warning: coord {i}: lag1 {stats.lag1_autocorr[i]:.4f} leaves about "
+                      f"{ess:.1f} effective samples of {stats.sample_count}, below "
+                      f"{ESS_FLOOR}: too few to trust its mean and variance", file=sys.stderr)
 
 
 def main(argv=None) -> int:

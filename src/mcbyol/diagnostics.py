@@ -6,13 +6,18 @@ stationary around mean 0 with covariance T * inv(L), T being the
 measures the empirical moments so tests (and the sample-diag subcommand)
 can compare them with the analytic values.
 
-run_chain steps the chain in blocks: lr, noise gate and noise scale
-tables per cycle position, one noise draw per block (the same Philox
-stream as one draw per step), scaled once per block and handed to each
-step as its noise= term, and one sampler.diverged check per block.  Every
-step still goes through sgld_step/sghmc_step, the update pretraining runs,
-so the moments are bit-identical to a chain stepped and checked one step
-at a time.
+run_chain steps the chain in blocks.  The lr, noise gate and noise scale
+of each cycle position are held in arrays; a block finds its positions as
+np.arange(start, stop) % cycle_len, takes its lrs, gates and the scales of
+its noisy steps from them by fancy and boolean indexing, converts each to
+a list once, and draws the noise of its noisy steps at once (the same
+Philox stream as one draw per step), scaled once and handed to each step
+as its noise= term; one sampler.diverged check covers the block.  Every
+step still calls sgld_step/sghmc_step, the update pretraining runs, through
+this module's globals and with noise_on= and noise= by keyword: the traced
+benchmark (bench/tracing.py) patches those names and reads noise_on from
+the keywords, so it counts every step and every noisy one.  The moments
+are bit-identical to a chain stepped and checked one step at a time.
 
 A 1-D chain is stepped on Python floats (theta, momentum, gradient, lr and
 noise) rather than shape-(1,) arrays: the arithmetic rounds the same, and
@@ -24,6 +29,7 @@ trajectory array at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +40,7 @@ from .sampler import (cyclic_lr, diverged, divergence_error, make_state, noise_a
                       noise_scale, sghmc_step, sgld_step)
 
 _BLOCK = 4096  # steps per noise draw and per divergence check
+ESS_FLOOR = 100  # sample-diag warns on a coordinate with fewer lag-1 effective samples
 
 
 @dataclass
@@ -68,6 +75,15 @@ class ChainStats:
     lag1_autocorr: np.ndarray
 
 
+def lag1_effective_samples(stats: ChainStats) -> list[float]:
+    """n (1 - rho) / (1 + rho) per coordinate, n being sample_count and rho
+    lag1_autocorr: the effective sample count of an AR(1) chain with that
+    lag-1 autocorrelation, inf at rho = -1."""
+    n = stats.sample_count
+    return [n * (1.0 - rho) / (1.0 + rho) if rho > -1.0 else math.inf
+            for rho in stats.lag1_autocorr.tolist()]
+
+
 def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int, seed: int,
               theta0: np.ndarray | None = None) -> ChainStats:
     """Run the configured sampler for cfg.total_steps steps against the
@@ -99,24 +115,26 @@ def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int, seed: 
         grad = float(target.precision[0, 0]).__mul__
     step_fn = sghmc_step if SAMPLER_KINDS[cfg.kind].momentum else sgld_step
     # the schedule depends on k only through k % cycle_len
-    lr_table = [float(cyclic_lr(cfg, p)) for p in range(min(cfg.cycle_len, steps))]
-    noise_table = [noise_active(cfg, p) for p in range(len(lr_table))]
-    scale_table = [noise_scale(cfg, lr) for lr in lr_table]
+    cycle = range(min(cfg.cycle_len, steps))
+    lr_table = np.array([cyclic_lr(cfg, p) for p in cycle])
+    gate_table = np.array([noise_active(cfg, p) for p in cycle])
+    scale_table = np.array([noise_scale(cfg, lr) for lr in lr_table.tolist()])
     trajectory = np.empty((steps, dim))
     # past a divergence the block runs on to inf/NaN; the check below catches it
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, _BLOCK):
             stop = min(start + _BLOCK, steps)
-            positions = [k % cfg.cycle_len for k in range(start, stop)]
-            scales = np.array([scale_table[p] for p in positions if noise_table[p]])
+            positions = np.arange(start, stop) % cfg.cycle_len
+            gates = gate_table[positions]
+            scales = scale_table[positions[gates]]
             noise = scales[:, None] * state.rng.standard_normal((scales.size, dim))
             rows = iter(noise[:, 0].tolist() if dim == 1 else noise)
             block = []
-            for p in positions:
-                on = noise_table[p]
-                theta = step_fn(theta, state, grad(theta), lr_table[p], cfg, 1,
+            append = block.append
+            for lr, on in zip(lr_table[positions].tolist(), gates.tolist()):
+                theta = step_fn(theta, state, grad(theta), lr, cfg, 1,
                                 noise_on=on, noise=next(rows) if on else None)
-                block.append(theta)
+                append(theta)
             trajectory[start:stop] = np.reshape(block, (-1, dim))
             if diverged(trajectory[start:stop]):
                 k = next(k for k in range(start, stop) if diverged(trajectory[k]))

@@ -252,10 +252,10 @@ def sghmc_step(params: np.ndarray | float, state: SamplerState, grad_u: np.ndarr
         raise ContractError("lr must be positive")
     if cfg.kind not in _MOMENTUM_KINDS:
         raise ContractError(f"kind {cfg.kind!r} steps with sgld_step")
-    if getattr(state.momentum, "shape", ()) != getattr(params, "shape", ()):
+    m = state.momentum  # a 1-D chain's two Python floats skip the two getattr calls
+    if not (type(params) is type(m) is float) and getattr(m, "shape", ()) != getattr(params, "shape", ()):
         raise ContractError("momentum buffer shape does not match parameters")
-    drift = (0.5 * lr * n_dataset) * grad_u
-    m = cfg.beta * state.momentum - drift
+    m = cfg.beta * m - (0.5 * lr * n_dataset) * grad_u  # beta * m - d
     if noise_on:
         if noise is None:
             noise = noise_scale(cfg, lr) * state.rng.standard_normal(np.shape(params))

@@ -1,6 +1,7 @@
 """The traced benchmark run patches program functions by name
 (bench/tracing.py); this checks that every name it patches still exists, that
-a traced sample-diag run counts every sampler step, that a traced pipeline run
+a traced sample-diag run counts every sampler step, that traced chains and
+pipeline runs count exactly the noisy steps, that a traced pipeline run
 counts every stacked minibatch position of finetune and one encoder forward
 per snapshot and input in eval and ood, and that traced runs write the same
 bytes as untraced ones, and that the benchmark's own output checks pass on
@@ -168,13 +169,19 @@ def test_traced_eval_and_ood_forward_each_snapshot_once_per_input_and_keep_bytes
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
 
 
+@pytest.fixture(scope="module")
+def forked_tiny_run(tmp_path_factory):
+    """The tiny pipeline traced in a subprocess whose CPU probe reads 2."""
+    return traced_tiny_run(tmp_path_factory, 2)
+
+
 def test_traced_forked_finetune_counts_the_parents_share_and_keeps_bytes(tiny_runs,
-                                                                        tmp_path_factory):
+                                                                        forked_tiny_run):
     # with 2 CPUs each seed's finetune forks a child for some fractions; the
     # tracer counts only the parent's positions: fraction 1.0 (90 rows, 6
     # batches of 16) stays here, 0.3 (27 rows, 2 batches) goes to the child
     cfg, plain, _, _ = tiny_runs
-    traced, counts = traced_tiny_run(tmp_path_factory, 2)
+    traced, counts = forked_tiny_run
     _, train, _, _ = pipeline.make_datasets(cfg)
     f = cfg.finetune
     for seed in cfg.run.seeds:
@@ -188,6 +195,43 @@ def test_traced_forked_finetune_counts_the_parents_share_and_keeps_bytes(tiny_ru
     assert sorted(p.name for p in traced.iterdir()) == names
     for name in names:
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_traced_pipeline_counts_only_the_noisy_steps(tiny_runs, forked_tiny_run):
+    # csghmc injects noise from 0.8 * cycle_len on: steps 8 and 9 of each of
+    # the 3 cycles of 10, per seed; the tracer reads noise_on from the step's
+    # keywords, so a positional call would count every step as noisy
+    cfg = tiny_runs[0]
+    assert (cfg.sampler.kind, cfg.sampler.noise_start_frac) == ("csghmc", 0.8)
+    assert cfg.sampler.total_steps // cfg.sampler.cycle_len == 3
+    assert tiny_runs[3]["sampler.noise_steps"] == 2 * 3 * 2 == 12
+    assert forked_tiny_run[1]["sampler.noise_steps"] == 12
+
+
+TRACED_CHAIN = """
+import json
+from mcbyol import config, diagnostics
+import tracing
+
+tracer = tracing.Tracer("hooks")
+tracing.install(tracer)
+cfg = config.SamplerSection(kind="csghmc", lr0=0.01, beta=0.9, temperature=1.0, cycle_len=7,
+                            total_steps=700, noise_start_frac=0.5)
+diagnostics.run_chain(cfg, diagnostics.QuadraticTarget(dim=1), burn_in=0, seed=0)
+step = tracer.names.index("sampler.step")
+print(json.dumps({"step_spans": list(tracer.name).count(step),
+                  "noise_steps": tracer.counts["sampler.noise_steps"]}))
+"""
+
+
+def test_traced_cyclic_chain_counts_every_step_and_only_the_noisy_ones():
+    # positions 4, 5 and 6 of each cycle of 7 are at or past 0.5 * 7: 3 noisy
+    # steps in each of 100 cycles, all stepped through the patched names
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_CHAIN], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"step_spans": 700, "noise_steps": 300}
 
 
 def bench_child():

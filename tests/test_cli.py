@@ -7,8 +7,8 @@ import pytest
 from test_config import FLOAT_KEYS
 from test_helper import assert_no_child_process
 
-from mcbyol import cli, config, helper, model, pipeline, posterior
-from mcbyol.errors import DivergenceError
+from mcbyol import cli, config, diagnostics, helper, model, pipeline, posterior
+from mcbyol.errors import ConfigError, DivergenceError
 from mcbyol.sampler import DIVERGENCE_LIMIT
 
 TINY_CONFIG = """
@@ -368,6 +368,54 @@ def test_sample_diag_analytic_variance_is_the_sampler_temperature(tmp_path):
     header, *rows = (out / "chain_stats.tsv").read_text().splitlines()
     column = header.split("\t").index("analytic_variance")
     assert [float(row.split("\t")[column]) for row in rows] == [0.1, 0.1, 0.1]
+
+
+@pytest.mark.parametrize("kind", ["map_sgd", "snap_sgd"])
+def test_sample_diag_refuses_a_noiseless_kind(tmp_path, capsys, kind):
+    # from theta = 0, where the gradient is 0, a noiseless chain never moves
+    cfg_path = write_config(tmp_path, TINY_CONFIG.replace("kind = csghmc", f"kind = {kind}"))
+    out = tmp_path / "diag"
+    with pytest.raises(ConfigError, match=f"sampler.kind = {kind} injects no noise"):
+        pipeline.run_sample_diag(config.load(cfg_path), str(out), steps=200)
+    assert not out.exists()
+    assert cli.main(["sample-diag", "--config", cfg_path, "--out", str(out),
+                     "--steps", "200"]) == 1
+    assert f"sampler.kind = {kind} injects no noise" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def diag_lines(stats):
+    return "".join(f"coord {i}: mean {stats.mean[i]:+.6f} variance {stats.variance[i]:.6f} "
+                   f"lag1 {stats.lag1_autocorr[i]:.4f}\n" for i in range(stats.mean.size))
+
+
+def test_sample_diag_warns_on_stderr_when_lag1_leaves_too_few_samples(tmp_path, capsys):
+    # default.cfg's lr0 = 1e-4 mixes far too slowly for 20,000 steps
+    cfg = config.load(str(DEFAULT_CFG))
+    stats = pipeline.run_sample_diag(cfg, str(tmp_path / "lib"), steps=20_000)
+    assert capsys.readouterr() == ("", "")  # the library call stays silent
+    out = tmp_path / "diag"
+    assert cli.main(["sample-diag", "--config", str(DEFAULT_CFG), "--out", str(out),
+                     "--steps", "20000"]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == diag_lines(stats)
+    (ess,) = diagnostics.lag1_effective_samples(stats)
+    assert ess < 1
+    assert printed.err == (f"warning: coord 0: lag1 1.0000 leaves about {ess:.1f} effective "
+                           f"samples of 19000, below 100: too few to trust its mean and "
+                           f"variance\n")
+    name = "chain_stats.tsv"
+    assert (out / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["sgld", "sghmc"])
+def test_sample_diag_at_a_diagnostics_rate_does_not_warn(tmp_path, capsys, kind):
+    # lag-1 estimates of about 460 (sgld) and 250 (sghmc, beta = 0.9) samples
+    cfg_path = write_config(tmp_path, DEFAULT_CFG.read_text().replace(
+        "kind = csghmc", f"kind = {kind}").replace("lr0 = 0.0001", "lr0 = 0.01"))
+    assert config.load(cfg_path).sampler.beta == 0.9
+    assert cli.main(["sample-diag", "--config", cfg_path, "--out", str(tmp_path / "diag")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ---- divergence reports -----------------------------------------------------

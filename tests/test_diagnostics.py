@@ -287,3 +287,9 @@ def test_multidim_chain_moments_within_tolerance():
     stats = run_chain(cfg, target, burn_in=10_000, seed=21)
     assert np.all(np.abs(stats.mean) < 0.05)
     assert np.all(np.abs(stats.variance - 1.0) < 0.10)
+
+
+def test_lag1_effective_samples_is_the_ar1_estimate_per_coordinate():
+    stats = diagnostics.ChainStats(sample_count=1_000, mean=np.zeros(4), variance=np.ones(4),
+                                   lag1_autocorr=np.array([0.0, 0.5, 1.0, -1.0]))
+    assert diagnostics.lag1_effective_samples(stats) == [1_000.0, 1_000 / 3, 0.0, math.inf]

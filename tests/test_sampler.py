@@ -342,6 +342,18 @@ def test_sghmc_refuses_float_params_with_array_momentum_and_back():
         sghmc_step(np.array([0.5]), state, np.array([0.5]), 0.1, cfg, 1, noise_on=False)
 
 
+@pytest.mark.parametrize("params", [np.float64(0.5), np.array(0.5)], ids=["float64", "0-d"])
+def test_sghmc_accepts_shape_free_params_with_float_momentum(params):
+    # only two exact Python floats skip the shape check; these take it, and
+    # pass it, since a float64 scalar and a 0-d array have shape () like a float
+    cfg = cfg_for(kind="sghmc", beta=0.5)
+    state = make_state(1, 0)
+    state.momentum = 0.25
+    new = sghmc_step(params, state, 0.5, 0.1, cfg, 1, noise_on=False)
+    assert new == 0.5 + (0.5 * 0.25 - (0.5 * 0.1) * 0.5)
+    assert state.momentum == 0.5 * 0.25 - (0.5 * 0.1) * 0.5
+
+
 @pytest.mark.parametrize("kind", ["sgld", "sghmc"])
 def test_float_step_draws_its_noise_from_state_rng(kind):
     cfg = cfg_for(kind=kind, beta=0.5, temperature=0.37)
