@@ -16,15 +16,22 @@ as its noise= term; one sampler.diverged check covers the block.  Every
 step still calls sgld_step/sghmc_step, the update pretraining runs, through
 this module's globals and with noise_on= and noise= by keyword: the traced
 benchmark (bench/tracing.py) patches those names and reads noise_on from
-the keywords, so it counts every step and every noisy one.  The moments
-are bit-identical to a chain stepped and checked one step at a time.
+the keywords, so it counts every step and every noisy one.  Every theta is
+bit-identical to a chain stepped and checked one step at a time.
+
+No trajectory is kept: each block's kept rows are reduced to _moments and
+merged into the running ones by the pairwise update of Chan, Golub and
+LeVeque (1983), so memory is O(_BLOCK * dim) for any step count.  Only the
+summation order differs from the whole-array two-pass moments; the tests
+pin the two within 1e-12 (the mean in standard deviations, the variance
+relative, lag-1 absolute).
 
 A 1-D chain is stepped on Python floats (theta, momentum, gradient, lr and
 noise) rather than shape-(1,) arrays: the arithmetic rounds the same, and
 each step skips numpy's per-operation dispatch, which is most of a 1-D
 step's cost.  The representation is chosen once, before the loop; the one
-loop body serves every dim, and each block's values are written to the
-trajectory array at once.
+loop body serves every dim, and each block's values become one array at
+once.
 """
 
 from __future__ import annotations
@@ -84,6 +91,47 @@ def lag1_effective_samples(stats: ChainStats) -> list[float]:
             for rho in stats.lag1_autocorr.tolist()]
 
 
+def _moments(rows: np.ndarray) -> tuple:
+    """(count, reference m, sums of x - m, of (x - m)**2 and of
+    (x[i] - m) * (x[i + 1] - m), first row, last row) of consecutive rows x,
+    m their mean as computed; the rows are copied, so no view keeps the
+    block alive."""
+    mean = rows.mean(axis=0)
+    dev = rows - mean
+    return (len(rows), mean, dev.sum(axis=0), (dev * dev).sum(axis=0),
+            (dev[:-1] * dev[1:]).sum(axis=0), rows[0].copy(), rows[-1].copy())
+
+
+def _about(moments: tuple, ref: np.ndarray) -> tuple:
+    """moments with their sums taken about ref instead."""
+    n, m, s, ss, c, first, last = moments
+    d = m - ref
+    return (n, ref, s + n * d, ss + d * (2 * s + n * d),
+            c + d * (2 * s - (first - m) - (last - m) + (n - 1) * d), first, last)
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The moments of a's rows followed by b's: both parts moved to the
+    merged mean, keeping each one's sum of deviations (the corrected
+    two-pass term), plus the lag-1 pair across the edge."""
+    (na, ma, sa, *_), (nb, mb, sb, *_) = a, b
+    mean = ma + (sa + sb + nb * (mb - ma)) / (na + nb)
+    _, _, sa, ssa, ca, first, last_a = _about(a, mean)
+    _, _, sb, ssb, cb, first_b, last = _about(b, mean)
+    return (na + nb, mean, sa + sb, ssa + ssb,
+            ca + cb + (last_a - mean) * (first_b - mean), first, last)
+
+
+def _chain_stats(moments: tuple) -> ChainStats:
+    """The ChainStats of moments, their sums moved to the rows' mean."""
+    n, m, s, *_ = moments
+    _, mean, _, ss, c, first, last = _about(moments, m + s / n)
+    # the squared deviations of all rows but the last, and of all but the first
+    den = np.sqrt((ss - (last - mean) ** 2) * (ss - (first - mean) ** 2))
+    lag1 = np.where(den > 0, c / np.maximum(den, 1e-300), 0.0)
+    return ChainStats(sample_count=n, mean=mean, variance=ss / (n - 1), lag1_autocorr=lag1)
+
+
 def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int, seed: int,
               theta0: np.ndarray | None = None) -> ChainStats:
     """Run the configured sampler for cfg.total_steps steps against the
@@ -93,11 +141,12 @@ def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int, seed: 
 
     burn_in must be non-negative and leave at least 2 samples, else
     ContractError.  Noise is drawn and scaled once per block of steps and
-    handed to the step function row by row through its noise argument.  The
-    trajectory is checked once per block with sampler.diverged, which also
-    catches NaN and inf; a failing check raises DivergenceError naming the
-    first offending step, coordinate and value.  theta0 must have shape
-    (dim,), else DimensionError."""
+    handed to the step function row by row through its noise argument.  Each
+    block is checked once with sampler.diverged, which also catches NaN and
+    inf; a failing check raises DivergenceError naming the first offending
+    step, coordinate and value.  A block that passes has its kept rows
+    folded into the running moments.  theta0 must have shape (dim,), else
+    DimensionError."""
     steps = cfg.total_steps
     if burn_in < 0:
         raise ContractError("burn_in must be non-negative")
@@ -119,7 +168,7 @@ def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int, seed: 
     lr_table = np.array([cyclic_lr(cfg, p) for p in cycle])
     gate_table = np.array([noise_active(cfg, p) for p in cycle])
     scale_table = np.array([noise_scale(cfg, lr) for lr in lr_table.tolist()])
-    trajectory = np.empty((steps, dim))
+    moments = None
     # past a divergence the block runs on to inf/NaN; the check below catches it
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, _BLOCK):
@@ -135,17 +184,11 @@ def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int, seed: 
                 theta = step_fn(theta, state, grad(theta), lr, cfg, 1,
                                 noise_on=on, noise=next(rows) if on else None)
                 append(theta)
-            trajectory[start:stop] = np.reshape(block, (-1, dim))
-            if diverged(trajectory[start:stop]):
-                k = next(k for k in range(start, stop) if diverged(trajectory[k]))
-                raise divergence_error(k, trajectory[k])
-    samples = trajectory[burn_in:]
-
-    mean = samples.mean(axis=0)
-    variance = samples.var(axis=0, ddof=1)
-    samples -= mean  # centred in place: samples views our own trajectory
-    num = (samples[:-1] * samples[1:]).sum(axis=0)
-    den = np.sqrt((samples[:-1] ** 2).sum(axis=0) * (samples[1:] ** 2).sum(axis=0))
-    lag1 = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-    return ChainStats(sample_count=samples.shape[0], mean=mean,
-                      variance=variance, lag1_autocorr=lag1)
+            thetas = np.reshape(block, (-1, dim))
+            if diverged(thetas):
+                k = next(k for k in range(len(thetas)) if diverged(thetas[k]))
+                raise divergence_error(start + k, thetas[k])
+            if stop > burn_in:
+                part = _moments(thetas[max(burn_in - start, 0):])
+                moments = part if moments is None else _merge(moments, part)
+    return _chain_stats(moments)

@@ -175,26 +175,25 @@ def _segment_table(pv: ParamVector, offset: int) -> tuple[list, int]:
 def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, dict, ParamVector]]) -> None:
     """blocks: (block_name, block_meta, params) triples, order preserved.
     A payload that read_container would refuse, one holding NaN or Inf,
-    raises NumericError naming path before any byte is written."""
+    raises NumericError naming path before any byte is written.  The file
+    is streamed: the header, each block's float64 bytes, then their CRC-32."""
     offset = 0
     header_blocks = []
-    payload_parts = []
+    payloads = []
     for name, block_meta, pv in blocks:
         table, offset = _segment_table(pv, offset)
         header_blocks.append({"name": name, "meta": block_meta, "segments": table})
-        payload_parts.append(pv.flatten())
+        payloads.append(np.asarray(pv.flatten(), dtype="<f8"))
+        if not np.isfinite(payloads[-1]).all():
+            raise NumericError(f"{path}: payload holds NaN or Inf, not written")
     header = {"kind": kind, "meta": meta, "blocks": header_blocks}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = (np.concatenate(payload_parts) if payload_parts else np.zeros(0))
-    if not np.isfinite(payload).all():
-        raise NumericError(f"{path}: payload holds NaN or Inf, not written")
-    body = (MAGIC
-            + FORMAT_VERSION.to_bytes(4, "little")
-            + len(header_bytes).to_bytes(4, "little")
-            + header_bytes
-            + payload.astype("<f8").tobytes())
-    crc = zlib.crc32(body)
-    write_atomic(path, body + crc.to_bytes(4, "little"))
+    chunks = [MAGIC + FORMAT_VERSION.to_bytes(4, "little")
+              + len(header_bytes).to_bytes(4, "little") + header_bytes, *payloads]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    write_atomic(path, chunks + [crc.to_bytes(4, "little")])
 
 
 def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarray]:

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +384,28 @@ def test_sample_diag_refuses_a_noiseless_kind(tmp_path, capsys, kind):
                      "--steps", "200"]) == 1
     assert f"sampler.kind = {kind} injects no noise" in capsys.readouterr().err
     assert not out.exists()
+
+
+MAXRSS_RUN = """
+import resource, sys
+from mcbyol import cli
+assert cli.main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_sample_diag_memory_does_not_grow_with_steps(tmp_path):
+    # the whole trajectory would add 8 B per step and coordinate: 25.6 MB here
+    env = dict(os.environ, PYTHONPATH=str(DEFAULT_CFG.parents[1] / "src"))
+    peaks_kb = []
+    for steps in (10_000, 60_000):
+        proc = subprocess.run([sys.executable, "-c", MAXRSS_RUN, "sample-diag", "--config",
+                               str(DEFAULT_CFG), "--out", str(tmp_path / str(steps)),
+                               "--steps", str(steps), "--dim", "64"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peaks_kb.append(int(proc.stdout.splitlines()[-1]))
+    assert abs(peaks_kb[1] - peaks_kb[0]) <= 4 * 1024
 
 
 def diag_lines(stats):

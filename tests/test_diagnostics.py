@@ -127,12 +127,37 @@ def test_run_chain_rejects_wrong_theta0_shape(theta0):
                   theta0=theta0)
 
 
-def reference_chain(cfg, target, steps, burn_in, seed, theta0, step_fn=None):
+def two_pass(samples):
+    """numpy's whole-array moments of a (steps, dim) sample: the mean, the
+    ddof=1 variance and the lag-1 autocorrelation about the mean.  Each
+    coordinate is summed as one contiguous row, which numpy sums pairwise."""
+    x = np.ascontiguousarray(samples.T)
+    centered = x - x.mean(axis=1, keepdims=True)
+    num = (centered[:, :-1] * centered[:, 1:]).sum(axis=1)
+    den = np.sqrt((centered[:, :-1] ** 2).sum(axis=1) * (centered[:, 1:] ** 2).sum(axis=1))
+    lag1 = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+    return x.mean(axis=1), x.var(axis=1, ddof=1), lag1
+
+
+def assert_moments_close(stats, samples, mean_scale=None):
+    """stats are samples' two-pass moments within 1e-12: the mean in units of
+    the standard deviation (or of mean_scale), the variance relative and
+    the lag-1 autocorrelation absolute; the sample count exactly."""
+    mean, variance, lag1 = two_pass(samples)
+    assert stats.sample_count == len(samples)
+    scale = np.sqrt(variance) if mean_scale is None else mean_scale
+    assert np.all(np.abs(stats.mean - mean) <= 1e-12 * scale)
+    assert np.all(np.abs(stats.variance - variance) <= 1e-12 * variance)
+    assert np.all(np.abs(stats.lag1_autocorr - lag1) <= 1e-12)
+
+
+def reference_chain(cfg, target, steps, seed, theta0, step_fn=None):
     """The per-step loop run_chain replaced: one schedule lookup, one noise
-    draw and one divergence check per step."""
+    draw and one divergence check per step.  Returns every post-step theta,
+    shape (steps, dim)."""
     theta = np.asarray(theta0, dtype=np.float64).copy()
     state = make_state(target.dim, seed)
-    samples = np.empty((steps - burn_in, target.dim))
+    thetas = np.empty((steps, target.dim))
     if step_fn is None:
         step_fn = sgld_step if cfg.kind == "sgld" else sghmc_step
     for k in range(steps):
@@ -142,14 +167,21 @@ def reference_chain(cfg, target, steps, burn_in, seed, theta0, step_fn=None):
         if np.abs(theta).max() > DIVERGENCE_LIMIT:
             i = int(np.argmax(np.abs(theta)))
             raise DivergenceError(step=k, quantity=f"theta[{i}]", value=float(theta[i]))
-        if k >= burn_in:
-            samples[k - burn_in] = theta
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    num = (centered[:-1] * centered[1:]).sum(axis=0)
-    den = np.sqrt((centered[:-1] ** 2).sum(axis=0) * (centered[1:] ** 2).sum(axis=0))
-    lag1 = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-    return mean, samples.var(axis=0, ddof=1), lag1
+        thetas[k] = theta
+    return thetas
+
+
+def recorded_chain(monkeypatch, cfg, target, **kwargs):
+    """run_chain's stats and every theta its sgld_step/sghmc_step calls
+    returned, shape (steps, dim)."""
+    thetas = []
+    for name in ("sgld_step", "sghmc_step"):
+        def record(*args, step=getattr(diagnostics, name), **kw):
+            thetas.append(step(*args, **kw))
+            return thetas[-1]
+        monkeypatch.setattr(diagnostics, name, record)
+    stats = run_chain(cfg, target, **kwargs)
+    return stats, np.reshape(np.array(thetas, dtype=np.float64), (-1, target.dim))
 
 
 @pytest.mark.parametrize("kind,beta", [("sgld", 0.0), ("sghmc", 0.0), ("sghmc", 0.9),
@@ -159,7 +191,7 @@ def reference_chain(cfg, target, steps, burn_in, seed, theta0, step_fn=None):
                                        pytest.param(1, -0.0, id="1-theta0=-0.0"),
                                        pytest.param(1, 1e5, id="1-theta0=1e5")])
 @pytest.mark.parametrize("cycle_len,noise_start_frac", [(1, 0.0), (7, 0.5)])
-def test_blocked_chain_is_bit_identical_to_per_step_loop(kind, beta, dim, start,
+def test_blocked_chain_is_bit_identical_to_per_step_loop(monkeypatch, kind, beta, dim, start,
                                                          cycle_len, noise_start_frac):
     # not a multiple of the block, and the burn-in ends inside the second block
     steps, burn_in = diagnostics._BLOCK + 1_234, diagnostics._BLOCK - 100
@@ -169,12 +201,11 @@ def test_blocked_chain_is_bit_identical_to_per_step_loop(kind, beta, dim, start,
     precision = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])[:dim, :dim]
     target = QuadraticTarget(dim=dim, precision=precision)
     theta0 = np.linspace(0.7, -0.4, dim) if start is None else np.full(dim, start)
-    stats = run_chain(cfg, target, burn_in=burn_in, seed=13, theta0=theta0)
-    mean, variance, lag1 = reference_chain(cfg, target, steps, burn_in, 13, theta0)
-    assert stats.sample_count == steps - burn_in
-    assert np.array_equal(stats.mean, mean)
-    assert np.array_equal(stats.variance, variance)
-    assert np.array_equal(stats.lag1_autocorr, lag1)
+    stats, thetas = recorded_chain(monkeypatch, cfg, target, burn_in=burn_in, seed=13,
+                                   theta0=theta0)
+    expected = reference_chain(cfg, target, steps, 13, theta0)
+    assert thetas.tobytes() == expected.tobytes()
+    assert_moments_close(stats, expected[burn_in:])
 
 
 def tempered_drift_step(theta, state, grad_u, lr, cfg, n_dataset, noise_on):
@@ -192,7 +223,7 @@ def tempered_drift_step(theta, state, grad_u, lr, cfg, n_dataset, noise_on):
 
 
 @pytest.mark.parametrize("kind,beta", [("sgld", 0.0), ("sghmc", 0.9), ("csghmc", 0.9)])
-def test_tempered_drift_is_the_plain_chain_at_lr0_over_t(kind, beta):
+def test_tempered_drift_is_the_plain_chain_at_lr0_over_t(monkeypatch, kind, beta):
     # at T = 0.5 dividing by T is exact, so every step agrees bit for bit,
     # through the cyclic schedule and the noiseless head of each cycle
     steps, burn_in, temperature = diagnostics._BLOCK + 1_234, 500, 0.5
@@ -202,12 +233,44 @@ def test_tempered_drift_is_the_plain_chain_at_lr0_over_t(kind, beta):
     precision = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
     target = QuadraticTarget(dim=3, precision=precision)
     theta0 = np.linspace(0.7, -0.4, 3)
-    stats = run_chain(plain, target, burn_in=burn_in, seed=13, theta0=theta0)
-    mean, variance, lag1 = reference_chain(tempered, target, steps, burn_in, 13, theta0,
-                                           step_fn=tempered_drift_step)
-    assert np.array_equal(stats.mean, mean)
-    assert np.array_equal(stats.variance, variance)
-    assert np.array_equal(stats.lag1_autocorr, lag1)
+    stats, thetas = recorded_chain(monkeypatch, plain, target, burn_in=burn_in, seed=13,
+                                   theta0=theta0)
+    expected = reference_chain(tempered, target, steps, 13, theta0, step_fn=tempered_drift_step)
+    assert thetas.tobytes() == expected.tobytes()
+    assert_moments_close(stats, expected[burn_in:])
+
+
+@pytest.mark.parametrize("kind,beta", [("sgld", 0.0), ("sghmc", 0.9)])
+@pytest.mark.parametrize("dim", [1, 3])
+# burn-in 0 keeps the transient from 1e5; the last block holds one row
+@pytest.mark.parametrize("burn_in", [0, diagnostics._BLOCK + 100])
+def test_moments_of_a_transient_start_match_two_pass(monkeypatch, kind, beta, dim, burn_in):
+    steps = 3 * diagnostics._BLOCK + 1
+    cfg = SamplerSection(kind=kind, lr0=0.05, beta=beta, temperature=0.5, cycle_len=1,
+                         total_steps=steps, noise_start_frac=0.0)
+    stats, thetas = recorded_chain(monkeypatch, cfg, QuadraticTarget(dim=dim), burn_in=burn_in,
+                                   seed=5, theta0=np.full(dim, 1e5))
+    assert len(thetas) == steps and np.abs(thetas[0]).min() > 1e4
+    assert_moments_close(stats, thetas[burn_in:])
+
+
+@pytest.mark.parametrize("sizes", [(4096, 4096, 4096, 1), (1, 100, 4096, 3995, 4096, 1)])
+def test_merge_matches_two_pass_at_mean_1e6(sizes):
+    # unit spread under a mean of 1e6: a sum of squares about 0 would lose
+    # every digit; the second coordinate is a slow random walk
+    rng = np.random.default_rng(0)
+    samples = 1e6 + rng.standard_normal((sum(sizes), 3))
+    samples[:, 1] = 1e6 + 0.01 * np.cumsum(rng.standard_normal(sum(sizes)))
+    moments = None
+    for rows in np.split(samples, np.cumsum(sizes)[:-1]):
+        part = diagnostics._moments(rows)
+        moments = part if moments is None else diagnostics._merge(moments, part)
+    stats = diagnostics._chain_stats(moments)
+    # one ulp of a 1e6 mean is 1.2e-10 standard deviations, so the mean is
+    # held to 1e-12 of its own size, and to 2 ulps of the exactly summed mean
+    assert_moments_close(stats, samples, mean_scale=1e6)
+    exact = np.array([math.fsum(column) for column in samples.T]) / len(samples)
+    assert np.all(np.abs(stats.mean - exact) <= 2 * np.spacing(exact))
 
 
 def test_late_divergence_step_matches_per_step_loop():
@@ -216,7 +279,7 @@ def test_late_divergence_step_matches_per_step_loop():
     cfg = chain_cfg(lr0=4.002, steps=steps)
     target = QuadraticTarget(dim=2)
     with pytest.raises(DivergenceError) as expected:
-        reference_chain(cfg, target, steps, 100, 0, np.zeros(2))
+        reference_chain(cfg, target, steps, 0, np.zeros(2))
     with pytest.raises(DivergenceError) as err:
         run_chain(cfg, target, burn_in=100, seed=0)
     assert err.value.step == expected.value.step > 2 * diagnostics._BLOCK
@@ -228,7 +291,7 @@ def test_late_float_divergence_matches_array_stepped_loop():
     cfg = chain_cfg(lr0=4.002, steps=steps)
     target = QuadraticTarget(dim=1)
     with pytest.raises(DivergenceError) as expected:
-        reference_chain(cfg, target, steps, 100, 0, np.zeros(1))
+        reference_chain(cfg, target, steps, 0, np.zeros(1))
     with pytest.raises(DivergenceError) as err:
         run_chain(cfg, target, burn_in=100, seed=0)
     assert err.value.step == expected.value.step > 2 * diagnostics._BLOCK
@@ -237,21 +300,21 @@ def test_late_float_divergence_matches_array_stepped_loop():
     assert DIVERGENCE_LIMIT < abs(err.value.value) < np.inf
 
 
-def test_moments_centre_the_trajectory_in_place():
-    # trajectory (8 B per step and coordinate) plus one full-size temporary;
-    # a separate centred copy would add 8 B more
-    steps, dim = 25_000, 8
-    # one-time allocations
+def test_chain_memory_is_flat_in_steps():
+    # the moments are folded block by block: no (steps, dim) trajectory
+    dim = 8
     run_chain(chain_cfg(kind="sghmc", beta=0.9, steps=100), QuadraticTarget(dim=dim),
-              burn_in=0, seed=0)
-    tracemalloc.start()
-    try:
-        run_chain(chain_cfg(kind="sghmc", beta=0.9, steps=steps), QuadraticTarget(dim=dim),
-                  burn_in=1_000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 18 * steps * dim
+              burn_in=0, seed=0)  # one-time allocations
+    peaks = []
+    for steps in (25_000, 100_000):
+        tracemalloc.start()
+        try:
+            run_chain(chain_cfg(kind="sghmc", beta=0.9, steps=steps), QuadraticTarget(dim=dim),
+                      burn_in=1_000, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024
 
 
 def test_short_chain_moments_are_sane():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -326,6 +327,27 @@ def test_corrupted_payload_byte_raises_checksum_error(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ChecksumError):
         load_ensemble(path)
+
+
+def test_save_ensemble_streams_its_payload(tmp_path):
+    # a 20-snapshot ensemble of the default model: 944,640 payload bytes,
+    # held once as the blocks' flattened copies and never joined
+    ens = PosteriorEnsemble(run_meta={"seed": 0})
+    for i in range(20):
+        collect(ens, init_twin(ModelSection(), 10, i), step=i, cycle=i, loss=0.5)
+    payload = 8 * sum(s.encoder_params.total_dim for s in ens.snapshots)
+    path = tmp_path / "ens.ckpt"
+    save_ensemble(ens, path)  # one-time allocations
+    tracemalloc.start()
+    try:
+        save_ensemble(ens, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload == 944_640 and peak < 1.5 * payload
+    header, stored = read_container(path, expect_kind="ensemble")
+    assert np.array_equal(stored, np.concatenate([s.encoder_params.flatten()
+                                                  for s in ens.snapshots]))
 
 
 def test_truncated_file_raises_truncation_error(tmp_path):
