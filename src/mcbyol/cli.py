@@ -11,6 +11,7 @@ numeric and I/O errors keep their codes above.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import config as cfgmod
@@ -50,10 +51,10 @@ def _load_config(args) -> tuple[cfgmod.RunConfig, str]:
     cfg = cfgmod.load(args.config)
     if args.seed is not None:
         try:
-            cfg.run.seeds = [int(s) for s in args.seed.split(",") if s.strip() != ""]
+            seeds = [int(s) for s in args.seed.split(",") if s.strip() != ""]
         except ValueError as exc:
             raise ConfigError(f"bad --seed value: {args.seed!r}") from exc
-        cfg.validate()
+        cfg.run = dataclasses.replace(cfg.run, seeds=seeds)
     out_dir = args.out or cfg.run.output_dir
     if not out_dir:
         raise ConfigError("no output directory: pass --out or set run.output_dir")

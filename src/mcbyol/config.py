@@ -4,15 +4,18 @@ Format: `[section]` headers, `key = value` lines, `#` comments.  Unknown
 sections or keys and repeated keys are errors so typos fail fast.  Values
 round-trip exactly through serialize/parse, and the digest of the
 canonical serialization identifies every output a run produces.
-"""
 
-from __future__ import annotations
+Each section checks its own keys whenever it is built: by parse, by its
+constructor, or by dataclasses.replace, which is how a section is
+changed after loading.  The parser reads each key's type from the
+section's field annotations.
+"""
 
 import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, get_args
 
 from .atomic import write_atomic
 from .errors import ConfigError
@@ -158,6 +161,20 @@ class FinetuneSection:
             raise ConfigError("finetune.batch must be >= 1")
         if self.epochs < 0:
             raise ConfigError("finetune.epochs must be non-negative")
+        if not self.label_fractions:
+            raise ConfigError("finetune.label_fractions must be non-empty")
+        for frac in self.label_fractions:
+            if not 0.0 < frac <= 1.0:
+                raise ConfigError("label_fractions must lie in (0, 1]")
+        # a repeat would fit the fraction twice into the same member files
+        _reject_repeats("finetune.label_fractions", self.label_fractions)
+        # and so would two fractions that print alike at 6 significant digits
+        tagged: dict[str, float] = {}
+        for frac in self.label_fractions:
+            other = tagged.setdefault(frac_tag(frac), frac)
+            if other != frac:
+                raise ConfigError(f"finetune.label_fractions {other!r} and {frac!r} "
+                                  f"share the file tag {frac_tag(frac)!r}")
 
 
 @dataclass
@@ -165,11 +182,24 @@ class EvalSection:
     bins: int = 10
     score: str = "entropy"  # or max_prob
 
+    def __post_init__(self):
+        if self.score not in ("entropy", "max_prob"):
+            raise ConfigError(f"unknown eval.score {self.score!r}")
+        if self.bins < 1:
+            raise ConfigError("eval.bins must be >= 1")
+
 
 @dataclass
 class RunSection:
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     output_dir: str = ""
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise ConfigError("run.seeds must be non-empty")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("run.seeds must be non-negative")
+        _reject_repeats("run.seeds", self.seeds)
 
 
 def _reject_repeats(name: str, values: list) -> None:
@@ -194,46 +224,11 @@ class RunConfig:
     eval: EvalSection = field(default_factory=EvalSection)
     run: RunSection = field(default_factory=RunSection)
 
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        if not self.run.seeds:
-            raise ConfigError("run.seeds must be non-empty")
-        if any(s < 0 for s in self.run.seeds):
-            raise ConfigError("run.seeds must be non-negative")
-        _reject_repeats("run.seeds", self.run.seeds)
-        if self.eval.score not in ("entropy", "max_prob"):
-            raise ConfigError(f"unknown eval.score {self.eval.score!r}")
-        if self.eval.bins < 1:
-            raise ConfigError("eval.bins must be >= 1")
-        if not self.finetune.label_fractions:
-            raise ConfigError("finetune.label_fractions must be non-empty")
-        for frac in self.finetune.label_fractions:
-            if not 0.0 < frac <= 1.0:
-                raise ConfigError("label_fractions must lie in (0, 1]")
-        # a repeat would fit the fraction twice into the same member files
-        _reject_repeats("finetune.label_fractions", self.finetune.label_fractions)
-        # and so would two fractions that print alike at 6 significant digits
-        tagged: dict[str, float] = {}
-        for frac in self.finetune.label_fractions:
-            other = tagged.setdefault(frac_tag(frac), frac)
-            if other != frac:
-                raise ConfigError(f"finetune.label_fractions {other!r} and {frac!r} "
-                                  f"share the file tag {frac_tag(frac)!r}")
-
     def digest(self) -> str:
         return hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()[:12]
 
 
-SECTIONS = {
-    "data": DataSection,
-    "model": ModelSection,
-    "sampler": SamplerSection,
-    "finetune": FinetuneSection,
-    "eval": EvalSection,
-    "run": RunSection,
-}
+SECTIONS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_scalar(raw: str, target_type, where: str):
@@ -258,21 +253,10 @@ def _parse_scalar(raw: str, target_type, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _field_types(section_cls) -> dict[str, type]:
-    out = {}
-    for f in dataclasses.fields(section_cls):
-        if f.type in ("list[int]", "list[float]") or str(f.type).startswith("list"):
-            elem = int if "int" in str(f.type) else float
-            out[f.name] = ("list", elem)
-        else:
-            out[f.name] = {"int": int, "float": float, "str": str, "bool": bool}[str(f.type)]
-    return out
-
-
 def parse(text: str) -> RunConfig:
     values: dict[str, dict] = {name: {} for name in SECTIONS}
     first_line: dict[tuple[str, str], int] = {}
-    section = None
+    section = types = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -281,6 +265,7 @@ def parse(text: str) -> RunConfig:
             section = stripped[1:-1].strip()
             if section not in SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            types = {f.name: f.type for f in dataclasses.fields(SECTIONS[section])}
             continue
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any section")
@@ -288,20 +273,18 @@ def parse(text: str) -> RunConfig:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key = key.strip()
-        types = _field_types(SECTIONS[section])
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         first = first_line.setdefault((section, key), lineno)
         if first != lineno:
             raise ConfigError(f"line {lineno}: {section}.{key} is already set on line {first}")
-        expected = types[key]
         where = f"line {lineno} ({section}.{key})"
-        if isinstance(expected, tuple):
-            elem = expected[1]
-            values[section][key] = [_parse_scalar(part, elem, where)
+        elem = get_args(types[key])  # (int,) of list[int], () of a scalar
+        if elem:
+            values[section][key] = [_parse_scalar(part, elem[0], where)
                                     for part in raw.split(",") if part.strip() != ""]
         else:
-            values[section][key] = _parse_scalar(raw, expected, where)
+            values[section][key] = _parse_scalar(raw, types[key], where)
     try:
         sections = {name: cls(**values[name]) for name, cls in SECTIONS.items()}
     except TypeError as exc:

@@ -28,7 +28,7 @@ from .atomic import write_atomic
 from .config import ModelSection
 from .errors import (ChecksumError, CheckpointError, ContractError, NumericError,
                      TruncationError, VersionError)
-from .model import TwinModel, mlp_forward_np
+from .model import TwinModel, mlp_arrays, mlp_forward_np
 from .params import ParamVector
 
 MAGIC = b"MCPV"
@@ -262,7 +262,8 @@ def _complete(path, kind: str):
 
 
 def _crc(encoder: ParamVector) -> int:
-    return zlib.crc32(encoder.flatten().astype("<f8"))  # of its little-endian float64 bytes
+    # of its little-endian float64 bytes; asarray copies flatten's array only on a big-endian host
+    return zlib.crc32(np.asarray(encoder.flatten(), dtype="<f8"))
 
 
 def save_ensemble(ensemble: PosteriorEnsemble, path) -> None:
@@ -304,7 +305,9 @@ def save_member(path, encoder: ParamVector, head: ParamVector, meta: dict,
 
 def load_member(path, ensemble: PosteriorEnsemble) -> tuple[ParamVector, ParamVector, dict]:
     """(encoder, head, meta); a frozen encoder is its snapshot's own in
-    ensemble.  The recorded CRC must match that snapshot's encoder."""
+    ensemble.  The recorded CRC must match that snapshot's encoder, and the
+    head must hold exactly weight (D, C) and bias (C,), D the encoder's
+    output width."""
     header, payload = read_container(path, expect_kind="member")
     with _complete(path, "member"):
         blocks, meta = {b["name"]: b for b in header["blocks"]}, header["meta"]
@@ -314,4 +317,12 @@ def load_member(path, ensemble: PosteriorEnsemble) -> tuple[ParamVector, ParamVe
     snaps = ensemble.snapshots
     if not (type(s) is int and 0 <= s < len(snaps)) or _crc(snaps[s].encoder_params) != crc:
         raise CheckpointError(f"{path}: stale, not fitted on snapshot {s} of {ensemble.path}")
-    return (encoder if encoder.names else snaps[s].encoder_params), head, meta
+    encoder = encoder if encoder.names else snaps[s].encoder_params
+    with _complete(path, "member"):
+        width = mlp_arrays(encoder)[-1][1].size
+    shapes = head.shapes()
+    classes = shapes.get("bias", ())
+    if len(classes) != 1 or shapes != {"weight": (width, *classes), "bias": classes}:
+        raise CheckpointError(f"{path}: its head holds {shapes}, not weight ({width}, C) "
+                              f"and bias (C,) over its encoder's {width} outputs")
+    return encoder, head, meta

@@ -686,6 +686,14 @@ def test_exit_code_bad_seed_override(tmp_path):
     assert rc == 1
 
 
+def test_a_repeated_seed_override_is_config_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert cli.main(["pretrain", "--config", cfg_path, "--out", str(out), "--seed", "3,3"]) == 1
+    assert capsys.readouterr().err == "config error: run.seeds repeats 3\n"
+    assert not out.exists()
+
+
 def test_no_output_dir_is_config_error(tmp_path):
     cfg_path = write_config(tmp_path)
     assert cli.main(["pretrain", "--config", cfg_path]) == 1

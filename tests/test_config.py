@@ -104,6 +104,49 @@ def test_out_of_range_values_fail_at_load(text, message):
         config.parse(text)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: dataclasses.replace(config.RunSection(), seeds=[1, 1]), "run.seeds repeats 1"),
+    (lambda: dataclasses.replace(config.RunSection(), seeds=[-1]),
+     "run.seeds must be non-negative"),
+    (lambda: config.EvalSection(bins=0), "eval.bins must be >= 1"),
+    (lambda: config.EvalSection(score="x"), "unknown eval.score 'x'"),
+    (lambda: config.FinetuneSection(label_fractions=[]),
+     "finetune.label_fractions must be non-empty"),
+    (lambda: config.FinetuneSection(label_fractions=[0.5, 1.5]),
+     "label_fractions must lie in (0, 1]"),
+    (lambda: config.FinetuneSection(label_fractions=[0.5, 0.5]),
+     "finetune.label_fractions repeats 0.5"),
+    (lambda: config.FinetuneSection(label_fractions=[0.5, 0.50000001]),
+     "finetune.label_fractions 0.5 and 0.50000001 share the file tag '0p5'"),
+], ids=["seeds_repeat", "seed_negative", "bins_zero", "score_unknown", "fractions_empty",
+        "fraction_above_1", "fractions_repeat", "fractions_share_a_tag"])
+def test_a_section_checks_its_own_keys_whenever_it_is_built(build, message):
+    # without a RunConfig around it, as an override by dataclasses.replace builds it
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
+
+
+# every annotation parse reads; a string or any other type would parse as str
+PARSED_TYPES = {int, float, str, bool, list[int], list[float]}
+
+
+def test_every_section_key_has_a_type_parse_reads():
+    unread = [f"{name}.{f.name}: {f.type!r}" for name, cls in config.SECTIONS.items()
+              for f in dataclasses.fields(cls) if f.type not in PARSED_TYPES]
+    assert not unread
+
+
+def test_sections_are_the_run_configs_fields_in_serialization_order():
+    fields = dataclasses.fields(config.RunConfig)
+    assert list(config.SECTIONS.items()) == [(f.name, f.type) for f in fields]
+    assert all(dataclasses.is_dataclass(cls) for cls in config.SECTIONS.values())
+    # the order every digest hashes: moving a section changes them all
+    headers = [line for line in config.serialize(config.RunConfig()).splitlines()
+               if line.startswith("[")]
+    assert headers == ["[data]", "[model]", "[sampler]", "[finetune]", "[eval]", "[run]"]
+
+
 def test_float_keys_cover_every_section_with_floats():
     assert {section for section, _ in FLOAT_KEYS} == {"data", "model", "sampler", "finetune"}
     assert {("finetune", "lr"), ("sampler", "lr0"), ("sampler", "temperature"),

@@ -16,6 +16,7 @@ from mcbyol.posterior import (PosteriorEnsemble, bma_predict, collect,
                               load_ensemble, load_member, predictive_entropy, read_container,
                               recent_mean, save_ensemble, save_member, softmax,
                               write_container)
+from mcbyol.posterior import _crc
 
 TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
 
@@ -350,6 +351,21 @@ def test_save_ensemble_streams_its_payload(tmp_path):
                                                   for s in ens.snapshots]))
 
 
+def test_crc_copies_the_encoder_once():
+    # the default model's encoder, 47,232 bytes: flatten's copy, and no second one
+    encoder = init_twin(ModelSection(), 10, 0).online_encoder.copy()
+    nbytes = 8 * encoder.total_dim
+    _crc(encoder)  # one-time allocations
+    tracemalloc.start()
+    try:
+        crc = _crc(encoder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nbytes == 47_232 and peak < 1.2 * nbytes
+    assert crc == zlib.crc32(encoder.flatten().astype("<f8").tobytes())
+
+
 def test_truncated_file_raises_truncation_error(tmp_path):
     ens = make_ensemble(2)
     path = tmp_path / "ens.ckpt"
@@ -462,6 +478,47 @@ def test_a_frozen_member_of_another_encoder_names_both_files(tmp_path, snapshot)
     with pytest.raises(CheckpointError) as err:
         load_member(path, other)
     assert str(err.value).startswith(f"{path}: ") and str(ens_path) in str(err.value)
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+@pytest.mark.parametrize("segments", [
+    {"weight": (3, 4)},
+    {"bias": (4,)},
+    {"weight": (4, 4), "bias": (4,)},
+    {"weight": (3, 4), "bias": (5,)},
+    {"weight": (3, 4), "bias": (1, 4)},
+    {"weight": (12,), "bias": (4,)},
+    {"weight": (3, 4), "bias": (4,), "scale": (4,)},
+], ids=["no_bias", "no_weight", "extra_row", "bias_too_wide", "bias_2d", "weight_1d",
+        "extra_segment"])
+def test_a_member_head_not_shaped_for_its_encoder_is_a_checkpoint_error(tmp_path, segments,
+                                                                        freeze):
+    """A head must be weight (D, C) and bias (C,), D the width of the
+    encoder it reads (3 here), stored with the member or its snapshot's."""
+    ens = make_ensemble(1)
+    rng = np.random.default_rng(0)
+    head = ParamVector({name: rng.normal(size=shape) for name, shape in segments.items()})
+    path = tmp_path / "member.ckpt"
+    snapshot = ens.snapshots[0].encoder_params
+    save_member(path, snapshot.copy(), head, {"seed": 0, "snapshot": 0, "freeze_encoder": freeze},
+                snapshot)
+    with pytest.raises(CheckpointError) as err:
+        load_member(path, ens)
+    assert str(err.value) == (f"{path}: its head holds {head.shapes()}, not weight (3, C) "
+                              f"and bias (C,) over its encoder's 3 outputs")
+
+
+def test_a_stored_encoder_without_its_layer_names_is_a_checkpoint_error(tmp_path):
+    # the head's width check reads the encoder's last layer by name
+    ens = make_ensemble(1)
+    snapshot = ens.snapshots[0].encoder_params
+    renamed = ParamVector({name.replace("layer", "l"): t.values for name, t in snapshot.items()})
+    path = tmp_path / "member.ckpt"
+    save_member(path, renamed, random_head(np.random.default_rng(0)),
+                {"seed": 0, "snapshot": 0, "freeze_encoder": False}, snapshot)
+    with pytest.raises(CheckpointError) as err:
+        load_member(path, ens)
+    assert str(err.value) == f"{path}: the member file has no 'layer0.w'"
 
 
 SNAPSHOT_META = {"step": 49, "cycle": 0, "pretrain_loss": 0.5, "sampler_kind": "csghmc"}

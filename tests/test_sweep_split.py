@@ -212,6 +212,33 @@ def test_a_member_laid_out_unlike_the_first_is_an_io_error(tmp_path, monkeypatch
             assert_no_child_process()
 
 
+@pytest.mark.parametrize("defect", ["no_bias", "extra_row"])
+@pytest.mark.parametrize("snapshot", [0, 1, 2])  # the first member, this process's half, the child's
+def test_a_malformed_member_head_is_an_io_error(tmp_path, monkeypatch, capsys, finetuned,
+                                                snapshot, defect):
+    """A CRC-valid member whose head lacks its bias, or whose weight has a
+    row more than its encoder's outputs, stops eval and ood with exit code
+    4 naming the file, at 1 and 2 CPUs alike."""
+    for cpus in (1, 2):
+        cfg_path, out = copy_run(tmp_path, finetuned, f"cpus{cpus}")
+        path = pipeline.member_path(str(out), 0, 1.0, snapshot)
+        ensemble = load_ensemble(pipeline.ensemble_path(str(out), 0))
+        encoder, head, meta = load_member(path, ensemble)
+        weight, bias = head["weight"].values, head["bias"].values
+        head = ParamVector({"weight": weight} if defect == "no_bias" else
+                           {"weight": np.vstack([weight, weight[:1]]), "bias": bias})
+        save_member(path, encoder, head, meta, ensemble.snapshots[snapshot].encoder_params)
+        forked = counting_children(monkeypatch, cpus)
+        for stage in STAGES:
+            assert run_stage(stage, cfg_path, out) == cli.EXIT_IO
+            assert_no_child_process()
+            assert capsys.readouterr().err == (
+                f"i/o error: {path}: its head holds {head.shapes()}, not weight (4, C) "
+                f"and bias (C,) over its encoder's 4 outputs\n")
+            assert not (out / TABLES[stage]).exists()
+        assert len(forked) == (2 if cpus == 2 and snapshot > 0 else 0)
+
+
 @pytest.mark.parametrize("stage", STAGES)
 def test_an_unexpected_error_in_the_child_is_a_helper_error(tmp_path, monkeypatch, capsys,
                                                             finetuned, stage):
