@@ -11,8 +11,8 @@ numeric and I/O errors keep their codes above.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
+from dataclasses import replace
 
 from . import config as cfgmod
 from . import pipeline
@@ -54,7 +54,7 @@ def _load_config(args) -> tuple[cfgmod.RunConfig, str]:
             seeds = [int(s) for s in args.seed.split(",") if s.strip() != ""]
         except ValueError as exc:
             raise ConfigError(f"bad --seed value: {args.seed!r}") from exc
-        cfg.run = dataclasses.replace(cfg.run, seeds=seeds)
+        cfg = replace(cfg, run=replace(cfg.run, seeds=seeds))
     out_dir = args.out or cfg.run.output_dir
     if not out_dir:
         raise ConfigError("no output directory: pass --out or set run.output_dir")

@@ -5,23 +5,25 @@ sections or keys and repeated keys are errors so typos fail fast.  Values
 round-trip exactly through serialize/parse, and the digest of the
 canonical serialization identifies every output a run produces.
 
-Each section checks its own keys whenever it is built: by parse, by its
-constructor, or by dataclasses.replace, which is how a section is
-changed after loading.  The parser reads each key's type from the
-section's field annotations.
+Each section and RunConfig is a frozen value: dataclasses.replace is the
+one way to change a loaded config, and each section checks its own keys
+whenever it is built, by parse, by its constructor, or by replace.  The
+list-valued keys are tuples, and a section turns any list it is given
+into one.  The parser reads each key's type from the section's field
+annotations.
 """
 
 import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, get_args
 
 from .atomic import write_atomic
 from .errors import ConfigError
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataSection:
     classes: int = 4
     per_class_pretrain: int = 500
@@ -59,9 +61,9 @@ class DataSection:
             raise ConfigError("data scale range must satisfy 0 < scale_min <= scale_max")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSection:
-    encoder_hidden: list[int] = field(default_factory=lambda: [64, 64])
+    encoder_hidden: tuple[int, ...] = (64, 64)
     embed_dim: int = 16
     proj_hidden: int = 32
     proj_dim: int = 8
@@ -70,6 +72,7 @@ class ModelSection:
     tau: float = 0.99
 
     def __post_init__(self):
+        _as_tuple(self, "encoder_hidden")
         if any(w < 1 for w in self.encoder_hidden):
             raise ConfigError("model.encoder_hidden widths must be >= 1")
         for key in ("embed_dim", "proj_hidden", "proj_dim", "pred_hidden"):
@@ -100,7 +103,7 @@ SAMPLER_KINDS = {
 OOD_MODES = ("shifted_means", "scaled_variance", "uniform_box")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerSection:
     kind: str = "csghmc"
     lr0: float = 1e-4
@@ -141,18 +144,19 @@ class SamplerSection:
             raise ConfigError("sampler.batch must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FinetuneSection:
     lr: float = 0.05
     momentum: float = 0.9
     batch: int = 80
     epochs: int = 60
-    label_fractions: list[float] = field(default_factory=lambda: [1.0, 0.25, 0.1])
+    label_fractions: tuple[float, ...] = (1.0, 0.25, 0.1)
     # desk-scale default is linear evaluation: joint fine-tuning at this
     # scale drowns the representation signal in SGD noise
     freeze_encoder: bool = True
 
     def __post_init__(self):
+        _as_tuple(self, "label_fractions")
         if self.lr < 0:
             raise ConfigError("finetune.lr must be non-negative")
         if not 0.0 <= self.momentum < 1.0:
@@ -177,7 +181,7 @@ class FinetuneSection:
                                   f"share the file tag {frac_tag(frac)!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalSection:
     bins: int = 10
     score: str = "entropy"  # or max_prob
@@ -189,12 +193,13 @@ class EvalSection:
             raise ConfigError("eval.bins must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSection:
-    seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
+    seeds: tuple[int, ...] = (0, 1, 2)
     output_dir: str = ""
 
     def __post_init__(self):
+        _as_tuple(self, "seeds")
         if not self.seeds:
             raise ConfigError("run.seeds must be non-empty")
         if any(s < 0 for s in self.seeds):
@@ -202,7 +207,12 @@ class RunSection:
         _reject_repeats("run.seeds", self.seeds)
 
 
-def _reject_repeats(name: str, values: list) -> None:
+def _as_tuple(section, key: str) -> None:
+    """Stores a list-valued key given as any iterable as a tuple."""
+    object.__setattr__(section, key, tuple(getattr(section, key)))
+
+
+def _reject_repeats(name: str, values: tuple) -> None:
     seen = set()
     for v in values:
         if v in seen:
@@ -215,14 +225,14 @@ def frac_tag(frac: float) -> str:
     return f"{frac:g}".replace(".", "p")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    data: DataSection = field(default_factory=DataSection)
-    model: ModelSection = field(default_factory=ModelSection)
-    sampler: SamplerSection = field(default_factory=SamplerSection)
-    finetune: FinetuneSection = field(default_factory=FinetuneSection)
-    eval: EvalSection = field(default_factory=EvalSection)
-    run: RunSection = field(default_factory=RunSection)
+    data: DataSection = DataSection()
+    model: ModelSection = ModelSection()
+    sampler: SamplerSection = SamplerSection()
+    finetune: FinetuneSection = FinetuneSection()
+    eval: EvalSection = EvalSection()
+    run: RunSection = RunSection()
 
     def digest(self) -> str:
         return hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()[:12]
@@ -279,7 +289,7 @@ def parse(text: str) -> RunConfig:
         if first != lineno:
             raise ConfigError(f"line {lineno}: {section}.{key} is already set on line {first}")
         where = f"line {lineno} ({section}.{key})"
-        elem = get_args(types[key])  # (int,) of list[int], () of a scalar
+        elem = get_args(types[key])  # (int, ...) of tuple[int, ...], () of a scalar
         if elem:
             values[section][key] = [_parse_scalar(part, elem[0], where)
                                     for part in raw.split(",") if part.strip() != ""]
@@ -302,7 +312,7 @@ def _format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, list):
+    if isinstance(v, tuple):
         return ",".join(_format_value(e) for e in v)
     return str(v)
 

@@ -164,7 +164,7 @@ def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int, seed: 
         grad = float(target.precision[0, 0]).__mul__
     step_fn = sghmc_step if SAMPLER_KINDS[cfg.kind].momentum else sgld_step
     # the schedule depends on k only through k % cycle_len
-    cycle = range(min(cfg.cycle_len, steps))
+    cycle = range(cfg.cycle_len)
     lr_table = np.array([cyclic_lr(cfg, p) for p in cycle])
     gate_table = np.array([noise_active(cfg, p) for p in cycle])
     scale_table = np.array([noise_scale(cfg, lr) for lr in lr_table.tolist()])

@@ -57,7 +57,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ContractError, DimensionError, HelperError, McbyolError
-from .model import TwinModel
+from .model import TwinModel, check_views
 from .sampler import direction_grad
 
 REQUEST, DONE, VIEWS = b"r", b"d", b"v"
@@ -219,9 +219,8 @@ class DirectionHelper:
         """The helper's loop, until the views run out or the parent hangs up."""
         capacity, width = self._view_a.shape
         for view_a, view_b in views:
-            a, b = np.asarray(view_a, dtype=np.float64), np.asarray(view_b, dtype=np.float64)
-            if a.shape != b.shape or a.ndim != 2 or a.shape[1] != width \
-                    or not 1 <= a.shape[0] <= capacity:
+            a, b = check_views(model, view_a, view_b)
+            if a.shape[0] > capacity:
                 raise DimensionError(f"helper views must be equal (1..{capacity}, {width}) "
                                      f"batches, got {a.shape} and {b.shape}")
             rows = a.shape[0]

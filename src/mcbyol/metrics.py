@@ -16,30 +16,30 @@ from .errors import ContractError
 PROB_FLOOR = 1e-12  # clamp for log of predicted probability
 
 
-def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose argmax matches the label; argmax ties break
-    toward the lowest class index."""
+def _check_batch(name: str, preds, labels) -> tuple[np.ndarray, np.ndarray]:
+    """preds as float64 and labels as int64, which must be a non-empty (N, C)
+    batch and its N labels in [0, C); a ContractError names the caller."""
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.ndim != 2 or preds.shape[0] == 0:
-        raise ContractError("accuracy: need a non-empty (N, C) prediction batch")
+        raise ContractError(f"{name}: need a non-empty (N, C) prediction batch")
     if labels.shape != (preds.shape[0],):
-        raise ContractError("accuracy: label count mismatch")
+        raise ContractError(f"{name}: label count mismatch")
     if labels.min() < 0 or labels.max() >= preds.shape[1]:
-        raise ContractError("accuracy: label out of range")
+        raise ContractError(f"{name}: label out of range")
+    return preds, labels
+
+
+def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows whose argmax matches the label; argmax ties break
+    toward the lowest class index."""
+    preds, labels = _check_batch("accuracy", preds, labels)
     return float((preds.argmax(axis=1) == labels).mean())
 
 
 def nll(preds: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the true labels, in nats."""
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if preds.ndim != 2 or preds.shape[0] == 0:
-        raise ContractError("nll: need a non-empty (N, C) prediction batch")
-    if labels.shape != (preds.shape[0],):
-        raise ContractError("nll: label count mismatch")
-    if labels.min() < 0 or labels.max() >= preds.shape[1]:
-        raise ContractError("nll: label out of range")
+    preds, labels = _check_batch("nll", preds, labels)
     picked = preds[np.arange(labels.size), labels]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 

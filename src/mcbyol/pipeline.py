@@ -96,12 +96,9 @@ def ensemble_path(out_dir: str, seed: int) -> str:
 
 def _pretrained_ensemble(out_dir: str, seed: int) -> PosteriorEnsemble:
     """The seed's ensemble; a CheckpointError if it is missing or holds no snapshot."""
-    path = ensemble_path(out_dir, seed)
-    if not os.path.exists(path):
-        raise CheckpointError(f"missing ensemble checkpoint: {path}")
-    ensemble = load_ensemble(path)
+    ensemble = load_ensemble(ensemble_path(out_dir, seed))
     if not ensemble.size:
-        raise CheckpointError(f"{path}: the ensemble has no snapshots")
+        raise CheckpointError(f"{ensemble.path}: the ensemble has no snapshots")
     return ensemble
 
 
@@ -223,8 +220,8 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
                      for e, v in enumerate(log)])
 
 
-def _sweep(out_dir: str, seed: int, fracs: list[float], xs: list[np.ndarray],
-           model: cfgmod.ModelSection):
+def _sweep(cfg: cfgmod.RunConfig, out_dir: str, seed: int, fracs: tuple[float, ...],
+           xs: list[np.ndarray]):
     """Yields (frac, k, [BMA of the k most recent members on x for each x in
     xs]) for each fraction in fracs and k = 1..size (the seed's snapshot
     count), fraction by fraction, loading the ensemble and each member once.
@@ -235,31 +232,19 @@ def _sweep(out_dir: str, seed: int, fracs: list[float], xs: list[np.ndarray],
 
     This process does so for snapshots 0 .. ceil(size/2) - 1 and a forked
     child for the rest (helper.run_split), each into one shared mmap per
-    input, (size, fractions, rows, classes), through layer buffers reused
-    by every forward.  A member laid out unlike the first raises
-    CheckpointError.  The child is reaped before the first yield."""
-    def load(s: int, i: int) -> tuple[ParamVector, ParamVector]:
-        path = member_path(out_dir, seed, fracs[i], s)
-        if not os.path.exists(path):
-            raise CheckpointError(f"missing member checkpoint: {path}")
-        encoder, head, _ = load_member(path, ensemble)
-        if (s, i) != (0, 0) and not encoder.same_layout(first[0]):  # the buffers' layout
-            raise CheckpointError(f"{path}: its encoder is laid out unlike the first member's")
-        if (s, i) != (0, 0) and head["bias"].size != classes:
-            raise CheckpointError(f"{path}: its head has {head['bias'].size} classes, "
-                                  f"{member_path(out_dir, seed, fracs[0], 0)}'s has {classes}")
-        return encoder, head
-
+    input, (size, fractions, rows, data.classes), through layer buffers
+    reused by every forward.  It only loads and forwards: load_member
+    refuses a member that does not fit its snapshot or data.classes.  The
+    child is reaped before the first yield."""
     ensemble = _pretrained_ensemble(out_dir, seed)
     size = ensemble.size
-    first = load(0, 0)
-    classes = first[1]["bias"].size
-    probs = [helpermod.shared_array((size, len(fracs), len(x), classes)) for x in xs]
+    probs = [helpermod.shared_array((size, len(fracs), len(x), cfg.data.classes)) for x in xs]
 
     def forward(snapshots: list[int]) -> None:
         buffers: dict[int, list[np.ndarray]] = {}  # layer outputs by row count
         for s in snapshots:
-            members = [first if s == i == 0 else load(s, i) for i in range(len(fracs))]
+            members = [load_member(member_path(out_dir, seed, frac, s), ensemble,
+                                   cfg.data.classes)[:2] for frac in fracs]
             by_encoder: dict[int, list[int]] = {}
             for i, (encoder, _) in enumerate(members):
                 by_encoder.setdefault(id(encoder), []).append(i)
@@ -269,10 +254,11 @@ def _sweep(out_dir: str, seed: int, fracs: list[float], xs: list[np.ndarray],
                     "weight": np.stack([h["weight"].values for h in heads]),
                     "bias": np.stack([h["bias"].values[None, :] for h in heads])})
                 for x, p in zip(xs, probs):
-                    if len(x) not in buffers:  # after the fork and the first loads: less RSS
+                    if len(x) not in buffers:  # after the fork: less RSS
                         buffers[len(x)] = [np.empty((len(x), w.shape[1]))
                                            for w, _ in mlp_arrays(encoder)]
-                    p[s, idx] = bma_predict([(encoder, head)], x, model, out=buffers[len(x)])
+                    p[s, idx] = bma_predict([(encoder, head)], x, cfg.model,
+                                            out=buffers[len(x)])
 
     mine, theirs = list(range(-(-size // 2))), list(range(-(-size // 2), size))
     helpermod.run_split(f"the sweep child of seed {seed} (snapshots {', '.join(map(str, theirs))})",
@@ -292,7 +278,7 @@ def run_eval(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
     fracs = cfg.finetune.label_fractions
     per_cell: dict[tuple[float, int], list[tuple[float, float]]] = {}
     for seed in cfg.run.seeds:
-        for frac, k, (probs,) in _sweep(out_dir, seed, fracs, [test.x], cfg.model):
+        for frac, k, (probs,) in _sweep(cfg, out_dir, seed, fracs, [test.x]):
             per_cell.setdefault((frac, k), []).append((accuracy(probs, test.y),
                                                        nll(probs, test.y)))
     rows: list[tuple] = []
@@ -327,7 +313,7 @@ def run_ood(cfg: cfgmod.RunConfig, out_dir: str) -> list[tuple]:
 
     per_k: dict[int, dict[str, list]] = {}
     for seed in cfg.run.seeds:
-        sweep = _sweep(out_dir, seed, [frac], [test.x, ood.x], cfg.model)
+        sweep = _sweep(cfg, out_dir, seed, (frac,), [test.x, ood.x])
         for _, k, (p_test, p_ood) in sweep:
             h_test, h_ood = predictive_entropy(p_test), predictive_entropy(p_ood)
             cell = per_k.setdefault(k, {"nll": [], "auroc": [], "h_test": [], "h_ood": []})

@@ -11,7 +11,9 @@ The JSON header is the human-auditable metadata block: container kind,
 run metadata, and one block per stored parameter vector with its segment
 table (name, element offset, shape).  Loads are bit-exact; corruption
 surfaces as a checksum, truncation, or version error, never silently,
-and a missing block or key as a CheckpointError.
+and a missing file, block or key as a CheckpointError.  Every check of a
+file is made here, as it loads: load_member refuses a member that does
+not fit its snapshot or the caller's class count.
 """
 
 from __future__ import annotations
@@ -199,9 +201,13 @@ def write_container(path, kind: str, meta: dict, blocks: list[tuple[str, dict, P
 def read_container(path, expect_kind: str | None = None) -> tuple[dict, np.ndarray]:
     """Returns (header, payload), payload a read-only view of the file's
     bytes.  Raises VersionError, TruncationError, or ChecksumError on
-    malformed files, and CheckpointError on a payload that is not finite."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    malformed files, and CheckpointError on a missing file or a payload
+    that is not finite."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except FileNotFoundError as exc:
+        raise CheckpointError(f"missing {expect_kind or 'a'} checkpoint: {path}") from exc
     if len(raw) < 16:
         raise TruncationError(f"{path}: file too short to be a checkpoint")
     if raw[:4] != MAGIC:
@@ -303,10 +309,12 @@ def save_member(path, encoder: ParamVector, head: ParamVector, meta: dict,
                     [("encoder", {"crc": _crc(snapshot)}, stored), ("head", {}, head)])
 
 
-def load_member(path, ensemble: PosteriorEnsemble) -> tuple[ParamVector, ParamVector, dict]:
+def load_member(path, ensemble: PosteriorEnsemble,
+                classes: int) -> tuple[ParamVector, ParamVector, dict]:
     """(encoder, head, meta); a frozen encoder is its snapshot's own in
-    ensemble.  The recorded CRC must match that snapshot's encoder, and the
-    head must hold exactly weight (D, C) and bias (C,), D the encoder's
+    ensemble.  The recorded CRC must match that snapshot's encoder, a
+    stored encoder must be laid out as that snapshot, and the head must
+    hold exactly weight (D, classes) and bias (classes,), D the encoder's
     output width."""
     header, payload = read_container(path, expect_kind="member")
     with _complete(path, "member"):
@@ -318,11 +326,13 @@ def load_member(path, ensemble: PosteriorEnsemble) -> tuple[ParamVector, ParamVe
     if not (type(s) is int and 0 <= s < len(snaps)) or _crc(snaps[s].encoder_params) != crc:
         raise CheckpointError(f"{path}: stale, not fitted on snapshot {s} of {ensemble.path}")
     encoder = encoder if encoder.names else snaps[s].encoder_params
+    if not encoder.same_layout(snaps[s].encoder_params):
+        raise CheckpointError(f"{path}: its encoder is laid out unlike snapshot {s} "
+                              f"of {ensemble.path}")
     with _complete(path, "member"):
         width = mlp_arrays(encoder)[-1][1].size
-    shapes = head.shapes()
-    classes = shapes.get("bias", ())
-    if len(classes) != 1 or shapes != {"weight": (width, *classes), "bias": classes}:
-        raise CheckpointError(f"{path}: its head holds {shapes}, not weight ({width}, C) "
-                              f"and bias (C,) over its encoder's {width} outputs")
+    if head.shapes() != {"weight": (width, classes), "bias": (classes,)}:
+        raise CheckpointError(f"{path}: its head holds {head.shapes()}, not weight "
+                              f"({width}, {classes}) and bias ({classes},) for {classes} "
+                              f"classes over its encoder's {width} outputs")
     return encoder, head, meta

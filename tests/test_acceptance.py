@@ -50,9 +50,7 @@ def criterion(num, desc):
 
 
 def _method_config(kind):
-    cfg = config.RunConfig()
-    cfg.sampler.kind = kind
-    return cfg
+    return config.RunConfig(sampler=config.SamplerSection(kind=kind))
 
 
 @pytest.fixture(scope="module")
@@ -225,8 +223,8 @@ def test_criterion_07_bayes_beats_map_directionally(toy_runs):
         cfg = toy_runs["csghmc"]["cfg"]
         assert cfg.data.classes == 4
         assert cfg.data.classes * cfg.data.per_class_pretrain == 2000
-        assert cfg.finetune.label_fractions == [1.0, 0.25, 0.1]
-        assert cfg.run.seeds == [0, 1, 2]
+        assert cfg.finetune.label_fractions == (1.0, 0.25, 0.1)
+        assert cfg.run.seeds == (0, 1, 2)
         for frac in (1.0, 0.25, 0.1):
             byol_nll = toy_runs["map_sgd"]["eval"][("single", frac, 1)]["nll"]
             ens_nll = toy_runs["csghmc"]["eval"][("bma", frac, 4)]["nll"]
@@ -360,8 +358,8 @@ def test_max_prob_ood_auroc_equals_member_recomputation(tmp_path):
     by_score: dict[str, dict[int, list[float]]] = {"max_prob": {}, "entropy": {}}
     for seed in cfg.run.seeds:
         ensemble = load_ensemble(pipeline.ensemble_path(out, seed))
-        members = [load_member(pipeline.member_path(out, seed, frac, s), ensemble)[:2]
-                   for s in range(2)]
+        members = [load_member(pipeline.member_path(out, seed, frac, s), ensemble,
+                               cfg.data.classes)[:2] for s in range(2)]
         for k in (1, 2):
             p_test = bma_predict(members, test.x, arch, count=k)
             p_ood = bma_predict(members, ood.x, arch, count=k)
@@ -377,15 +375,15 @@ def test_max_prob_ood_auroc_equals_member_recomputation(tmp_path):
     assert sha256_of(out, "ood_results.tsv") == MAX_PROB_OOD_SHA256
 
 
-def per_member_sweep(out_dir, seed, fracs, xs, model):
+def per_member_sweep(cfg, out_dir, seed, fracs, xs):
     """Reference for pipeline._sweep: each (seed, fraction) group on its own,
     one bma_predict call per member and input, combined by recent_mean."""
     ensemble = load_ensemble(pipeline.ensemble_path(out_dir, seed))
     size = ensemble.size
     for frac in fracs:
-        members = [load_member(pipeline.member_path(out_dir, seed, frac, s), ensemble)[:2]
-                   for s in range(size)]
-        member_probs = [[bma_predict(members[i:i + 1], x, model) for i in range(size)]
+        members = [load_member(pipeline.member_path(out_dir, seed, frac, s), ensemble,
+                               cfg.data.classes)[:2] for s in range(size)]
+        member_probs = [[bma_predict(members[i:i + 1], x, cfg.model) for i in range(size)]
                         for x in xs]
         for k in range(1, size + 1):
             yield frac, k, [recent_mean(probs, k) for probs in member_probs]

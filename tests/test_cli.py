@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -185,7 +186,7 @@ def test_frozen_finetune_member_encoder_equals_snapshot(tmp_path):
     ens = load_ensemble(os.path.join(out, "ensemble_seed0.ckpt"))
     for snap_idx in range(ens.size):
         path = os.path.join(out, f"member_seed0_f1_snap{snap_idx}.ckpt")
-        enc, head, meta = load_member(path, ens)
+        enc, head, meta = load_member(path, ens, 3)
         assert meta["freeze_encoder"] is True
         assert enc is ens.snapshots[snap_idx].encoder_params
         header, payload = read_container(path)
@@ -204,7 +205,7 @@ def test_datasets_loadable_from_files(tmp_path):
     prefix = str(tmp_path / "ds")
     for tag, ds in zip(("pretrain", "train", "test", "ood"), splits):
         save_dataset(ds, f"{prefix}_{tag}")
-    cfg.data.file_prefix = prefix
+    cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, file_prefix=prefix))
     reloaded = pipeline.make_datasets(cfg)
     for orig, back in zip(splits, reloaded):
         assert np.array_equal(orig.x, back.x)
@@ -222,8 +223,9 @@ def test_file_dataset_pretrain_scales_by_loaded_rows(tmp_path):
     prefix = str(tmp_path / "ds")
     for tag, ds in zip(("pretrain", "train", "test", "ood"), pipeline.make_datasets(cfg)):
         save_dataset(ds, f"{prefix}_{tag}")
-    cfg.data.file_prefix = prefix
-    cfg.data.per_class_pretrain = 4  # 12 rows by the config, 120 in the file
+    # 12 rows by the config, 120 in the file
+    cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, file_prefix=prefix,
+                                                            per_class_pretrain=4))
     from_file = pipeline.run_pretrain(cfg, 0, str(tmp_path / "file"))
     assert from_file.run_meta["n_dataset"] == 120
     generated = pipeline.run_pretrain(config.load(cfg_path), 0, str(tmp_path / "generated"))

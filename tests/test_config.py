@@ -33,7 +33,7 @@ seeds = 5,6,7
     cfg = config.parse(text)
     assert cfg.data.classes == 6
     assert cfg.sampler.kind == "sgld"
-    assert cfg.run.seeds == [5, 6, 7]
+    assert cfg.run.seeds == (5, 6, 7)
     assert config.parse(config.serialize(cfg)) == cfg
 
 
@@ -127,8 +127,39 @@ def test_a_section_checks_its_own_keys_whenever_it_is_built(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("assign", [
+    lambda cfg: setattr(cfg.sampler, "kind", "adam"),
+    lambda cfg: setattr(cfg.eval, "bins", 0),
+    lambda cfg: setattr(cfg.run, "seeds", [9]),
+    lambda cfg: setattr(cfg, "sampler", config.SamplerSection()),
+], ids=["sampler_kind", "eval_bins", "run_seeds", "whole_section"])
+def test_a_loaded_config_is_frozen(assign):
+    # a field assigned in place would skip its section's checks and leave
+    # a digest that no file can hold; dataclasses.replace checks it instead
+    cfg = config.load(CONFIGS / "default.cfg")
+    digest = cfg.digest()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        assign(cfg)
+    assert cfg.digest() == digest
+    with pytest.raises(ConfigError, match="eval.bins must be >= 1"):
+        dataclasses.replace(cfg.eval, bins=0)
+
+
+def test_list_keys_read_back_as_tuples():
+    cfg = config.parse("[model]\nencoder_hidden = 8,4\n[run]\nseeds = 3,1\n")
+    assert cfg.model.encoder_hidden == (8, 4)
+    assert cfg.run.seeds == (3, 1)
+    assert cfg.finetune.label_fractions == (1.0, 0.25, 0.1)
+    # a section given a list stores a tuple, with the same serialization and digest
+    given = config.RunConfig(model=config.ModelSection(encoder_hidden=[8, 4]),
+                             run=config.RunSection(seeds=[3, 1]))
+    assert given.model.encoder_hidden == (8, 4) and given.run.seeds == (3, 1)
+    assert given == cfg and given.digest() == cfg.digest()
+    assert "encoder_hidden = 8,4\n" in config.serialize(cfg)
+
+
 # every annotation parse reads; a string or any other type would parse as str
-PARSED_TYPES = {int, float, str, bool, list[int], list[float]}
+PARSED_TYPES = {int, float, str, bool, tuple[int, ...], tuple[float, ...]}
 
 
 def test_every_section_key_has_a_type_parse_reads():
@@ -209,8 +240,7 @@ def test_label_fraction_bounds_validated():
 
 
 def test_save_load_file(tmp_path):
-    cfg = config.RunConfig()
-    cfg.run.seeds = [9]
+    cfg = config.RunConfig(run=config.RunSection(seeds=(9,)))
     path = tmp_path / "run.cfg"
     config.save(cfg, path)
     assert config.load(path) == cfg

@@ -106,7 +106,7 @@ OOD_SHA256 = {
 @pytest.mark.parametrize("mode", sorted(OOD_SHA256))
 def test_default_splits_are_pinned_for_every_ood_mode(mode):
     cfg = config.RunConfig()
-    cfg.data = dataclasses.replace(cfg.data, ood_mode=mode)
+    cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, ood_mode=mode))
     digests = []
     for ds in pipeline.make_datasets(cfg):
         h = hashlib.sha256(ds.x.astype("<f8").tobytes())

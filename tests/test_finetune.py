@@ -394,7 +394,7 @@ def test_member_roundtrip(tmp_path):
     path = tmp_path / "member.ckpt"
     save_member(path, snap.encoder_params, head,
                 {"seed": 1, "label_fraction": 0.5, "snapshot": 0}, snap.encoder_params)
-    enc2, head2, meta = load_member(path, PosteriorEnsemble(snapshots=[snap]))  # a stored encoder
+    enc2, head2, meta = load_member(path, PosteriorEnsemble(snapshots=[snap]), 4)  # a stored encoder
     assert enc2 is not snap.encoder_params
     assert np.array_equal(enc2.flatten(), snap.encoder_params.flatten())
     assert np.array_equal(head2["weight"].values, head["weight"].values)
@@ -410,7 +410,7 @@ def test_frozen_member_roundtrip_resolves_its_snapshot(tmp_path):
     meta = {"seed": 1, "snapshot": 1, "freeze_encoder": True}
     save_member(path, ensemble.snapshots[1].encoder_params, head, meta,
                 ensemble.snapshots[1].encoder_params)
-    enc2, head2, meta2 = load_member(path, ensemble)
+    enc2, head2, meta2 = load_member(path, ensemble, 4)
     assert enc2 is ensemble.snapshots[1].encoder_params
     assert np.array_equal(head2.flatten(), head.flatten())
     assert meta2 == meta

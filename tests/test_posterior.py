@@ -387,7 +387,7 @@ def write_checkpoint(kind, path):
     save_member(path, ens.snapshots[0].encoder_params, random_head(np.random.default_rng(0)),
                 {"seed": 0, "label_fraction": 0.5, "snapshot": 0,
                  "freeze_encoder": kind == "frozen_member"}, ens.snapshots[0].encoder_params)
-    return lambda p: load_member(p, ens)
+    return lambda p: load_member(p, ens, 4)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -460,7 +460,7 @@ def test_a_frozen_member_loads_as_its_snapshots_own_encoder(tmp_path):
     assert header["blocks"][0] == {"name": "encoder", "segments": [],
                                    "meta": {"crc": zlib.crc32(encoder_bytes)}}
     assert np.array_equal(payload, head.flatten())
-    encoder, loaded, loaded_meta = load_member(path, ens)
+    encoder, loaded, loaded_meta = load_member(path, ens, 4)
     assert encoder is ens.snapshots[2].encoder_params
     assert np.array_equal(loaded.flatten(), head.flatten()) and loaded_meta == meta
 
@@ -476,7 +476,7 @@ def test_a_frozen_member_of_another_encoder_names_both_files(tmp_path, snapshot)
     save_member(path, fitted_on, random_head(np.random.default_rng(0)),
                 {"seed": 0, "snapshot": snapshot, "freeze_encoder": True}, fitted_on)
     with pytest.raises(CheckpointError) as err:
-        load_member(path, other)
+        load_member(path, other, 4)
     assert str(err.value).startswith(f"{path}: ") and str(ens_path) in str(err.value)
 
 
@@ -489,12 +489,14 @@ def test_a_frozen_member_of_another_encoder_names_both_files(tmp_path, snapshot)
     {"weight": (3, 4), "bias": (1, 4)},
     {"weight": (12,), "bias": (4,)},
     {"weight": (3, 4), "bias": (4,), "scale": (4,)},
+    {"weight": (3, 5), "bias": (5,)},
 ], ids=["no_bias", "no_weight", "extra_row", "bias_too_wide", "bias_2d", "weight_1d",
-        "extra_segment"])
+        "extra_segment", "other_classes"])
 def test_a_member_head_not_shaped_for_its_encoder_is_a_checkpoint_error(tmp_path, segments,
                                                                         freeze):
     """A head must be weight (D, C) and bias (C,), D the width of the
-    encoder it reads (3 here), stored with the member or its snapshot's."""
+    encoder it reads (3 here), stored with the member or its snapshot's,
+    and C the class count the caller asks for (4 here)."""
     ens = make_ensemble(1)
     rng = np.random.default_rng(0)
     head = ParamVector({name: rng.normal(size=shape) for name, shape in segments.items()})
@@ -503,13 +505,13 @@ def test_a_member_head_not_shaped_for_its_encoder_is_a_checkpoint_error(tmp_path
     save_member(path, snapshot.copy(), head, {"seed": 0, "snapshot": 0, "freeze_encoder": freeze},
                 snapshot)
     with pytest.raises(CheckpointError) as err:
-        load_member(path, ens)
-    assert str(err.value) == (f"{path}: its head holds {head.shapes()}, not weight (3, C) "
-                              f"and bias (C,) over its encoder's 3 outputs")
+        load_member(path, ens, 4)
+    assert str(err.value) == (f"{path}: its head holds {head.shapes()}, not weight (3, 4) "
+                              f"and bias (4,) for 4 classes over its encoder's 3 outputs")
 
 
 def test_a_stored_encoder_without_its_layer_names_is_a_checkpoint_error(tmp_path):
-    # the head's width check reads the encoder's last layer by name
+    # its layout is its layer names and shapes, so it is laid out unlike its snapshot
     ens = make_ensemble(1)
     snapshot = ens.snapshots[0].encoder_params
     renamed = ParamVector({name.replace("layer", "l"): t.values for name, t in snapshot.items()})
@@ -517,8 +519,8 @@ def test_a_stored_encoder_without_its_layer_names_is_a_checkpoint_error(tmp_path
     save_member(path, renamed, random_head(np.random.default_rng(0)),
                 {"seed": 0, "snapshot": 0, "freeze_encoder": False}, snapshot)
     with pytest.raises(CheckpointError) as err:
-        load_member(path, ens)
-    assert str(err.value) == f"{path}: the member file has no 'layer0.w'"
+        load_member(path, ens, 4)
+    assert str(err.value) == f"{path}: its encoder is laid out unlike snapshot 0 of {ens.path}"
 
 
 SNAPSHOT_META = {"step": 49, "cycle": 0, "pretrain_loss": 0.5, "sampler_kind": "csghmc"}
@@ -552,8 +554,16 @@ def test_a_file_missing_a_block_or_key_of_its_kind_is_a_checkpoint_error(tmp_pat
     write_container(path, kind, meta, [made[b] for b in blocks])
     read_container(path, expect_kind=kind)  # passes its CRC
     with pytest.raises(CheckpointError) as err:
-        load_member(path, ens) if kind == "member" else load_ensemble(path)
+        load_member(path, ens, 4) if kind == "member" else load_ensemble(path)
     assert str(err.value) == f"{path}: the {kind} file has no '{missing}'"
+
+
+@pytest.mark.parametrize("kind", ["ensemble", "member"])
+def test_a_missing_file_is_a_checkpoint_error_naming_its_kind_and_path(tmp_path, kind):
+    path = tmp_path / f"{kind}.ckpt"
+    with pytest.raises(CheckpointError) as err:
+        load_member(path, make_ensemble(1), 4) if kind == "member" else load_ensemble(path)
+    assert str(err.value) == f"missing {kind} checkpoint: {path}"
 
 
 def test_bad_magic_and_version_raise_version_error(tmp_path):

@@ -8,7 +8,9 @@ Imports do not count, so a package-root re-export keeps nothing alive.
 Dunder methods are called by Python itself and are not checked.
 
 Each setting has one home, its config section: no dataclass outside
-config.py re-declares a key of a section.
+config.py re-declares a key of a section.  And a loaded config is a value
+that only dataclasses.replace, which runs a section's checks, can change:
+every dataclass in config.py is frozen, and no field holds a list.
 
 The checkpoint format has one home, posterior.py: no other module names
 the container functions, whether it calls, imports or defines them.
@@ -295,3 +297,46 @@ def test_mirror_scan_flags_one_shared_key(tmp_path):
                                          "a.Frozen: model embed_dim, tau",
                                          "a.One: data input_dim",
                                          "a.One: sampler temperature"]
+
+
+def _is_frozen(decorator: ast.expr) -> bool:
+    return isinstance(decorator, ast.Call) and _is_dataclass(decorator) and any(
+        kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        for kw in decorator.keywords)
+
+
+def mutable_config(src: Path) -> list[str]:
+    """'Class: not frozen' for every dataclass in config.py without
+    frozen=True, and 'Class.field: annotation' for every field of one whose
+    annotation names list or List anywhere."""
+    found = []
+    for node in ast.walk(ast.parse((src / "config.py").read_text())):
+        if not (isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))):
+            continue
+        if not any(map(_is_frozen, node.decorator_list)):
+            found.append(f"{node.name}: not frozen")
+        found += [f"{node.name}.{item.target.id}: {ast.unparse(item.annotation)}"
+                  for item in node.body if isinstance(item, ast.AnnAssign)
+                  and {"list", "List"} & set(_refs(item.annotation))]
+    return found
+
+
+def test_every_config_dataclass_is_frozen_and_holds_no_list():
+    found = mutable_config(SRC)
+    assert not found, f"freeze config dataclasses and give list keys tuple types: {found}"
+
+
+def test_config_scan_flags_an_unfrozen_dataclass_and_a_list_field(tmp_path):
+    (tmp_path / "config.py").write_text(
+        "import dataclasses\nimport typing\nfrom dataclasses import dataclass\n\n"
+        "@dataclass\nclass Open:\n    seeds: list[int]\n\n"
+        "@dataclasses.dataclass(frozen=False)\nclass Thawed:\n    lr: float\n\n"
+        "@dataclass(eq=True)\nclass Unsaid:\n    lr: float\n\n"
+        "@dataclass(frozen=True)\nclass Nested:\n    widths: typing.List[int]\n"
+        "    table: dict[str, list[float]]\n    hidden: tuple[int, ...]\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass Sound:\n    seeds: tuple[int, ...]\n\n"
+        "class Plain:\n    seeds: list[int]\n")
+    assert mutable_config(tmp_path) == ["Open: not frozen", "Open.seeds: list[int]",
+                                        "Thawed: not frozen", "Unsaid: not frozen",
+                                        "Nested.widths: typing.List[int]",
+                                        "Nested.table: dict[str, list[float]]"]

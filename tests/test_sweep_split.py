@@ -4,6 +4,7 @@ seed's snapshots, the split writes the bytes of a run in one process, each
 error of the child reaches the CLI with the exit code a run in one process
 gives, and the child is reaped on every way out."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -150,7 +151,7 @@ def test_members_written_without_a_snapshot_crc_are_an_io_error(tmp_path, monkey
         cfg_path, out = copy_run(tmp_path, finetuned, f"cpus{cpus}")
         ensemble = load_ensemble(pipeline.ensemble_path(str(out), 0))
         for path in out.glob("member_*.ckpt"):
-            encoder, head, meta = load_member(str(path), ensemble)
+            encoder, head, meta = load_member(str(path), ensemble, 3)
             write_container(path, "member", meta, [("encoder", {}, encoder), ("head", {}, head)])
         counting_children(monkeypatch, cpus)
         assert run_stage(stage, cfg_path, out) == cli.EXIT_IO
@@ -181,27 +182,29 @@ def test_a_member_missing_from_the_childs_half_is_an_io_error(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("part", ["head", "encoder"])
-@pytest.mark.parametrize("snapshot", [1, 2])  # this process's half, the child's
+@pytest.mark.parametrize("snapshot", [0, 1, 2])  # the first member, this process's half, the child's
 def test_a_member_laid_out_unlike_the_first_is_an_io_error(tmp_path, monkeypatch, finetuned,
                                                            snapshot, part):
-    """A head with another class count, or a stored encoder with another
-    hidden width, which the first member's layer buffers would not fit."""
+    """A head with another class count than data.classes, or a stored
+    encoder with another hidden width than its snapshot's, which the layer
+    buffers would not fit, is refused by load_member, whichever member it
+    is."""
     cfg_path, out = copy_run(tmp_path, finetuned, "o")
     cfg = config.load(str(cfg_path))
     path = pipeline.member_path(str(out), 0, 1.0, snapshot)
-    ensemble = load_ensemble(pipeline.ensemble_path(str(out), 0))
-    encoder, head, meta = load_member(path, ensemble)
+    ensemble_file = pipeline.ensemble_path(str(out), 0)
+    ensemble = load_ensemble(ensemble_file)
+    encoder, head, meta = load_member(path, ensemble, 3)
     if part == "head":
         head = ParamVector({"weight": head["weight"].values[:, :2],
                             "bias": head["bias"].values[:2]})
-        message = (f"{path}: its head has 2 classes, "
-                   f"{pipeline.member_path(str(out), 0, 1.0, 0)}'s has 3")
+        message = (f"{path}: its head holds {head.shapes()}, not weight (4, 3) and bias (3,) "
+                   f"for 3 classes over its encoder's 4 outputs")
     else:
         encoder = model.init_mlp([6, 5, 4], np.random.default_rng(0))
-        first = load_member(pipeline.member_path(str(out), 0, 1.0, 0), ensemble)[0]
-        assert encoder.shapes() != first.shapes()
+        assert encoder.shapes() != ensemble.snapshots[snapshot].encoder_params.shapes()
         meta = {**meta, "freeze_encoder": False}  # a trained encoder is stored whole
-        message = f"{path}: its encoder is laid out unlike the first member's"
+        message = f"{path}: its encoder is laid out unlike snapshot {snapshot} of {ensemble_file}"
     save_member(path, encoder, head, meta, ensemble.snapshots[snapshot].encoder_params)
     for cpus in (1, 2):
         counting_children(monkeypatch, cpus)
@@ -223,7 +226,7 @@ def test_a_malformed_member_head_is_an_io_error(tmp_path, monkeypatch, capsys, f
         cfg_path, out = copy_run(tmp_path, finetuned, f"cpus{cpus}")
         path = pipeline.member_path(str(out), 0, 1.0, snapshot)
         ensemble = load_ensemble(pipeline.ensemble_path(str(out), 0))
-        encoder, head, meta = load_member(path, ensemble)
+        encoder, head, meta = load_member(path, ensemble, 3)
         weight, bias = head["weight"].values, head["bias"].values
         head = ParamVector({"weight": weight} if defect == "no_bias" else
                            {"weight": np.vstack([weight, weight[:1]]), "bias": bias})
@@ -233,10 +236,34 @@ def test_a_malformed_member_head_is_an_io_error(tmp_path, monkeypatch, capsys, f
             assert run_stage(stage, cfg_path, out) == cli.EXIT_IO
             assert_no_child_process()
             assert capsys.readouterr().err == (
-                f"i/o error: {path}: its head holds {head.shapes()}, not weight (4, C) "
-                f"and bias (C,) over its encoder's 4 outputs\n")
+                f"i/o error: {path}: its head holds {head.shapes()}, not weight (4, 3) "
+                f"and bias (3,) for 3 classes over its encoder's 4 outputs\n")
             assert not (out / TABLES[stage]).exists()
-        assert len(forked) == (2 if cpus == 2 and snapshot > 0 else 0)
+        assert len(forked) == (2 if cpus == 2 else 0)  # no member is loaded before the fork
+
+
+@pytest.mark.parametrize("classes", [2, 5])
+@pytest.mark.parametrize("stage", STAGES)
+def test_members_fitted_for_another_class_count_are_an_io_error(tmp_path, monkeypatch, capsys,
+                                                                finetuned, stage, classes):
+    """Eval and ood under a config whose data.classes differs from the 3
+    classes of the members' heads exit with code 4 naming the first
+    member's file, at 1 and 2 CPUs alike, and write no table."""
+    for cpus in (1, 2):
+        cfg_path, out = copy_run(tmp_path, finetuned, f"cpus{cpus}")
+        cfg = config.load(str(cfg_path))
+        cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, classes=classes))
+        cfg_path.write_text(config.serialize(cfg))
+        forked = counting_children(monkeypatch, cpus)
+        assert run_stage(stage, cfg_path, out) == cli.EXIT_IO
+        assert len(forked) == cpus - 1
+        assert_no_child_process()
+        first = pipeline.member_path(str(out), 0, 1.0, 0)
+        assert capsys.readouterr().err == (
+            f"i/o error: {first}: its head holds {{'weight': (4, 3), 'bias': (3,)}}, not weight "
+            f"(4, {classes}) and bias ({classes},) for {classes} classes over its encoder's "
+            f"4 outputs\n")
+        assert not (out / TABLES[stage]).exists()
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -244,10 +271,10 @@ def test_an_unexpected_error_in_the_child_is_a_helper_error(tmp_path, monkeypatc
                                                             finetuned, stage):
     real = pipeline.load_member
 
-    def fails_at_snapshot_2(path, ensemble):
+    def fails_at_snapshot_2(path, ensemble, classes):
         if path.endswith("_snap2.ckpt"):
             raise KeyError("snapshot")
-        return real(path, ensemble)
+        return real(path, ensemble, classes)
 
     monkeypatch.setattr(pipeline, "load_member", fails_at_snapshot_2)
     cfg_path, out = copy_run(tmp_path, finetuned, "o")
@@ -270,10 +297,10 @@ def test_the_parents_own_error_wins_and_the_child_is_reaped(tmp_path, monkeypatc
     the error is snapshot 1's, the one a run in one process raises first."""
     real = pipeline.load_member
 
-    def fails_at_snapshots_1_and_2(path, ensemble):
+    def fails_at_snapshots_1_and_2(path, ensemble, classes):
         if path.endswith(("_snap1.ckpt", "_snap2.ckpt")):
             raise CheckpointError(f"cannot read {os.path.basename(path)}")
-        return real(path, ensemble)
+        return real(path, ensemble, classes)
 
     monkeypatch.setattr(pipeline, "load_member", fails_at_snapshots_1_and_2)
     cfg_path, out = copy_run(tmp_path, finetuned, "o")
