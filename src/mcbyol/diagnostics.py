@@ -1,10 +1,11 @@
 """Closed-form Gaussian harness for validating the samplers.
 
-A chain run against the quadratic energy 0.5 * theta' L theta should be
-stationary around mean 0 with covariance T * inv(L), T being the
-[sampler] temperature; run_chain runs the section's total_steps steps and
-measures the empirical moments so tests (and the sample-diag subcommand)
-can compare them with the analytic values.
+The target is the unit quadratic energy 0.5 * theta' theta, whose
+gradient is theta itself: a chain run against it should be stationary
+around mean 0 with variance T in every coordinate, T being the [sampler]
+temperature.  run_chain starts at theta = 0, runs the section's
+total_steps steps and measures the empirical moments so tests (and the
+sample-diag subcommand) can compare them with T.
 
 run_chain steps the chain in blocks.  The lr, noise gate and noise scale
 of each cycle position are held in arrays; a block finds its positions as
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SAMPLER_KINDS, SamplerSection
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError
 from .sampler import (cyclic_lr, diverged, divergence_error, make_state, noise_active,
                       noise_scale, sghmc_step, sgld_step)
 
@@ -52,26 +53,12 @@ ESS_FLOOR = 100  # sample-diag warns on a coordinate with fewer lag-1 effective 
 
 @dataclass
 class QuadraticTarget:
+    """The unit quadratic energy 0.5 * theta' theta in dim >= 1 coordinates."""
     dim: int
-    precision: np.ndarray | None = None  # defaults to identity
 
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
-        if self.precision is None:
-            self.precision = np.eye(self.dim)
-        self.precision = np.asarray(self.precision, dtype=np.float64)
-        if self.precision.shape != (self.dim, self.dim):
-            raise ConfigError("precision matrix shape must be (dim, dim)")
-        if not np.allclose(self.precision, self.precision.T):
-            raise ConfigError("precision matrix must be symmetric")
-        try:
-            np.linalg.cholesky(self.precision)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigError("precision matrix must be positive definite") from exc
-
-    def analytic_covariance(self, temperature: float) -> np.ndarray:
-        return temperature * np.linalg.inv(self.precision)
 
 
 @dataclass
@@ -132,12 +119,12 @@ def _chain_stats(moments: tuple) -> ChainStats:
     return ChainStats(sample_count=n, mean=mean, variance=ss / (n - 1), lag1_autocorr=lag1)
 
 
-def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int, seed: int,
-              theta0: np.ndarray | None = None) -> ChainStats:
-    """Run the configured sampler for cfg.total_steps steps against the
-    exact quadratic gradient and return post-burn-in moments.  The energy
-    is supplied whole, so every step runs at n_dataset = 1 (no
-    prior/likelihood split here).
+def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int,
+              seed: int) -> ChainStats:
+    """Run the configured sampler for cfg.total_steps steps from theta = 0
+    against the unit quadratic, whose gradient is theta itself, and return
+    post-burn-in moments.  The energy is supplied whole, so every step runs
+    at n_dataset = 1 (no prior/likelihood split here).
 
     burn_in must be non-negative and leave at least 2 samples, else
     ContractError.  Noise is drawn and scaled once per block of steps and
@@ -145,23 +132,18 @@ def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int, seed: 
     block is checked once with sampler.diverged, which also catches NaN and
     inf; a failing check raises DivergenceError naming the first offending
     step, coordinate and value.  A block that passes has its kept rows
-    folded into the running moments.  theta0 must have shape (dim,), else
-    DimensionError."""
+    folded into the running moments."""
     steps = cfg.total_steps
     if burn_in < 0:
         raise ContractError("burn_in must be non-negative")
     if steps - burn_in < 2:
         raise ContractError("at least 2 samples must remain after burn_in")
 
-    theta = np.zeros(target.dim) if theta0 is None else np.asarray(theta0, dtype=np.float64).copy()
-    if theta.shape != (target.dim,):
-        raise DimensionError(f"theta0 must have shape ({target.dim},)")
     dim = target.dim
     state = make_state(dim, seed)
-    grad = target.precision.dot
+    theta = np.zeros(dim)
     if dim == 1:
-        theta, state.momentum = float(theta[0]), 0.0
-        grad = float(target.precision[0, 0]).__mul__
+        theta = state.momentum = 0.0
     step_fn = sghmc_step if SAMPLER_KINDS[cfg.kind].momentum else sgld_step
     # the schedule depends on k only through k % cycle_len
     cycle = range(cfg.cycle_len)
@@ -181,7 +163,7 @@ def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int, seed: 
             block = []
             append = block.append
             for lr, on in zip(lr_table[positions].tolist(), gates.tolist()):
-                theta = step_fn(theta, state, grad(theta), lr, cfg, 1,
+                theta = step_fn(theta, state, theta, lr, cfg, 1,
                                 noise_on=on, noise=next(rows) if on else None)
                 append(theta)
             thetas = np.reshape(block, (-1, dim))

@@ -12,8 +12,9 @@ run metadata, and one block per stored parameter vector with its segment
 table (name, element offset, shape).  Loads are bit-exact; corruption
 surfaces as a checksum, truncation, or version error, never silently,
 and a missing file, block or key as a CheckpointError.  Every check of a
-file is made here, as it loads: load_member refuses a member that does
-not fit its snapshot or the caller's class count.
+file is made here, as it loads: load_ensemble refuses a snapshot that is
+not an MLP encoder, and load_member a member that does not fit its
+snapshot or the caller's class count.
 """
 
 from __future__ import annotations
@@ -282,7 +283,22 @@ def save_ensemble(ensemble: PosteriorEnsemble, path) -> None:
     write_container(path, "ensemble", dict(ensemble.run_meta), blocks)
 
 
+def _is_mlp(pv: ParamVector) -> bool:
+    """pv holds layer0.w, layer0.b, ..., layer<L-1>.b in that order, L >= 1,
+    with 2-D weights, each bias as wide as its weight's outputs and each
+    weight's inputs as wide as the layer before's outputs."""
+    shapes = pv.shapes()
+    n = len(shapes) // 2
+    if n < 1 or list(shapes) != [f"layer{i}.{p}" for i in range(n) for p in "wb"]:
+        return False
+    ws = [shapes[f"layer{i}.w"] for i in range(n)]
+    return (all(len(w) == 2 and shapes[f"layer{i}.b"] == w[1:] for i, w in enumerate(ws))
+            and all(a[1] == b[0] for a, b in zip(ws, ws[1:])))
+
+
 def load_ensemble(path) -> PosteriorEnsemble:
+    """Every snapshot must be laid out as snapshot 0, an MLP encoder
+    (_is_mlp), else CheckpointError."""
     header, payload = read_container(path, expect_kind="ensemble")
     snapshots = []
     with _complete(path, "ensemble"):
@@ -293,6 +309,10 @@ def load_ensemble(path) -> PosteriorEnsemble:
                 step=int(meta["step"]), cycle=int(meta["cycle"]),
                 pretrain_loss=float(meta["pretrain_loss"]),
                 sampler_kind=str(meta["sampler_kind"])))
+            if len(snapshots) == 1 and not _is_mlp(snapshots[0].encoder_params):
+                raise CheckpointError(f"{path}: snapshot 0 holds "
+                                      f"{snapshots[0].encoder_params.shapes()}, not an MLP "
+                                      "encoder's layer<i>.w and layer<i>.b")
             if not snapshots[-1].encoder_params.same_layout(snapshots[0].encoder_params):
                 raise CheckpointError(f"{path}: snapshot {len(snapshots) - 1} "
                                       "is laid out unlike snapshot 0")
@@ -329,8 +349,7 @@ def load_member(path, ensemble: PosteriorEnsemble,
     if not encoder.same_layout(snaps[s].encoder_params):
         raise CheckpointError(f"{path}: its encoder is laid out unlike snapshot {s} "
                               f"of {ensemble.path}")
-    with _complete(path, "member"):
-        width = mlp_arrays(encoder)[-1][1].size
+    width = mlp_arrays(encoder)[-1][1].size  # load_ensemble checked the layout
     if head.shapes() != {"weight": (width, classes), "bias": (classes,)}:
         raise CheckpointError(f"{path}: its head holds {head.shapes()}, not weight "
                               f"({width}, {classes}) and bias ({classes},) for {classes} "

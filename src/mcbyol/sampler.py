@@ -59,7 +59,7 @@ samplers with the same seed consume identical noise streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,8 +84,7 @@ _MOMENTUM_KINDS = frozenset(kind for kind, row in SAMPLER_KINDS.items() if row.m
 class SamplerState:
     """A chain's momentum (unused by sgld) and noise source; callers count steps."""
     momentum: np.ndarray | float  # the parameters' shape, or a float with float parameters
-    rng: np.random.Generator = field(
-        default_factory=lambda: np.random.Generator(np.random.Philox(0)))
+    rng: np.random.Generator
 
 
 def make_state(dim: int, seed: int) -> SamplerState:

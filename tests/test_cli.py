@@ -444,6 +444,33 @@ def test_sample_diag_at_a_diagnostics_rate_does_not_warn(tmp_path, capsys, kind)
     assert capsys.readouterr().err == ""
 
 
+# (kind, beta, temperature, dim): criterion 03's six chains, then a 3-D one
+DIAG_GOLDEN_SHA256 = {
+    ("sgld", 0.0, 1.0, 1): "e5069fdb3ff6ee2801280f4643dfd45b6db9d1197e54cbb65bc453e20f90ac3e",
+    ("sgld", 0.0, 0.1, 1): "d311eb057514337515970469225d91ab8484cbb47b38eb57ed70c534ba6fed02",
+    ("sghmc", 0.0, 1.0, 1): "8c2186f4e5b9c0961fb510fdb4cb9f50c306a9d6581f4e15bceb231011375b2c",
+    ("sghmc", 0.0, 0.1, 1): "ce3fbac18380522b441ed3b3f63c317feb825617fa5e946b9f89de2f3ddc29e2",
+    ("sghmc", 0.9, 1.0, 1): "ea7148a52a76c7eaa8c6806318841081248a923660f6d3d983aa84fa563821c5",
+    ("sghmc", 0.9, 0.1, 1): "6afc919198b0fa891696a4732b917f014475730357accef551c592da7eb1054c",
+    ("sghmc", 0.9, 0.1, 3): "824d9e609101178f54a1caee689983b0ee5c4a374c4a329616385261ca43c795",
+}
+
+
+@pytest.mark.parametrize("kind,beta,temperature,dim", sorted(DIAG_GOLDEN_SHA256))
+def test_sample_diag_matches_golden_digests(tmp_path, kind, beta, temperature, dim):
+    """default.cfg's sample-diag at lr0 = 0.01 for 20,000 steps writes a
+    chain_stats.tsv with these sha256 digests, under the same terms as
+    test_acceptance.GOLDEN_SHA256: they pin numpy 2.4 with single-thread
+    OpenBLAS 0.3.31, and on another build they are re-recorded from an
+    unchanged checkout, not adjusted to a change."""
+    cfg = config.load(str(DEFAULT_CFG))
+    cfg = dataclasses.replace(cfg, sampler=dataclasses.replace(
+        cfg.sampler, kind=kind, beta=beta, temperature=temperature, lr0=0.01))
+    pipeline.run_sample_diag(cfg, str(tmp_path), steps=20_000, dim=dim)
+    golden = DIAG_GOLDEN_SHA256[(kind, beta, temperature, dim)]
+    assert digest_of(tmp_path / "chain_stats.tsv") == golden
+
+
 # ---- divergence reports -----------------------------------------------------
 
 

@@ -319,6 +319,28 @@ def test_a_snapshot_laid_out_unlike_snapshot_0_is_a_checkpoint_error(tmp_path, w
         load_ensemble(path)
 
 
+@pytest.mark.parametrize("shapes", [
+    {},
+    {"layer0.w": (3, 4)},
+    {"layer0.b": (4,), "layer0.w": (3, 4)},
+    {"weight": (3, 4), "bias": (4,)},
+    {"layer0.w": (12,), "layer0.b": (4,)},
+    {"layer0.w": (3, 4), "layer0.b": (1, 4)},
+    {"layer0.w": (3, 4), "layer0.b": (4,), "layer1.w": (5, 2), "layer1.b": (2,)},
+    {"layer0.w": (3, 4), "layer0.b": (4,), "layer2.w": (4, 2), "layer2.b": (2,)},
+], ids=["empty", "no_bias", "bias_first", "not_layer_names", "flat_weight", "2d_bias",
+        "widths_do_not_chain", "layer_skipped"])
+def test_a_snapshot_0_that_is_not_an_mlp_encoder_is_a_checkpoint_error(tmp_path, shapes):
+    # a frozen member over an empty snapshot would otherwise fail in load_member
+    encoder = ParamVector({name: np.zeros(shape) for name, shape in shapes.items()})
+    path = tmp_path / "ens.ckpt"
+    write_container(path, "ensemble", {}, [("snapshot0", SNAPSHOT_META, encoder)])
+    with pytest.raises(CheckpointError) as err:
+        load_ensemble(path)
+    assert str(err.value) == (f"{path}: snapshot 0 holds {encoder.shapes()}, not an MLP "
+                              f"encoder's layer<i>.w and layer<i>.b")
+
+
 def test_corrupted_payload_byte_raises_checksum_error(tmp_path):
     ens = make_ensemble(2)
     path = tmp_path / "ens.ckpt"

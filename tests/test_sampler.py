@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from gradcheck import grad_check, tape_online_grad
 
 from mcbyol.autodiff import Tape
 from mcbyol.config import ModelSection, SamplerSection
-from mcbyol.errors import ConfigError, ContractError, NumericError
+from mcbyol.errors import ConfigError, ContractError, DivergenceError, NumericError
 from mcbyol.model import byol_loss_one_direction, byol_loss_symmetrized, init_twin
-from mcbyol.sampler import (cyclic_lr, direction_grad, make_state, noise_active, noise_scale,
+from mcbyol.sampler import (DIVERGENCE_LIMIT, cyclic_lr, direction_grad, diverged,
+                            divergence_error, make_state, noise_active, noise_scale,
                             posterior_grad, sghmc_step, sgld_step, should_yield)
 
 TINY = ModelSection(encoder_hidden=[4], embed_dim=3, proj_hidden=3, proj_dim=2, pred_hidden=3)
@@ -454,3 +456,31 @@ def test_step_rejects_mismatched_kind():
         sgld_step(p, make_state(2, 0), p, 0.1, cfg_for(kind="sghmc"), 1)
     with pytest.raises(ContractError):
         sghmc_step(p, make_state(2, 0), p, 0.1, cfg_for(kind="sgld"), 1)
+
+
+# ---- divergence check -------------------------------------------------------
+
+
+@pytest.mark.parametrize("value,expected", [
+    (np.nan, True), (np.inf, True), (-np.inf, True),
+    (DIVERGENCE_LIMIT, False), (-DIVERGENCE_LIMIT, False),
+    (math.nextafter(DIVERGENCE_LIMIT, math.inf), True),
+    (-math.nextafter(DIVERGENCE_LIMIT, math.inf), True),
+])
+def test_diverged_is_nan_inf_or_above_the_limit(value, expected):
+    assert diverged(np.array([0.0, value, 1.0])) is expected
+    assert diverged(np.array([value])) is expected
+
+
+def test_divergence_error_names_the_first_offending_entry():
+    theta = np.array([0.5, -np.inf, np.nan, 2e6])
+    err = divergence_error(9, theta, "lr 0.1")
+    assert isinstance(err, DivergenceError)
+    assert (err.step, err.quantity, err.value) == (9, "theta[1]", -np.inf)
+    assert err.detail == "non-finite parameter; lr 0.1"
+    err = divergence_error(0, np.array([1.0, np.nan]))
+    assert (err.quantity, math.isnan(err.value), err.detail) == ("theta[1]", True,
+                                                                 "non-finite parameter")
+    err = divergence_error(3, np.array([1.0, -2e6, np.inf]))
+    assert (err.quantity, err.value, err.detail) == ("theta[1]", -2e6, "|theta| > 1e+06")
+    assert str(err) == "chain diverged at step 3: theta[1] = -2e+06 (|theta| > 1e+06)"

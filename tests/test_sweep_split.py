@@ -326,6 +326,35 @@ def test_an_ensemble_without_snapshots_is_refused_before_any_fork(tmp_path, monk
     assert not (out / TABLES[stage]).exists()
 
 
+def test_a_snapshot_that_is_not_an_mlp_encoder_is_refused_before_any_fork(tmp_path, monkeypatch,
+                                                                          capsys, finetuned):
+    """Snapshots with no segments, under frozen members whose CRCs match
+    them: load_ensemble refuses the file, so eval and ood exit with code 4
+    naming it, at 1 and 2 CPUs alike, and fork no child."""
+    empty = ParamVector({})
+    for cpus in (1, 2):
+        cfg_path, out = copy_run(tmp_path, finetuned, f"cpus{cpus}")
+        path = pipeline.ensemble_path(str(out), 0)
+        ensemble = load_ensemble(path)
+        for s in range(ensemble.size):
+            for frac in (1.0, 0.25):
+                member = pipeline.member_path(str(out), 0, frac, s)
+                _, head, meta = load_member(member, ensemble, 3)
+                save_member(member, empty, head, {**meta, "freeze_encoder": True}, empty)
+        for snap in ensemble.snapshots:
+            snap.encoder_params = empty
+        save_ensemble(ensemble, path)
+        forked = counting_children(monkeypatch, cpus)
+        for stage in STAGES:
+            assert run_stage(stage, cfg_path, out) == cli.EXIT_IO
+            assert_no_child_process()
+            assert capsys.readouterr().err == (
+                f"i/o error: {path}: snapshot 0 holds {{}}, not an MLP encoder's "
+                f"layer<i>.w and layer<i>.b\n")
+            assert not (out / TABLES[stage]).exists()
+        assert forked == []
+
+
 KILLED_CHILD = """
 import json, os, signal, sys
 from mcbyol import cli, helper, pipeline
