@@ -10,6 +10,16 @@ for two processes by what a stacked fit costs.  Linear evaluation fits the
 group as one stacked (S, D, C) problem.  Every gradient is taken in closed
 form, with a tape's bits, and each member's bits equal those of a fit on
 its own.
+
+The stacked fit's elementwise steps, broadcasts and class reductions run
+on class-major (C, S, B) planes, so that numpy's inner loops run along the
+S * B rows, not along the few classes.  Each reduction keeps numpy's order:
+a class max is exact in any order, a class sum follows numpy's pairwise
+order (posterior._class_reduce), the bias gradient sums a batch-major copy
+row after row, and the loss averages each head's contiguous row.  The two
+matmuls keep the tape's operands: feats @ W, and feats' transpose times g
+laid out (B, C) per head.
+
 A head is a ParamVector with segments weight (D, C) then bias (C,), the
 layout that posterior.save_member writes into a member checkpoint.
 """
@@ -55,51 +65,82 @@ def _init_head(embed_dim: int, classes: int, rng: np.random.Generator) -> ParamV
         "bias": rng.uniform(-bound, bound, size=(classes,))})
 
 
+def _class_major_logits(feats: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """feats @ weight + bias of S heads as class-major (C, S, B) planes, into
+    out where given: feats (S, B, D), weight (S, D, C) and bias (S, C)."""
+    return np.add((feats @ weight).transpose(2, 0, 1), bias.T[:, :, None], out=out, order="C")
+
+
 def _mean_ce(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean softmax cross-entropy of every (N, C) slice of (S, N, C) logits
-    against the N labels: posterior.softmax, the picked probability floored
-    at 1e-12, and the mean of its log, bit for bit."""
-    _, e, total = _shifted_exp(logits)
-    picked = e[:, np.arange(labels.size), labels] / total[..., 0]
-    return -np.log(np.maximum(picked, 1e-12)).mean(axis=1)
+    """Mean softmax cross-entropy of each head's N class-major (C, S, N)
+    logits against the N labels: posterior.softmax, the picked probability
+    floored at 1e-12, and the mean of its log along the rows of an (S, N)
+    array, bit for bit."""
+    _, e, total = _shifted_exp(logits, axis=0, out=logits)
+    picked = np.divide(e.transpose(1, 0, 2)[:, labels, np.arange(labels.size)], total[0],
+                       out=total[0])  # contiguous rows, along which numpy's mean sums pairwise
+    np.maximum(picked, 1e-12, out=picked)
+    return -np.log(picked, out=picked).mean(axis=1)
 
 
-def _head_grad(z: np.ndarray, logits: np.ndarray, onehot: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the mean softmax cross-entropy of logits = z @ W + b
-    with respect to (W, b), for S heads at once: z (S, B, D), logits and
-    one-hot labels (S, B, C).  Returns (S, P), each row flat in (W, b)
-    order, and the logits' own gradient g (S, B, C).  Per head it does the
-    arithmetic of a tape's backward through softmax_cross_entropy,
-    bias_add and matmul, in the same order (subtracting the one-hot 1.0 or
-    0.0 equals the tape's -1.0 at the label), so each row's bits equal the
-    tape's."""
-    zmax, _, total = _shifted_exp(logits)
-    g = (np.exp(logits - (np.log(total) + zmax)) - onehot) / onehot.shape[1]
-    grad = np.concatenate([(z.transpose(0, 2, 1) @ g).reshape(len(g), -1), g.sum(axis=1)],
-                          axis=1)
-    grad += 0.0  # the tape accumulates into zeros, which turns -0.0 into +0.0
-    return grad, g
+def _head_grad(feats: np.ndarray, weight: np.ndarray, bias: np.ndarray, onehot: np.ndarray,
+               grad: np.ndarray) -> np.ndarray:
+    """Gradients of the mean softmax cross-entropy of logits = feats @ W + b
+    with respect to (W, b), for S heads at once: feats (S, B, D), W
+    (S, D, C), b (S, C) and one-hot labels class-major (C, S, B).  Each
+    head's gradient, flat in (W, b) order, fills the last D * C + C columns
+    of its row of grad (S, P); returns the logits' own gradient g (S, B, C).
+    Per head it does the arithmetic of a tape's backward through
+    softmax_cross_entropy, bias_add and matmul, in the same order
+    (subtracting the one-hot 1.0 or 0.0 equals the tape's -1.0 at the
+    label), so each row's bits equal the tape's.  The elementwise steps run
+    on class-major planes; the last one writes g in the tape's (B, C) per
+    head, the operand of the weight gradient's matmul, and the bias
+    gradient sums a batch-major (B, C, S) copy over its first axis, row
+    after row, as numpy sums all but the last axis."""
+    count, rows = feats.shape[:2]
+    classes = weight.shape[2]
+    first, second = np.empty((2, classes * count * rows))  # the class-major planes
+    logits = _class_major_logits(feats, weight, bias, out=first.reshape(classes, count, rows))
+    zmax, _, total = _shifted_exp(logits, axis=0, out=second.reshape(classes, count, rows))
+    np.log(total, out=total)
+    total += zmax
+    g = np.subtract(logits, total, out=logits)
+    np.exp(g, out=g)
+    g -= onehot
+    by_head = second.reshape(count, rows, classes)
+    np.divide(g, rows, out=by_head.transpose(2, 0, 1))  # the mean over the batch
+    head = grad[:, grad.shape[1] - weight[0].size - classes:]
+    np.matmul(feats.transpose(0, 2, 1), by_head, out=head[:, :-classes].reshape(count, -1, classes))
+    by_row = first.reshape(rows, classes, count)
+    np.copyto(by_row, by_head.transpose(1, 2, 0))
+    np.add.reduce(by_row, axis=0, out=head[:, -classes:].T)
+    head += 0.0  # the tape accumulates into zeros, which turns -0.0 into +0.0
+    return by_head
 
 
 def _nesterov(theta: np.ndarray, seeds: list[int], n: int, cfg: FinetuneSection,
               grad_at, epoch_loss) -> tuple[np.ndarray, list[list[float]]]:
     """SGD with Nesterov momentum in lookahead form on every row of theta
-    (S, P).  Row s takes its minibatch order in each epoch from the key
-    of (seeds[s], epoch); all keys are derived once, and each epoch's
-    orders come from one minibatches call.  grad_at(point, idx) gives the
-    (S, P) gradients at point on the (S, B) row indices idx;
-    epoch_loss(theta) gives the S losses logged after each epoch.  Returns
-    (theta, per-row loss logs)."""
+    (S, P), updated in place.  Row s takes its minibatch order in each
+    epoch from the key of (seeds[s], epoch); all keys are derived once, and
+    each epoch's orders come from one minibatches call.  grad_at(point,
+    idx) gives the (S, P) gradients at point on the (S, B) row indices idx,
+    which the loop may overwrite; epoch_loss(theta) gives the S losses
+    logged after each epoch.  Returns (theta, per-row loss logs)."""
     velocity = np.zeros_like(theta)
+    point = np.empty_like(theta)
     mu = cfg.momentum
     logs: list[list[float]] = [[] for _ in seeds]
     keys = minibatch_keys(seeds, cfg.epochs)
     for epoch in range(cfg.epochs):
         for idx in minibatches(n, cfg.batch, keys[:, epoch]):
-            grad = grad_at(theta + mu * velocity, idx)  # at the lookahead point
-            velocity = mu * velocity - cfg.lr * grad
-            theta = theta + velocity
+            velocity *= mu
+            grad = grad_at(np.add(theta, velocity, out=point), idx)  # at the lookahead point
+            grad *= cfg.lr
+            velocity -= grad
+            theta += velocity
         for log, loss in zip(logs, epoch_loss(theta)):
             log.append(float(loss))
     return theta, logs
@@ -150,19 +191,19 @@ def _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, activation) -> list[li
     w_size = dim * classes
     z_rows = z.reshape(count * n, dim)
     first_row = (np.arange(count) * n)[:, None]  # of each member's block in z_rows
-    onehot = np.eye(classes)[y_all]
+    onehot = np.eye(classes)[:, y_all]  # class-major (C, n)
+    grad = np.empty((count, w_size + classes))
 
-    def logits_at(point: np.ndarray, feats: np.ndarray) -> np.ndarray:
-        logits = feats @ point[:, :w_size].reshape(count, dim, classes)
-        logits += point[:, None, w_size:]
-        return logits
+    def heads_at(point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return point[:, :w_size].reshape(count, dim, classes), point[:, w_size:]
 
     def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
         feats = np.take(z_rows, idx + first_row, axis=0)  # each member's own rows, (S, B, D)
-        return _head_grad(feats, logits_at(point, feats), np.take(onehot, idx, axis=0))[0]
+        _head_grad(feats, *heads_at(point), np.take(onehot, idx, axis=1), grad)
+        return grad
 
-    theta, logs = _nesterov(np.stack([head.flatten() for head in heads]), seeds, n, cfg,
-                            grad_at, lambda th: _mean_ce(logits_at(th, z), y_all))
+    theta, logs = _nesterov(np.stack([head.flatten() for head in heads]), seeds, n, cfg, grad_at,
+                            lambda th: _mean_ce(_class_major_logits(z, *heads_at(th)), y_all))
     for head, row in zip(heads, theta):
         head.set_flat(row)
     return logs
@@ -170,35 +211,39 @@ def _fit_heads(encoders, heads, x_all, y_all, cfg, seeds, activation) -> list[li
 
 def _fit_jointly(encoder, head, x_all, y_all, cfg, seed, activation) -> list[float]:
     """Joint fine-tuning of one encoder copy and its head, with the bits of
-    a tape's backward: _head_grad for the head, and mlp_backward of its
-    logits adjoint through the encoder."""
+    a tape's backward: _head_grad for the head, as one stacked head, and
+    mlp_backward of its logits adjoint through the encoder."""
     group = ParamVector({**{f"encoder.{k}": t for k, t in encoder.items()},
                          "head.weight": head["weight"], "head.bias": head["bias"]})
     layers, w, b = mlp_arrays(encoder), head["weight"].values, head["bias"].values
-    onehot = np.eye(w.shape[1])[y_all]
+    onehot = np.eye(w.shape[1])[:, y_all]  # class-major (C, n)
+    grad = np.empty((1, group.total_dim))
 
     def grad_at(point: np.ndarray, idx: np.ndarray) -> np.ndarray:
         group.set_flat(point[0])
         x = x_all[idx[0]]
         outs = mlp_layers(x, layers, activation)
-        head_grad, g = _head_grad(outs[-1][None], (outs[-1] @ w + b)[None], onehot[idx])
+        g = _head_grad(outs[-1][None], w[None], b[None], onehot[:, idx], grad)
         _, grads = mlp_backward(x, layers, outs, g[0] @ w.T, activation, input_grad=False)
-        grad = np.concatenate([*(a.ravel() for a in grads), head_grad[0]])
-        grad += 0.0  # as in _head_grad
-        return grad[None]
+        np.concatenate([a.ravel() for a in grads], out=grad[0, :-head.total_dim])
+        np.add(grad, 0.0, out=grad)  # as in _head_grad
+        return grad
 
     def epoch_loss(theta: np.ndarray) -> np.ndarray:
         group.set_flat(theta[0])
         z = mlp_forward_np(encoder, x_all, activation)
-        return _mean_ce((z @ w + b)[None], y_all)
+        return _mean_ce(_class_major_logits(z[None], w[None], b[None]), y_all)
 
     _, (log,) = _nesterov(group.flatten()[None], [seed], len(y_all), cfg, grad_at, epoch_loss)
     return log
 
 
 # a minibatch position's fixed cost in a stacked head fit, counted in heads:
-# one position (B = 80, D = 16, C = 4) took 90, 160, 232 and 648 us for 4,
-# 12, 20 and 60 heads on a 2-core Xeon, about 55 us plus 9.8 us per head
+# one position (B = 80, D = 16, C = 4) took 62, 106, 159 and 476 us for 4,
+# 12, 20 and 60 heads on a 2-core Xeon, about 32 us plus 7.4 us per head, and
+# the epoch loss over 1,000 rows 39-52 us per head, 3-4 us per head per
+# position, which puts the fixed cost near 3 or 4 heads; 4 fit wide_ensemble's
+# three seeds no faster than 6 in 30 alternating runs, so 6 stays
 _POSITION_COST = 6
 
 

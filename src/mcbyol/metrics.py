@@ -109,9 +109,20 @@ def format_value(v) -> str:
 
 
 def write_table(path, columns: list[str], rows: list[tuple]) -> None:
-    """Tab-separated table with a header row; deterministic float formatting."""
-    lines = ["\t".join(columns)] + ["\t".join(format_value(v) for v in row) for row in rows]
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Tab-separated table with a header row; deterministic float formatting
+    (format_value).  Every row must hold one cell per column.  Where every
+    column holds only floats or no float, one format string writes each
+    row, with format_value's bytes."""
+    if set(map(len, rows)) - {len(columns)}:
+        raise ContractError(f"{path}: every row must hold {len(columns)} cells")
+    cells = list(zip(*rows))
+    floats = [{issubclass(kind, float) for kind in set(map(type, column))} for column in cells]
+    if any(len(kinds) > 1 for kinds in floats):  # a column of floats and other cells
+        lines = ["\t".join(map(format_value, row)) for row in rows]
+    else:
+        row_format = "\t".join("{:.10g}" if kinds == {True} else "{!s}" for kinds in floats)
+        lines = list(map(row_format.format, *cells)) if cells else []
+    write_atomic(path, "\n".join(["\t".join(columns), *lines]) + "\n")
 
 
 def write_histogram(path, hist: Histogram) -> None:

@@ -94,11 +94,16 @@ def ensemble_path(out_dir: str, seed: int) -> str:
     return os.path.join(out_dir, f"ensemble_seed{seed}.ckpt")
 
 
-def _pretrained_ensemble(out_dir: str, seed: int) -> PosteriorEnsemble:
-    """The seed's ensemble; a CheckpointError if it is missing or holds no snapshot."""
+def _pretrained_ensemble(out_dir: str, seed: int, width: int) -> PosteriorEnsemble:
+    """The seed's ensemble; a CheckpointError if it is missing, holds no
+    snapshot, or its encoders take rows of another width than the data's."""
     ensemble = load_ensemble(ensemble_path(out_dir, seed))
     if not ensemble.size:
         raise CheckpointError(f"{ensemble.path}: the ensemble has no snapshots")
+    rows = ensemble.snapshots[0].encoder_params["layer0.w"].shape[0]
+    if rows != width:
+        raise CheckpointError(f"{ensemble.path}: its encoders take rows of width {rows}, "
+                              f"the data's rows have width {width}")
     return ensemble
 
 
@@ -181,7 +186,7 @@ def run_finetune(cfg: cfgmod.RunConfig, seed: int, out_dir: str) -> None:
     snapshots, epochs) array, from which this process writes every
     fraction's log once the child is reaped."""
     _, train, _, _ = make_datasets(cfg)
-    ensemble = _pretrained_ensemble(out_dir, seed)
+    ensemble = _pretrained_ensemble(out_dir, seed, train.input_dim)
     f = cfg.finetune
     fracs = f.label_fractions
     digest = cfg.digest()
@@ -236,7 +241,7 @@ def _sweep(cfg: cfgmod.RunConfig, out_dir: str, seed: int, fracs: tuple[float, .
     reused by every forward.  It only loads and forwards: load_member
     refuses a member that does not fit its snapshot or data.classes.  The
     child is reaped before the first yield."""
-    ensemble = _pretrained_ensemble(out_dir, seed)
+    ensemble = _pretrained_ensemble(out_dir, seed, xs[0].shape[1])
     size = ensemble.size
     probs = [helpermod.shared_array((size, len(fracs), len(x), cfg.data.classes)) for x in xs]
 

@@ -74,27 +74,57 @@ def collect(ensemble: PosteriorEnsemble, model: TwinModel,
 
 # ---- marginalized prediction ----------------------------------------------
 
-def _class_reduce(a: np.ndarray, ufunc) -> np.ndarray:
-    """ufunc.reduce over the last (class) axis, keepdims, with the bits of
-    numpy's own row reduction.  A max is exact in any order, and below 8
-    classes numpy's pairwise sum of non-negative terms is a left-to-right
-    loop; a loop over column slices reproduces both several times faster.
-    From 8 classes on numpy's reduction itself runs."""
-    classes = a.shape[-1]
-    if classes >= 8:
-        return ufunc.reduce(a, axis=-1, keepdims=True)
-    out = a[..., :1]
-    for c in range(1, classes):
-        out = ufunc(out, a[..., c:c + 1])
+def _fold(ufunc, terms: list[np.ndarray]) -> np.ndarray:
+    """ufunc over terms left to right, in place after the first pair."""
+    if len(terms) == 1:
+        return terms[0]
+    out = ufunc(terms[0], terms[1])
+    for term in terms[2:]:
+        ufunc(out, term, out=out)
     return out
 
 
-def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row max, exp(logits - row max), row sum of that exp), with the bits
-    of the tape's softmax_cross_entropy."""
-    zmax = _class_reduce(logits, np.maximum)
-    e = np.exp(logits - zmax)
-    return zmax, e, _class_reduce(e, np.add)
+def _pairwise(ufunc, terms: list[np.ndarray]) -> np.ndarray:
+    """ufunc over terms in the order of numpy's pairwise sum: below 8 terms
+    left to right; up to 128, eight running partial sums over every eighth
+    term, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    then the rest left to right; above 128, the halves split at a multiple
+    of 8."""
+    count = len(terms)
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return ufunc(_pairwise(ufunc, terms[:half]), _pairwise(ufunc, terms[half:]))
+    if count < 8:
+        return _fold(ufunc, terms)
+    blocks = count - count % 8
+    r = [_fold(ufunc, terms[j:blocks:8]) for j in range(8)]
+    return _fold(ufunc, [ufunc(ufunc(ufunc(r[0], r[1]), ufunc(r[2], r[3])),
+                               ufunc(ufunc(r[4], r[5]), ufunc(r[6], r[7]))), *terms[blocks:]])
+
+
+def _class_reduce(a: np.ndarray, ufunc, axis: int = -1) -> np.ndarray:
+    """ufunc.reduce over the class axis, keepdims, with the bits of numpy's
+    own reduction over a contiguous last axis: the last axis (axis=-1), or
+    the first of class-major (C, ...) planes (axis=0).  A max is exact in
+    any order, and numpy sums a row of non-negative terms in _pairwise's
+    order, which a loop over class slices reproduces.  Below 8 classes that
+    order is left to right, which is how numpy itself reduces class-major
+    planes, plane after plane, in one call."""
+    if axis == 0 and a.shape[0] < 8:
+        return ufunc.reduce(a, axis=0, keepdims=True)
+    return _pairwise(ufunc, [a[c:c + 1] if axis == 0 else a[..., c:c + 1]
+                             for c in range(a.shape[axis])])
+
+
+def _shifted_exp(logits: np.ndarray, axis: int = -1, out: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(class max, exp(logits - class max), class sum of that exp) over the
+    class axis (_class_reduce), with the bits of the tape's
+    softmax_cross_entropy; the exp goes into out where given."""
+    zmax = _class_reduce(logits, np.maximum, axis)
+    e = np.subtract(logits, zmax, out=out)
+    np.exp(e, out=e)
+    return zmax, e, _class_reduce(e, np.add, axis)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ import importlib
 import numpy as np
 import pytest
 from gradcheck import requires_grad
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from minibatch_reference import reference_minibatches
 
 from mcbyol.autodiff import Tape, Tensor
@@ -289,7 +291,8 @@ def test_a_joint_minibatch_gradient_is_the_tapes_with_the_sign_of_every_zero(mon
 
 
 @pytest.mark.parametrize("members", [1, 3])
-@pytest.mark.parametrize("classes", [4, 9])  # 9 is above numpy's 8-term pairwise-sum block
+# numpy's pairwise sum runs left to right below 8 terms and in 8-term blocks from 8 on
+@pytest.mark.parametrize("classes", [2, 4, 7, 8, 9, 17])
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 @pytest.mark.parametrize("batch", [40, 149])  # final batches of 30 rows and of 1 row
 def test_stacked_linear_eval_is_bit_identical_to_per_member_tape_fits(members, classes,
@@ -304,14 +307,39 @@ def test_stacked_linear_eval_is_bit_identical_to_per_member_tape_fits(members, c
         assert_same_member(got, tape_finetune(snap, ds, cfg, seed, TINY, classes))
 
 
-def test_unfrozen_group_is_bit_identical_to_per_member_tape_fits():
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(members=st.integers(1, 5), classes=st.integers(2, 17), embed_dim=st.integers(1, 6),
+       rows=st.integers(1, 40), batch=st.integers(1, 45), momentum=st.sampled_from([0.0, 0.9]),
+       seed=st.integers(0, 2**32 - 1))
+# one feature: each head's weight gradient is then a row vector times g, a
+# BLAS call whose bits depend on g's layout
+@example(members=4, classes=14, embed_dim=1, rows=32, batch=17, momentum=0.9, seed=0)
+def test_any_stacked_linear_eval_is_bit_identical_to_per_member_tape_fits(
+        members, classes, embed_dim, rows, batch, momentum, seed):
+    """For any head count, class count, feature width, row count and batch,
+    the stacked fit's heads and loss logs are the per-member tape fits'."""
+    arch = dataclasses.replace(TINY, embed_dim=embed_dim)
+    rng = np.random.default_rng(seed)
+    ds = Dataset(x=rng.normal(size=(rows, 4)), y=rng.integers(0, classes, rows))
+    ensemble = PosteriorEnsemble(run_meta={})
+    for m in range(members):
+        collect(ensemble, init_twin(arch, 4, 40 + m), step=0, cycle=0, loss=0.0)
+    seeds = [5 + 11 * m for m in range(members)]
+    cfg = FinetuneSection(lr=0.3, momentum=momentum, batch=batch, epochs=2, freeze_encoder=True)
+    fitted = finetune(ensemble.snapshots, ds, cfg, seeds, arch, num_classes=classes)
+    for got, snap, seed in zip(fitted, ensemble.snapshots, seeds):
+        assert_same_member(got, tape_finetune(snap, ds, cfg, seed, arch, classes))
+
+
+@pytest.mark.parametrize("classes,batch", [(4, 40), (9, 149)])  # a 1-row final batch at 9
+def test_unfrozen_group_is_bit_identical_to_per_member_tape_fits(classes, batch):
     snaps = [snapshot_for(30 + m) for m in range(3)]
     seeds = [3, 1, 2]
-    ds = relabeled(4)
-    cfg = FinetuneSection(lr=0.3, momentum=0.9, batch=40, epochs=3, freeze_encoder=False)
-    fitted = finetune(snaps, ds, cfg, seeds, TINY, num_classes=4)
+    ds = relabeled(classes)
+    cfg = FinetuneSection(lr=0.3, momentum=0.9, batch=batch, epochs=3, freeze_encoder=False)
+    fitted = finetune(snaps, ds, cfg, seeds, TINY, num_classes=classes)
     for got, snap, seed in zip(fitted, snaps, seeds):
-        assert_same_member(got, tape_finetune(snap, ds, cfg, seed, TINY, 4))
+        assert_same_member(got, tape_finetune(snap, ds, cfg, seed, TINY, classes))
 
 
 @pytest.mark.parametrize("freeze", [True, False])
@@ -329,15 +357,20 @@ def test_one_seed_per_snapshot_required():
 
 @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
 def test_class_reduce_matches_numpy_row_reduction_at_every_class_count(ufunc):
+    """On the last axis, and on the first of class-major planes, up to and
+    past numpy's 8-term pairwise block and its 128-term split."""
     rng = np.random.default_rng(12)
-    for classes in range(1, 20):
+    for classes in [*range(1, 20), 127, 128, 129, 200, 257]:
         for rows in (1, 7, 80):
-            a = rng.exponential(size=(3, rows, classes))  # exp() terms are non-negative
+            # exp() terms are non-negative; magnitudes far apart make the order show
+            a = rng.exponential(size=(3, rows, classes)) * 10.0 ** rng.integers(-8, 8, classes)
             got = _class_reduce(a, ufunc)
-            assert got.shape == (3, rows, 1)
+            by_class = _class_reduce(np.ascontiguousarray(a.transpose(2, 0, 1)), ufunc, axis=0)
+            assert got.shape == (3, rows, 1) and by_class.shape == (1, 3, rows)
             for s in range(3):
                 ref = ufunc.reduce(a[s], axis=1, keepdims=True)
                 assert got[s].tobytes() == ref.tobytes()
+                assert by_class[0, s].tobytes() == ref[:, 0].tobytes()
 
 
 def test_label_out_of_range_rejected():

@@ -1,9 +1,15 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mcbyol import config, pipeline
 from mcbyol.errors import ContractError
-from mcbyol.metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram,
+from mcbyol.metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, format_value,
                             nll, write_histogram, write_table)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def brute_force_auroc(pos, neg):
@@ -218,3 +224,67 @@ def test_write_table_and_histogram_formats(tmp_path):
     assert hlines[0].startswith("# clamped = 0")
     assert hlines[1] == "bin_left_edge\tcount"
     assert len(hlines) == 4
+
+
+def format_cell_by_cell(columns, rows):
+    """write_table's text as format_value gives it, one cell at a time."""
+    lines = ["\t".join(columns)] + ["\t".join(format_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+FLOATS = [0.5, -0.0, 0.0, 1e-300, 1e300, 5e-324, 1 / 3, -2.5e-7, float("inf"), float("nan")]
+OTHERS = [0, -3, 2**70, True, np.int64(7), np.float32(0.1), "csghmc", "", "0.5", None]
+
+
+def test_write_table_formats_every_cell_as_format_value(tmp_path):
+    """Columns of Python floats, of np.float64, of both and of no float at
+    all (one format string per row), and a column of every kind mixed
+    (format_value per cell): the bytes of format_value cell by cell."""
+    np_floats = [np.float64(v) for v in FLOATS]
+    mixed = FLOATS + np_floats + OTHERS
+    path = tmp_path / "t.tsv"
+    tables = [(["float", "np.float64", "both", "other"],
+               [(FLOATS[i % 10], np_floats[i % 10], (FLOATS + np_floats)[i % 20], OTHERS[i % 10])
+                for i in range(30)]),
+              (["other", "mixed"], [(OTHERS[i % 10], v) for i, v in enumerate(mixed)]),
+              (["float", "other"], [])]
+    for columns, rows in tables:
+        write_table(path, columns, rows)
+        assert path.read_bytes() == format_cell_by_cell(columns, rows).encode()
+
+
+def test_write_table_refuses_a_row_of_another_width(tmp_path):
+    path = tmp_path / "t.tsv"
+    with pytest.raises(ContractError, match="every row must hold 2 cells"):
+        write_table(path, ["a", "b"], [(1, 0.5), (2,)])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("cycle_len", [50, 10])
+def test_every_table_of_a_run_has_format_values_bytes(tmp_path, monkeypatch, cycle_len):
+    """Every table that a tiny run of configs/default.cfg writes, at its own
+    cycle_len and at wide_ensemble's 10, in every stage."""
+    cfg = config.load(str(ROOT / "configs" / "default.cfg"))
+    cfg = dataclasses.replace(
+        cfg, data=dataclasses.replace(cfg.data, per_class_pretrain=30, per_class_train=20,
+                                      per_class_test=20),
+        sampler=dataclasses.replace(cfg.sampler, cycle_len=cycle_len, total_steps=100, batch=32),
+        finetune=dataclasses.replace(cfg.finetune, epochs=3, batch=16),
+        run=dataclasses.replace(cfg.run, seeds=(0, 1)))
+    written = []
+
+    def recorded(path, columns, rows):
+        write_table(path, columns, rows)
+        written.append((path, columns, rows))
+
+    monkeypatch.setattr(pipeline, "write_table", recorded)
+    out = str(tmp_path)
+    for seed in cfg.run.seeds:
+        pipeline.run_pretrain(cfg, seed, out)
+        pipeline.run_finetune(cfg, seed, out)
+    pipeline.run_eval(cfg, out)
+    pipeline.run_ood(cfg, out)
+    pipeline.run_sample_diag(cfg, out, steps=200)
+    assert len(written) == 2 + 2 * 3 + 3
+    for path, columns, rows in written:
+        assert Path(path).read_bytes() == format_cell_by_cell(columns, rows).encode(), path

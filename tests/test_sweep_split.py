@@ -355,6 +355,34 @@ def test_a_snapshot_that_is_not_an_mlp_encoder_is_refused_before_any_fork(tmp_pa
         assert forked == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_snapshots_of_another_input_width_are_refused_before_any_fork(tmp_path, monkeypatch,
+                                                                      capsys, finetuned, cpus):
+    """Every snapshot replaced by an MLP over rows of width 7, not the
+    data's 6, with each member re-saved over it so that its CRC matches:
+    finetune, eval and ood exit with code 4 naming the ensemble file and
+    both widths, fork no child and write nothing."""
+    cfg_path, out = copy_run(tmp_path, finetuned, "o")
+    path = pipeline.ensemble_path(str(out), 0)
+    ensemble, fitted_on = load_ensemble(path), load_ensemble(path)
+    for s, snap in enumerate(ensemble.snapshots):
+        snap.encoder_params = model.init_mlp([7, 8, 4], np.random.default_rng(s))
+        for frac in (1.0, 0.25):
+            member = pipeline.member_path(str(out), 0, frac, s)
+            _, head, meta = load_member(member, fitted_on, 3)
+            save_member(member, snap.encoder_params, head, meta, snap.encoder_params)
+    save_ensemble(ensemble, path)
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    forked = counting_children(monkeypatch, cpus)
+    for stage in ("finetune", *STAGES):
+        assert run_stage(stage, cfg_path, out) == cli.EXIT_IO
+        assert_no_child_process()
+        assert capsys.readouterr().err == (f"i/o error: {path}: its encoders take rows of "
+                                           "width 7, the data's rows have width 6\n")
+    assert forked == []
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+
 KILLED_CHILD = """
 import json, os, signal, sys
 from mcbyol import cli, helper, pipeline
