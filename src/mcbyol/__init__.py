@@ -4,7 +4,7 @@ snapshot ensembles, and uncertainty-aware downstream evaluation."""
 from .autodiff import Tape, Tensor
 from .config import ModelSection, RunConfig, SamplerSection
 from .data import Dataset, augment_pair, make_clusters, make_ood, minibatch_keys, minibatches
-from .diagnostics import ChainStats, QuadraticTarget, run_chain
+from .diagnostics import ChainStats, run_chain
 from .finetune import finetune, subset_labels
 from .metrics import accuracy, aggregate_seeds, auroc, entropy_histogram, nll
 from .model import (TwinModel, byol_loss_one_direction, byol_loss_symmetrized,

@@ -3,29 +3,34 @@
 The target is the unit quadratic energy 0.5 * theta' theta, whose
 gradient is theta itself: a chain run against it should be stationary
 around mean 0 with variance T in every coordinate, T being the [sampler]
-temperature.  run_chain starts at theta = 0, runs the section's
-total_steps steps and measures the empirical moments so tests (and the
-sample-diag subcommand) can compare them with T.
+temperature.  run_chain starts at theta = 0, runs the given number of
+steps and measures the empirical moments so tests (and the sample-diag
+subcommand) can compare them with T.
 
-run_chain steps the chain in blocks.  The lr, noise gate and noise scale
-of each cycle position are held in arrays; a block finds its positions as
-np.arange(start, stop) % cycle_len, takes its lrs, gates and the scales of
-its noisy steps from them by fancy and boolean indexing, converts each to
-a list once, and draws the noise of its noisy steps at once (the same
-Philox stream as one draw per step), scaled once and handed to each step
-as its noise= term; one sampler.diverged check covers the block.  Every
-step still calls sgld_step/sghmc_step, the update pretraining runs, through
-this module's globals and with noise_on= and noise= by keyword: the traced
-benchmark (bench/tracing.py) patches those names and reads noise_on from
-the keywords, so it counts every step and every noisy one.  Every theta is
+That variance is the stationary one of a chain at a constant step with
+noise on every step (Chen et al. 2014), so run_chain runs every step at
+lr0 with noise, whatever the section's kind: it reads kind, lr0, beta and
+temperature, and no schedule key (cycle_len, total_steps,
+noise_start_frac).  A cyclic kind runs as its non-cyclic twin, csghmc as
+sghmc; a cosine-cycled chain has no single stationary variance to check.
+
+run_chain steps the chain in blocks of at most _BLOCK steps and
+_BLOCK_VALUES values, so a wide chain takes shorter blocks.  Each block
+draws the noise of all its steps at once (the same Philox stream as one
+draw per step), scaled once and handed to each step as its noise= term;
+one sampler.diverged check covers the block.  Every step still calls
+sgld_step/sghmc_step, the update pretraining runs, through this module's
+globals and with noise_on= and noise= by keyword: the traced benchmark
+(bench/tracing.py) patches those names and reads noise_on from the
+keywords, so it counts every step and every noisy one.  Every theta is
 bit-identical to a chain stepped and checked one step at a time.
 
 No trajectory is kept: each block's kept rows are reduced to _moments and
 merged into the running ones by the pairwise update of Chan, Golub and
-LeVeque (1983), so memory is O(_BLOCK * dim) for any step count.  Only the
-summation order differs from the whole-array two-pass moments; the tests
-pin the two within 1e-12 (the mean in standard deviations, the variance
-relative, lag-1 absolute).
+LeVeque (1983), so memory is O(_BLOCK_VALUES) for any step count and any
+dim.  Only the summation order differs from the whole-array two-pass
+moments; the tests pin the two within 1e-12 (the mean in standard
+deviations, the variance relative, lag-1 absolute).
 
 A 1-D chain is stepped on Python floats (theta, momentum, gradient, lr and
 noise) rather than shape-(1,) arrays: the arithmetic rounds the same, and
@@ -44,21 +49,11 @@ import numpy as np
 
 from .config import SAMPLER_KINDS, SamplerSection
 from .errors import ConfigError, ContractError
-from .sampler import (cyclic_lr, diverged, divergence_error, make_state, noise_active,
-                      noise_scale, sghmc_step, sgld_step)
+from .sampler import diverged, divergence_error, make_state, noise_scale, sghmc_step, sgld_step
 
-_BLOCK = 4096  # steps per noise draw and per divergence check
+_BLOCK = 4096  # at most this many steps per noise draw and per divergence check
+_BLOCK_VALUES = 1 << 18  # and at most this many values, steps * dim, in a block
 ESS_FLOOR = 100  # sample-diag warns on a coordinate with fewer lag-1 effective samples
-
-
-@dataclass
-class QuadraticTarget:
-    """The unit quadratic energy 0.5 * theta' theta in dim >= 1 coordinates."""
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
 
 
 @dataclass
@@ -119,52 +114,51 @@ def _chain_stats(moments: tuple) -> ChainStats:
     return ChainStats(sample_count=n, mean=mean, variance=ss / (n - 1), lag1_autocorr=lag1)
 
 
-def run_chain(cfg: SamplerSection, target: QuadraticTarget, burn_in: int,
+def run_chain(cfg: SamplerSection, dim: int, steps: int, burn_in: int,
               seed: int) -> ChainStats:
-    """Run the configured sampler for cfg.total_steps steps from theta = 0
-    against the unit quadratic, whose gradient is theta itself, and return
-    post-burn-in moments.  The energy is supplied whole, so every step runs
-    at n_dataset = 1 (no prior/likelihood split here).
+    """Run the configured sampler for steps steps at lr0, with noise on every
+    step, from theta = 0 against the unit quadratic in dim coordinates, whose
+    gradient is theta itself, and return post-burn-in moments.  The energy
+    is supplied whole, so every step runs at n_dataset = 1 (no
+    prior/likelihood split here).
 
-    burn_in must be non-negative and leave at least 2 samples, else
-    ContractError.  Noise is drawn and scaled once per block of steps and
-    handed to the step function row by row through its noise argument.  Each
-    block is checked once with sampler.diverged, which also catches NaN and
-    inf; a failing check raises DivergenceError naming the first offending
-    step, coordinate and value.  A block that passes has its kept rows
-    folded into the running moments."""
-    steps = cfg.total_steps
+    dim < 1 and a noiseless kind are ConfigErrors: from theta = 0, where the
+    gradient is 0, a noiseless chain never moves.  burn_in must be
+    non-negative and leave at least 2 samples, else ContractError.  Noise
+    is drawn and scaled once per block of steps and handed to the step
+    function row by row through its noise argument.  Each block is checked
+    once with sampler.diverged, which also catches NaN and inf; a failing
+    check raises DivergenceError naming the first offending step,
+    coordinate and value.  A block that passes has its kept rows folded
+    into the running moments."""
+    if dim < 1:
+        raise ConfigError("dim must be >= 1")
+    if not SAMPLER_KINDS[cfg.kind].noisy:
+        raise ConfigError(f"sample-diag needs a noisy sampler kind: sampler.kind = "
+                          f"{cfg.kind} injects no noise, so its chain never leaves 0")
     if burn_in < 0:
         raise ContractError("burn_in must be non-negative")
     if steps - burn_in < 2:
         raise ContractError("at least 2 samples must remain after burn_in")
 
-    dim = target.dim
     state = make_state(dim, seed)
     theta = np.zeros(dim)
     if dim == 1:
         theta = state.momentum = 0.0
     step_fn = sghmc_step if SAMPLER_KINDS[cfg.kind].momentum else sgld_step
-    # the schedule depends on k only through k % cycle_len
-    cycle = range(cfg.cycle_len)
-    lr_table = np.array([cyclic_lr(cfg, p) for p in cycle])
-    gate_table = np.array([noise_active(cfg, p) for p in cycle])
-    scale_table = np.array([noise_scale(cfg, lr) for lr in lr_table.tolist()])
+    lr = cfg.lr0
+    scale = noise_scale(cfg, lr)
+    block_len = max(1, min(_BLOCK, _BLOCK_VALUES // dim))
     moments = None
     # past a divergence the block runs on to inf/NaN; the check below catches it
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, steps, _BLOCK):
-            stop = min(start + _BLOCK, steps)
-            positions = np.arange(start, stop) % cfg.cycle_len
-            gates = gate_table[positions]
-            scales = scale_table[positions[gates]]
-            noise = scales[:, None] * state.rng.standard_normal((scales.size, dim))
-            rows = iter(noise[:, 0].tolist() if dim == 1 else noise)
+        for start in range(0, steps, block_len):
+            stop = min(start + block_len, steps)
+            noise = scale * state.rng.standard_normal((stop - start, dim))
             block = []
             append = block.append
-            for lr, on in zip(lr_table[positions].tolist(), gates.tolist()):
-                theta = step_fn(theta, state, theta, lr, cfg, 1,
-                                noise_on=on, noise=next(rows) if on else None)
+            for row in noise[:, 0].tolist() if dim == 1 else noise:
+                theta = step_fn(theta, state, theta, lr, cfg, 1, noise_on=True, noise=row)
                 append(theta)
             thetas = np.reshape(block, (-1, dim))
             if diverged(thetas):

@@ -23,7 +23,6 @@ memory (helper.py).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 
@@ -33,8 +32,8 @@ from . import config as cfgmod
 from . import helper as helpermod
 from .data import (Dataset, augment_pair, load_dataset, make_clusters, make_ood,
                    minibatch_keys, minibatches)
-from .diagnostics import ChainStats, QuadraticTarget, run_chain
-from .errors import CheckpointError, ConfigError, DataError, DivergenceError, HelperError
+from .diagnostics import ChainStats, run_chain
+from .errors import CheckpointError, DataError, DivergenceError, HelperError
 from .finetune import finetune, split_members, subset_labels
 from .metrics import (accuracy, aggregate_seeds, auroc, entropy_histogram, nll,
                       write_histogram, write_table)
@@ -352,19 +351,14 @@ def default_burn_in(steps: int) -> int:
 
 def run_sample_diag(cfg: cfgmod.RunConfig, out_dir: str, steps: int = 200_000,
                     burn_in: int | None = None, dim: int = 1) -> ChainStats:
-    """Run the configured sampler for steps steps from the first run seed
-    against the unit quadratic and emit the chain moments next to their
-    analytic values, the [sampler] temperature.  A noiseless kind is a
-    ConfigError, raised before anything runs or is written: from theta = 0,
-    where the gradient is 0, its chain never moves."""
-    if not cfgmod.SAMPLER_KINDS[cfg.sampler.kind].noisy:
-        raise ConfigError(f"sample-diag needs a noisy sampler kind: sampler.kind = "
-                          f"{cfg.sampler.kind} injects no noise, so its chain never leaves 0")
+    """Run the configured sampler (run_chain: every step at lr0, with noise)
+    for steps steps from the first run seed against the unit quadratic and
+    emit the chain moments next to their analytic values, the [sampler]
+    temperature.  run_chain's ConfigErrors, a noiseless kind among them,
+    are raised before anything is written."""
     if burn_in is None:
         burn_in = default_burn_in(steps)
-    diag_cfg = dataclasses.replace(cfg.sampler, cycle_len=1, total_steps=steps,
-                                   noise_start_frac=0.0)
-    stats = run_chain(diag_cfg, QuadraticTarget(dim=dim), burn_in=burn_in, seed=cfg.run.seeds[0])
+    stats = run_chain(cfg.sampler, dim, steps, burn_in, cfg.run.seeds[0])
     digest = cfg.digest()
     rows = [(i, float(stats.mean[i]), float(stats.variance[i]), cfg.sampler.temperature,
              float(stats.lag1_autocorr[i]), digest)

@@ -36,13 +36,15 @@ one of them computed by a forked helper process where run_pretrain has
 one (with 2 or more CPUs, see helper.py): every step is deterministic
 given the seed, and the same at any CPU count.  Temperature multiplies
 the noise variance only; tempering the drift instead (drift / T,
-untempered noise) is exactly this update at lr0 / T.
+untempered noise) is exactly this update at lr0 / T, step for step
+through any schedule, the cyclic one included.
 
 A step takes its noise one of two ways: drawn from state.rng and scaled
-by s (the default), or as an already-scaled noise= term, s * eps.  A
-caller that steps many times at known learning rates scales a whole block
-of draws at once and passes noise=; both give the same bits for the same
-draw.
+by s (the default), or as an already-scaled noise= term, s * eps.
+diagnostics.run_chain, whose every step runs at lr0 with noise, draws a
+block of steps' noise at once, scales it by the one s and passes each
+row as noise=; both ways give the same bits for the same draw, at any
+lr.
 
 params, grad_U, noise and state.momentum are float64 arrays of one shape,
 or all Python floats for a 1-D chain: IEEE + - * / round the same on both,

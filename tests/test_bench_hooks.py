@@ -1,7 +1,7 @@
 """The traced benchmark run patches program functions by name
 (bench/tracing.py); this checks that every name it patches still exists, that
-a traced sample-diag run counts every sampler step, that traced chains and
-pipeline runs count exactly the noisy steps, that a traced pipeline run
+a traced sample-diag run counts every sampler step, that traced pipeline
+runs count exactly the noisy steps, that a traced pipeline run
 counts every stacked minibatch position of finetune and one encoder forward
 per snapshot and input in eval and ood, and that traced runs write the same
 bytes as untraced ones, and that the benchmark's own output checks pass on
@@ -206,32 +206,6 @@ def test_traced_pipeline_counts_only_the_noisy_steps(tiny_runs, forked_tiny_run)
     assert cfg.sampler.total_steps // cfg.sampler.cycle_len == 3
     assert tiny_runs[3]["sampler.noise_steps"] == 2 * 3 * 2 == 12
     assert forked_tiny_run[1]["sampler.noise_steps"] == 12
-
-
-TRACED_CHAIN = """
-import json
-from mcbyol import config, diagnostics
-import tracing
-
-tracer = tracing.Tracer("hooks")
-tracing.install(tracer)
-cfg = config.SamplerSection(kind="csghmc", lr0=0.01, beta=0.9, temperature=1.0, cycle_len=7,
-                            total_steps=700, noise_start_frac=0.5)
-diagnostics.run_chain(cfg, diagnostics.QuadraticTarget(dim=1), burn_in=0, seed=0)
-step = tracer.names.index("sampler.step")
-print(json.dumps({"step_spans": list(tracer.name).count(step),
-                  "noise_steps": tracer.counts["sampler.noise_steps"]}))
-"""
-
-
-def test_traced_cyclic_chain_counts_every_step_and_only_the_noisy_ones():
-    # positions 4, 5 and 6 of each cycle of 7 are at or past 0.5 * 7: 3 noisy
-    # steps in each of 100 cycles, all stepped through the patched names
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
-    proc = subprocess.run([sys.executable, "-c", TRACED_CHAIN], capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"step_spans": 700, "noise_steps": 300}
 
 
 def bench_child():

@@ -444,7 +444,8 @@ def test_sample_diag_at_a_diagnostics_rate_does_not_warn(tmp_path, capsys, kind)
     assert capsys.readouterr().err == ""
 
 
-# (kind, beta, temperature, dim): criterion 03's six chains, then a 3-D one
+# (kind, beta, temperature, dim): criterion 03's six chains, a 3-D one, then
+# default.cfg's own kind and beta and a 64-D sgld chain
 DIAG_GOLDEN_SHA256 = {
     ("sgld", 0.0, 1.0, 1): "e5069fdb3ff6ee2801280f4643dfd45b6db9d1197e54cbb65bc453e20f90ac3e",
     ("sgld", 0.0, 0.1, 1): "d311eb057514337515970469225d91ab8484cbb47b38eb57ed70c534ba6fed02",
@@ -453,6 +454,8 @@ DIAG_GOLDEN_SHA256 = {
     ("sghmc", 0.9, 1.0, 1): "ea7148a52a76c7eaa8c6806318841081248a923660f6d3d983aa84fa563821c5",
     ("sghmc", 0.9, 0.1, 1): "6afc919198b0fa891696a4732b917f014475730357accef551c592da7eb1054c",
     ("sghmc", 0.9, 0.1, 3): "824d9e609101178f54a1caee689983b0ee5c4a374c4a329616385261ca43c795",
+    ("csghmc", 0.9, 0.1, 1): "1a792f79242177158ed59599e3833fd8a43863b87a86d6227aad0e52c479ce20",
+    ("sgld", 0.9, 0.1, 64): "fdd33c658ae2ff9facd26589201964311a120f48f00d7f210e64c96379ca3d5e",
 }
 
 
@@ -469,6 +472,36 @@ def test_sample_diag_matches_golden_digests(tmp_path, kind, beta, temperature, d
     pipeline.run_sample_diag(cfg, str(tmp_path), steps=20_000, dim=dim)
     golden = DIAG_GOLDEN_SHA256[(kind, beta, temperature, dim)]
     assert digest_of(tmp_path / "chain_stats.tsv") == golden
+
+
+def numeric_columns(path):
+    """chain_stats.tsv's rows without their config_digest column."""
+    header, *rows = Path(path).read_text().splitlines()
+    assert header.split("\t")[-1] == "config_digest"
+    return [row.rsplit("\t", 1)[0] for row in rows]
+
+
+@pytest.mark.parametrize("key,value", [("cycle_len", 7), ("total_steps", 1_000),
+                                       ("noise_start_frac", 0.5), ("prior_std", 3.0),
+                                       ("batch", 17)])
+def test_sample_diag_reads_no_schedule_or_pretraining_key(tmp_path, key, value):
+    # the chain runs at lr0 with noise on every step, whatever the schedule
+    cfg = config.load(str(DEFAULT_CFG))
+    cfg = dataclasses.replace(cfg, sampler=dataclasses.replace(cfg.sampler, lr0=0.01))
+    other = dataclasses.replace(cfg, sampler=dataclasses.replace(cfg.sampler, **{key: value}))
+    assert other.digest() != cfg.digest()
+    for name, run_cfg in (("base", cfg), ("other", other)):
+        pipeline.run_sample_diag(run_cfg, str(tmp_path / name), steps=2_000, dim=2)
+    assert (numeric_columns(tmp_path / "other" / "chain_stats.tsv")
+            == numeric_columns(tmp_path / "base" / "chain_stats.tsv"))
+
+
+def test_sample_diag_runs_fewer_steps_than_a_cycle(tmp_path, capsys):
+    assert config.load(str(DEFAULT_CFG)).sampler.cycle_len == 50
+    out = tmp_path / "diag"
+    assert cli.main(["sample-diag", "--config", str(DEFAULT_CFG), "--out", str(out),
+                     "--steps", "20"]) == 0
+    assert len(numeric_columns(out / "chain_stats.tsv")) == 1
 
 
 # ---- divergence reports -----------------------------------------------------

@@ -421,7 +421,7 @@ def test_lean_step_is_bit_identical_to_reference(kind, beta, dim, noise_on):
     cosine = cfg_for(kind="csghmc", cycle_len=9, total_steps=steps)
     lrs = [cyclic_lr(cosine, k) for k in range(steps)]
     eps = rng.normal(size=(steps, dim))
-    # pre-scaled the way diagnostics.run_chain scales a block of draws
+    # pre-scaled by the caller, one scale per step, and handed to the step as noise=
     noise = np.array([noise_scale(cfg, lr) for lr in lrs])[:, None] * eps
     start = rng.normal(size=dim)
     runs = {}
